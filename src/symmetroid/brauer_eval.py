@@ -149,8 +149,6 @@ def _lift_padic(P, t_star, p, N):
         sq_is_square = unit % 8 == 1
     else:
         sq_is_square = pow(unit % p, (p - 1) // 2, p) == 1
-    point = LocalYPoint(place=p, kind="padic", padic=(tuple(t), N), rank=4,
-                        disc_class=None)
     if not sq_is_square:
         return []
     return [LocalYPoint(place=p, kind="padic", padic=(tuple(t), N), rank=4,

@@ -62,8 +62,6 @@ def build_parser():
         if pencil:
             p.add_argument("pencil", help="pencil file or builtin name")
         p.add_argument("--out", help="write the JSON report here")
-        p.add_argument("--json", action="store_true", default=True,
-                       help="compact JSON output (default)")
         p.add_argument("--pretty", action="store_true",
                        help="indent the JSON report")
         return p

@@ -121,9 +121,6 @@ class GF:
             return True
         return self.power(a, (self.q - 1) // 2) == 1
 
-    def elements(self):
-        return range(self.q)
-
     # -- vectorized ops (numpy int arrays of element codes) -------------
 
     def vadd(self, A, B):

@@ -23,18 +23,11 @@ class RatInterval:
         self.lo = lo
         self.hi = hi
 
-    @classmethod
-    def point(cls, x):
-        return cls(x)
-
     def __repr__(self):
         return "RatInterval(%s, %s)" % (self.lo, self.hi)
 
     def width(self):
         return self.hi - self.lo
-
-    def midpoint(self):
-        return (self.lo + self.hi) / 2
 
     def contains(self, x):
         x = Fraction(x)
@@ -96,13 +89,3 @@ class RatInterval:
             # even powers are nonnegative; tighten the lower endpoint
             result = RatInterval(Fraction(0), result.hi)
         return result
-
-    def intersect(self, other):
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        if lo > hi:
-            return None
-        return RatInterval(lo, hi)
-
-    def hull(self, other):
-        return RatInterval(min(self.lo, other.lo), max(self.hi, other.hi))

@@ -1,8 +1,12 @@
 """Exact linear algebra over Z, Q and F_p.
 
 Integer matrices are plain lists of lists of Python ints, so all arithmetic
-is arbitrary precision.  numpy (int64) is used only for F_p elimination,
-where entries are reduced below 2^31 and products cannot overflow.
+is arbitrary precision.  numpy is used only by the F_p elimination kernel
+(``_echelon_mod_p``), which backs ``fp_rank``, ``fp_rank_sparse_dense`` and
+``det_exact_crt``.  Its fast path stores residues as int32 and forms each
+product in int64, which is exact for p < 2^31; for larger p the same loop
+runs on a numpy object array of Python ints.  ``fp_pivot_rows`` is a pure
+Python sparse elimination that also reports which rows form a basis.
 """
 
 from __future__ import annotations
@@ -291,134 +295,107 @@ def smith_divisors(M):
 
 
 # ---------------------------------------------------------------------------
-# F_p elimination (numpy int64)
+# F_p elimination: one in-place echelon kernel
 
 
-def _as_fp_array(M, p):
-    A = np.array(M, dtype=np.int64)
-    return np.mod(A, p)
+def _fp_dtype(p):
+    """Storage for residues mod p in the elimination kernel.
+
+    Residues are stored as int32 and every product of two residues is
+    formed in int64.  Both are exact for p < 2^31: a residue is at most
+    2^31 - 2 and r - a*b stays above -2^62.  Larger primes run the same
+    loop on a numpy object array of Python ints."""
+    return np.int32 if p < 1 << 31 else object
+
+
+def _echelon_mod_p(A, p):
+    """Row-reduce ``A`` to row echelon form over F_p, in place.
+
+    ``A`` holds residues in [0, p) with dtype ``_fp_dtype(p)``.  Returns
+    ``(pivot_cols, det)``: row i of the result has its pivot (a 1) in
+    column ``pivot_cols[i]``, the rows past ``len(pivot_cols)`` are zero,
+    and ``det`` is the determinant of ``A`` mod p when ``A`` is square
+    (0 otherwise).
+    """
+    wide = object if A.dtype == object else np.int64
+    m, n = A.shape
+    pivot_cols = []
+    det = 1
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        nz = np.flatnonzero(A[r:, c])
+        if nz.size == 0:
+            continue
+        pr = r + int(nz[0])
+        if pr != r:
+            # every row from r down is zero left of column c
+            A[[r, pr], c:] = A[[pr, r], c:]
+            det = -det
+        piv = int(A[r, c])
+        det = det * piv % p
+        if piv != 1:
+            A[r, c:] = A[r, c:].astype(wide) * pow(piv, -1, p) % p
+        hit = r + 1 + np.flatnonzero(A[r + 1:, c])
+        if hit.size:
+            U = np.outer(A[hit, c].astype(wide), A[r, c:])
+            np.subtract(A[hit, c:], U, out=U)
+            U %= p
+            A[hit, c:] = U
+        pivot_cols.append(c)
+        r += 1
+    return pivot_cols, (det if r == m == n else 0)
 
 
 def fp_rank(M, p):
-    """Rank of a matrix over F_p by exact Gaussian elimination mod p."""
+    """Rank over F_p of an integer matrix (list of rows or numpy array)."""
     if not is_prime(p):
         raise ValueError("p = %d is not prime" % p)
-    if isinstance(M, np.ndarray):
-        A = np.mod(M.astype(np.int64), p)
-    else:
-        if not M or not len(M[0]):
-            return 0
-        A = _as_fp_array(M, p)
-    return _fp_rank_array(A, p)
-
-
-def _fp_rank_array(A, p):
-    m, n = A.shape
-    rank = 0
-    for c in range(n):
-        if rank == m:
-            break
-        col = A[rank:, c]
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
-            continue
-        pr = rank + int(nz[0])
-        if pr != rank:
-            A[[rank, pr]] = A[[pr, rank]]
-        inv = pow(int(A[rank, c]), p - 2, p)
-        A[rank, c:] = (A[rank, c:] * inv) % p
-        below = A[rank + 1:, c]
-        hit = np.nonzero(below)[0]
-        if hit.size:
-            rows = rank + 1 + hit
-            A[rows, c:] = (A[rows, c:] - np.outer(A[rows, c], A[rank, c:])) % p
-        rank += 1
-    return rank
+    if not len(M) or not len(M[0]):
+        return 0
+    A = (np.array(M, dtype=object) % p).astype(_fp_dtype(p))
+    return len(_echelon_mod_p(A, p)[0])
 
 
 def fp_rank_sparse_dense(rows_sparse, ncols, p):
-    """Rank over F_p of a sparse-row matrix, tuned for wide Macaulay blocks.
+    """Rank over F_p of sparse rows ({col: coeff} dicts over Z).
 
-    Rows with fresh leading columns are batched into a dense int32 array
-    and eliminated with vectorized numpy updates; leftovers are reduced
-    against the resulting echelon basis in further batches.  p must stay
-    below 2^15 so products fit int64 slices comfortably.
+    Tuned for wide Macaulay blocks.  Rows with pairwise distinct leading
+    columns go first, already close to echelon form; the others follow in
+    batches.  Each batch is written into one preallocated buffer right
+    under the echelon basis found so far, and the kernel row-reduces that
+    view in place, leaving the grown basis on top.  Stops at rank ncols.
     """
-    if p >= 1 << 15:
-        raise ValueError("dense batch elimination wants a small prime")
-    lead_of = []
-    for r in rows_sparse:
-        lead_of.append(min((c for c, x in r.items() if x % p), default=None))
-    by_lead = {}
+    lead_of = [min((c for c, x in r.items() if x % p), default=None)
+               for r in rows_sparse]
+    seen = set()
     order = []
     rest = []
     for i, lead in enumerate(lead_of):
         if lead is None:
             continue
-        if lead not in by_lead:
-            by_lead[lead] = i
-            order.append(i)
-        else:
+        if lead in seen:
             rest.append(i)
-    order.sort(key=lambda i: lead_of[i])
-
-    def densify(idxs):
-        A = np.zeros((len(idxs), ncols), dtype=np.int32)
-        for k, i in enumerate(idxs):
-            for c, x in rows_sparse[i].items():
-                A[k, c] = x % p
-        return A
-
-    pivot_rows = np.zeros((0, ncols), dtype=np.int32)
-    pivot_cols = []
-
-    def eliminate(A):
-        nonlocal pivot_rows, pivot_cols
-        # reduce against existing pivots
-        for idx, c in enumerate(pivot_cols):
-            col = A[:, c]
-            hit = np.nonzero(col)[0]
-            if hit.size:
-                A[hit] = (A[hit] - np.outer(col[hit].astype(np.int64) % p,
-                                            pivot_rows[idx])) % p
-        # in-place elimination of the remainder
-        r = 0
-        nrows = A.shape[0]
-        new_rows = []
-        new_cols = []
-        for c in range(ncols):
-            if r == nrows:
-                break
-            col = A[r:, c]
-            nz = np.nonzero(col)[0]
-            if nz.size == 0:
-                continue
-            pr = r + int(nz[0])
-            if pr != r:
-                A[[r, pr]] = A[[pr, r]]
-            inv = pow(int(A[r, c]), p - 2, p)
-            A[r] = (A[r].astype(np.int64) * inv) % p
-            below = A[r + 1:, c]
-            hit = np.nonzero(below)[0]
-            if hit.size:
-                rows = r + 1 + hit
-                A[rows] = (A[rows] - np.outer(below[hit].astype(np.int64),
-                                              A[r])) % p
-            new_rows.append(A[r].copy())
-            new_cols.append(c)
-            r += 1
-        if new_rows:
-            pivot_rows = np.vstack([pivot_rows] + [np.asarray(v, np.int32)
-                                                   for v in new_rows])
-            pivot_cols.extend(new_cols)
-
+        else:
+            seen.add(lead)
+            order.append(i)
+    order.sort(key=lead_of.__getitem__)
     batch = 2600
-    eliminate(densify(order))
-    i = 0
-    while len(pivot_cols) < ncols and i < len(rest):
-        eliminate(densify(rest[i:i + batch]))
-        i += batch
-    return len(pivot_cols)
+    buf = np.zeros((min(len(order) + len(rest), ncols + batch), ncols),
+                   dtype=_fp_dtype(p))
+    rank = 0
+    for chunk in [order] + [rest[i:i + batch]
+                            for i in range(0, len(rest), batch)]:
+        if rank == ncols:
+            break
+        view = buf[:rank + len(chunk)]
+        view[rank:] = 0
+        for k, i in enumerate(chunk, rank):
+            row = rows_sparse[i]
+            view[k, list(row)] = [x % p for x in row.values()]
+        rank = len(_echelon_mod_p(view, p)[0])
+    return rank
 
 
 def fp_pivot_rows(rows_sparse, ncols, p):
@@ -452,31 +429,6 @@ def fp_pivot_rows(rows_sparse, ncols, p):
     return order, len(order)
 
 
-def _det_mod_p(A, p):
-    """Determinant mod p of an int64 numpy array (destructive)."""
-    A = np.mod(A.astype(np.int64), p)
-    n = A.shape[0]
-    det = 1
-    for c in range(n):
-        nz = np.nonzero(A[c:, c])[0]
-        if nz.size == 0:
-            return 0
-        pr = c + int(nz[0])
-        if pr != c:
-            A[[c, pr]] = A[[pr, c]]
-            det = -det
-        piv = int(A[c, c])
-        det = det * piv % p
-        inv = pow(piv, p - 2, p)
-        A[c, c:] = (A[c, c:] * inv) % p
-        below = A[c + 1:, c]
-        hit = np.nonzero(below)[0]
-        if hit.size:
-            rows = c + 1 + hit
-            A[rows, c:] = (A[rows, c:] - np.outer(A[rows, c], A[c, c:])) % p
-    return det % p
-
-
 def _primes_for_crt(bound):
     """Enough ~30-bit primes whose product exceeds ``bound``."""
     primes = []
@@ -494,7 +446,7 @@ def _primes_for_crt(bound):
 def det_exact_crt(M):
     """Exact determinant of a square integer matrix by CRT.
 
-    Modular determinants (numpy, int64-safe primes near 2^30) are combined
+    Determinants modulo primes near 2^30 (the int32 kernel) are combined
     past the Hadamard bound, so the reconstruction is certified exact.
     Far faster than Bareiss on the large Macaulay submatrices.
     """
@@ -513,8 +465,8 @@ def det_exact_crt(M):
     residue = 0
     modulus = 1
     for p in primes:
-        Ap = np.array([[x % p for x in row] for row in M], dtype=np.int64)
-        dp = _det_mod_p(Ap, p)
+        Ap = np.array([[x % p for x in row] for row in M], dtype=_fp_dtype(p))
+        dp = _echelon_mod_p(Ap, p)[1]
         # CRT combine
         inv = pow(modulus % p, p - 2, p)
         t = (dp - residue) % p * inv % p

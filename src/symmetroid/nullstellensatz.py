@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import gcd
 
-from .linalg import (det_exact_crt, fp_pivot_rows, fp_rank, is_prime,
-                     smith_divisors)
+from .linalg import (det_exact_crt, fp_pivot_rows, fp_rank_sparse_dense,
+                     is_prime, smith_divisors)
 from .polys import MultiPoly, monomials_of_degree
 
 
@@ -62,11 +62,15 @@ class EmptinessCertificate:
             return p == self.prime
         if not self.full_rank:
             return False
-        bad = self.divisor_summary.get("bad_primes", [])
-        if p in bad:
+        summary = self.divisor_summary
+        if p in summary.get("bad_primes", []):
             return False
         if p == 2 and self.saturated_at_2:
-            return True
+            # stripped 2-parts say nothing about p = 2: it is covered only
+            # when there was no 2-part to strip
+            if "two_valuations" in summary:
+                return not any(summary["two_valuations"])
+            return summary.get("rank_mod_2") == self.details.get("columns")
         return True
 
     def as_json(self):
@@ -106,22 +110,28 @@ class Inconclusive:
 # Macaulay rows
 
 
-def _macaulay_rows_sparse(generators, d, nvars):
-    """Rows of the degree-d Macaulay matrix as {column: coeff} dicts."""
-    monos = monomials_of_degree(nvars, d)
-    col_index = {e: i for i, e in enumerate(monos)}
+def _macaulay_rows_sparse(generators, multipliers, columns):
+    """Macaulay rows as {column: coeff} dicts: the products g*m, generator
+    by generator, for each monomial m in that generator's ``multipliers``
+    list.  ``columns`` lists the monomials of the block in column order."""
+    col_index = {e: i for i, e in enumerate(columns)}
     rows = []
-    for g in generators:
-        e0 = g.total_degree()
-        if e0 > d or e0 < 0:
-            continue
-        for mult in monomials_of_degree(nvars, d - e0):
-            row = {}
-            for e, c in g.terms.items():
-                key = tuple(a + b for a, b in zip(e, mult))
-                row[col_index[key]] = c
-            rows.append(row)
-    return rows, len(monos)
+    for g, mults in zip(generators, multipliers):
+        terms = list(g.terms.items())
+        for m in mults:
+            rows.append({col_index[tuple(a + b for a, b in zip(e, m))]: c
+                         for e, c in terms})
+    return rows
+
+
+def _degree_block(generators, d, nvars):
+    """Rows and column count of the degree-d Macaulay matrix."""
+    columns = monomials_of_degree(nvars, d)
+    multipliers = [monomials_of_degree(nvars, d - g.total_degree())
+                   if 0 <= g.total_degree() <= d else []
+                   for g in generators]
+    return _macaulay_rows_sparse(generators, multipliers, columns), \
+        len(columns)
 
 
 def _rows_to_dense(rows, ncols):
@@ -152,24 +162,15 @@ def empty_over_fpbar(ideal, d_max, p=None):
         return Inconclusive("all generators vanish mod %d" % p, d_max)
     d_lo = max(g.total_degree() for g in gens)
     for d in range(d_lo, d_max + 1):
-        rows, ncols = _macaulay_rows_sparse(gens, d, ideal.nvars)
+        rows, ncols = _degree_block(gens, d, ideal.nvars)
         if len(rows) < ncols:
             continue
-        rank = _sparse_rank_mod_p(rows, ncols, p)
-        if rank == ncols:
+        if fp_rank_sparse_dense(rows, ncols, p) == ncols:
             return EmptinessCertificate(degree=d, scope="F_pbar", prime=p,
                                         details={"columns": ncols,
                                                  "rows": len(rows)})
     return Inconclusive("no full-span degree <= %d mod %d" % (d_max, p),
                         d_max)
-
-
-def _sparse_rank_mod_p(rows, ncols, p):
-    if ncols > 600 and p < (1 << 15):
-        from .linalg import fp_rank_sparse_dense
-        return fp_rank_sparse_dense(rows, ncols, p)
-    _, rank = fp_pivot_rows(rows, ncols, p)
-    return rank
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +201,7 @@ def empty_all_primes(ideal, saturate_at_2=True, d_max=12, snf_limit=(40, 16)):
     d_lo = max(g.total_degree() for g in gens)
     last_reason = "no certificate found"
     for d in range(d_lo, d_max + 1):
-        rows, ncols = _macaulay_rows_sparse(gens, d, ideal.nvars)
+        rows, ncols = _degree_block(gens, d, ideal.nvars)
         if len(rows) < ncols:
             last_reason = "not enough rows at degree %d" % d
             continue
@@ -271,7 +272,7 @@ def _lattice_is_full_after_stripping(rows, ncols, saturate_at_2, snf_limit):
         return None
     rank2 = None
     if saturate_at_2:
-        _, rank2 = fp_pivot_rows(rows, ncols, 2)
+        rank2 = fp_rank_sparse_dense(rows, ncols, 2)
     summary = {
         "subset_determinant_count": len(dets),
         "determinant_two_valuations": [_val2(D) for D in dets],
@@ -281,11 +282,14 @@ def _lattice_is_full_after_stripping(rows, ncols, saturate_at_2, snf_limit):
     if g == 1:
         summary["index_evidence_gcd"] = 1
         return (summary, "minor-gcd")
+    factors = _factorize(g)
+    if factors is None:
+        return None
     cleared = []
-    for q in _factorize(g):
+    for q in factors:
         if saturate_at_2 and q == 2:
             continue
-        if fp_rank(_rows_to_dense(rows, ncols), q) == ncols:
+        if fp_rank_sparse_dense(rows, ncols, q) == ncols:
             cleared.append(q)
             continue
         summary["bad_primes"] = [q]
@@ -311,8 +315,15 @@ def _val2(x):
     return v
 
 
+# Pollard-rho iterations allowed per split: enough for prime factors up to
+# about 2^36, a second or so of work.  Past it, factoring gives up.
+_RHO_STEPS = 1 << 20
+
+
 def _factorize(n):
-    """Prime factors of |n|: trial division, then Brent-Pollard rho."""
+    """Prime factors of |n|: trial division, then Brent-Pollard rho.
+
+    None when rho runs out of its step budget on a composite cofactor."""
     n = abs(n)
     out = set()
     for f in (2, 3, 5, 7, 11, 13):
@@ -336,23 +347,30 @@ def _factorize(n):
             out.add(m)
             continue
         d = _pollard_rho(m)
+        if d is None:
+            return None
         stack.append(d)
         stack.append(m // d)
     return sorted(out)
 
 
 def _pollard_rho(n):
-    """A nontrivial factor of composite odd n (Brent's cycle variant)."""
+    """A nontrivial factor of composite odd n (Brent's cycle variant), or
+    None after ``_RHO_STEPS`` iterations without one."""
     import random as _random
     if n % 2 == 0:
         return 2
     rng = _random.Random(n)
+    steps = 0
     while True:
         y = rng.randrange(1, n)
         c = rng.randrange(1, n)
         m = 128
         g = r = q = 1
         while g == 1:
+            if steps >= _RHO_STEPS:
+                return None
+            steps += 2 * r
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -379,9 +397,11 @@ def _pollard_rho(n):
 
 
 def _bimonomials(nx, ny, dx, dy):
-    xs = monomials_of_degree(nx, dx)
+    """Bidegree-(dx, dy) monomials as flat (nx + ny)-tuples, x-major."""
+    if dx < 0 or dy < 0:
+        return []
     ys = monomials_of_degree(ny, dy)
-    return [(ex, ey) for ex in xs for ey in ys]
+    return [ex + ey for ex in monomials_of_degree(nx, dx) for ey in ys]
 
 
 def empty_bihomogeneous(ideal, d_max=(4, 4), p=None):
@@ -401,6 +421,7 @@ def empty_bihomogeneous(ideal, d_max=(4, 4), p=None):
     gens = [g if g.mod == p else g.reduce_mod(p) for g in ideal.generators]
     pairs = [(g, bd) for g, bd in zip(gens, ideal.bidegrees)
              if not g.is_zero()]
+    gens = [g for g, _ in pairs]
     if not pairs:
         return Inconclusive("all generators vanish mod %d" % p, d_max)
     if not isinstance(d_max, tuple):
@@ -411,25 +432,14 @@ def empty_bihomogeneous(ideal, d_max=(4, 4), p=None):
         key=lambda ab: len(monomials_of_degree(nx, ab[0]))
         * len(monomials_of_degree(ny, ab[1])))
     for (da, db) in ladder:
+        multipliers = [_bimonomials(nx, ny, da - a, db - b)
+                       for _, (a, b) in pairs]
         cols = _bimonomials(nx, ny, da, db)
-        col_index = {e: i for i, e in enumerate(cols)}
-        rows = []
-        for g, (a, b) in pairs:
-            if a > da or b > db:
-                continue
-            for mx in monomials_of_degree(nx, da - a):
-                for my in monomials_of_degree(ny, db - b):
-                    row = {}
-                    for e, c in g.terms.items():
-                        ex = tuple(e[i] + mx[i] for i in range(nx))
-                        ey = tuple(e[nx + i] + my[i] for i in range(ny))
-                        row[col_index[(ex, ey)]] = c
-                    rows.append(row)
+        rows = _macaulay_rows_sparse(gens, multipliers, cols)
         ncols = len(cols)
         if len(rows) < ncols:
             continue
-        rank = _sparse_rank_mod_p(rows, ncols, p)
-        if rank == ncols:
+        if fp_rank_sparse_dense(rows, ncols, p) == ncols:
             return EmptinessCertificate(
                 degree=(da, db), scope="F_pbar", prime=p,
                 details={"columns": ncols, "rows": len(rows)})

@@ -9,7 +9,6 @@ ever touches floating point.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 
 
 def grlex_key(expvec):
@@ -72,13 +71,6 @@ class MultiPoly:
     def is_homogeneous(self):
         degs = {sum(e) for e in self.terms}
         return len(degs) <= 1
-
-    def leading_term(self):
-        """(exponent, coefficient) of the graded-lex largest monomial."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        e = max(self.terms, key=grlex_key)
-        return e, self.terms[e]
 
     def coefficient(self, expvec):
         return self.terms.get(tuple(expvec), 0)
@@ -209,10 +201,6 @@ class MultiPoly:
         for c in self.terms.values():
             g = gcd(g, c)
         return g
-
-    def map_coeffs(self, f):
-        return MultiPoly(self.nvars, {e: f(c) for e, c in self.terms.items()},
-                         self.mod)
 
     def evaluate(self, values):
         """Evaluate at a point; values may be ints, Fractions or intervals."""
@@ -417,7 +405,3 @@ def monomials_of_degree(nvars, d):
     rec((), d, nvars)
     return out
 
-
-def eval_fraction(poly, values):
-    """Evaluate with Fraction output (values rational or int)."""
-    return poly.evaluate([Fraction(v) for v in values])

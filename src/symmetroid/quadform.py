@@ -511,23 +511,6 @@ def _smooth_point_enumerate(Q, gf):
     return None
 
 
-def smooth_point_count_fq(Q, q):
-    gf = GF(q)
-    count = 0
-    for x in projective_points(gf):
-        if _eval_gf(Q, x, gf) != 0:
-            continue
-        for i in range(5):
-            g = 0
-            B = Q.gram()
-            for j in range(5):
-                g = gf.add(g, gf.mul(_embed_mod_p(B[i][j], gf), x[j]))
-            if g != 0:
-                count += 1
-                break
-    return count
-
-
 def has_smooth_point_qp(Q, p):
     """Smooth Q_p-point existence via classical diagonal isotropy criteria.
 

@@ -61,6 +61,9 @@ def test_fp_rank_spec_examples():
 
 def test_fp_rank_matches_rational_rank_generic():
     rng = random.Random(2)
+    # both sides of the int32 kernel's bound p < 2^31, and one prime past
+    # int64 products (1099511627791 > 2^40)
+    primes = (2, 3, 7, 32771, 1000003, 2 ** 31 - 1, 1099511627791)
     for _ in range(60):
         m, n = rng.randrange(1, 7), rng.randrange(1, 7)
         M = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
@@ -70,7 +73,19 @@ def test_fp_rank_matches_rational_rank_generic():
         rows = [{j: M[i][j] for j in range(n) if M[i][j]} for i in range(m)]
         _, rk = fp_pivot_rows(rows, n, 1000003)
         assert rk == rank
-        assert fp_rank_sparse_dense(rows, n, 101) <= rank
+        for p in primes:
+            _, rk_p = fp_pivot_rows(rows, n, p)
+            assert rk_p <= rank
+            assert fp_rank(M, p) == rk_p, p
+            assert fp_rank_sparse_dense(rows, n, p) == rk_p, p
+    # residues near 2^40: products of two of them overflow int64
+    q = 1099511627791
+    r1, r2 = [1, q - 2, 5, q - 7], [q - 3, 11, q - 13, 17]
+    M = [r1, r2, [7 * a + 3 * b for a, b in zip(r1, r2)]]
+    rows = [dict(enumerate(r)) for r in M]
+    assert fp_rank(M, q) == 2
+    assert fp_rank_sparse_dense(rows, 4, q) == 2
+    assert fp_pivot_rows(rows, 4, q)[1] == 2
 
 
 def test_kernel_rational():

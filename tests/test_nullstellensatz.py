@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -44,9 +45,29 @@ def test_saturation_strips_only_two_content():
     Isat = _ideal(["2*t0", "2*t1", "2*t2", "2*t3", "2*t4"])
     cert = empty_all_primes(Isat, saturate_at_2=True, d_max=3)
     assert cert and cert.degree == 1
+    # ... but only away from 2: the ideal is zero mod 2
+    assert cert.divisor_summary["two_valuations"] == [1] * 5
+    assert cert.holds_at(2) is False and cert.holds_at(3)
     # without saturation the prime 2 stays uncovered
     cert_no = empty_all_primes(Isat, saturate_at_2=False, d_max=3)
     assert isinstance(cert_no, Inconclusive) or not cert_no.holds_at(2)
+
+
+def test_factoring_budget_ends_in_inconclusive():
+    # a product of two ~61-bit primes is beyond the rho step budget; the
+    # degree ladder must give up instead of factoring forever
+    from symmetroid.linalg import is_prime
+    from symmetroid.nullstellensatz import _factorize
+    q1 = (1 << 61) - 1
+    q2 = (1 << 60) + 1
+    while not is_prime(q2):
+        q2 += 2
+    t0 = time.perf_counter()
+    assert _factorize(q1 * q2) is None
+    assert _factorize(3 * 1000003 * 1000033) == [3, 1000003, 1000033]
+    I = _ideal(["t0", "t1", "t2", "t3", "%d*t4" % (q1 * q2)])
+    assert isinstance(empty_all_primes(I, d_max=3), Inconclusive)
+    assert time.perf_counter() - t0 < 60
 
 
 def test_v3_certificate_on_fixture(thm_pencil):
@@ -55,9 +76,9 @@ def test_v3_certificate_on_fixture(thm_pencil):
     assert cert and cert.scope == "all_primes"
     assert cert.degree == 3
     # monotonicity: the span stays full one degree higher
-    from symmetroid.nullstellensatz import (_lattice_is_full_after_stripping,
-                                            _macaulay_rows_sparse)
-    rows, ncols = _macaulay_rows_sparse(
+    from symmetroid.nullstellensatz import (_degree_block,
+                                            _lattice_is_full_after_stripping)
+    rows, ncols = _degree_block(
         rank_le2_minor_ideal(thm_pencil).generators, 4, 5)
     assert _lattice_is_full_after_stripping(rows, ncols, True, (40, 16)) \
         is not None
