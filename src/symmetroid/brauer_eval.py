@@ -19,17 +19,16 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
 
 from .intervals import RatInterval
-from .linalg import det_bareiss, random_unimodular
+from .linalg import det_bareiss, primitive_vector, random_unimodular
 from .localfields import (INV_HALF, INV_ZERO, REAL, hilbert_symbol,
-                          is_square_at, normalize_place, square_class)
-from .pencil import _clear_denominators, _congruence_poly
+                          normalize_place, square_class)
 from .polys import MultiPoly
 from .quadform import (classify, has_smooth_point_qp, has_smooth_point_real,
                        ruling_disc)
-from .roots import isolate_real_roots, refine_root
+from .roots import isolate_real_roots, poly_eval, refine_root
 
 
 @dataclass
@@ -88,7 +87,7 @@ def lift_to_y(P, t_star, v, padic_precision=None):
     v = normalize_place(v)
     if padic_precision is not None:
         return _lift_padic(P, t_star, v, padic_precision)
-    t = _clear_denominators(t_star)
+    t = primitive_vector(t_star)
     if P.det_at(t) != 0:
         raise ValueError("t* is not on the discriminant quintic H")
     Q = P.member(t)
@@ -231,33 +230,17 @@ def find_real_point_with_invariant(P, target, seed=0, line_budget=200,
     target = Fraction(target)
     if target not in (INV_ZERO, INV_HALF):
         raise ValueError("target invariant must be 0 or 1/2")
-    # distinguished members first
-    for i in range(5):
-        t = [0] * 5
-        t[i] = 1
-        if P.det_at(t) != 0:
-            continue
-        Q = P.member(t)
-        cls = classify(Q, "R")
-        npos, nneg, _ = cls.signature
+    for t, Q in _distinguished_members(P):
+        npos, nneg, _ = classify(Q, "R").signature
         rank = npos + nneg
-        if rank == 4:
-            disc = ruling_disc(Q)
-            if disc < 0:
-                continue  # no real lift above this member
-            inv = INV_HALF if (npos == 4 or nneg == 4) else INV_ZERO
-            if inv == target:
-                pts = lift_to_y(P, t, REAL)
-                pt = pts[0]
-                pt.signature = (npos, nneg)
-                return pt
-        elif rank == 3:
-            inv = INV_HALF if (npos == 3 or nneg == 3) else INV_ZERO
-            if inv == target:
-                pts = lift_to_y(P, t, REAL)
-                pt = pts[0]
-                pt.signature = (npos, nneg)
-                return pt
+        if rank < 3 or rank == 4 and ruling_disc(Q) < 0:
+            continue  # no real point of Y above this member
+        # 1/2 exactly when the member is definite on its nondegenerate part
+        inv = INV_HALF if rank in (npos, nneg) else INV_ZERO
+        if inv == target:
+            pt = lift_to_y(P, t, REAL)[0]
+            pt.signature = (npos, nneg)
+            return pt
     rng = random.Random(seed)
     det = P.det_poly()
     for line_index in range(line_budget):
@@ -325,23 +308,17 @@ def _certify_root(P, det_coeffs, u, w, interval, rng, refine_cap):
             mk = P.leading_minor_poly(k, basis_change)
             minor_coeffs.append(_restrict_to_line(mk, u, w))
         iv = interval
-        ok = True
         signs = []
         for cycle in range(refine_cap):
-            signs = []
-            box = RatInterval(iv.lo, iv.hi)
-            for mc in minor_coeffs:
-                val = _eval_interval(mc, box)
-                signs.append(val.sign())
+            signs = [poly_eval(mc, iv).sign() for mc in minor_coeffs]
             if all(s is not None for s in signs):
                 break
             iv = refine_root(det_coeffs, iv, rounds=1)
             if iv.lo == iv.hi:
                 # rational root: evaluate minors exactly
-                signs = []
-                for mc in minor_coeffs:
-                    val = _eval_exact(mc, iv.lo)
-                    signs.append(None if val == 0 else (1 if val > 0 else -1))
+                vals = [poly_eval(mc, iv.lo) for mc in minor_coeffs]
+                signs = [None if v == 0 else (1 if v > 0 else -1)
+                         for v in vals]
                 break
         if not all(s is not None for s in signs):
             continue  # try a basis change
@@ -352,20 +329,6 @@ def _certify_root(P, det_coeffs, u, w, interval, rng, refine_cap):
         npos = 4 - nneg
         return (npos, nneg), iv, tuple(signs), basis_change
     return None
-
-
-def _eval_interval(coeffs, box):
-    total = RatInterval(0)
-    for c in reversed(coeffs):
-        total = total * box + RatInterval(c)
-    return total
-
-
-def _eval_exact(coeffs, x):
-    total = Fraction(0)
-    for c in reversed(coeffs):
-        total = total * x + c
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -403,23 +366,26 @@ class WACertificate:
         return inv0 == INV_ZERO and inv1 == INV_HALF
 
 
-def _rational_y_point(P):
-    """A rational point of Y among the distinguished members, if any:
-    a rank-3 singular member, or a rank-4 one with square discriminant."""
+def _distinguished_members(P):
+    """(t, member) for each coordinate point t = e_0..e_4 of the parameter
+    space that lies on H, in that order."""
     for i in range(5):
         t = [0] * 5
         t[i] = 1
-        if P.det_at(t) != 0:
-            continue
-        Q = P.member(t)
-        cls = classify(Q, "Q")
-        if cls.rank == 3:
+        if P.det_at(t) == 0:
+            yield t, P.member(t)
+
+
+def _rational_y_point(P):
+    """A rational point of Y among the distinguished members, if any:
+    a rank-3 singular member, or a rank-4 one with square discriminant."""
+    for t, Q in _distinguished_members(P):
+        rank = classify(Q, "Q").rank
+        if rank == 3:
             return t, 3, None
-        if cls.rank == 4:
+        if rank == 4:
             disc = ruling_disc(Q)
-            f = Fraction(disc)
-            n = f.numerator * f.denominator
-            if n > 0 and isqrt(n) ** 2 == n:
+            if disc > 0 and isqrt(disc) ** 2 == disc:
                 return t, 4, disc
     return None
 
@@ -448,6 +414,8 @@ def certify_wa_failure(P, strategy, regularity=None, seed=0,
                                % (regularity_primes,))
     if not regularity.certified:
         raise ValueError("regularity certificate is not valid")
+    if regularity.pencil_lines != P.to_lines():
+        raise ValueError("regularity certificate is for another pencil")
 
     if strategy == "real":
         place = REAL
@@ -456,11 +424,7 @@ def certify_wa_failure(P, strategy, regularity=None, seed=0,
     else:
         place = normalize_place(strategy)
         point_zero = point_half = None
-        for i in range(5):
-            t = [0] * 5
-            t[i] = 1
-            if P.det_at(t) != 0:
-                continue
+        for t, _ in _distinguished_members(P):
             lifts = lift_to_y(P, t, place)
             if not lifts:
                 continue

@@ -13,7 +13,6 @@ scans where every intermediate value is a small integer held exactly.
 from __future__ import annotations
 
 import os
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -21,6 +20,7 @@ import numpy as np
 
 from .linalg import is_prime
 from .quadform import QuadricForm, has_smooth_point_fq
+from .roots import poly_eval
 
 # coefficient order (i,j), i <= j; see quadform.COEFF_ORDER
 _C = {(i, j): k for k, (i, j) in enumerate(
@@ -80,13 +80,6 @@ _F_NUM = [0, 0, 2, 1, 2, 1, 2, 0, 1, 0, 1]   # p^2 * (closed-form numerator)
 _F_DEN = [2, 0, 0, 0, 0, 2, 0, 0, 0, 0, 2]
 
 
-def _poly_eval_int(coeffs, x):
-    total = 0
-    for c in reversed(coeffs):
-        total = total * x + c
-    return total
-
-
 def _poly_mul(a, b):
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
@@ -124,14 +117,14 @@ def certify_p2b_decreasing():
     D = [a - b for a, b in zip(_poly_mul(_F_NUM, den_shift),
                                _poly_mul(num_shift, _F_DEN))]
     D3 = _poly_shift(D, 3)
-    if any(c < 0 for c in D3) or _poly_eval_int(D, 3) <= 0:
+    if any(c < 0 for c in D3) or poly_eval(D, 3) <= 0:
         return False
     # E(n) = 2 num(n) - den(n) > 0 gives f(n) > 1/2
     E = [2 * a - b for a, b in zip(_F_NUM + [0] * len(_F_DEN), _F_DEN
                                    + [0] * len(_F_NUM))][:max(len(_F_NUM),
                                                               len(_F_DEN))]
     E3 = _poly_shift(E, 3)
-    if any(c < 0 for c in E3) or _poly_eval_int(E, 3) <= 0:
+    if any(c < 0 for c in E3) or poly_eval(E, 3) <= 0:
         return False
     return True
 
@@ -260,6 +253,20 @@ def _no_smooth_point_mask(C, p):
     return ~smooth.any(axis=1)
 
 
+# Largest prime whose float32 scans (_rank_le2_indices, _LazyGramColumns)
+# are exact.  A 3x3 minor of Gram entries in [0, p) expands into three
+# terms a*(b*c - d*e), each at most (p-1)^3 in size, so every intermediate
+# integer stays below 3(p-1)^3; float32 holds integers exactly below 2^24,
+# and 3(p-1)^3 < 2^24 holds for p <= 178; the largest prime there is 173.
+_F32_MAX_PRIME = 173
+
+
+def _check_f32_window(p):
+    if p > _F32_MAX_PRIME:
+        raise ValueError("p = %d is above %d, the largest prime the float32 "
+                         "scans handle exactly" % (p, _F32_MAX_PRIME))
+
+
 _TRIPLES = [(a, b, c) for a in range(5) for b in range(a + 1, 5)
             for c in range(b + 1, 5)]
 
@@ -268,8 +275,7 @@ class _LazyGramColumns:
     """Gram entry values B[i][j] over all member quadrics of a pencil mod p.
 
     Each entry column is the matvec T @ (a Gram column of the generators),
-    computed in float32 BLAS on first use; every value stays far below
-    2^24, so the arithmetic is exact."""
+    computed in float32 BLAS on first use; exact for p <= _F32_MAX_PRIME."""
 
     def __init__(self, Tf, A, p):
         self.Tf = Tf
@@ -363,8 +369,8 @@ def _rank_le2_indices(Tf, A, p):
 
     The first minor is evaluated in one BLAS matvec against the cached
     cubic-monomial matrix; only the few members where it vanishes see the
-    remaining 54 minors.  All float32 values stay far below 2^24, so the
-    arithmetic is exact."""
+    remaining 54 minors.  The float32 arithmetic is exact for
+    p <= _F32_MAX_PRIME."""
     T3 = _cubic_eval_matrix(p)
     coeffs = _minor3_cubic_coeffs(A, (0, 1, 2), (0, 1, 2), p)
     vals = np.mod(T3 @ coeffs, p)
@@ -420,6 +426,7 @@ def sp_member(P, p, coeff_rows=None):
     the frame-space convention, counted outside S_p."""
     if not is_prime(p):
         raise ValueError("p must be prime")
+    _check_f32_window(p)
     if coeff_rows is None:
         coeff_rows = np.array([Q.coeffs for Q in P.quadrics], dtype=np.int64)
     A = np.mod(coeff_rows, p)
@@ -537,6 +544,8 @@ def monte_carlo_density(height, cutoff, samples, seed=0):
     if height < 2 and samples:
         raise ValueError("height must be at least 2")
     ps = primes_below(cutoff + 1)
+    if ps:
+        _check_f32_window(ps[-1])
     reference = Fraction(1)
     for p in ps:
         reference *= 1 - b_of_p(p)

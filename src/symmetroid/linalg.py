@@ -12,7 +12,7 @@ Python sparse elimination that also reports which rows form a basis.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
@@ -94,6 +94,19 @@ def det_bareiss(M):
     return sign * a[n - 1][n - 1]
 
 
+def primitive_vector(v):
+    """The primitive integer vector on the ray of a rational vector.
+
+    Denominators are cleared and the content divided out, scaling by a
+    positive factor only, so every sign is kept; zero stays zero.
+    """
+    fr = [Fraction(x) for x in v]
+    den = lcm(*(x.denominator for x in fr))
+    out = [int(x * den) for x in fr]
+    g = gcd(*out)
+    return [x // g for x in out] if g > 1 else out
+
+
 def kernel_rational(M, ncols=None):
     """Basis of the right kernel of an integer (or Fraction) matrix over Q.
 
@@ -132,16 +145,7 @@ def kernel_rational(M, ncols=None):
         v[fc] = Fraction(1)
         for pr, pc in pivots:
             v[pc] = -rows[pr][fc]
-        den = 1
-        for x in v:
-            den = den * x.denominator // gcd(den, x.denominator)
-        w = [int(x * den) for x in v]
-        g = 0
-        for x in w:
-            g = gcd(g, x)
-        if g > 1:
-            w = [x // g for x in w]
-        basis.append(w)
+        basis.append(primitive_vector(v))
     return basis
 
 

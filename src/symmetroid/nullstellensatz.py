@@ -22,7 +22,7 @@ from math import gcd
 
 from .linalg import (det_exact_crt, fp_pivot_rows, fp_rank_sparse_dense,
                      is_prime, smith_divisors)
-from .polys import MultiPoly, monomials_of_degree
+from .polys import monomials_of_degree
 
 
 @dataclass
@@ -205,8 +205,13 @@ def empty_all_primes(ideal, saturate_at_2=True, d_max=12, snf_limit=(40, 16)):
         if len(rows) < ncols:
             last_reason = "not enough rows at degree %d" % d
             continue
-        result = _lattice_is_full_after_stripping(
-            rows, ncols, saturate_at_2, snf_limit)
+        try:
+            result = _lattice_is_full_after_stripping(
+                rows, ncols, saturate_at_2, snf_limit)
+        except _FactoringGaveUp:
+            last_reason = ("factoring the index evidence ran out of its "
+                           "Pollard-rho budget at degree %d" % d)
+            continue
         if result is None:
             last_reason = "lattice not full (after stripping) at degree %d" % d
             continue
@@ -218,9 +223,15 @@ def empty_all_primes(ideal, saturate_at_2=True, d_max=12, snf_limit=(40, 16)):
     return Inconclusive(last_reason, d_max)
 
 
+class _FactoringGaveUp(Exception):
+    """The subset-determinant gcd could not be factored within the rho
+    budget, so nothing is known about the lattice."""
+
+
 def _lattice_is_full_after_stripping(rows, ncols, saturate_at_2, snf_limit):
     """None when the row lattice is provably/possibly not full; otherwise a
-    (divisor_summary, method) pair constituting the certificate.
+    (divisor_summary, method) pair constituting the certificate.  Raises
+    _FactoringGaveUp when the evidence gcd cannot be factored.
 
     The lattice index [Z^N : L] divides the determinant of every maximal
     nonsingular row subset, so full rank modulo a screening prime plus a
@@ -284,7 +295,7 @@ def _lattice_is_full_after_stripping(rows, ncols, saturate_at_2, snf_limit):
         return (summary, "minor-gcd")
     factors = _factorize(g)
     if factors is None:
-        return None
+        raise _FactoringGaveUp
     cleared = []
     for q in factors:
         if saturate_at_2 and q == 2:

@@ -12,12 +12,11 @@ construction from singular members.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
-from .linalg import (det_bareiss, kernel_rational, mat_mul, mat_vec,
-                     rank_rational, random_unimodular, transpose, is_prime)
+from .linalg import (det_bareiss, is_prime, kernel_rational, mat_vec,
+                     primitive_vector, rank_rational, random_unimodular)
 from .polys import MultiPoly, poly_matrix_det
 from .quadform import QuadricForm, parse_quadric_line, quadric_to_line
 
@@ -80,7 +79,7 @@ class Pencil:
 
     def member(self, t):
         """The quadric at parameter t (rational tuple, cleared to ints)."""
-        t = _clear_denominators(t)
+        t = primitive_vector(t)
         coeffs = [sum(ti * Q.coeffs[k] for ti, Q in zip(t, self.quadrics))
                   for k in range(15)]
         return QuadricForm(coeffs)
@@ -92,7 +91,7 @@ class Pencil:
 
     def det_at(self, t):
         return det_bareiss([[int(x) for x in row]
-                            for row in self.gram_at(_clear_denominators(t))])
+                            for row in self.gram_at(primitive_vector(t))])
 
     # -- serialization ----------------------------------------------------
 
@@ -111,20 +110,6 @@ class Pencil:
 def universal_gram(quadrics):
     """Assemble a Pencil; raises on linear dependence."""
     return Pencil(quadrics)
-
-
-def _clear_denominators(t):
-    fr = [Fraction(x) for x in t]
-    den = 1
-    for x in fr:
-        den = den * x.denominator // gcd(den, x.denominator)
-    out = [int(x * den) for x in fr]
-    g = 0
-    for x in out:
-        g = gcd(g, x)
-    if g > 1:
-        out = [x // g for x in out]
-    return out
 
 
 def _congruence_poly(mat, T):
@@ -266,7 +251,7 @@ def x_point_from_singular_member(P, t_star, v=None):
     generators, certified exactly.  A forced w parallel to v is flagged, as
     it contradicts diagonal avoidance for regular pencils.
     """
-    t_star = _clear_denominators(t_star)
+    t_star = primitive_vector(t_star)
     B = P.gram_at(t_star)
     if v is None:
         ker = kernel_rational(B)
@@ -274,7 +259,7 @@ def x_point_from_singular_member(P, t_star, v=None):
             raise ValueError("member has full rank; no kernel vector")
         v = ker[0]
     else:
-        v = _clear_denominators(v)
+        v = primitive_vector(v)
         if any(x != 0 for x in mat_vec(B, v)):
             raise ValueError("v is not in the kernel of the member's Gram")
     rows = [mat_vec(Bi, v) for Bi in P.grams]
@@ -405,6 +390,7 @@ class RegularityCertificate:
     prime: int
     diagonal_avoidance: object        # EmptinessCertificate
     smoothness: object                # EmptinessCertificate (bihomogeneous)
+    pencil_lines: list                # Pencil.to_lines() of the pencil proved
 
     @property
     def certified(self):
@@ -440,10 +426,11 @@ def regularity_certificate(P, p, d_max_diag=8, d_max_bi=(4, 4)):
         return RegularityCertificate(prime=p, diagonal_avoidance=diag,
                                      smoothness=Inconclusive(
                                          "skipped: diagonal check failed",
-                                         d_max_bi))
+                                         d_max_bi),
+                                     pencil_lines=P.to_lines())
     smooth = empty_bihomogeneous(singular_locus_ideal(P, p), d_max_bi, p)
     return RegularityCertificate(prime=p, diagonal_avoidance=diag,
-                                 smoothness=smooth)
+                                 smoothness=smooth, pencil_lines=P.to_lines())
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,14 @@ bilinear rank (it misrepresents quadrics there) and works by enumeration.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .gf import GF, projective_points
-from .linalg import is_prime, kernel_rational
-from .localfields import REAL, hilbert_symbol, is_square_at, normalize_place
+from .linalg import is_prime, primitive_vector
+from .localfields import hilbert_symbol, is_square_at
 from .polys import MultiPoly, parse_poly
 
 COEFF_ORDER = tuple((i, j) for i in range(5) for j in range(i, 5))
@@ -137,44 +139,44 @@ class FormClassification:
         return out
 
 
+# Q with the scalar operations that _diagonalize takes from GF
+_RATIONALS = SimpleNamespace(add=operator.add, mul=operator.mul,
+                             neg=operator.neg, inv=lambda a: 1 / a)
+
+
 def diagonalize_symmetric(B, p=None):
     """Congruence diagonalisation of a symmetric matrix.
 
     Over Q when p is None (entries become Fractions), over F_p for odd p.
     Returns (diagonal, T) with T invertible and T^t B T diagonal.
     """
-    n = len(B)
-    if p is not None:
-        if p == 2:
-            raise ValueError("no congruence diagonalisation in char 2")
-        A = [[B[i][j] % p for j in range(n)] for i in range(n)]
-        one = 1
+    if p is None:
+        return _diagonalize([[Fraction(x) for x in row] for row in B],
+                            _RATIONALS, Fraction(1))
+    if p == 2:
+        raise ValueError("no congruence diagonalisation in char 2")
+    return _diagonalize([[x % p for x in row] for row in B], GF(p), 1)
 
-        def div(a, b):
-            return a * pow(b, p - 2, p) % p
-    else:
-        A = [[Fraction(B[i][j]) for j in range(n)] for i in range(n)]
-        one = Fraction(1)
 
-        def div(a, b):
-            return a / b
+def _diagonalize(A, F, one):
+    """Diagonalise the symmetric matrix A, whose entries already lie in the
+    field F (an odd-characteristic ``GF`` or ``_RATIONALS``), in place.
 
+    ``one`` is F's unit; T starts as the identity built from it.  Returns
+    (diagonal, T) with T^t A T diagonal.
+    """
+    n = len(A)
     T = [[one if i == j else one * 0 for j in range(n)] for i in range(n)]
+    add, mul = F.add, F.mul
 
     def add_col(dst, src, f):
         # column operation plus the mirrored row operation keeps symmetry
         for i in range(n):
-            A[i][dst] += f * A[i][src]
-            if p is not None:
-                A[i][dst] %= p
+            A[i][dst] = add(A[i][dst], mul(f, A[i][src]))
         for j in range(n):
-            A[dst][j] += f * A[src][j]
-            if p is not None:
-                A[dst][j] %= p
+            A[dst][j] = add(A[dst][j], mul(f, A[src][j]))
         for i in range(n):
-            T[i][dst] += f * T[i][src]
-            if p is not None:
-                T[i][dst] %= p
+            T[i][dst] = add(T[i][dst], mul(f, T[i][src]))
 
     def swap(i, j):
         for r in range(n):
@@ -210,9 +212,8 @@ def diagonalize_symmetric(B, p=None):
         piv = A[k][k]
         for i in range(k + 1, n):
             if A[k][i] != 0:
-                add_col(i, k, -div(A[k][i], piv))
-    diag = [A[i][i] for i in range(n)]
-    return diag, T
+                add_col(i, k, F.neg(F.mul(A[k][i], F.inv(piv))))
+    return [A[i][i] for i in range(n)], T
 
 
 def classify(Q, field):
@@ -238,19 +239,8 @@ def classify(Q, field):
     if gf.p == 2:
         rank, kernel = _char2_rank(Q, gf)
         return FormClassification(field="F%d" % q, rank=rank, kernel=kernel)
-    if gf.r == 1:
-        diag, T = diagonalize_symmetric(B, p=q)
-        nonzero = [d for d in diag if d]
-        rank = len(nonzero)
-        kernel = _kernel_from_transform(diag, T)
-        split = None
-        if rank == 2:
-            d1, d2 = nonzero
-            split = gf.is_square((-d1 * d2) % q)
-        return FormClassification(field="F%d" % q, rank=rank, kernel=kernel,
-                                  diagonal=diag, transform=T, split=split)
-    # odd prime power, r > 1: diagonalise with table arithmetic
-    diag, T = _diagonalize_gf(B, gf)
+    # integer entries embed into the prime field inside F_q
+    diag, T = _diagonalize([[x % gf.p for x in row] for row in B], gf, 1)
     nonzero = [d for d in diag if d]
     rank = len(nonzero)
     kernel = _kernel_from_transform(diag, T)
@@ -263,83 +253,17 @@ def classify(Q, field):
 
 
 def _kernel_from_transform(diag, T):
-    n = len(diag)
+    """Columns of T at the zero diagonal entries; over Q (Fraction entries)
+    each is made a primitive integer vector."""
     out = []
-    for j in range(n):
-        if diag[j] != 0:
+    for j, d in enumerate(diag):
+        if d != 0:
             continue
-        v = [T[i][j] for i in range(n)]
-        if v and isinstance(v[0], Fraction):
-            from math import gcd
-            den = 1
-            for x in v:
-                den = den * x.denominator // gcd(den, x.denominator)
-            w = [int(x * den) for x in v]
-            g = 0
-            for x in w:
-                g = gcd(g, x)
-            if g > 1:
-                w = [x // g for x in w]
-            v = w
+        v = [row[j] for row in T]
+        if isinstance(v[0], Fraction):
+            v = primitive_vector(v)
         out.append(v)
     return out
-
-
-def _diagonalize_gf(B, gf):
-    n = len(B)
-    A = [[B[i][j] % gf.p if gf.r == 1 else _embed_mod_p(B[i][j], gf)
-          for j in range(n)] for i in range(n)]
-    T = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def add_col(dst, src, f):
-        for i in range(n):
-            A[i][dst] = gf.add(A[i][dst], gf.mul(f, A[i][src]))
-        for j in range(n):
-            A[dst][j] = gf.add(A[dst][j], gf.mul(f, A[src][j]))
-        for i in range(n):
-            T[i][dst] = gf.add(T[i][dst], gf.mul(f, T[i][src]))
-
-    def swap(i, j):
-        for r in range(n):
-            A[r][i], A[r][j] = A[r][j], A[r][i]
-        A[i], A[j] = A[j], A[i]
-        for r in range(n):
-            T[r][i], T[r][j] = T[r][j], T[r][i]
-
-    for k in range(n):
-        if A[k][k] == 0:
-            pivot = None
-            for i in range(k + 1, n):
-                if A[i][i] != 0:
-                    pivot = i
-                    break
-            if pivot is not None:
-                swap(k, pivot)
-            else:
-                off = None
-                for i in range(k, n):
-                    for j in range(i + 1, n):
-                        if A[i][j] != 0:
-                            off = (i, j)
-                            break
-                    if off:
-                        break
-                if off is None:
-                    break
-                i, j = off
-                add_col(i, j, 1)
-                if i != k:
-                    swap(k, i)
-        piv = A[k][k]
-        for i in range(k + 1, n):
-            if A[k][i] != 0:
-                f = gf.neg(gf.mul(A[k][i], gf.inv(piv)))
-                add_col(i, k, f)
-    return [A[i][i] for i in range(n)], T
-
-
-def _embed_mod_p(c, gf):
-    return c % gf.p
 
 
 def _char2_rank(Q, gf):
@@ -353,10 +277,7 @@ def _char2_rank(Q, gf):
     q = gf.q
     B = Q.gram()
     # kernel of the polar form over F_q by elimination with table arithmetic
-    A = [[_embed_mod_p(B[i][j], gf) if gf.r == 1 else _embed_mod_p(B[i][j], gf)
-          for j in range(5)] for i in range(5)]
-    # for r > 1 the integer entries embed into the prime field inside F_q
-    basis = _gf_nullspace(A, gf)
+    basis = _gf_nullspace([[x % gf.p for x in row] for row in B], gf)
     # enumerate the kernel, collect vertex vectors
     vertex = []
     k = len(basis)
@@ -385,8 +306,7 @@ def _char2_rank(Q, gf):
 def _eval_gf(Q, x, gf):
     total = 0
     for (i, j), c in zip(COEFF_ORDER, Q.coeffs):
-        total = gf.add(total, gf.mul(_embed_mod_p(c, gf),
-                                     gf.mul(x[i], x[j])))
+        total = gf.add(total, gf.mul(c % gf.p, gf.mul(x[i], x[j])))
     return total
 
 
@@ -505,7 +425,7 @@ def _smooth_point_enumerate(Q, gf):
         for i in range(5):
             g = 0
             for j in range(5):
-                g = gf.add(g, gf.mul(_embed_mod_p(B[i][j], gf), x[j]))
+                g = gf.add(g, gf.mul(B[i][j] % gf.p, x[j]))
             if g != 0:
                 return x
     return None

@@ -9,9 +9,9 @@ preserves signs) to keep coefficients small.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 from .intervals import RatInterval
+from .linalg import primitive_vector
 
 
 def poly_trim(c):
@@ -27,8 +27,12 @@ def poly_degree(c):
 
 
 def poly_eval(c, x):
-    """Horner evaluation; works for Fraction, int or RatInterval x."""
-    total = 0
+    """Horner evaluation; works for Fraction, int or RatInterval x.
+
+    The value has the type of ``0 * x`` even for the zero polynomial, so an
+    interval argument always gives an interval (there [0, 0], whose sign()
+    is None)."""
+    total = 0 * x
     for a in reversed(poly_trim(c)):
         total = total * x + a
     return total
@@ -44,20 +48,8 @@ def poly_primitive(c, normalize_sign=True):
     With ``normalize_sign`` the leading coefficient is made positive, which
     changes signs and must NOT be used inside Sturm chains.
     """
-    c = poly_trim(c)
-    if not c:
-        return []
-    den = 1
-    for a in c:
-        f = Fraction(a)
-        den = den * f.denominator // gcd(den, f.denominator)
-    ints = [int(Fraction(a) * den) for a in c]
-    g = 0
-    for a in ints:
-        g = gcd(g, a)
-    if g:
-        ints = [a // g for a in ints]
-    if normalize_sign and ints[-1] < 0:
+    ints = primitive_vector(poly_trim(c))
+    if normalize_sign and ints and ints[-1] < 0:
         ints = [-a for a in ints]
     return ints
 
@@ -139,21 +131,6 @@ def _sign_variations(values):
 
 def sturm_variations_at(chain, x):
     return _sign_variations([poly_eval(c, Fraction(x)) for c in chain])
-
-
-def sturm_variations_at_inf(chain, positive=True):
-    vals = []
-    for c in chain:
-        c = poly_trim(c)
-        if not c:
-            continue
-        lead = c[-1]
-        deg = len(c) - 1
-        if positive:
-            vals.append(lead)
-        else:
-            vals.append(lead if deg % 2 == 0 else -lead)
-    return _sign_variations(vals)
 
 
 def count_roots_halfopen(chain, a, b):

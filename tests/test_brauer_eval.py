@@ -158,6 +158,9 @@ def test_wa_certificates(thm_pencil, q3_pencil, thm_regularity,
     assert c3.validate(q3_pencil)
     js = c3.as_json()
     assert js["invariant_half_point"]["t"] == [1, 0, 0, 0, 0]
+    # a regularity proof only counts for the pencil it was computed for
+    with pytest.raises(ValueError, match="another pencil"):
+        certify_wa_failure(thm_pencil, "real", regularity=q3_regularity)
 
 
 def test_ramification_counts(thm_pencil):

@@ -93,6 +93,18 @@ def test_sp_member_degenerate_frame():
     assert res.degenerate_frame and not res.member
 
 
+def test_float32_window_refused_before_allocation(thm_pencil):
+    # 179 is the first prime past the exact float32 window; the scan
+    # matrices there would take tens of GB, so the refusal must come first
+    from symmetroid import density
+    with pytest.raises(ValueError, match="float32"):
+        sp_member(thm_pencil, 179)
+    with pytest.raises(ValueError, match="float32"):
+        monte_carlo_density(10, 179, 1, seed=0)
+    assert (179, 5) not in density._REPS_CACHE
+    assert 179 not in density._T3_F32
+
+
 def test_monte_carlo_determinism_and_edges():
     rep = monte_carlo_density(10, 20, 150, seed=7)
     rep2 = monte_carlo_density(10, 20, 150, seed=7)

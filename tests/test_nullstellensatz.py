@@ -66,7 +66,13 @@ def test_factoring_budget_ends_in_inconclusive():
     assert _factorize(q1 * q2) is None
     assert _factorize(3 * 1000003 * 1000033) == [3, 1000003, 1000033]
     I = _ideal(["t0", "t1", "t2", "t3", "%d*t4" % (q1 * q2)])
-    assert isinstance(empty_all_primes(I, d_max=3), Inconclusive)
+    res = empty_all_primes(I, d_max=3)
+    assert isinstance(res, Inconclusive)
+    # degree 3 is the first taken by the subset-determinant route, whose
+    # gcd is N: the reason must say factoring gave up, not that the
+    # lattice is not full
+    assert res.reason == ("factoring the index evidence ran out of its "
+                          "Pollard-rho budget at degree 3")
     assert time.perf_counter() - t0 < 60
 
 

@@ -114,6 +114,35 @@ def test_smooth_point_fq_vs_enumeration():
                 (_smooth_point_enumerate(Q, gf) is not None), (q, Q.coeffs)
 
 
+def test_classify_f9_vs_enumeration():
+    # F_9 is the one odd prime power that reaches the table-arithmetic
+    # diagonalisation; exhaustive search over P^4(F_9) is the reference
+    rng = random.Random(29)
+    gf = GF(9)
+    ranks = set()
+    for k in range(50):
+        B = [[0] * 5 for _ in range(5)]
+        for _ in range(k % 5 + 1):
+            L = [rng.randint(-2, 2) for _ in range(5)]
+            a = rng.choice((-1, 1, 2))
+            for i in range(5):
+                for j in range(5):
+                    B[i][j] += 2 * a * L[i] * L[j]
+        Q = QuadricForm.from_gram(B)
+        cls = classify(Q, 9)
+        if cls.rank == 0:
+            continue
+        ranks.add(min(cls.rank, 3))
+        smooth = _smooth_point_enumerate(Q, gf) is not None
+        if cls.rank >= 3:
+            assert smooth, Q.coeffs
+        elif cls.rank == 2:
+            assert smooth == cls.split, Q.coeffs
+        else:
+            assert not smooth, Q.coeffs
+    assert ranks == {1, 2, 3}
+
+
 def test_smooth_point_qp_vs_bruteforce():
     rng = random.Random(19)
     checked = 0

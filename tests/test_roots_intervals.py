@@ -132,6 +132,12 @@ def test_interval_polynomial_evaluation_sound():
         total = RatInterval(0)
         for coeff in reversed(c):
             total = total * box + RatInterval(coeff)
+        got = poly_eval(c, box)
+        assert (got.lo, got.hi) == (total.lo, total.hi)
         for _ in range(25):
             x = box.lo + (box.hi - box.lo) * Fraction(rng.randint(0, 32), 32)
             assert total.contains(poly_eval(c, x))
+    # a minor restricted to a line can vanish identically: its value on an
+    # interval must still be an interval, one with no certified sign
+    zero = poly_eval([0, 0, 0], RatInterval(-1, 2))
+    assert isinstance(zero, RatInterval) and zero.sign() is None
