@@ -15,7 +15,6 @@ from fractions import Fraction
 from importlib import resources
 
 from . import reports
-from .density import default_workers
 
 BUILTIN_PENCILS = ("thm_example", "prop_q3", "cor_easy")
 
@@ -133,8 +132,6 @@ def main(argv=None):
         # in our contract, so remap
         raise SystemExit(EXIT_ERROR if exc.code not in (0, None)
                          else exc.code)
-    if args.workers is not None:
-        os.environ["SYMMETROID_WORKERS"] = str(args.workers)
     try:
         return _dispatch(args)
     except BrokenPipeError:
@@ -181,8 +178,7 @@ def _dispatch(args):
 
     if name == "census":
         from .density import census_bp, pointless_quadric_count
-        count = census_bp(args.p, progress=sys.stderr,
-                          workers=default_workers())
+        count = census_bp(args.p, progress=sys.stderr, workers=args.workers)
         formula = pointless_quadric_count(args.p)
         report = reports.make_report(
             name, {"p": args.p},
@@ -308,11 +304,13 @@ def _dispatch(args):
         return EXIT_OK if ok else EXIT_INCONCLUSIVE
 
     if name == "sp-scan":
-        from .density import primes_below, sp_member
+        from .density import _check_f32_window, primes_below, sp_member
         if args.prime:
             ps = [args.prime]
         elif args.cutoff:
             ps = primes_below(args.cutoff + 1)
+            if ps:
+                _check_f32_window(ps[-1])
         else:
             raise ValueError("sp-scan needs --prime or --cutoff")
         result = {}

@@ -13,18 +13,16 @@ scans where every intermediate value is a small integer held exactly.
 from __future__ import annotations
 
 import os
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .linalg import is_prime
-from .quadform import QuadricForm, has_smooth_point_fq
+from .linalg import fp_rank, is_prime
+from .quadform import (_COEFF_INDEX, COEFF_ORDER, QuadricForm,
+                       has_smooth_point_fq)
 from .roots import poly_eval
-
-# coefficient order (i,j), i <= j; see quadform.COEFF_ORDER
-_C = {(i, j): k for k, (i, j) in enumerate(
-    [(i, j) for i in range(5) for j in range(i, 5)])}
 
 
 def primes_below(M):
@@ -184,28 +182,25 @@ def product_lower_bound(M):
 _REPS_CACHE = {}
 
 
-def _projective_reps_matrix(p, dim=5):
-    """All points of P^{dim-1}(F_p) as rows, first nonzero coordinate 1."""
-    key = (p, dim)
-    if key in _REPS_CACHE:
-        return _REPS_CACHE[key]
-    blocks = []
-    for lead in range(dim):
-        free = dim - lead - 1
-        count = p ** free
-        block = np.zeros((count, dim), dtype=np.int64)
-        block[:, lead] = 1
-        r = np.arange(count)
-        for k in range(free):
-            block[:, lead + 1 + k] = r % p
-            r = r // p
-        blocks.append(block)
-    out = np.concatenate(blocks)
-    _REPS_CACHE[key] = out
-    return out
-
-
-_MONO_IDX = [(i, j) for i in range(5) for j in range(i, 5)]
+def _projective_reps_matrix(p):
+    """All points of P^4(F_p) as float32 rows, first nonzero coordinate 1.
+    Entries are below p, so float32 holds them exactly.  The table is
+    stored column by column, the layout in which a matvec against it is
+    fastest."""
+    if p not in _REPS_CACHE:
+        blocks = []
+        for lead in range(5):
+            free = 4 - lead
+            count = p ** free
+            block = np.zeros((5, count), dtype=np.float32)
+            block[lead] = 1
+            r = np.arange(count)
+            for k in range(free):
+                block[lead + 1 + k] = r % p
+                r = r // p
+            blocks.append(block)
+        _REPS_CACHE[p] = np.concatenate(blocks, axis=1).T
+    return _REPS_CACHE[p]
 
 
 def _point_eval_matrices(p):
@@ -217,7 +212,7 @@ def _point_eval_matrices(p):
     pts = _projective_reps_matrix(p)
     npts = pts.shape[0]
     W = np.zeros((15, 6 * npts), dtype=np.int8)
-    for m, (i, j) in enumerate(_MONO_IDX):
+    for m, (i, j) in enumerate(COEFF_ORDER):
         W[m, 0::6] = pts[:, i] * pts[:, j] % p
         for k in range(5):
             if i == j:
@@ -253,155 +248,60 @@ def _no_smooth_point_mask(C, p):
     return ~smooth.any(axis=1)
 
 
-# Largest prime whose float32 scans (_rank_le2_indices, _LazyGramColumns)
-# are exact.  A 3x3 minor of Gram entries in [0, p) expands into three
-# terms a*(b*c - d*e), each at most (p-1)^3 in size, so every intermediate
-# integer stays below 3(p-1)^3; float32 holds integers exactly below 2^24,
-# and 3(p-1)^3 < 2^24 holds for p <= 178; the largest prime there is 173.
+# Largest prime the S_p scan accepts.  The rank <= 2 screen computes each
+# Gram entry of B(t) as a float32 matvec of five products below p^2, exact
+# while 5(p-1)^2 < 2^24.  Each 3x3 minor is three int32 terms a*(b*c - d*e)
+# of entries in [0, p), so its size stays below 3(p-1)^3, exact while
+# 3(p-1)^3 < 2^31.  Both hold up to p = 887; the cap is lower because the
+# point table of P^4(F_p) takes 20 p^4 bytes, already about 18 GB at 173.
 _F32_MAX_PRIME = 173
 
 
 def _check_f32_window(p):
     if p > _F32_MAX_PRIME:
         raise ValueError("p = %d is above %d, the largest prime the float32 "
-                         "scans handle exactly" % (p, _F32_MAX_PRIME))
+                         "scans accept" % (p, _F32_MAX_PRIME))
 
 
 _TRIPLES = [(a, b, c) for a in range(5) for b in range(a + 1, 5)
             for c in range(b + 1, 5)]
 
 
-class _LazyGramColumns:
-    """Gram entry values B[i][j] over all member quadrics of a pencil mod p.
-
-    Each entry column is the matvec T @ (a Gram column of the generators),
-    computed in float32 BLAS on first use; exact for p <= _F32_MAX_PRIME."""
-
-    def __init__(self, Tf, A, p):
-        self.Tf = Tf
-        self.A = A
-        self.p = p
-        self.cache = {}
-
-    def __call__(self, i, j):
-        if i > j:
-            i, j = j, i
-        key = (i, j)
-        if key not in self.cache:
-            gen = self.A[:, _C[key]].astype(np.float32)
-            if i == j:
-                gen = gen * 2 % self.p
-            self.cache[key] = np.mod(self.Tf @ gen, self.p)
-        return self.cache[key]
-
-
-_CUBIC_MONOS = None
-_CUBIC_IDX = None
-_T3_F32 = {}
-
-
-def _cubic_eval_matrix(p):
-    """Values of all 35 degree-3 monomials in t at every point of P^4(F_p),
-    as a cached float32 matrix (rows: points, cols: monomials)."""
-    global _CUBIC_MONOS, _CUBIC_IDX
-    if _CUBIC_MONOS is None:
-        from .polys import monomials_of_degree
-        _CUBIC_MONOS = monomials_of_degree(5, 3)
-        _CUBIC_IDX = {e: i for i, e in enumerate(_CUBIC_MONOS)}
-    if p not in _T3_F32:
-        T = _projective_reps_matrix(p)
-        M = np.ones((T.shape[0], len(_CUBIC_MONOS)), dtype=np.int64)
-        for col, e in enumerate(_CUBIC_MONOS):
-            for var, k in enumerate(e):
-                for _ in range(k):
-                    M[:, col] = M[:, col] * T[:, var] % p
-        _T3_F32[p] = M.astype(np.float32)
-    return _T3_F32[p]
-
-
-def _gram_linear_form(A, i, j, p):
-    """B(t)[i][j] as a length-5 coefficient list mod p."""
-    col = _C[(i, j) if i <= j else (j, i)]
-    scale = 2 if i == j else 1
-    return [int(A[k, col]) * scale % p for k in range(5)]
-
-
-def _minor3_cubic_coeffs(A, I, J, p):
-    """The 35 graded-lex coefficients of the (I, J) 3x3 minor of B(t)."""
-    _cubic_eval_matrix(p)  # ensures _CUBIC_IDX
-    rows = [[_gram_linear_form(A, i, j, p) for j in J] for i in I]
-    acc = {}
-
-    def add_triple(sign, f, g, h):
-        for a in range(5):
-            if not f[a]:
-                continue
-            for b in range(5):
-                if not g[b]:
-                    continue
-                fg = f[a] * g[b]
-                for c in range(5):
-                    if not h[c]:
-                        continue
-                    e = [0, 0, 0, 0, 0]
-                    e[a] += 1
-                    e[b] += 1
-                    e[c] += 1
-                    key = tuple(e)
-                    acc[key] = (acc.get(key, 0) + sign * fg * h[c]) % p
-
-    add_triple(+1, rows[0][0], rows[1][1], rows[2][2])
-    add_triple(-1, rows[0][0], rows[1][2], rows[2][1])
-    add_triple(-1, rows[0][1], rows[1][0], rows[2][2])
-    add_triple(+1, rows[0][1], rows[1][2], rows[2][0])
-    add_triple(+1, rows[0][2], rows[1][0], rows[2][1])
-    add_triple(-1, rows[0][2], rows[1][1], rows[2][0])
-    out = np.zeros(len(_CUBIC_MONOS), dtype=np.float32)
-    for key, val in acc.items():
-        if val:
-            out[_CUBIC_IDX[key]] = val
-    return out
-
-
-def _rank_le2_indices(Tf, A, p):
+def _rank_le2_indices(A, p):
     """Indices of member quadrics whose Gram matrix mod p has rank <= 2
-    (odd p), by short-circuit evaluation of all 3x3 minors.
+    (odd p): the points of P^4(F_p) where every 3x3 minor of B(t)
+    vanishes.
 
-    The first minor is evaluated in one BLAS matvec against the cached
-    cubic-monomial matrix; only the few members where it vanishes see the
-    remaining 54 minors.  The float32 arithmetic is exact for
-    p <= _F32_MAX_PRIME."""
-    T3 = _cubic_eval_matrix(p)
-    coeffs = _minor3_cubic_coeffs(A, (0, 1, 2), (0, 1, 2), p)
-    vals = np.mod(T3 @ coeffs, p)
-    alive_idx = np.nonzero(vals == 0)[0]
-    if alive_idx.size == 0:
-        return alive_idx
-    Tsub = Tf[alive_idx]
-    alive = np.ones(alive_idx.size, dtype=bool)
-    B = _LazyGramColumns(Tsub, A, p)
-    first = True
-    for I in _TRIPLES:
-        for J in _TRIPLES:
-            if J < I:
+    The 55 minors are evaluated in turn on the members still alive.  A
+    Gram entry is computed when a minor first needs it, as a float32
+    matvec of the alive points against the generators' column reduced
+    through int32, and is filtered with the alive points after each
+    minor.  Exact for p <= _F32_MAX_PRIME."""
+    T = _projective_reps_matrix(p)
+    idx = np.arange(T.shape[0])
+    gram = {}
+
+    def B(i, j):
+        key = (i, j) if i <= j else (j, i)
+        if key not in gram:
+            col = A[:, _COEFF_INDEX[key]] * (2 if i == j else 1) % p
+            gram[key] = (T @ col.astype(np.float32)).astype(np.int32) % p
+        return gram[key]
+
+    for a, b, c in _TRIPLES:
+        for d, e, f in _TRIPLES:
+            if (d, e, f) < (a, b, c):
                 continue
-            if first:
-                first = False
-                continue  # already screened by the matvec above
-            if not alive.any():
-                return alive_idx[alive]
-            idx = np.nonzero(alive)[0]
-            a, b, c = I
-            d, e, f = J
-            m = np.mod(
-                B(a, d)[idx] * (B(b, e)[idx] * B(c, f)[idx]
-                                - B(b, f)[idx] * B(c, e)[idx])
-                - B(a, e)[idx] * (B(b, d)[idx] * B(c, f)[idx]
-                                  - B(b, f)[idx] * B(c, d)[idx])
-                + B(a, f)[idx] * (B(b, d)[idx] * B(c, e)[idx]
-                                  - B(b, e)[idx] * B(c, d)[idx]), p)
-            alive[idx[m != 0]] = False
-    return alive_idx[alive]
+            m = (B(a, d) * (B(b, e) * B(c, f) - B(b, f) * B(c, e))
+                 - B(a, e) * (B(b, d) * B(c, f) - B(b, f) * B(c, d))
+                 + B(a, f) * (B(b, d) * B(c, e) - B(b, e) * B(c, d)))
+            # fmod: divisibility ignores the sign, and it is cheaper than %
+            keep = np.flatnonzero(np.fmod(m, p) == 0)
+            idx, T = idx[keep], T[keep]
+            gram = {key: v[keep] for key, v in gram.items()}
+            if not idx.size:
+                return idx
+    return idx
 
 
 @dataclass
@@ -430,10 +330,9 @@ def sp_member(P, p, coeff_rows=None):
     if coeff_rows is None:
         coeff_rows = np.array([Q.coeffs for Q in P.quadrics], dtype=np.int64)
     A = np.mod(coeff_rows, p)
-    from .linalg import fp_rank
     if fp_rank(A, p) < 5:
         return SpScanResult(member=False, degenerate_frame=True)
-    idx = _sp_member_rows(A, p, first_witness=True)
+    idx = _sp_member_rows(A, p)
     if idx is None:
         return SpScanResult(member=False)
     T = _projective_reps_matrix(p)
@@ -452,21 +351,22 @@ def census_bp(p, progress=None, workers=None):
         raise ValueError("census is desk-scale only: p in {2, 3}")
     if workers is None:
         workers = default_workers()
-    blocks = [(lead, p) for lead in range(15)]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            counts = list(ex.map(_census_block, blocks))
+        pool = ProcessPoolExecutor(max_workers=workers)
     else:
-        counts = []
-        for blk in blocks:
-            counts.append(_census_block(blk))
+        pool = nullcontext()
+    total = 0
+    with pool as ex:
+        counts = (ex.map if ex else map)(
+            _census_block, [(lead, p) for lead in range(15)])
+        for done, count in enumerate(counts, 1):
+            total += count
             if progress:
                 progress.write("census p=%d: lead block %d/15 done "
-                               "(running total %d)\n"
-                               % (p, blk[0] + 1, sum(counts)))
+                               "(running total %d)\n" % (p, done, total))
                 progress.flush()
-    return sum(counts)
+    return total
 
 
 def _census_block(args):
@@ -492,16 +392,6 @@ def _census_block(args):
 
 # ---------------------------------------------------------------------------
 # Monte Carlo over integral frames
-
-
-@dataclass
-class FrameSample:
-    matrix: list
-    height: int
-    verdicts: dict                      # prime -> "ok" | "bad" | "degenerate"
-
-    def passed(self):
-        return all(v != "bad" for v in self.verdicts.values())
 
 
 @dataclass
@@ -552,13 +442,12 @@ def monte_carlo_density(height, cutoff, samples, seed=0):
     rng = np.random.default_rng(seed)
     passes = 0
     per_prime = {p: 0 for p in ps}
-    from .linalg import fp_rank
     for _ in range(samples):
         F = rng.integers(-height, height + 1, size=(5, 15))
         ok = True
         for p in ps:
             A = np.mod(F, p)
-            if fp_rank(A.copy(), p) < 5:
+            if fp_rank(A, p) < 5:
                 continue  # degenerate frame: outside pi^-1(S_p)
             if _sp_member_rows(A, p) is not None:
                 per_prime[p] += 1
@@ -580,16 +469,7 @@ def monte_carlo_density(height, cutoff, samples, seed=0):
                             per_prime_failures=per_prime)
 
 
-_REPS_F32 = {}
-
-
-def _reps_f32(p):
-    if p not in _REPS_F32:
-        _REPS_F32[p] = _projective_reps_matrix(p).astype(np.float32)
-    return _REPS_F32[p]
-
-
-def _sp_member_rows(A, p, first_witness=False):
+def _sp_member_rows(A, p):
     """S_p scan core for a coefficient matrix reduced mod p with full rank.
 
     Returns the index of a bad member (no smooth F_p-point), or None.
@@ -601,8 +481,7 @@ def _sp_member_rows(A, p, first_witness=False):
         bad = _no_smooth_point_mask(C, 2)
         hits = np.nonzero(bad)[0]
         return int(hits[0]) if hits.size else None
-    Tf = _reps_f32(p)
-    for i in _rank_le2_indices(Tf, A, p):
+    for i in _rank_le2_indices(A, p):
         coeffs = [int(x) % p for x in (T[int(i)] @ A)]
         Q = QuadricForm(coeffs)
         if Q.is_zero():

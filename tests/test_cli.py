@@ -1,4 +1,5 @@
 import json
+import os
 
 import jsonschema
 import pytest
@@ -86,12 +87,30 @@ def test_sp_scan_subcommand(tmp_path):
     assert not any(r["member"] for r in rep["result"].values())
 
 
+def test_sp_scan_refuses_cutoff_past_window_before_scanning(tmp_path,
+                                                           monkeypatch):
+    # 179 is past the float32 window; not one prime below it is scanned
+    from symmetroid import density
+    scanned = []
+    monkeypatch.setattr(density, "sp_member",
+                        lambda P, p: scanned.append(p))
+    code, rep = run_cli(["sp-scan", "thm_example", "--cutoff", "179"],
+                        tmp_path)
+    assert code == EXIT_ERROR and rep["status"] == "error"
+    assert "float32" in rep["result"] and scanned == []
+
+
 def test_density_and_census_subcommands(tmp_path):
     code, rep = run_cli(["density-bound", "--cutoff", "100"], tmp_path)
     assert code == EXIT_OK
     assert rep["result"]["final_bound_float"] >= 0.73
     code, rep = run_cli(["census", "--p", "2"], tmp_path)
     assert code == EXIT_OK and rep["result"]["census"] == 186
+    # --workers goes to the census itself, not into the environment
+    env = dict(os.environ)
+    code, rep = run_cli(["--workers", "2", "census", "--p", "2"], tmp_path)
+    assert code == EXIT_OK and rep["result"]["census"] == 186
+    assert dict(os.environ) == env
 
 
 def test_monte_carlo_subcommand(tmp_path):

@@ -1,3 +1,4 @@
+import io
 import random
 from fractions import Fraction
 
@@ -60,6 +61,14 @@ def test_product_lower_bound_spec_values():
 
 def test_census_p2():
     assert census_bp(2) == pointless_quadric_count(2) == 186
+    # one progress line per lead block, with one worker or with two
+    for workers in (1, 2):
+        out = io.StringIO()
+        assert census_bp(2, progress=out, workers=workers) == 186
+        lines = out.getvalue().splitlines()
+        assert len(lines) == 15, workers
+        assert lines[-1] == ("census p=2: lead block 15/15 done "
+                             "(running total 186)")
     assert census_bp(2) >= gaussian_count(3, 4, 2)  # at least double planes
     with pytest.raises(ValueError):
         census_bp(5)
@@ -101,8 +110,35 @@ def test_float32_window_refused_before_allocation(thm_pencil):
         sp_member(thm_pencil, 179)
     with pytest.raises(ValueError, match="float32"):
         monte_carlo_density(10, 179, 1, seed=0)
-    assert (179, 5) not in density._REPS_CACHE
-    assert 179 not in density._T3_F32
+    assert 179 not in density._REPS_CACHE
+
+
+def test_rank_le2_screen_matches_fp_rank():
+    # every member whose Gram matrix has F_p-rank <= 2, found one member at
+    # a time, is exactly what the minor screen returns
+    from symmetroid.density import _projective_reps_matrix, _rank_le2_indices
+    from symmetroid.linalg import fp_rank
+    rng = np.random.default_rng(11)
+    frames = [rng.integers(-10, 11, size=(5, 15)) for _ in range(4)]
+    # first generators: x0^2 (a double plane), x0^2 - 3 x1^2 (rank 2) and
+    # x0^2 + x1^2 + x2^2 (rank 3, every non-principal minor zero)
+    for F, e0 in zip(frames[1:], ({0: 1}, {0: 1, 5: -3},
+                                  {0: 1, 5: 1, 9: 1})):
+        F[0] = 0
+        F[0, list(e0)] = list(e0.values())
+    cases = [(F, p) for p in (3, 5, 7) for F in frames]
+    cases += [(frames[1], 11), (frames[2], 13)]
+    for F, p in cases:
+        P = Pencil([QuadricForm(row) for row in F.tolist()])
+        points = _projective_reps_matrix(p).astype(int).tolist()
+        brute = [n for n, t in enumerate(points)
+                 if fp_rank(P.gram_at(t), p) <= 2]
+        assert _rank_le2_indices(np.mod(F, p), p).tolist() == brute, p
+        # e_0 = (1, 0, 0, 0, 0) is row 0
+        if F is frames[1] or F is frames[2]:
+            assert brute[0] == 0
+        elif F is frames[3]:
+            assert 0 not in brute
 
 
 def test_monte_carlo_determinism_and_edges():

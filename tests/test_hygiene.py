@@ -1,11 +1,14 @@
-"""Source hygiene: no module of the package imports a name it never uses."""
+"""Source hygiene: no module of the package imports a name it never uses,
+and no top-level function or class of the package goes unreferenced."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import symmetroid
 
 PACKAGE = Path(symmetroid.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
 
 
 def _unused_imports(tree, allowed=()):
@@ -45,3 +48,62 @@ def test_scan_sees_unused_and_exported_names():
     tree = ast.parse("import os\nfrom math import gcd, lcm\n"
                      "__all__ = ['lcm']\nprint(os.sep)\n")
     assert _unused_imports(tree, _exported(tree)) == [(2, "gcd")]
+
+
+def _references(node):
+    """Names read, attribute names and imported names under an AST node."""
+    names = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            names[sub.attr] += 1
+        elif isinstance(sub, ast.ImportFrom):
+            names.update(alias.name for alias in sub.names)
+    return names
+
+
+def _unreferenced_defs(modules, other_trees=()):
+    """(module, name) of top-level defs and classes of ``modules`` (a dict
+    name -> tree) that no tree references outside their own definition.
+    Dunders and names in any module's __all__ are exempt."""
+    refs = Counter()
+    exported = set()
+    for tree in list(modules.values()) + list(other_trees):
+        refs.update(_references(tree))
+    for tree in modules.values():
+        exported |= _exported(tree)
+    found = []
+    for mod, tree in sorted(modules.items()):
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)):
+                continue
+            name = node.name
+            if name.startswith("__") and name.endswith("__") \
+                    or name in exported:
+                continue
+            if refs[name] == _references(node)[name]:
+                found.append((mod, name))
+    return found
+
+
+def test_no_unreferenced_top_level_defs():
+    modules = {path.stem: ast.parse(path.read_text(), filename=str(path))
+               for path in sorted(PACKAGE.glob("*.py"))}
+    tests = [ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(TESTS.glob("*.py"))]
+    found = _unreferenced_defs(modules, tests)
+    assert not found, "unreferenced top-level definitions:\n" + "\n".join(
+        "%s.%s" % item for item in found)
+
+
+def test_def_scan_ignores_self_reference():
+    mod = ast.parse("def used():\n    return 1\n\n"
+                    "def recursive(n):\n    return recursive(n - 1)\n\n"
+                    "class Kept:\n    pass\n\n"
+                    "def Public():\n    pass\n\n"
+                    "__all__ = ['Public']\n\n"
+                    "def __getattr__(name):\n    return used\n")
+    other = ast.parse("from mod import Kept\n")
+    assert _unreferenced_defs({"mod": mod}, [other]) == [("mod", "recursive")]
