@@ -26,8 +26,8 @@ from .linalg import det_bareiss, primitive_vector, random_unimodular
 from .localfields import (INV_HALF, INV_ZERO, REAL, hilbert_symbol,
                           normalize_place, square_class)
 from .polys import MultiPoly
-from .quadform import (classify, has_smooth_point_qp, has_smooth_point_real,
-                       ruling_disc)
+from .quadform import (COEFF_ORDER, QuadricForm, classify, has_smooth_point_qp,
+                       has_smooth_point_real, ruling_disc)
 from .roots import isolate_real_roots, poly_eval, refine_root
 
 
@@ -119,6 +119,26 @@ def _lift_padic(P, t_star, p, N):
     B = P.gram_at(t)
     if det_bareiss(B) % pN != 0:
         raise ValueError("t* is not on H to the working precision")
+    val, unit, _ = _certified_minor(B, p, N)
+    if val % 2 == 1:
+        sq_is_square = False
+    elif p == 2:
+        sq_is_square = unit % 8 == 1
+    else:
+        sq_is_square = pow(unit % p, (p - 1) // 2, p) == 1
+    if not sq_is_square:
+        return []
+    return [LocalYPoint(place=p, kind="padic", padic=(tuple(t), N), rank=4,
+                        ruling=r) for r in ("first", "second")]
+
+
+def _certified_minor(B, p, N):
+    """``(v, unit, i)`` for the principal 4x4 minor of the Gram matrix B,
+    known mod p^N, of least p-adic valuation v: the minor deleting row and
+    column i is p^v * unit.  Raises PrecisionError unless N > 2v + guard
+    (guard 3 at p = 2, else 1), the precision that pins the square class
+    of the minor and, with it, the nondegenerate part of the member."""
+    pN = p ** N
     guard = 3 if p == 2 else 1
     best = None
     for i in range(5):
@@ -137,21 +157,33 @@ def _lift_padic(P, t_star, p, N):
     if best is None:
         raise PrecisionError("all principal 4x4 minors vanish mod p^N; "
                              "cannot certify rank 4 (raise the precision)")
-    val, unit, idx = best
+    val = best[0]
     if N <= 2 * val + guard:
         raise PrecisionError(
             "precision %d insufficient: needs N > 2*%d + %d to pin the "
             "disc square class" % (N, val, guard))
-    if val % 2 == 1:
-        sq_is_square = False
-    elif p == 2:
-        sq_is_square = unit % 8 == 1
-    else:
-        sq_is_square = pow(unit % p, (p - 1) // 2, p) == 1
-    if not sq_is_square:
-        return []
-    return [LocalYPoint(place=p, kind="padic", padic=(tuple(t), N), rank=4,
-                        ruling=r) for r in ("first", "second")]
+    return best
+
+
+def _padic_invariant(P, coords, p, N):
+    """inv_p at a p-adic point of H known mod p^N, decided on the
+    nondegenerate part of its member.
+
+    The true member has rank 4 and its Gram restricted to the coordinates
+    other than i (the certified minor of ``_certified_minor``) is
+    nondegenerate of determinant valuation v, so the member is that
+    4-dimensional form plus a zero.  The integer representative's form on
+    the same coordinates agrees with it mod p^N, and two nondegenerate
+    forms that agree mod p^m with m >= v + 1 + guard are Z_p-equivalent;
+    N > 2v + guard gives that m.  (The full representative is generically
+    nonsingular, and every rank-5 form over Q_p is isotropic, so it
+    cannot stand in for the member.)"""
+    t = [int(c) for c in coords]
+    _, _, i = _certified_minor(P.gram_at(t), p, N)
+    Q = P.member(t)
+    part = QuadricForm([0 if i in ij else c
+                        for ij, c in zip(COEFF_ORDER, Q.coeffs)])
+    return INV_ZERO if has_smooth_point_qp(part, p) else INV_HALF
 
 
 def evaluate_invariant(P, y, cross_check=True, alpha=None):
@@ -160,7 +192,9 @@ def evaluate_invariant(P, y, cross_check=True, alpha=None):
     Authoritative path: 1/2 exactly when the member quadric has no smooth
     point over Q_v (the ruling tag never matters).  When the alpha-symbol
     minors are all nonzero at the point, the quaternion conic gives an
-    independent evaluation; disagreement raises AssertionError.
+    independent evaluation; disagreement raises AssertionError.  A p-adic
+    point is decided on the nondegenerate part of its member
+    (``_padic_invariant``), or raises PrecisionError.
     """
     v = normalize_place(y.place)
     if y.kind == "real-algebraic":
@@ -169,9 +203,7 @@ def evaluate_invariant(P, y, cross_check=True, alpha=None):
         return primary
     if y.kind == "padic":
         coords, N = y.padic
-        Q = P.member([int(c) for c in coords])
-        primary = INV_ZERO if has_smooth_point_qp(Q, v) else INV_HALF
-        return primary
+        return _padic_invariant(P, coords, v, N)
     t = list(y.t)
     Q = P.member(t)
     if v == REAL:

@@ -18,11 +18,13 @@ out of degree budget reports "inconclusive", never a verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd
+from math import comb, gcd
 
-from .linalg import (det_exact_crt, fp_pivot_rows, fp_rank_sparse_dense,
-                     is_prime, smith_divisors)
-from .polys import monomials_of_degree
+import numpy as np
+
+from .linalg import (SparseRows, det_exact_crt, fp_pivot_rows,
+                     fp_rank_sparse_dense, is_prime, smith_divisors)
+from .polys import monomial_ranks, monomials_of_degree
 
 
 @dataclass
@@ -110,28 +112,45 @@ class Inconclusive:
 # Macaulay rows
 
 
-def _macaulay_rows_sparse(generators, multipliers, columns):
-    """Macaulay rows as {column: coeff} dicts: the products g*m, generator
-    by generator, for each monomial m in that generator's ``multipliers``
-    list.  ``columns`` lists the monomials of the block in column order."""
-    col_index = {e: i for i, e in enumerate(columns)}
-    rows = []
-    for g, mults in zip(generators, multipliers):
-        terms = list(g.terms.items())
-        for m in mults:
-            rows.append({col_index[tuple(a + b for a, b in zip(e, m))]: c
-                         for e, c in terms})
-    return rows
+def _term_arrays(g):
+    """The exponents (an (N, nvars) array) and coefficients of g."""
+    return (np.array(list(g.terms), dtype=np.int64),
+            np.array(list(g.terms.values())))
+
+
+def _macaulay_rows(terms, multipliers, rank):
+    """The Macaulay rows g*m as ``SparseRows``: generator by generator, one
+    row for each monomial m of that generator's ``multipliers`` (an
+    (N, nvars) exponent array), entries in the generator's term order.
+    ``terms`` holds each generator's ``_term_arrays``; ``rank`` maps an
+    array of exponent vectors to column indices.  Products are ranked one
+    generator at a time: all of them at once would hold nvars int64s per
+    nonzero of the block."""
+    indices = [np.zeros(0, dtype=np.int64)]
+    data = [np.zeros(0, dtype=np.int64)]
+    counts = [np.zeros(0, dtype=np.int64)]
+    for (e, c), mults in zip(terms, multipliers):
+        if not len(mults):
+            continue
+        indices.append(rank((mults[:, None, :] + e).reshape(-1, e.shape[1])))
+        data.append(np.tile(c, len(mults)))
+        counts.append(np.full(len(mults), len(c)))
+    indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
+    return SparseRows(indptr, np.concatenate(indices), np.concatenate(data))
+
+
+def _exponents(monomials, nvars):
+    return np.array(monomials, dtype=np.int64).reshape(-1, nvars)
 
 
 def _degree_block(generators, d, nvars):
-    """Rows and column count of the degree-d Macaulay matrix."""
-    columns = monomials_of_degree(nvars, d)
-    multipliers = [monomials_of_degree(nvars, d - g.total_degree())
-                   if 0 <= g.total_degree() <= d else []
+    """Rows and column count of the degree-d Macaulay matrix, whose columns
+    are ``monomials_of_degree(nvars, d)``."""
+    multipliers = [_exponents(monomials_of_degree(nvars, d - g.total_degree())
+                              if 0 <= g.total_degree() <= d else [], nvars)
                    for g in generators]
-    return _macaulay_rows_sparse(generators, multipliers, columns), \
-        len(columns)
+    return _macaulay_rows([_term_arrays(g) for g in generators], multipliers,
+                          monomial_ranks), comb(d + nvars - 1, nvars - 1)
 
 
 def _rows_to_dense(rows, ncols):
@@ -201,13 +220,13 @@ def empty_all_primes(ideal, saturate_at_2=True, d_max=12, snf_limit=(40, 16)):
     d_lo = max(g.total_degree() for g in gens)
     last_reason = "no certificate found"
     for d in range(d_lo, d_max + 1):
-        rows, ncols = _degree_block(gens, d, ideal.nvars)
-        if len(rows) < ncols:
+        block, ncols = _degree_block(gens, d, ideal.nvars)
+        if len(block) < ncols:
             last_reason = "not enough rows at degree %d" % d
             continue
         try:
             result = _lattice_is_full_after_stripping(
-                rows, ncols, saturate_at_2, snf_limit)
+                block, ncols, saturate_at_2, snf_limit)
         except _FactoringGaveUp:
             last_reason = ("factoring the index evidence ran out of its "
                            "Pollard-rho budget at degree %d" % d)
@@ -219,7 +238,7 @@ def empty_all_primes(ideal, saturate_at_2=True, d_max=12, snf_limit=(40, 16)):
         return EmptinessCertificate(
             degree=d, scope="all_primes", saturated_at_2=saturate_at_2,
             divisor_summary=summary, method=method,
-            details={"columns": ncols, "rows": len(rows)})
+            details={"columns": ncols, "rows": len(block)})
     return Inconclusive(last_reason, d_max)
 
 
@@ -228,7 +247,7 @@ class _FactoringGaveUp(Exception):
     budget, so nothing is known about the lattice."""
 
 
-def _lattice_is_full_after_stripping(rows, ncols, saturate_at_2, snf_limit):
+def _lattice_is_full_after_stripping(block, ncols, saturate_at_2, snf_limit):
     """None when the row lattice is provably/possibly not full; otherwise a
     (divisor_summary, method) pair constituting the certificate.  Raises
     _FactoringGaveUp when the evidence gcd cannot be factored.
@@ -239,6 +258,7 @@ def _lattice_is_full_after_stripping(rows, ncols, saturate_at_2, snf_limit):
     prime certifies trivial stripped divisors.  Exact Smith form is used
     only on small matrices, where its coefficient growth is harmless.
     """
+    rows = list(block)      # {column: coeff} dicts for the sparse pivoting
     p0 = _SCREEN_PRIMES[0]
     pivots, rank = fp_pivot_rows(rows, ncols, p0)
     if rank < ncols:
@@ -283,7 +303,7 @@ def _lattice_is_full_after_stripping(rows, ncols, saturate_at_2, snf_limit):
         return None
     rank2 = None
     if saturate_at_2:
-        rank2 = fp_rank_sparse_dense(rows, ncols, 2)
+        rank2 = fp_rank_sparse_dense(block, ncols, 2)
     summary = {
         "subset_determinant_count": len(dets),
         "determinant_two_valuations": [_val2(D) for D in dets],
@@ -300,7 +320,7 @@ def _lattice_is_full_after_stripping(rows, ncols, saturate_at_2, snf_limit):
     for q in factors:
         if saturate_at_2 and q == 2:
             continue
-        if fp_rank_sparse_dense(rows, ncols, q) == ncols:
+        if fp_rank_sparse_dense(block, ncols, q) == ncols:
             cleared.append(q)
             continue
         summary["bad_primes"] = [q]
@@ -415,6 +435,14 @@ def _bimonomials(nx, ny, dx, dy):
     return [ex + ey for ex in monomials_of_degree(nx, dx) for ey in ys]
 
 
+def _birank(nx, ny, dy):
+    """Column index of bidegree-(., dy) exponent rows in ``_bimonomials``
+    order: x-rank times the number of y-monomials, plus the y-rank."""
+    count_y = comb(dy + ny - 1, ny - 1)
+    return lambda E: (monomial_ranks(E[:, :nx]) * count_y
+                      + monomial_ranks(E[:, nx:]))
+
+
 def empty_bihomogeneous(ideal, d_max=(4, 4), p=None):
     """Certify emptiness in P^{nx-1} x P^{ny-1} over F_pbar.
 
@@ -432,7 +460,7 @@ def empty_bihomogeneous(ideal, d_max=(4, 4), p=None):
     gens = [g if g.mod == p else g.reduce_mod(p) for g in ideal.generators]
     pairs = [(g, bd) for g, bd in zip(gens, ideal.bidegrees)
              if not g.is_zero()]
-    gens = [g for g, _ in pairs]
+    terms = [_term_arrays(g) for g, _ in pairs]
     if not pairs:
         return Inconclusive("all generators vanish mod %d" % p, d_max)
     if not isinstance(d_max, tuple):
@@ -443,11 +471,10 @@ def empty_bihomogeneous(ideal, d_max=(4, 4), p=None):
         key=lambda ab: len(monomials_of_degree(nx, ab[0]))
         * len(monomials_of_degree(ny, ab[1])))
     for (da, db) in ladder:
-        multipliers = [_bimonomials(nx, ny, da - a, db - b)
-                       for _, (a, b) in pairs]
-        cols = _bimonomials(nx, ny, da, db)
-        rows = _macaulay_rows_sparse(gens, multipliers, cols)
-        ncols = len(cols)
+        multipliers = [_exponents(_bimonomials(nx, ny, da - a, db - b),
+                                  nx + ny) for _, (a, b) in pairs]
+        rows = _macaulay_rows(terms, multipliers, _birank(nx, ny, db))
+        ncols = comb(da + nx - 1, nx - 1) * comb(db + ny - 1, ny - 1)
         if len(rows) < ncols:
             continue
         if fp_rank_sparse_dense(rows, ncols, p) == ncols:

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .linalg import (det_bareiss, is_prime, kernel_rational, mat_vec,
                      primitive_vector, rank_rational, random_unimodular)
-from .polys import MultiPoly, poly_matrix_det
+from .polys import MultiPoly, poly_matrix_det, poly_maximal_minors
 from .quadform import QuadricForm, parse_quadric_line, quadric_to_line
 
 T_NAMES = tuple("t%d" % i for i in range(5))
@@ -329,11 +329,8 @@ def singular_locus_ideal(P, p):
     """Bihomogeneous ideal of the singular locus of the (1,1)-divisor
     intersection in P^4 x P^4 over F_p: the five bilinear forms plus all
     5x5 minors of their 5x10 Jacobian."""
-    from itertools import combinations
-
     from .nullstellensatz import HomIdealPresentation
 
-    zero = MultiPoly.zero(10, p)
     forms = []
     for B in P.grams:
         terms = {}
@@ -373,9 +370,7 @@ def singular_locus_ideal(P, p):
                     terms[tuple(e)] = c
             row.append(MultiPoly(10, terms, p))
         jac.append(row)
-    for cols in combinations(range(10), 5):
-        sub = [[jac[i][c] for c in cols] for i in range(5)]
-        m = poly_matrix_det(sub)
+    for cols, m in poly_maximal_minors(jac).items():
         if m.is_zero():
             continue
         k = sum(1 for c in cols if c < 5)  # x-partials contribute (0,1)

@@ -9,6 +9,10 @@ ever touches floating point.
 from __future__ import annotations
 
 import re
+from math import comb
+from operator import add
+
+import numpy as np
 
 
 def grlex_key(expvec):
@@ -139,9 +143,8 @@ class MultiPoly:
         terms = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                v = terms.get(e, 0) + c1 * c2
-                terms[e] = v
+                e = tuple(map(add, e1, e2))
+                terms[e] = terms.get(e, 0) + c1 * c2
         if mod is not None:
             terms = {e: v % mod for e, v in terms.items()}
         terms = {e: v for e, v in terms.items() if v}
@@ -391,6 +394,37 @@ def poly_matrix_det(rows):
     return det
 
 
+def poly_maximal_minors(rows):
+    """All maximal minors of an r x n matrix of MultiPoly entries (r <= n),
+    as a dict from column tuples, in ``itertools.combinations`` order, to
+    determinants.
+
+    Laplace recursion over column subsets: the minors of the first k rows
+    on each k-subset S expand along row k - 1 into minors of the first
+    k - 1 rows on the (k-1)-subsets of S, so every product is formed once:
+    sum_k C(n, k) * k of them, against the ~r! of a cofactor expansion of
+    each minor."""
+    from itertools import combinations
+
+    n = len(rows[0])
+    some = rows[0][0]
+    zero = MultiPoly.zero(some.nvars, some.mod)
+    minors = {(): MultiPoly.constant(some.nvars, 1, some.mod)}
+    for k, row in enumerate(rows):
+        nxt = {}
+        for S in combinations(range(n), k + 1):
+            acc = zero
+            for pos, j in enumerate(S):
+                sub = minors[S[:pos] + S[pos + 1:]]
+                if row[j].is_zero() or sub.is_zero():
+                    continue
+                term = row[j] * sub
+                acc = acc - term if (k + pos) % 2 else acc + term
+            nxt[S] = acc
+        minors = nxt
+    return minors
+
+
 def monomials_of_degree(nvars, d):
     """All exponent vectors of total degree d, descending graded-lex."""
     out = []
@@ -405,3 +439,22 @@ def monomials_of_degree(nvars, d):
     rec((), d, nvars)
     return out
 
+
+def monomial_ranks(E):
+    """Positions of the rows of E, exponent vectors of one total degree d
+    in an (N, n) integer array, in ``monomials_of_degree(n, d)``.
+
+    Combinatorial number system: in descending lex order the monomials
+    before e are, for each position j = 1..n-1, the C(s_j + n-j-1, n-j)
+    monomials that agree with e on positions 0..j-2 and are larger at
+    position j-1, where s_j = e_j + ... + e_{n-1}."""
+    E = np.asarray(E, dtype=np.int64)
+    n = E.shape[1]
+    tails = np.cumsum(E[:, ::-1], axis=1)[:, ::-1]
+    top = int(tails[:, 0].max(initial=0)) + n
+    table = np.array([[comb(a, b) for b in range(n + 1)]
+                      for a in range(top + 1)], dtype=np.int64)
+    ranks = np.zeros(len(E), dtype=np.int64)
+    for j in range(1, n):
+        ranks += table[tails[:, j] + n - j - 1, n - j]
+    return ranks

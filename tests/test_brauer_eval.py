@@ -139,6 +139,22 @@ def test_padic_lift_precision(q3_pencil):
         lift_to_y(q3_pencil, (1, 0, 0, 0, 0), 3, padic_precision=4)
 
 
+def test_padic_points_evaluate_on_their_nondegenerate_part(q3_pencil):
+    # the integer representative of (1,0,0,81,0) mod 3^6 is a nonsingular
+    # member, isotropic like every rank-5 form over Q_3; the point itself
+    # is a rank-4 member as anisotropic as its neighbour (1,0,0,0,0)
+    for t in ((1, 0, 0, 81, 0), (1, 0, 0, 243, 0), (1, 0, 0, 0, 729),
+              (1, 0, 0, 0, 0)):
+        pts = lift_to_y(q3_pencil, t, 3, padic_precision=6)
+        assert len(pts) == 2
+        assert [evaluate_invariant(q3_pencil, y) for y in pts] == [HALF] * 2
+    # the certifying minor has valuation 2, so 5 digits pin nothing
+    y = pts[0]
+    y.padic = ((1, 0, 0, 81, 0), 5)
+    with pytest.raises(PrecisionError):
+        evaluate_invariant(q3_pencil, y)
+
+
 def test_padic_lift_nonsquare():
     qs = ["x0^2 + x1^2 + x2^2 - 3*x3^2", "x0*x1 + x3*x4", "x0*x2 + x4^2",
           "x1*x2 + x2*x3 + x0^2", "x2*x4 + x1^2"]

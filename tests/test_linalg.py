@@ -3,11 +3,22 @@ import random
 import numpy as np
 import pytest
 
-from symmetroid.linalg import (det_bareiss, det_exact_crt, fp_pivot_rows,
-                               fp_rank, fp_rank_sparse_dense, is_prime,
-                               kernel_rational, mat_mul, mat_vec,
+from symmetroid import linalg
+from symmetroid.linalg import (SparseRows, det_bareiss, det_exact_crt,
+                               fp_pivot_rows, fp_rank, fp_rank_sparse_dense,
+                               is_prime, kernel_rational, mat_mul, mat_vec,
                                random_unimodular, smith_divisors,
                                smith_normal_form)
+
+
+def _sparse(M):
+    """The integer matrix M as ``SparseRows``."""
+    M = np.array(M, dtype=object if any(
+        abs(x) >= 1 << 62 for row in M for x in row) else np.int64)
+    nz = M != 0
+    indptr = np.concatenate([[0], np.cumsum(nz.sum(axis=1))])
+    rows, cols = np.nonzero(nz)
+    return SparseRows(indptr, cols, M[rows, cols])
 
 
 def test_smith_spec_examples():
@@ -61,9 +72,10 @@ def test_fp_rank_spec_examples():
 
 def test_fp_rank_matches_rational_rank_generic():
     rng = random.Random(2)
-    # both sides of the int32 kernel's bound p < 2^31, and one prime past
-    # int64 products (1099511627791 > 2^40)
-    primes = (2, 3, 7, 32771, 1000003, 2 ** 31 - 1, 1099511627791)
+    # both sides of the int32 kernel's bound p < 2^31, one prime past
+    # int64 products (1099511627791 > 2^40) and one past int64 itself
+    primes = (2, 3, 7, 32771, 1000003, 2 ** 31 - 1, 1099511627791,
+              2 ** 64 + 13)
     for _ in range(60):
         m, n = rng.randrange(1, 7), rng.randrange(1, 7)
         M = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
@@ -77,15 +89,138 @@ def test_fp_rank_matches_rational_rank_generic():
             _, rk_p = fp_pivot_rows(rows, n, p)
             assert rk_p <= rank
             assert fp_rank(M, p) == rk_p, p
-            assert fp_rank_sparse_dense(rows, n, p) == rk_p, p
+            assert fp_rank(np.array(M), p) == rk_p, p
+            assert fp_rank_sparse_dense(_sparse(M), n, p) == rk_p, p
     # residues near 2^40: products of two of them overflow int64
     q = 1099511627791
     r1, r2 = [1, q - 2, 5, q - 7], [q - 3, 11, q - 13, 17]
     M = [r1, r2, [7 * a + 3 * b for a, b in zip(r1, r2)]]
     rows = [dict(enumerate(r)) for r in M]
     assert fp_rank(M, q) == 2
-    assert fp_rank_sparse_dense(rows, 4, q) == 2
+    assert fp_rank_sparse_dense(_sparse(M), 4, q) == 2
     assert fp_pivot_rows(rows, 4, q)[1] == 2
+
+
+# the largest prime whose blocked ranks run in float32
+P_F32 = max(p for p in range(2, 200) if is_prime(p)
+            and linalg._float_dtype(p, linalg._CHUNK) is np.float32)
+KERNEL_PRIMES = (2, 3, 7, 13, P_F32)
+
+
+def _test_matrix(rng, m, n, rank, p):
+    """A seeded m x n integer matrix of rank <= ``rank`` mod p: a product
+    of random factors, with two zero columns, a column planted as a
+    combination of two others and a row planted likewise."""
+    A = rng.integers(0, p, size=(m, rank)) @ rng.integers(0, p, size=(rank, n))
+    A[:, [1, n // 2]] = 0
+    A[:, -1] = 3 * A[:, 0] + A[:, 2]
+    A[-1] = A[0] + 2 * A[1]
+    return A % p
+
+
+def _plain_rank(A, p):
+    return len(linalg._echelon_mod_p(A.astype(linalg._fp_dtype(p)), p)[0])
+
+
+def test_blocked_and_compressed_ranks_match_plain_loop():
+    rng = np.random.default_rng(6)
+    # tall, wide, square, rank-deficient; the float kernels see several
+    # panels (_PANEL = 64 columns) and chunks (_CHUNK rows)
+    shapes = ((700, 150, 150), (150, 300, 150), (200, 200, 200),
+              (300, 180, 120), (140, 250, 90))
+    # 1000003 runs the same kernels in float64
+    for p in KERNEL_PRIMES + (1000003,):
+        dtype = linalg._float_dtype(p, linalg._CHUNK)
+        for m, n, rank in shapes:
+            A = _test_matrix(rng, m, n, rank, p)
+            want = _plain_rank(A, p)
+            assert want < min(m, n)   # the planted dependencies hold
+            assert linalg._rank_blocked(A.astype(dtype), p) == want, (p, m, n)
+            got = linalg._compressed_rank(_sparse(A), n, p, dtype)
+            # one-sided: full rank only for a full-rank block
+            assert got <= want and (got == n) == (want == n), (p, m, n)
+        # a full-column-rank tall block: the compression proves it
+        A = rng.integers(0, p, size=(600, 140))
+        if _plain_rank(A, p) == 140:
+            assert linalg._compressed_rank(_sparse(A), 140, p, dtype) == 140
+
+
+def test_blocked_rank_stays_exact_as_the_window_fills():
+    # A = L @ U with unit block triangular factors whose off-diagonal
+    # blocks hold an odd h near p/2 (h - 1 in the first column of L's) and
+    # a zero last diagonal block.  Every Schur step then has S = I and
+    # subtracts the same odd sum, near _PANEL * h^2, from each live entry;
+    # at the largest prime whose one step fits float32, unreduced entries
+    # pass 2^24 by the fifth step unless the live block is reduced in time,
+    # and the last complement, which is zero mod p, is formed after six.
+    k = linalg._PANEL
+    p = max(q for q in range(2, 1000) if is_prime(q)
+            and linalg._float_dtype(q, k) is np.float32)
+    h = (p - 1) // 2
+    h -= 1 - h % 2
+    blocks = 7
+    L = np.eye(blocks * k, dtype=np.int64)
+    U = np.eye(blocks * k, dtype=np.int64)
+    for i in range(blocks):
+        for j in range(blocks):
+            if i > j:
+                L[i * k:(i + 1) * k, j * k:(j + 1) * k] = h
+                L[i * k:(i + 1) * k, j * k] = h - 1
+            elif i < j:
+                U[i * k:(i + 1) * k, j * k:(j + 1) * k] = h
+    U[-k:, -k:] = 0
+    A = L @ U % p
+    assert _plain_rank(A, p) == (blocks - 1) * k
+    assert linalg._rank_blocked(A.astype(np.float32), p) == (blocks - 1) * k
+
+
+def test_fp_rank_sparse_dense_paths(monkeypatch):
+    rng = np.random.default_rng(7)
+    # tall enough for the compressed proof; a rank shortfall must come back
+    # as the true rank from the exact fallback
+    for p in (7, P_F32):
+        for rank in (300, 260):
+            A = _test_matrix(rng, 640, 300, rank, p)
+            A[:, -1] = rng.integers(0, p, size=640) if rank == 300 else 0
+            want = _plain_rank(A, p)
+            assert fp_rank_sparse_dense(_sparse(A), 300, p) == want
+    # a full-rank block is proved by its compression; when the compression
+    # comes up short, the exact path still finds the full rank
+    A = rng.integers(0, 7, size=(600, 280))
+    assert _plain_rank(A, 7) == 280
+    assert fp_rank_sparse_dense(_sparse(A), 280, 7) == 280
+    monkeypatch.setattr(linalg, "_compressed_rank", lambda *a: 279)
+    assert fp_rank_sparse_dense(_sparse(A), 280, 7) == 280
+    # the float windows: float32 up to P_F32, then float64, then the
+    # exact integer loop, which must not reach the float kernel
+    assert linalg._float_dtype(P_F32 + 2, linalg._CHUNK) is np.float64
+    assert linalg._float_dtype((1 << 31) - 1, linalg._CHUNK) is None
+
+    def refuse(*args):
+        raise AssertionError("float kernel used outside its window")
+
+    monkeypatch.setattr(linalg, "_rank_blocked", refuse)
+    q = (1 << 31) - 1
+    B = rng.integers(0, q, size=(256, 260))
+    B[-1] = (B[0] + 5 * B[1]) % q
+    assert fp_rank_sparse_dense(_sparse(B), 260, q) == 255
+
+
+def test_reduce_is_exact_at_the_window_edge():
+    rng = np.random.default_rng(8)
+    for p in KERNEL_PRIMES + (1000003,):
+        for dtype in (np.float32, np.float64):
+            lim = linalg._limit(dtype, p)
+            x = np.concatenate([rng.integers(-lim, lim + 1, size=2000),
+                                [lim, -lim, lim // p * p, -(lim // p) * p,
+                                 0, p, -p, p - 1, 1 - p]])
+            X = x.astype(dtype)
+            assert (X == x).all()
+            linalg._reduce(X, p)
+            r = X.astype(np.int64)
+            assert (X == r).all() and (np.abs(r) < p).all()
+            assert ((r - x) % p == 0).all()
+            assert ((r == 0) == (x % p == 0)).all()
 
 
 def test_kernel_rational():

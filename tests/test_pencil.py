@@ -5,9 +5,9 @@ import pytest
 
 from symmetroid.linalg import det_bareiss, mat_vec
 from symmetroid.pencil import (Pencil, alpha_symbol, parse_pencil_text,
-                               rank_le2_minor_ideal, universal_gram,
-                               x_point_from_singular_member)
-from symmetroid.polys import parse_poly
+                               rank_le2_minor_ideal, singular_locus_ideal,
+                               universal_gram, x_point_from_singular_member)
+from symmetroid.polys import MultiPoly, parse_poly, poly_matrix_det
 from symmetroid.quadform import QuadricForm, diagonalize_symmetric
 
 T_NAMES = ["t%d" % i for i in range(5)]
@@ -153,3 +153,62 @@ def test_minor_ideal_shape(thm_pencil):
     assert len(ideal.generators) == 55
     assert all(g.total_degree() == 3 for g in ideal.generators)
     assert all(g.is_homogeneous() for g in ideal.generators)
+
+
+def _partial(f, j):
+    """d f / d v_j of a polynomial over F_p."""
+    terms = {}
+    for e, c in f.terms.items():
+        if e[j]:
+            d = list(e)
+            d[j] -= 1
+            terms[tuple(d)] = c * e[j]
+    return MultiPoly(f.nvars, terms, f.mod)
+
+
+@pytest.mark.parametrize("name,p", [("thm_pencil", 7), ("q3_pencil", 7),
+                                    ("cor_pencil", 11)])
+def test_singular_locus_minors_match_cofactor_expansion(name, p, request):
+    # the Laplace recursion over column subsets gives the same generators,
+    # in the same order and bidegrees, as one cofactor expansion per minor
+    # of the Jacobian of the five bilinear forms
+    from itertools import combinations
+    ideal = singular_locus_ideal(request.getfixturevalue(name), p)
+    forms = ideal.generators[:5]
+    jac = [[_partial(f, j) for j in range(10)] for f in forms]
+    want, bidegrees = [], []
+    for cols in combinations(range(10), 5):
+        m = poly_matrix_det([[row[c] for c in cols] for row in jac])
+        if not m.is_zero():
+            want.append(m)
+            k = sum(1 for c in cols if c < 5)
+            bidegrees.append((5 - k, k))
+    assert len(want) == 252
+    assert ideal.generators[5:] == want
+    assert ideal.bidegrees == [(1, 1)] * 5 + bidegrees
+
+
+def _regularity_json(p):
+    return {
+        "prime": p,
+        "certified": True,
+        "diagonal_avoidance": {
+            "degree": 6, "scope": "F_pbar", "prime": p, "full_rank": True,
+            "saturated_at_2": False, "divisor_summary": {},
+            "method": "macaulay",
+            "details": {"columns": 210, "rows": 350}},
+        "smoothness": {
+            "degree": [4, 3], "scope": "F_pbar", "prime": p,
+            "full_rank": True, "saturated_at_2": False,
+            "divisor_summary": {}, "method": "macaulay",
+            "details": {"columns": 2450, "rows": 7000}},
+    }
+
+
+def test_regularity_certificates_pinned(thm_regularity, q3_regularity,
+                                        cor_regularity):
+    # the regularity proofs of the three fixtures, field for field; the
+    # compressed rank proof must never move a certificate
+    assert thm_regularity.as_json() == _regularity_json(7)
+    assert q3_regularity.as_json() == _regularity_json(7)
+    assert cor_regularity.as_json() == _regularity_json(11)

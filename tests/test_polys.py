@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from symmetroid.polys import (MultiPoly, monomials_of_degree, parse_poly,
-                              poly_matrix_det)
+from symmetroid.polys import (MultiPoly, monomial_ranks, monomials_of_degree,
+                              parse_poly, poly_matrix_det)
 
 NAMES = ["t%d" % i for i in range(5)]
 
@@ -95,6 +95,14 @@ def test_monomials_of_degree_count_and_order():
     assert ms[0] == (4, 0, 0)
     assert ms[-1] == (0, 0, 4)
     assert len(set(ms)) == len(ms)
+
+
+def test_monomial_ranks_match_enumeration():
+    for nvars in (1, 2, 3, 5, 10):
+        for d in range(6):
+            ms = monomials_of_degree(nvars, d)
+            ranks = monomial_ranks([list(m) for m in ms])
+            assert ranks.tolist() == list(range(len(ms)))
 
 
 def test_homogeneity_flags():
