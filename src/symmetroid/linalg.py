@@ -17,14 +17,11 @@ is arbitrary precision.  numpy backs the F_p kernels:
   for float32 and 2^53 for float64 with k the GEMM's inner dimension
   (``_float_dtype``, ``_limit``); reductions mod p are delayed until that
   bound would be passed.  Outside both windows the plain loop runs.
-- ``_compressed_rank``, a one-sided full-column-rank proof for tall
-  blocks: rank(R @ A) = ncols for a seeded random R with ncols + 16 rows
-  proves rank(A) = ncols, since rank(R @ A) <= rank(A).  A shortfall
-  proves nothing and falls through to the exact elimination of A, so no
-  rank and no certificate depends on R.
 
-``fp_rank_sparse_dense`` takes a ``SparseRows`` block and chooses among
-them.  ``fp_pivot_rows`` is a pure Python sparse elimination that also
+``fp_rank_sparse_dense`` takes a ``SparseRows`` block, chooses between
+them and feeds the chosen kernel ``_BATCH`` rows at a time under the
+basis found so far, so at most ncols + ``_BATCH`` rows are ever dense.
+``fp_pivot_rows`` is a pure Python sparse elimination that also
 reports which rows form a basis.
 """
 
@@ -393,12 +390,11 @@ def fp_rank(M, p):
 
 
 _PANEL = 64           # pivots per Schur step: the inner dimension of its GEMMs
-_CHUNK = 512          # rows densified, multiplied or updated at once
-_EXTRA_ROWS = 16      # rows of R*A past ncols in the compressed proof
+_CHUNK = 512          # rows updated by one Schur GEMM
+_BATCH = 2600         # rows written under the basis found so far per pass
 _BLOCKED_MIN = 256    # blocks with fewer rows or columns keep the plain loop
                       # (dense mod 7, one core: 128^2 10 ms plain against
                       # 16 ms blocked, 256^2 56 ms against 34 ms)
-_R_SEED = 0x5EED      # the compression matrix R is drawn from this seed
 _MANTISSA = {np.dtype(np.float32): 24, np.dtype(np.float64): 53}
 
 
@@ -414,7 +410,7 @@ def _limit(dtype, p):
     return min((1 << t) - p, (p << (t - 2)) - 1)
 
 
-def _float_dtype(p, k):
+def _float_dtype(p, k=_PANEL):
     """The narrower float type in which one GEMM of inner dimension k over
     reduced residues (|r| <= p - 1) added to a reduced entry stays exact:
     k(p-1)^2 + (p-1) <= ``_limit``, i.e. k(p-1)^2 + 2p <= 2^24 for float32
@@ -458,34 +454,39 @@ class SparseRows:
         for lo, hi in zip(bounds, bounds[1:]):
             yield dict(zip(cols[lo:hi], vals[lo:hi]))
 
-    def dense(self, start, stop, p, ncols, dtype):
-        """Rows ``start:stop`` as residues in [0, p), a dense array."""
-        out = np.zeros((stop - start, ncols), dtype=dtype)
+    def dense(self, start, stop, p, out, where):
+        """Write rows ``start:stop`` into ``out`` as residues in [0, p),
+        column j to column ``where[j]`` of ``out``."""
+        out[...] = 0
         lo, hi = self.indptr[start], self.indptr[stop]
         which = np.repeat(np.arange(stop - start),
                           np.diff(self.indptr[start:stop + 1]))
+        cols = self.indices[lo:hi]
         data = self.data[lo:hi]
         if p >= 1 << 63:      # past int64: reduce as Python ints
             data = data.astype(object)
-        out[which, self.indices[lo:hi]] = data % p
-        return out
+        out[which, where[cols]] = data % p
 
 
-def _move_to_front(A, first, picks, axis):
-    """Swap the rows (axis 0) or columns (axis 1) at the ascending indices
-    ``picks`` into positions first, first + 1, ...  Ascending order keeps
-    every pick in place until its own swap."""
-    for i, src in enumerate(picks.tolist(), first):
-        if src != i:
-            if axis:
-                A[:, [i, src]] = A[:, [src, i]]
-            else:
-                A[[i, src]] = A[[src, i]]
+def _to_front(A, first, picks, perm):
+    """Move the columns of ``A`` at the ascending indices ``picks`` (all
+    inside one panel starting at ``first``) to positions first, first + 1,
+    ..., keeping the order of the others, and record the move in the
+    column order ``perm``."""
+    width = min(A.shape[1] - first, _PANEL)
+    rest = np.ones(width, dtype=bool)
+    rest[picks - first] = False
+    order = first + np.concatenate([picks - first, np.flatnonzero(rest)])
+    A[:, first:first + width] = A[:, order]
+    perm[first:first + width] = perm[order]
 
 
-def _rank_blocked(A, p):
+def _rank_blocked(A, p, perm):
     """Rank over F_p of the float array ``A`` of reduced residues
-    (|a| < p); ``A`` is destroyed.
+    (|a| < p).  Afterwards the first rank rows of ``A``, in the column
+    order ``perm`` (permuted along with the columns), are a basis of its
+    row space in block echelon form, with entries |a| < p; the rows below
+    are left over.
 
     Right-looking blocked elimination.  Each step looks at the leftmost
     ``_PANEL`` live columns, retires those that are zero on every live row,
@@ -493,10 +494,10 @@ def _rank_blocked(A, p):
     is invertible: the candidates are one row per distinct leading column
     plus the first rows that reach the panel, and two small eliminations
     give independent rows, pivot columns and inv(S).  Every other live row
-    then loses its pivot-column part at once, ``A_rest -= C @ (inv(S) @
-    A_piv)`` with ``C = A_rest[:, piv]``: GEMMs of inner dimension k.
-    rank(A) is k plus the rank of that Schur complement, whichever
-    invertible S is chosen.
+    that reaches the panel then loses its pivot-column part at once,
+    ``A_rest -= C @ (inv(S) @ A_piv)`` with ``C = A_rest[:, piv]``: GEMMs
+    of inner dimension k.  rank(A) is k plus the rank of that Schur
+    complement, whichever invertible S is chosen.
 
     Reduction is delayed: the GEMM operands (the panel, the pivot rows and
     inv(S) @ A_piv) are reduced before use, while the rest of the live
@@ -516,7 +517,7 @@ def _rank_blocked(A, p):
         live = nz.any(axis=0)
         if not live.all():
             dead = np.flatnonzero(~live)
-            _move_to_front(A[r:], c, c + dead, axis=1)
+            _to_front(A, c, c + dead, perm)
             c += dead.size
             continue
         hit = np.flatnonzero(nz.any(axis=1))
@@ -532,8 +533,14 @@ def _rank_blocked(A, p):
         # RREF of [P | I] is [E | T] with T @ P = E, E = I on the pivot
         # columns: T = inv(S) for S = P[:, cols], and cols is ascending
         cols = np.array(_echelon_mod_p(GJ, p, reduced=True)[0])
-        _move_to_front(A, r, r + rows, axis=0)
-        _move_to_front(A[r:], c, c + cols, axis=1)
+        # rows is ascending, so each pick stays put until its own swap
+        for i, src in enumerate((r + rows).tolist(), r):
+            if src != i:
+                A[[i, src]] = A[[src, i]]
+        _to_front(A, c, c + cols, perm)
+        # the pivot rows are zero left of the panel; what is stored there
+        # is left over from earlier steps
+        A[r:r + k, :c] = 0
         piv = A[r:r + k, c + k:]
         _reduce(piv, p)
         W = GJ[:, -k:].astype(A.dtype) @ piv
@@ -543,66 +550,46 @@ def _rank_blocked(A, p):
                 _reduce(A[i:i + _CHUNK, c + k:], p)
             bound = p - 1
         for i in range(r + k, m, _CHUNK):
-            A[i:i + _CHUNK, c + k:] -= A[i:i + _CHUNK, c:c + k] @ W
+            C = A[i:i + _CHUNK, c:c + k]
+            if C.any():
+                A[i:i + _CHUNK, c + k:] -= C @ W
         bound += step
         r += k
         c += k
     return r
 
 
-def _compressed_rank(rows, ncols, p, dtype):
-    """rank(R @ A) for the sparse block A and a seeded R with ncols +
-    ``_EXTRA_ROWS`` rows of random residues mod p.
-
-    A is densified ``_CHUNK`` rows at a time and R drawn one matching
-    column chunk at a time, and each product is added in row chunks, so
-    neither A nor R nor a full-size product is ever held.  Since
-    rank(R @ A) <= rank(A), the value ncols proves full column rank; a
-    smaller value proves nothing."""
-    step = _CHUNK * (p - 1) ** 2
-    limit = _limit(dtype, p)
-    assert step + p - 1 <= limit, "p = %d is outside the float window" % p
-    rng = np.random.default_rng(_R_SEED)
-    RA = np.zeros((ncols + _EXTRA_ROWS, ncols), dtype=dtype)
-    bound = 0
-    for i in range(0, len(rows), _CHUNK):
-        j = min(len(rows), i + _CHUNK)
-        if bound + step > limit:
-            _reduce(RA, p)
-            bound = p - 1
-        R = rng.integers(0, p, size=(len(RA), j - i),
-                         dtype=np.int32).astype(dtype)
-        D = rows.dense(i, j, p, ncols, dtype)
-        for h in range(0, len(RA), _CHUNK):
-            RA[h:h + _CHUNK] += R[h:h + _CHUNK] @ D
-        bound += step
-    for h in range(0, len(RA), _CHUNK):
-        _reduce(RA[h:h + _CHUNK], p)
-    return _rank_blocked(RA, p)
-
-
 def fp_rank_sparse_dense(rows, ncols, p):
     """Rank over F_p of ``rows``, a ``SparseRows`` block of integer rows.
 
+    The rows are eliminated ``_BATCH`` at a time, each batch written into
+    one preallocated buffer right under the basis found so far, so no more
+    than ncols + ``_BATCH`` rows are ever dense; it stops at rank ncols.
     Blocks with at least ``_BLOCKED_MIN`` rows and columns over a prime
-    inside the float window of ``_float_dtype`` take ``_rank_blocked``.  A
-    block at least twice as tall as wide first tries the compressed
-    full-rank proof of ``_compressed_rank``, which holds an
-    (ncols + 16) x ncols matrix instead of the block, and falls back to
-    the exact elimination of the whole block when it comes up short, so
-    the rank never depends on the random R.  (Below that height the block
-    itself is at most twice the compressed size, and exact elimination
-    costs fewer flops than compressing and eliminating.)  Other blocks run
-    ``_echelon_mod_p``.
+    inside the float window of ``_float_dtype`` take ``_rank_blocked``,
+    other blocks ``_echelon_mod_p``.
     """
     m = len(rows)
-    dtype = _float_dtype(p, _CHUNK)
-    if dtype is None or min(m, ncols) < _BLOCKED_MIN:
-        return len(_echelon_mod_p(rows.dense(0, m, p, ncols, _fp_dtype(p)),
-                                  p)[0])
-    if m >= 2 * ncols and _compressed_rank(rows, ncols, p, dtype) == ncols:
-        return ncols
-    return _rank_blocked(rows.dense(0, m, p, ncols, dtype), p)
+    dtype = _float_dtype(p)
+    blocked = dtype is not None and min(m, ncols) >= _BLOCKED_MIN
+    if not blocked:
+        dtype = _fp_dtype(p)
+    buf = np.empty((min(m, ncols + _BATCH), ncols), dtype=dtype)
+    perm = np.arange(ncols)       # the column order of buf
+    where = np.arange(ncols)      # its inverse
+    rank = 0
+    for start in range(0, m, _BATCH):
+        if rank == ncols:
+            break
+        stop = min(m, start + _BATCH)
+        view = buf[:rank + stop - start]
+        rows.dense(start, stop, p, view[rank:], where)
+        if blocked:
+            rank = _rank_blocked(view, p, perm)
+            where[perm] = np.arange(ncols)
+        else:
+            rank = len(_echelon_mod_p(view, p)[0])
+    return rank
 
 
 def fp_pivot_rows(rows_sparse, ncols, p):

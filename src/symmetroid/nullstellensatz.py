@@ -113,9 +113,13 @@ class Inconclusive:
 
 
 def _term_arrays(g):
-    """The exponents (an (N, nvars) array) and coefficients of g."""
+    """The exponents (an (N, nvars) array) and coefficients of g.  The
+    coefficients are int64 when they all fit, else Python ints in an
+    object array, so they stay exact at any size."""
+    coeffs = list(g.terms.values())
+    fits = all(-(1 << 63) <= c < 1 << 63 for c in coeffs)
     return (np.array(list(g.terms), dtype=np.int64),
-            np.array(list(g.terms.values())))
+            np.array(coeffs, dtype=np.int64 if fits else object))
 
 
 def _macaulay_rows(terms, multipliers, rank):

@@ -102,8 +102,8 @@ def test_fp_rank_matches_rational_rank_generic():
 
 
 # the largest prime whose blocked ranks run in float32
-P_F32 = max(p for p in range(2, 200) if is_prime(p)
-            and linalg._float_dtype(p, linalg._CHUNK) is np.float32)
+P_F32 = max(p for p in range(2, 1000) if is_prime(p)
+            and linalg._float_dtype(p) is np.float32)
 KERNEL_PRIMES = (2, 3, 7, 13, P_F32)
 
 
@@ -122,27 +122,29 @@ def _plain_rank(A, p):
     return len(linalg._echelon_mod_p(A.astype(linalg._fp_dtype(p)), p)[0])
 
 
-def test_blocked_and_compressed_ranks_match_plain_loop():
+def test_blocked_ranks_match_plain_loop():
     rng = np.random.default_rng(6)
-    # tall, wide, square, rank-deficient; the float kernels see several
-    # panels (_PANEL = 64 columns) and chunks (_CHUNK rows)
+    # tall, wide, square, rank-deficient; the float kernel sees several
+    # panels (_PANEL = 64 columns) and update chunks (_CHUNK rows)
     shapes = ((700, 150, 150), (150, 300, 150), (200, 200, 200),
               (300, 180, 120), (140, 250, 90))
-    # 1000003 runs the same kernels in float64
+    # 1000003 runs the same kernel in float64
     for p in KERNEL_PRIMES + (1000003,):
-        dtype = linalg._float_dtype(p, linalg._CHUNK)
+        dtype = linalg._float_dtype(p)
         for m, n, rank in shapes:
             A = _test_matrix(rng, m, n, rank, p)
             want = _plain_rank(A, p)
             assert want < min(m, n)   # the planted dependencies hold
-            assert linalg._rank_blocked(A.astype(dtype), p) == want, (p, m, n)
-            got = linalg._compressed_rank(_sparse(A), n, p, dtype)
-            # one-sided: full rank only for a full-rank block
-            assert got <= want and (got == n) == (want == n), (p, m, n)
-        # a full-column-rank tall block: the compression proves it
-        A = rng.integers(0, p, size=(600, 140))
-        if _plain_rank(A, p) == 140:
-            assert linalg._compressed_rank(_sparse(A), 140, p, dtype) == 140
+            B = A.astype(dtype)
+            perm = np.arange(n)
+            assert linalg._rank_blocked(B, p, perm) == want, (p, m, n)
+            # the first rank rows, in the column order perm, are a basis
+            # of the row space with reduced entries
+            basis = np.zeros((want, n), dtype=np.int64)
+            basis[:, perm] = B[:want].astype(np.int64) % p
+            assert (np.abs(B[:want]) < p).all()
+            assert _plain_rank(basis, p) == want
+            assert _plain_rank(np.vstack([basis, A]), p) == want
 
 
 def test_blocked_rank_stays_exact_as_the_window_fills():
@@ -154,8 +156,7 @@ def test_blocked_rank_stays_exact_as_the_window_fills():
     # pass 2^24 by the fifth step unless the live block is reduced in time,
     # and the last complement, which is zero mod p, is formed after six.
     k = linalg._PANEL
-    p = max(q for q in range(2, 1000) if is_prime(q)
-            and linalg._float_dtype(q, k) is np.float32)
+    p = P_F32
     h = (p - 1) // 2
     h -= 1 - h % 2
     blocks = 7
@@ -171,30 +172,45 @@ def test_blocked_rank_stays_exact_as_the_window_fills():
     U[-k:, -k:] = 0
     A = L @ U % p
     assert _plain_rank(A, p) == (blocks - 1) * k
-    assert linalg._rank_blocked(A.astype(np.float32), p) == (blocks - 1) * k
+    assert linalg._rank_blocked(A.astype(np.float32), p,
+                                np.arange(len(A))) == (blocks - 1) * k
 
 
 def test_fp_rank_sparse_dense_paths(monkeypatch):
     rng = np.random.default_rng(7)
-    # tall enough for the compressed proof; a rank shortfall must come back
-    # as the true rank from the exact fallback
-    for p in (7, P_F32):
-        for rank in (300, 260):
-            A = _test_matrix(rng, 640, 300, rank, p)
-            A[:, -1] = rng.integers(0, p, size=640) if rank == 300 else 0
+    seen = []
+
+    def watch(kernel):
+        def run(A, p, *args, **kwargs):
+            seen.append(A.shape)
+            return kernel(A, p, *args, **kwargs)
+        return run
+
+    monkeypatch.setattr(linalg, "_rank_blocked",
+                        watch(linalg._rank_blocked))
+    monkeypatch.setattr(linalg, "_echelon_mod_p",
+                        watch(linalg._echelon_mod_p))
+    # tall blocks, full rank and deficient, and a wide one, in batches of
+    # 100 rows: the rank is exact, no more than ncols + 100 rows are ever
+    # dense, and the passes stop at full rank
+    monkeypatch.setattr(linalg, "_BATCH", 100)
+    for p in (2, 7, P_F32, 1000003, (1 << 31) - 1):
+        for m, n, rank in ((900, 300, 300), (900, 300, 260),
+                           (300, 400, 250)):
+            A = _test_matrix(rng, m, n, rank, p)
+            if rank == n:
+                A[:, -1] = rng.integers(0, p, size=m)
             want = _plain_rank(A, p)
-            assert fp_rank_sparse_dense(_sparse(A), 300, p) == want
-    # a full-rank block is proved by its compression; when the compression
-    # comes up short, the exact path still finds the full rank
-    A = rng.integers(0, 7, size=(600, 280))
-    assert _plain_rank(A, 7) == 280
-    assert fp_rank_sparse_dense(_sparse(A), 280, 7) == 280
-    monkeypatch.setattr(linalg, "_compressed_rank", lambda *a: 279)
-    assert fp_rank_sparse_dense(_sparse(A), 280, 7) == 280
+            seen.clear()
+            assert fp_rank_sparse_dense(_sparse(A), n, p) == want, (p, m, n)
+            passes = [rows for rows, cols in seen if cols == n]
+            assert max(passes) <= n + 100
+            if want == n:
+                assert len(passes) < -(-m // 100)
     # the float windows: float32 up to P_F32, then float64, then the
     # exact integer loop, which must not reach the float kernel
-    assert linalg._float_dtype(P_F32 + 2, linalg._CHUNK) is np.float64
-    assert linalg._float_dtype((1 << 31) - 1, linalg._CHUNK) is None
+    assert linalg._float_dtype(521) is np.float64      # the next prime
+    assert linalg._float_dtype((1 << 31) - 1) is None
 
     def refuse(*args):
         raise AssertionError("float kernel used outside its window")

@@ -76,6 +76,21 @@ def test_factoring_budget_ends_in_inconclusive():
     assert time.perf_counter() - t0 < 60
 
 
+def test_coefficients_past_int64_stay_exact():
+    # N * t4 with N in [2^63, 2^64): as a float, 2^63 + 1 rounds to 2^63,
+    # whose index the 2-saturation forgives; the exact N has odd prime
+    # factors, so only 2^63 itself may be certified
+    for N in (2 ** 63 + 1, -(2 ** 63 + 1), 2 ** 64 - 1):
+        res = empty_all_primes(_ideal(["t0", "t1", "t2", "t3",
+                                       "%d*t4" % N]), d_max=3)
+        assert isinstance(res, Inconclusive), N
+        assert res.reason == "lattice not full (after stripping) at degree 3"
+    cert = empty_all_primes(_ideal(["t0", "t1", "t2", "t3",
+                                    "%d*t4" % 2 ** 63]), d_max=3)
+    assert cert.degree == 1 and cert.method == "smith"
+    assert cert.divisor_summary["two_valuations"] == [0, 0, 0, 0, 63]
+
+
 def test_v3_certificate_on_fixture(thm_pencil):
     cert = empty_all_primes(rank_le2_minor_ideal(thm_pencil),
                             saturate_at_2=True, d_max=12)
