@@ -21,8 +21,11 @@ is arbitrary precision.  numpy backs the F_p kernels:
 ``fp_rank_sparse_dense`` takes a ``SparseRows`` block, chooses between
 them and feeds the chosen kernel ``_BATCH`` rows at a time under the
 basis found so far, so at most ncols + ``_BATCH`` rows are ever dense.
-``fp_pivot_rows`` is a pure Python sparse elimination that also
-reports which rows form a basis.
+``fp_pivot_rows`` feeds the same batches to the plain loop on their
+transpose, whose pivot columns are the row rank profile: the rows that
+form a basis, each independent of the rows before it.  Its residues
+are stored in ``_fp_dtype``: int64, exact for p < 2^31, and Python ints
+above.
 """
 
 from __future__ import annotations
@@ -437,8 +440,8 @@ class SparseRows:
     """Integer rows in compressed sparse row form: row i has the entries
     ``data[indptr[i]:indptr[i+1]]`` at columns ``indices[...]``.
 
-    Iterating gives each row as a {column: coeff} dict; ``dense`` writes a
-    run of rows mod p into a dense array."""
+    ``dense`` writes a run of rows mod p into a dense array, ``tolist``
+    reads the rows as lists of Python ints and ``take`` reorders them."""
 
     def __init__(self, indptr, indices, data):
         self.indptr = indptr
@@ -448,11 +451,20 @@ class SparseRows:
     def __len__(self):
         return len(self.indptr) - 1
 
-    def __iter__(self):
-        cols, vals = self.indices.tolist(), self.data.tolist()
-        bounds = self.indptr.tolist()
-        for lo, hi in zip(bounds, bounds[1:]):
-            yield dict(zip(cols[lo:hi], vals[lo:hi]))
+    def take(self, order):
+        """The rows at the indices ``order``, in that order."""
+        counts = np.diff(self.indptr)[order]
+        indptr = np.concatenate([[0], np.cumsum(counts)])
+        src = (np.repeat(self.indptr[order] - indptr[:-1], counts)
+               + np.arange(indptr[-1]))
+        return SparseRows(indptr, self.indices[src], self.data[src])
+
+    def tolist(self, ncols):
+        """The rows as dense lists of Python ints."""
+        out = np.zeros((len(self), ncols), dtype=self.data.dtype)
+        out[np.repeat(np.arange(len(self)), np.diff(self.indptr)),
+            self.indices] = self.data
+        return out.tolist()
 
     def dense(self, start, stop, p, out, where):
         """Write rows ``start:stop`` into ``out`` as residues in [0, p),
@@ -592,35 +604,33 @@ def fp_rank_sparse_dense(rows, ncols, p):
     return rank
 
 
-def fp_pivot_rows(rows_sparse, ncols, p):
-    """Indices of input rows forming a row basis mod p.
+def fp_pivot_rows(rows, ncols, p):
+    """The row rank profile mod p of ``rows``, a ``SparseRows`` block of
+    integer rows: the indices of the rows independent of the rows before
+    them, a row basis.  Returns (pivot_row_indices, rank).
 
-    ``rows_sparse`` is a list of {col: coeff} dicts over Z.  Elimination is
-    incremental: each row is reduced against the current basis; rows that
-    survive become pivots.  Returns (pivot_row_indices, rank).
+    The row rank profile of A is the column rank profile of its transpose,
+    which the plain loop reveals.  The rows are fed ``_BATCH`` at a time,
+    as in ``fp_rank_sparse_dense``, each batch written right under the
+    rows kept so far; those are independent, so they pivot first in the
+    transpose, and the pivot columns past them are the batch's new rows.
     """
-    basis = {}  # leading col -> (vector as dict, row index)
-    order = []
-    for idx, row in enumerate(rows_sparse):
-        v = {c: x % p for c, x in row.items() if x % p}
-        while v:
-            lead = min(v)
-            if lead not in basis:
-                inv = pow(v[lead], p - 2, p)
-                v = {c: (x * inv) % p for c, x in v.items()}
-                basis[lead] = v
-                order.append(idx)
-                break
-            w = basis[lead]
-            f = v[lead]
-            for c, x in w.items():
-                nv = (v.get(c, 0) - f * x) % p
-                if nv:
-                    v[c] = nv
-                else:
-                    v.pop(c, None)
-        # empty v: row dependent, skip
-    return order, len(order)
+    m = len(rows)
+    buf = np.empty((min(m, ncols + _BATCH), ncols), dtype=_fp_dtype(p))
+    where = np.arange(ncols)
+    kept = []
+    for start in range(0, m, _BATCH):
+        rank = len(kept)
+        if rank == ncols:
+            break
+        stop = min(m, start + _BATCH)
+        view = buf[:rank + stop - start]
+        rows.dense(start, stop, p, view[rank:], where)
+        new = np.array(_echelon_mod_p(view.T.copy(), p)[0][rank:],
+                       dtype=np.int64)
+        view[rank:rank + new.size] = view[new]
+        kept += (start - rank + new).tolist()
+    return kept, len(kept)
 
 
 def _primes_for_crt(bound):

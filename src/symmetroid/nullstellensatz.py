@@ -157,16 +157,6 @@ def _degree_block(generators, d, nvars):
                           monomial_ranks), comb(d + nvars - 1, nvars - 1)
 
 
-def _rows_to_dense(rows, ncols):
-    out = []
-    for r in rows:
-        v = [0] * ncols
-        for c, x in r.items():
-            v[c] = x
-        out.append(v)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # single-prime test
 
@@ -262,17 +252,12 @@ def _lattice_is_full_after_stripping(block, ncols, saturate_at_2, snf_limit):
     prime certifies trivial stripped divisors.  Exact Smith form is used
     only on small matrices, where its coefficient growth is harmless.
     """
-    rows = list(block)      # {column: coeff} dicts for the sparse pivoting
-    p0 = _SCREEN_PRIMES[0]
-    pivots, rank = fp_pivot_rows(rows, ncols, p0)
-    if rank < ncols:
-        p1 = _SCREEN_PRIMES[1]
-        pivots, rank = fp_pivot_rows(rows, ncols, p1)
-        if rank < ncols:
-            return None
-    if len(rows) <= snf_limit[0] and ncols <= snf_limit[1]:
-        dense = _rows_to_dense(rows, ncols)
-        divisors = smith_divisors(dense)
+    pivots, rank = fp_pivot_rows(block, ncols, _SCREEN_PRIMES[0])
+    if rank < ncols and fp_pivot_rows(block, ncols,
+                                      _SCREEN_PRIMES[1])[1] < ncols:
+        return None
+    if len(block) <= snf_limit[0] and ncols <= snf_limit[1]:
+        divisors = smith_divisors(block.tolist(ncols))
         stripped = [_strip2(x) for x in divisors] if saturate_at_2 else divisors
         if len(stripped) < ncols or any(x != 1 for x in stripped):
             return None
@@ -282,21 +267,22 @@ def _lattice_is_full_after_stripping(block, ncols, saturate_at_2, snf_limit):
     # the index divides det(subset) for every maximal nonsingular row
     # subset; shuffling the row order makes the screening prime pick
     # different subsets, and the gcd of their (stripped) odd parts drops
-    # to 1 almost immediately in practice
+    # to 1 almost immediately in practice.  Attempt 0 keeps the block's
+    # order and the first screening prime: that is the screen above.
     import random as _random
     rng = _random.Random(0xD1E5)
     dets = []
     g = 0
-    order = list(range(len(rows)))
+    order = list(range(len(block)))
     for attempt in range(8):
         if attempt:
             rng.shuffle(order)
-        perm = [rows[i] for i in order]
-        piv, rk = fp_pivot_rows(perm, ncols, _SCREEN_PRIMES[attempt % 3])
-        if rk < ncols:
+            pivots, rank = fp_pivot_rows(block.take(order), ncols,
+                                         _SCREEN_PRIMES[attempt % 3])
+        if rank < ncols:
             continue
-        sub = _rows_to_dense([perm[i] for i in piv], ncols)
-        D = det_exact_crt(sub)
+        D = det_exact_crt(block.take([order[i] for i in pivots])
+                          .tolist(ncols))
         if not D:
             continue
         dets.append(D)
@@ -334,20 +320,13 @@ def _lattice_is_full_after_stripping(block, ncols, saturate_at_2, snf_limit):
     return (summary, "minor-gcd")
 
 
-def _strip2(x):
-    x = abs(x)
-    while x and x % 2 == 0:
-        x //= 2
-    return x
-
-
 def _val2(x):
-    x = abs(x)
-    v = 0
-    while x and x % 2 == 0:
-        x //= 2
-        v += 1
-    return v
+    """The exponent of 2 in the integer x, 0 for x = 0."""
+    return (x & -x).bit_length() - 1 if x else 0
+
+
+def _strip2(x):
+    return abs(x) >> _val2(x)
 
 
 # Pollard-rho iterations allowed per split: enough for prime factors up to

@@ -9,6 +9,7 @@ ever touches floating point.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from math import comb
 from operator import add
 
@@ -451,10 +452,18 @@ def monomial_ranks(E):
     E = np.asarray(E, dtype=np.int64)
     n = E.shape[1]
     tails = np.cumsum(E[:, ::-1], axis=1)[:, ::-1]
-    top = int(tails[:, 0].max(initial=0)) + n
-    table = np.array([[comb(a, b) for b in range(n + 1)]
-                      for a in range(top + 1)], dtype=np.int64)
+    table = _comb_table(int(tails[:, 0].max(initial=0)) + n, n)
     ranks = np.zeros(len(E), dtype=np.int64)
     for j in range(1, n):
         ranks += table[tails[:, j] + n - j - 1, n - j]
     return ranks
+
+
+@lru_cache(maxsize=None)
+def _comb_table(top, n):
+    """C(a, b) for a <= top and b <= n, read-only: built once per (top, n)
+    and shared by every call of ``monomial_ranks``."""
+    table = np.array([[comb(a, b) for b in range(n + 1)]
+                      for a in range(top + 1)], dtype=np.int64)
+    table.flags.writeable = False
+    return table

@@ -167,3 +167,31 @@ def albert_lemma_counterexamples(q):
         some_gen_nonzero |= col != 0
     bad = some_gen_nonzero & ~smooth_exists
     return n, int(bad.sum())
+
+
+def pivot_rows_by_dicts(rows, p):
+    """Indices of the rows, {column: coeff} dicts over Z, that are
+    independent mod p of the rows before them (the row rank profile).
+
+    Pure Python sparse elimination: each row is reduced against the basis
+    kept so far, one leading column at a time; a row that survives joins
+    the basis."""
+    basis = {}  # leading column -> normalised row
+    kept = []
+    for idx, row in enumerate(rows):
+        v = {c: x % p for c, x in row.items() if x % p}
+        while v:
+            lead = min(v)
+            if lead not in basis:
+                inv = pow(v[lead], p - 2, p)
+                basis[lead] = {c: x * inv % p for c, x in v.items()}
+                kept.append(idx)
+                break
+            f = v[lead]
+            for c, x in basis[lead].items():
+                nv = (v.get(c, 0) - f * x) % p
+                if nv:
+                    v[c] = nv
+                else:
+                    v.pop(c, None)
+    return kept

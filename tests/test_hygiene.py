@@ -107,3 +107,20 @@ def test_def_scan_ignores_self_reference():
                     "def __getattr__(name):\n    return used\n")
     other = ast.parse("from mod import Kept\n")
     assert _unreferenced_defs({"mod": mod}, [other]) == [("mod", "recursive")]
+
+
+def test_benchmark_trace_targets_resolve():
+    # perfbench's tracer wraps these by name; a rename would drop a
+    # per-layer metric without any error
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(
+        "pb_workload", TESTS.parent / "perfbench" / "pb_workload.py")
+    workload = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workload)
+    missing = []
+    for module, attr, _ in workload.LAYER_TARGETS:
+        mod = importlib.import_module("symmetroid." + module)
+        if not callable(getattr(mod, attr, None)):
+            missing.append("%s.%s" % (module, attr))
+    assert not missing, "trace targets not found:\n" + "\n".join(missing)

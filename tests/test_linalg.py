@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from oracles import pivot_rows_by_dicts
 from symmetroid import linalg
 from symmetroid.linalg import (SparseRows, det_bareiss, det_exact_crt,
                                fp_pivot_rows, fp_rank, fp_rank_sparse_dense,
@@ -70,6 +71,10 @@ def test_fp_rank_spec_examples():
         fp_rank(eye5, 6)
 
 
+def _dicts(M):
+    return [{j: x for j, x in enumerate(row) if x} for row in M]
+
+
 def test_fp_rank_matches_rational_rank_generic():
     rng = random.Random(2)
     # both sides of the int32 kernel's bound p < 2^31, one prime past
@@ -82,23 +87,48 @@ def test_fp_rank_matches_rational_rank_generic():
         divisors = [d for d in smith_divisors(M) if d]
         rank = len(divisors)
         assert fp_rank(M, 1000003) == rank
-        rows = [{j: M[i][j] for j in range(n) if M[i][j]} for i in range(m)]
-        _, rk = fp_pivot_rows(rows, n, 1000003)
-        assert rk == rank
+        rows = _sparse(M)
+        assert fp_pivot_rows(rows, n, 1000003)[1] == rank
         for p in primes:
-            _, rk_p = fp_pivot_rows(rows, n, p)
-            assert rk_p <= rank
-            assert fp_rank(M, p) == rk_p, p
-            assert fp_rank(np.array(M), p) == rk_p, p
-            assert fp_rank_sparse_dense(_sparse(M), n, p) == rk_p, p
+            want = pivot_rows_by_dicts(_dicts(M), p)
+            assert len(want) <= rank
+            assert fp_pivot_rows(rows, n, p) == (want, len(want)), p
+            assert fp_rank(M, p) == len(want), p
+            assert fp_rank(np.array(M), p) == len(want), p
+            assert fp_rank_sparse_dense(rows, n, p) == len(want), p
     # residues near 2^40: products of two of them overflow int64
     q = 1099511627791
     r1, r2 = [1, q - 2, 5, q - 7], [q - 3, 11, q - 13, 17]
     M = [r1, r2, [7 * a + 3 * b for a, b in zip(r1, r2)]]
-    rows = [dict(enumerate(r)) for r in M]
     assert fp_rank(M, q) == 2
     assert fp_rank_sparse_dense(_sparse(M), 4, q) == 2
-    assert fp_pivot_rows(rows, 4, q)[1] == 2
+    assert fp_pivot_rows(_sparse(M), 4, q) == ([0, 1], 2)
+
+
+def test_pivot_rows_with_zero_duplicate_and_vanishing_rows(monkeypatch):
+    # batches of 4 rows, so the rows kept from earlier batches must stay
+    # first in the transposed search
+    monkeypatch.setattr(linalg, "_BATCH", 4)
+    rng = random.Random(5)
+    for p in (2, 3, 7, 1000003, 2 ** 31 - 1, 2 ** 64 + 13):
+        for _ in range(20):
+            n = rng.randrange(1, 8)
+            M = [[rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(n)]
+                 for _ in range(rng.randrange(1, 14))]
+            M.insert(rng.randrange(len(M) + 1), [0] * n)
+            M.insert(rng.randrange(len(M) + 1), list(rng.choice(M)))
+            # nonzero over Z, zero mod p
+            M.insert(rng.randrange(len(M) + 1),
+                     [p * rng.randint(-3, 3) for _ in range(n)])
+            want = pivot_rows_by_dicts(_dicts(M), p)
+            assert fp_pivot_rows(_sparse(M), n, p) == (want, len(want)), \
+                (p, M)
+            assert fp_rank_sparse_dense(_sparse(M), n, p) == len(want)
+        # no rows at all
+        empty = SparseRows(np.zeros(1, dtype=np.int64),
+                           np.zeros(0, dtype=np.int64),
+                           np.zeros(0, dtype=np.int64))
+        assert fp_pivot_rows(empty, 3, p) == ([], 0)
 
 
 # the largest prime whose blocked ranks run in float32

@@ -95,7 +95,16 @@ def test_v3_certificate_on_fixture(thm_pencil):
     cert = empty_all_primes(rank_le2_minor_ideal(thm_pencil),
                             saturate_at_2=True, d_max=12)
     assert cert and cert.scope == "all_primes"
-    assert cert.degree == 3
+    # field for field: the row bases chosen at the screening primes fix
+    # which subset determinants are taken
+    assert cert.as_json() == {
+        "degree": 3, "scope": "all_primes", "prime": None,
+        "full_rank": True, "saturated_at_2": True,
+        "divisor_summary": {"subset_determinant_count": 3,
+                            "determinant_two_valuations": [18, 16, 19],
+                            "rank_mod_2": 20, "bad_primes": [],
+                            "index_evidence_gcd": 1},
+        "method": "minor-gcd", "details": {"columns": 35, "rows": 55}}
     # monotonicity: the span stays full one degree higher
     from symmetroid.nullstellensatz import (_degree_block,
                                             _lattice_is_full_after_stripping)
@@ -103,6 +112,33 @@ def test_v3_certificate_on_fixture(thm_pencil):
         rank_le2_minor_ideal(thm_pencil).generators, 4, 5)
     assert _lattice_is_full_after_stripping(rows, ncols, True, (40, 16)) \
         is not None
+
+
+def test_v3_verdict_of_prop_q3_pinned(q3_pencil):
+    # prop_q3 has F_3-points on V3, so no degree clears the prime 3
+    out = empty_all_primes(rank_le2_minor_ideal(q3_pencil), d_max=5)
+    assert isinstance(out, Inconclusive)
+    assert out.reason == "lattice not full (after stripping) at degree 5"
+
+
+def test_pivot_rows_of_macaulay_blocks_match_oracle(q3_pencil):
+    # the row bases the all-primes test takes determinants of, against
+    # the pure Python sparse elimination, at the screening primes and at
+    # the prime 3 where the blocks lose rank
+    from oracles import pivot_rows_by_dicts
+
+    from symmetroid.linalg import fp_pivot_rows
+    from symmetroid.nullstellensatz import _degree_block
+    gens = rank_le2_minor_ideal(q3_pencil).generators
+    for d in (3, 4, 5):
+        block, ncols = _degree_block(gens, d, 5)
+        bounds = block.indptr.tolist()
+        dicts = [dict(zip(block.indices[lo:hi].tolist(),
+                          block.data[lo:hi].tolist()))
+                 for lo, hi in zip(bounds, bounds[1:])]
+        for p in (1000003, 999983, 1000033, 3):
+            want = pivot_rows_by_dicts(dicts, p)
+            assert fp_pivot_rows(block, ncols, p) == (want, len(want))
 
 
 def test_v3_inconclusive_with_rank2_member():
