@@ -25,7 +25,6 @@ from .intervals import RatInterval
 from .linalg import det_bareiss, primitive_vector, random_unimodular
 from .localfields import (INV_HALF, INV_ZERO, REAL, hilbert_symbol,
                           normalize_place, square_class)
-from .polys import MultiPoly
 from .quadform import (COEFF_ORDER, QuadricForm, classify, has_smooth_point_qp,
                        has_smooth_point_real, ruling_disc)
 from .roots import isolate_real_roots, poly_eval, refine_root
@@ -274,32 +273,20 @@ def find_real_point_with_invariant(P, target, seed=0, line_budget=200,
             pt.signature = (npos, nneg)
             return pt
     rng = random.Random(seed)
-    det = P.det_poly()
     for line_index in range(line_budget):
         u = [rng.randint(-3, 3) for _ in range(5)]
         w = [rng.randint(-3, 3) for _ in range(5)]
         if all(x == 0 for x in w) or all(x == 0 for x in u):
             continue
-        pt = _scan_line(P, det, u, w, target, rng, refine_cap)
+        pt = _scan_line(P, u, w, target, rng, refine_cap)
         if pt is not None:
             return pt
     raise LookupError("real-point search budget exhausted "
                       "(%d lines); not a nonexistence claim" % line_budget)
 
 
-def _restrict_to_line(poly, u, w):
-    """Coefficients of poly(u + s*w) as a univariate list in s."""
-    s_poly = [MultiPoly(1, {(0,): ui}) + MultiPoly(1, {(1,): wi})
-              for ui, wi in zip(u, w)]
-    uni = poly.substitute_linear(s_poly)
-    deg = uni.total_degree()
-    coeffs = [0] * (deg + 1)
-    for e, c in uni.terms.items():
-        coeffs[e[0]] = c
-    return coeffs
-
-def _scan_line(P, det, u, w, target, rng, refine_cap):
-    coeffs = _restrict_to_line(det, u, w)
+def _scan_line(P, u, w, target, rng, refine_cap):
+    coeffs = P.line_minors(u, w)[4]
     if not any(coeffs):
         return None
     try:
@@ -335,10 +322,7 @@ def _certify_root(P, det_coeffs, u, w, interval, rng, refine_cap):
     for attempt in range(6):
         basis_change = None if attempt == 0 else \
             random_unimodular(5, rng, size=1)
-        minor_coeffs = []
-        for k in (1, 2, 3, 4):
-            mk = P.leading_minor_poly(k, basis_change)
-            minor_coeffs.append(_restrict_to_line(mk, u, w))
+        minor_coeffs = P.line_minors(u, w, basis_change)[:4]
         iv = interval
         signs = []
         for cycle in range(refine_cap):

@@ -15,10 +15,14 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import (det_bareiss, is_prime, kernel_rational, mat_vec,
-                     primitive_vector, rank_rational, random_unimodular)
+import numpy as np
+
+from .linalg import (det_bareiss, is_prime, kernel_rational, mat_mul,
+                     mat_vec, primitive_vector, random_unimodular,
+                     rank_rational, transpose)
 from .polys import MultiPoly, poly_matrix_det, poly_maximal_minors
 from .quadform import QuadricForm, parse_quadric_line, quadric_to_line
+from .roots import poly_eval, poly_interpolate
 
 T_NAMES = tuple("t%d" % i for i in range(5))
 
@@ -35,45 +39,56 @@ class Pencil:
             raise ValueError("the five quadrics are linearly dependent")
         self.quadrics = quadrics
         self.grams = [Q.gram() for Q in quadrics]
-        self._det = None
         self._minor_cache = {}
 
     # -- universal Gram -------------------------------------------------
 
-    def gram_poly(self, i, j):
-        """Entry (i,j) of B(t): a linear form in t0..t4 over Z."""
-        terms = {}
-        for k, B in enumerate(self.grams):
-            c = B[i][j]
-            if c:
-                e = [0] * 5
-                e[k] = 1
-                terms[tuple(e)] = c
-        return MultiPoly(5, terms)
+    def _grams(self, T=None):
+        """The Gram matrices B_i, or T^t B_i T after the x-basis change T."""
+        if T is None:
+            return self.grams
+        Tt = transpose(T)
+        return [mat_mul(mat_mul(Tt, B), T) for B in self.grams]
 
-    def gram_matrix_poly(self):
-        return [[self.gram_poly(i, j) for j in range(5)] for i in range(5)]
+    def gram_matrix_poly(self, basis_change=None):
+        """B(t) as a 5x5 matrix of linear forms in t0..t4 over Z."""
+        grams = self._grams(basis_change)
+        units = [tuple(int(k == m) for m in range(5)) for k in range(5)]
+        return [[MultiPoly(5, {e: B[i][j] for e, B in zip(units, grams)})
+                 for j in range(5)] for i in range(5)]
 
     def det_poly(self):
         """det B(t): the quintic cutting out H (cached)."""
-        if self._det is None:
-            self._det = poly_matrix_det(self.gram_matrix_poly())
-        return self._det
+        return self.leading_minor_poly(5)
 
     def leading_minor_poly(self, k, basis_change=None):
         """Leading principal k x k minor of B(t) (after optional x-basis
-        change T, which replaces every B_i by T^t B_i T)."""
+        change T, which replaces every B_i by T^t B_i T), cached."""
         key = (k, None if basis_change is None
                else tuple(tuple(r) for r in basis_change))
-        if key in self._minor_cache:
-            return self._minor_cache[key]
-        mat = self.gram_matrix_poly()
-        if basis_change is not None:
-            mat = _congruence_poly(mat, basis_change)
-        sub = [row[:k] for row in mat[:k]]
-        m = poly_matrix_det(sub)
-        self._minor_cache[key] = m
-        return m
+        if key not in self._minor_cache:
+            mat = self.gram_matrix_poly(basis_change)
+            self._minor_cache[key] = poly_matrix_det(
+                [row[:k] for row in mat[:k]])
+        return self._minor_cache[key]
+
+    def line_minors(self, u, w, basis_change=None):
+        """The leading principal minors M1..M4 and det B = M5 restricted to
+        the line t = u + s*w, as ascending integer coefficient lists in s
+        (trimmed), after the optional x-basis change T.
+
+        The k x k minor of B(u) + s*B(w) has degree <= k in s, so its
+        fraction-free determinants at s = 0..k fix it; ``poly_interpolate``
+        recovers the coefficients exactly.  No polynomial in t is formed."""
+        grams = self._grams(basis_change)
+        Bu, Bw = (_combine(grams, t) for t in (u, w))
+        out = []
+        for k in range(1, 6):
+            values = [det_bareiss([[Bu[i][j] + s * Bw[i][j]
+                                    for j in range(k)] for i in range(k)])
+                      for s in range(k + 1)]
+            out.append(poly_interpolate(values))
+        return out
 
     # -- members ---------------------------------------------------------
 
@@ -85,9 +100,7 @@ class Pencil:
         return QuadricForm(coeffs)
 
     def gram_at(self, t):
-        t = list(t)
-        return [[sum(ti * B[i][j] for ti, B in zip(t, self.grams))
-                 for j in range(5)] for i in range(5)]
+        return _combine(self.grams, t)
 
     def det_at(self, t):
         return det_bareiss([[int(x) for x in row]
@@ -112,27 +125,11 @@ def universal_gram(quadrics):
     return Pencil(quadrics)
 
 
-def _congruence_poly(mat, T):
-    """T^t * mat * T for a matrix of polynomials and an integer matrix."""
-    n = len(mat)
-    zero = MultiPoly.zero(5)
-    TM = [[zero for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            acc = zero
-            for k in range(n):
-                if T[k][i]:
-                    acc = acc + mat[k][j].scale(T[k][i])
-            TM[i][j] = acc
-    out = [[zero for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            acc = zero
-            for k in range(n):
-                if T[k][j]:
-                    acc = acc + TM[i][k].scale(T[k][j])
-            out[i][j] = acc
-    return out
+def _combine(grams, t):
+    """sum_i t_i * grams[i], entry by entry."""
+    t = list(t)
+    return [[sum(ti * B[i][j] for ti, B in zip(t, grams))
+             for j in range(5)] for i in range(5)]
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +199,7 @@ def alpha_symbol(P, seed=0, max_tries=100):
     for attempt in range(max_tries):
         minors = [P.leading_minor_poly(k, basis_change) for k in (1, 2, 3, 4)]
         if all(not m.is_zero() for m in minors):
-            witness = _sample_h_point_with_minors(P, minors)
+            witness = _sample_h_point_with_minors(P, basis_change)
             if witness is not None:
                 point, prime = witness
                 return AlphaSymbol(minors=minors, basis_change=basis_change,
@@ -212,29 +209,35 @@ def alpha_symbol(P, seed=0, max_tries=100):
                        "(%d attempts)" % max_tries)
 
 
-def _sample_h_point_with_minors(P, minors, primes=(10007, 10009, 10037)):
-    """Find t over F_p with det B(t) = 0 and all minors nonzero.
+def _sample_h_point_with_minors(P, basis_change,
+                                primes=(10007, 10009, 10037)):
+    """Find t over F_p with det B(t) = 0 and the minors M1..M4 of B(t),
+    after the x-basis change, all nonzero.
 
-    Scans lines through F_p^5: restricted to a line, det B is a univariate
-    quintic whose roots are found by brute scan of the parameter.
+    On each of 60 seeded lines a + s*b through F_p^5 per prime, the line
+    is restricted exactly (``Pencil.line_minors``; det B is unchanged by a
+    unimodular change) and det B(a + s*b) is reduced mod p and evaluated
+    at every s at once by Horner's rule in int64 (values stay below p^2).
+    The first s with det = 0 and t != 0 is the candidate: it is returned
+    when no minor vanishes there, and otherwise the next line is tried.
     """
-    det = P.det_poly()
     for p in primes:
         rng = random.Random(p)
-        detp = det.reduce_mod(p)
-        minorsp = [m.reduce_mod(p) for m in minors]
+        s = np.arange(p, dtype=np.int64)
         for _ in range(60):
             a = [rng.randrange(p) for _ in range(5)]
             b = [rng.randrange(p) for _ in range(5)]
-            # restrict to the line a + s*b; scan s
-            for s in range(p):
-                t = [(ai + s * bi) % p for ai, bi in zip(a, b)]
-                if all(x == 0 for x in t):
-                    continue
-                if detp.evaluate(t) % p == 0:
-                    if all(mp.evaluate(t) % p != 0 for mp in minorsp):
-                        return tuple(t), p
-                    break  # try another line: keeps the scan cheap
+            line = P.line_minors(a, b, basis_change)
+            det = np.zeros(p, dtype=np.int64)
+            for c in reversed(line[4]):
+                det = (det * s + c % p) % p
+            t = (np.array(a)[:, None] + np.outer(b, s)) % p
+            hits = np.flatnonzero((det == 0) & t.any(axis=0))
+            if not len(hits):
+                continue
+            s0 = int(hits[0])
+            if all(poly_eval(m, s0) % p for m in line[:4]):
+                return tuple(int(x) for x in t[:, s0]), p
     return None
 
 

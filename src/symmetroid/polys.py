@@ -199,13 +199,6 @@ class MultiPoly:
     def reduce_mod(self, p):
         return MultiPoly(self.nvars, self.terms, mod=p)
 
-    def content(self):
-        from math import gcd
-        g = 0
-        for c in self.terms.values():
-            g = gcd(g, c)
-        return g
-
     def evaluate(self, values):
         """Evaluate at a point; values may be ints, Fractions or intervals."""
         if len(values) != self.nvars:
@@ -220,21 +213,6 @@ class MultiPoly:
         if self.mod is not None and isinstance(total, int):
             total %= self.mod
         return total
-
-    def substitute_linear(self, forms):
-        """Substitute variable i -> forms[i] (each a MultiPoly); returns a
-        polynomial in the ring of the forms."""
-        if len(forms) != self.nvars:
-            raise ValueError("need one form per variable")
-        tgt = forms[0]
-        result = MultiPoly.zero(tgt.nvars, tgt.mod)
-        for e, c in self.terms.items():
-            term = MultiPoly.constant(tgt.nvars, c, tgt.mod)
-            for f, k in zip(forms, e):
-                for _ in range(k):
-                    term = term * f
-            result = result + term
-        return result
 
     # -- canonical presentation -----------------------------------------
 

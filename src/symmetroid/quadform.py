@@ -100,10 +100,6 @@ class QuadricForm:
             total += c * x[i] * x[j]
         return total
 
-    def gradient(self, x):
-        B = self.gram()
-        return [sum(B[i][j] * x[j] for j in range(5)) for i in range(5)]
-
     def is_zero(self):
         return all(c == 0 for c in self.coeffs)
 

@@ -9,6 +9,7 @@ preserves signs) to keep coefficients small.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 
 from .intervals import RatInterval
 from .linalg import primitive_vector
@@ -36,6 +37,30 @@ def poly_eval(c, x):
     for a in reversed(poly_trim(c)):
         total = total * x + a
     return total
+
+
+def poly_interpolate(values):
+    """Integer coefficients, ascending and trimmed, of the polynomial of
+    degree < len(values) taking ``values[s]`` at s = 0, 1, 2, ...
+
+    Newton forward differences: f(s) = sum_j D^j f(0) * C(s, j), and f has
+    integer coefficients exactly when every D^j f(0) is divisible by j!,
+    so that the falling-factorial form sum_j (D^j f(0) / j!) * s(s-1)..
+    (s-j+1) expands over Z.  Raises ValueError otherwise."""
+    newton = []
+    diffs = list(values)
+    for j in range(len(diffs)):
+        q, r = divmod(diffs[0], factorial(j))
+        if r:
+            raise ValueError("values are not those of an integer polynomial")
+        newton.append(q)
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    coeffs = []
+    for j in reversed(range(len(newton))):
+        # coeffs <- coeffs * (s - j) + newton[j]
+        coeffs = [a - j * b for a, b in zip([newton[j]] + coeffs,
+                                             coeffs + [0])]
+    return poly_trim(coeffs)
 
 
 def poly_derivative(c):

@@ -195,3 +195,21 @@ def pivot_rows_by_dicts(rows, p):
                 else:
                     v.pop(c, None)
     return kept
+
+
+def restrict_to_line(poly, u, w):
+    """Ascending coefficients in s of poly(u + s*w), trimmed, by expanding
+    every monomial of the MultiPoly ``poly`` over the linear forms
+    u_i + s*w_i in one variable."""
+    from symmetroid.polys import MultiPoly
+    forms = [MultiPoly(1, {(0,): ui, (1,): wi}) for ui, wi in zip(u, w)]
+    uni = MultiPoly.zero(1)
+    for e, c in poly.terms.items():
+        term = MultiPoly.constant(1, c)
+        for f, k in zip(forms, e):
+            term = term * f ** k
+        uni = uni + term
+    coeffs = [0] * (uni.total_degree() + 1)
+    for (d,), c in uni.terms.items():
+        coeffs[d] = c
+    return coeffs

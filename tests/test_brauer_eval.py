@@ -131,6 +131,30 @@ def test_real_search_interval_certificates(cor_pencil):
     assert (npos, nneg) in (((4, 0)), ((0, 4)), ((3, 0)), ((0, 3)))
 
 
+def test_real_search_outputs_pinned(cor_pencil, q3_pencil):
+    # the line scan's exact restrictions fix every certified interval
+    y = find_real_point_with_invariant(cor_pencil, 0, seed=1)
+    assert y.as_json() == {
+        "place": "inf", "kind": "real-algebraic", "rank": 4,
+        "ruling": "first",
+        "line": {"anchor": [-2, 1, 3, 3, 3], "direction": [-3, -1, -3, 0, 3]},
+        "interval": ["956/455", "2151/910"], "signature": [2, 2],
+        "minor_signs": [-1, 1, 1, 1]}
+    # certified only after an x-basis change of the minors
+    y = find_real_point_with_invariant(cor_pencil, 0, seed=386951326)
+    assert y.as_json() == {
+        "place": "inf", "kind": "real-algebraic", "rank": 4,
+        "ruling": "first",
+        "line": {"anchor": [-1, -1, 2, 1, -1], "direction": [1, -3, -3, 1, 2]},
+        "interval": ["265/2364", "265/1576"], "signature": [2, 2],
+        "minor_signs": [-1, -1, 1, 1],
+        "basis_change": [[1, -1, 0, 0, 0], [-1, 1, -1, -1, -1],
+                         [-2, 1, 0, -1, -1], [1, 0, 0, 1, 0],
+                         [4, -1, 0, 2, 2]]}
+    with pytest.raises(LookupError, match="20 lines"):
+        find_real_point_with_invariant(q3_pencil, HALF, line_budget=20)
+
+
 def test_padic_lift_precision(q3_pencil):
     # [Q0] of the q3 pencil: certifying minor 576 = 2^6 * 3^2 at p = 3
     pts = lift_to_y(q3_pencil, (1, 0, 0, 0, 0), 3, padic_precision=6)

@@ -1,5 +1,6 @@
 """Source hygiene: no module of the package imports a name it never uses,
-and no top-level function or class of the package goes unreferenced."""
+and no top-level function or class of the package, nor any method of its
+classes, goes unreferenced."""
 
 import ast
 from collections import Counter
@@ -63,10 +64,24 @@ def _references(node):
     return names
 
 
+def _definitions(tree):
+    """(qualified name, node) of the top-level functions and classes of a
+    module and of the methods of its classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield "%s.%s" % (node.name, sub.name), sub
+
+
 def _unreferenced_defs(modules, other_trees=()):
     """(module, name) of top-level defs and classes of ``modules`` (a dict
-    name -> tree) that no tree references outside their own definition.
-    Dunders and names in any module's __all__ are exempt."""
+    name -> tree), and of methods of those classes, that no tree
+    references outside their own definition.  Dunders and names in any
+    module's __all__ are exempt."""
     refs = Counter()
     exported = set()
     for tree in list(modules.values()) + list(other_trees):
@@ -75,16 +90,13 @@ def _unreferenced_defs(modules, other_trees=()):
         exported |= _exported(tree)
     found = []
     for mod, tree in sorted(modules.items()):
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                     ast.ClassDef)):
-                continue
+        for qualname, node in _definitions(tree):
             name = node.name
             if name.startswith("__") and name.endswith("__") \
                     or name in exported:
                 continue
             if refs[name] == _references(node)[name]:
-                found.append((mod, name))
+                found.append((mod, qualname))
     return found
 
 
@@ -94,19 +106,23 @@ def test_no_unreferenced_top_level_defs():
     tests = [ast.parse(path.read_text(), filename=str(path))
              for path in sorted(TESTS.glob("*.py"))]
     found = _unreferenced_defs(modules, tests)
-    assert not found, "unreferenced top-level definitions:\n" + "\n".join(
+    assert not found, "unreferenced definitions:\n" + "\n".join(
         "%s.%s" % item for item in found)
 
 
 def test_def_scan_ignores_self_reference():
     mod = ast.parse("def used():\n    return 1\n\n"
                     "def recursive(n):\n    return recursive(n - 1)\n\n"
-                    "class Kept:\n    pass\n\n"
+                    "class Kept:\n"
+                    "    def __init__(self):\n        self.go()\n\n"
+                    "    def go(self):\n        pass\n\n"
+                    "    def idle(self):\n        return self.idle()\n\n"
                     "def Public():\n    pass\n\n"
                     "__all__ = ['Public']\n\n"
                     "def __getattr__(name):\n    return used\n")
     other = ast.parse("from mod import Kept\n")
-    assert _unreferenced_defs({"mod": mod}, [other]) == [("mod", "recursive")]
+    assert _unreferenced_defs({"mod": mod}, [other]) == [
+        ("mod", "recursive"), ("mod", "Kept.idle")]
 
 
 def test_benchmark_trace_targets_resolve():

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from symmetroid.linalg import det_bareiss, mat_vec
+from oracles import restrict_to_line
+from symmetroid.linalg import det_bareiss, mat_vec, random_unimodular
 from symmetroid.pencil import (Pencil, alpha_symbol, parse_pencil_text,
                                rank_le2_minor_ideal, singular_locus_ideal,
                                universal_gram, x_point_from_singular_member)
@@ -60,7 +61,36 @@ def test_alpha_symbol_needs_basis_change():
     sym = alpha_symbol(P, seed=0)
     assert sym.basis_change is not None
     assert all(not m.is_zero() for m in sym.minors)
-    assert sym.witness_point is not None
+    assert sym.witness_point == (4034, 7977, 3598, 5728, 1921)
+    assert sym.witness_prime == 10007
+
+
+@pytest.mark.parametrize("name,point", [
+    ("thm_pencil", (9779, 6657, 6235, 3315, 3405)),
+    ("q3_pencil", (4627, 6846, 8435, 945, 9326)),
+    ("cor_pencil", (4560, 837, 5095, 9807, 7202))])
+def test_alpha_symbol_witness_points_pinned(name, point, request):
+    sym = alpha_symbol(request.getfixturevalue(name))
+    assert sym.basis_change is None
+    assert (sym.witness_point, sym.witness_prime) == (point, 10007)
+
+
+@pytest.mark.parametrize("name", ["thm_pencil", "q3_pencil", "cor_pencil"])
+def test_line_minors_match_substituted_minors(name, request):
+    # the Bareiss-value interpolation against expanding each minor
+    # polynomial over u + s*w, on small and F_p-sized lines, with and
+    # without an x-basis change
+    P = request.getfixturevalue(name)
+    rng = random.Random(name)
+    changes = [None] + [random_unimodular(5, rng, size=1) for _ in range(2)]
+    for T in changes:
+        minors = [P.leading_minor_poly(k, T) for k in range(1, 6)]
+        for lo, hi in ((-3, 3), (0, 10006)):
+            for _ in range(3):
+                u = [rng.randint(lo, hi) for _ in range(5)]
+                w = [rng.randint(lo, hi) for _ in range(5)]
+                assert P.line_minors(u, w, T) == \
+                    [restrict_to_line(m, u, w) for m in minors]
 
 
 def test_gram_schmidt_minor_identity(thm_pencil):
@@ -85,10 +115,7 @@ def test_gram_schmidt_minor_identity(thm_pencil):
 def test_cramer_kernel_vector_on_H(thm_pencil):
     # (B_{4,0}, -B_{4,1}, B_{4,2}, -B_{4,3}, B_{4,4}) is killed by B(t*)
     # at H-points over F_p
-    from symmetroid.brauer_eval import _restrict_to_line
-    from symmetroid.polys import poly_matrix_det
     p = 211
-    det = thm_pencil.det_poly()
     rng = random.Random(20)
     mat = thm_pencil.gram_matrix_poly()
     # 4x4 minors deleting row 4 and column j
@@ -100,7 +127,7 @@ def test_cramer_kernel_vector_on_H(thm_pencil):
     while found < 50:
         a = [rng.randrange(p) for _ in range(5)]
         b = [rng.randrange(p) for _ in range(5)]
-        coeffs = [c % p for c in _restrict_to_line(det, a, b)]
+        coeffs = [c % p for c in thm_pencil.line_minors(a, b)[4]]
         for s in range(p):
             val = 0
             for c in reversed(coeffs):

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from symmetroid.intervals import RatInterval
 from symmetroid.roots import (count_distinct_real_roots, isolate_real_roots,
-                              poly_eval, refine_root, squarefree_part,
-                              sturm_chain)
+                              poly_eval, poly_interpolate, poly_trim,
+                              refine_root, squarefree_part, sturm_chain)
 
 
 def test_isolation_spec_examples():
@@ -19,6 +19,19 @@ def test_isolation_spec_examples():
     assert len(one) == 1 and one[0].contains(0)
     with pytest.raises(ValueError):
         isolate_real_roots([])
+
+
+def test_interpolation_recovers_integer_polynomials():
+    rng = random.Random(8)
+    for deg in range(7):
+        for _ in range(20):
+            c = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(deg + 1)]
+            values = [poly_eval(c, s) for s in range(deg + 1)]
+            assert poly_interpolate(values) == poly_trim(c)
+    assert poly_interpolate([0, 0, 0]) == []
+    # s(s - 1)/2 is integer-valued without integer coefficients
+    with pytest.raises(ValueError):
+        poly_interpolate([0, 0, 1])
 
 
 def _sign_change_count_on_grid(c, lo, hi, steps=4000):
