@@ -21,13 +21,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
 
-from .intervals import RatInterval
 from .linalg import det_bareiss, primitive_vector, random_unimodular
 from .localfields import (INV_HALF, INV_ZERO, REAL, hilbert_symbol,
                           normalize_place, square_class)
 from .quadform import (COEFF_ORDER, QuadricForm, classify, has_smooth_point_qp,
                        has_smooth_point_real, ruling_disc)
-from .roots import isolate_real_roots, poly_eval, refine_root
+from .roots import (RatInterval, horner_sign, isolate_real_roots,
+                    refine_root, sturm_chain)
+
+# bisections of a root's isolating interval before certification gives up
+_REFINE_CAP = 80
 
 
 @dataclass
@@ -246,17 +249,17 @@ def _conic_invariant(P, t, v, alpha=None):
 # the real-point search
 
 
-def find_real_point_with_invariant(P, target, seed=0, line_budget=200,
-                                   refine_cap=80):
+def find_real_point_with_invariant(P, target, seed=0, line_budget=200):
     """A point of Y(R) with the requested invariant (0 or 1/2).
 
     Distinguished members of the pencil are tried first (exact rational
     points).  Then seeded rational lines in the parameter space are
     scanned: the restricted discriminant quintic has odd degree, so real
-    roots abound; each isolated root is certified by interval arithmetic
-    on the leading principal minors (nonvanishing pins both the rank and,
-    via Jacobi's sign rule, the signature).  Exhausting the budget raises
-    LookupError: a search failure is never a nonexistence claim.
+    roots abound; each isolated root is certified by interval-Horner
+    enclosures of the leading principal minors (nonvanishing pins both the
+    rank and, via Jacobi's sign rule, the signature).  Exhausting the
+    budget raises LookupError: a search failure is never a nonexistence
+    claim.
     """
     target = Fraction(target)
     if target not in (INV_ZERO, INV_HALF):
@@ -278,23 +281,21 @@ def find_real_point_with_invariant(P, target, seed=0, line_budget=200,
         w = [rng.randint(-3, 3) for _ in range(5)]
         if all(x == 0 for x in w) or all(x == 0 for x in u):
             continue
-        pt = _scan_line(P, u, w, target, rng, refine_cap)
+        pt = _scan_line(P, u, w, target, rng)
         if pt is not None:
             return pt
     raise LookupError("real-point search budget exhausted "
                       "(%d lines); not a nonexistence claim" % line_budget)
 
 
-def _scan_line(P, u, w, target, rng, refine_cap):
+def _scan_line(P, u, w, target, rng):
     coeffs = P.line_minors(u, w)[4]
     if not any(coeffs):
         return None
-    try:
-        roots = isolate_real_roots(coeffs)
-    except ValueError:
-        return None
+    roots = isolate_real_roots(coeffs)
+    chain = sturm_chain(coeffs)
     for iv in roots:
-        got = _certify_root(P, coeffs, u, w, iv, rng, refine_cap)
+        got = _certify_root(P, chain, u, w, iv, rng)
         if got is None:
             continue
         signature, interval, minor_signs, basis_change = got
@@ -312,38 +313,41 @@ def _scan_line(P, u, w, target, rng, refine_cap):
     return None
 
 
-def _certify_root(P, det_coeffs, u, w, interval, rng, refine_cap):
+def _certify_root(P, chain, u, w, interval, rng):
     """Certify rank 4 and the signature at the root of det on the line.
 
-    Returns (signature, refined_interval, minor_signs, basis_change) or
-    None when certification fails within the refinement budget (e.g. the
-    root is a rank-3 point, where every 4x4 minor vanishes).
+    ``chain`` is the Sturm chain of det on the line and ``interval``
+    isolates the root.  Returns (signature, refined_interval, minor_signs,
+    basis_change) or None when certification fails within the refinement
+    budget (e.g. the root is a rank-3 point, where every 4x4 minor
+    vanishes).
     """
+    # the bisection sequence depends on det and the root alone, so every
+    # basis-change attempt walks the same one, built as far as needed
+    ivs = [interval]
     for attempt in range(6):
         basis_change = None if attempt == 0 else \
             random_unimodular(5, rng, size=1)
         minor_coeffs = P.line_minors(u, w, basis_change)[:4]
-        iv = interval
-        signs = []
-        for cycle in range(refine_cap):
-            signs = [poly_eval(mc, iv).sign() for mc in minor_coeffs]
-            if all(s is not None for s in signs):
+        for k in range(_REFINE_CAP + 1):
+            if k == len(ivs):
+                ivs.append(refine_root(chain, ivs[-1]))
+            iv = ivs[k]
+            exact = iv.lo == iv.hi
+            # the bisection after the last enclosure in the budget counts
+            # only when it lands on the root exactly
+            if k == _REFINE_CAP and not exact:
                 break
-            iv = refine_root(det_coeffs, iv, rounds=1)
-            if iv.lo == iv.hi:
-                # rational root: evaluate minors exactly
-                vals = [poly_eval(mc, iv.lo) for mc in minor_coeffs]
-                signs = [None if v == 0 else (1 if v > 0 else -1)
-                         for v in vals]
+            # on a point interval (a rational root) the enclosure is exact
+            signs = tuple(horner_sign(mc, iv) for mc in minor_coeffs)
+            if None not in signs:
+                # Jacobi: number of negative eigenvalues of the rank-4
+                # part equals sign changes in 1, M1, M2, M3, M4
+                seq = (1,) + signs
+                nneg = sum(1 for a, b in zip(seq, seq[1:]) if a != b)
+                return (4 - nneg, nneg), iv, signs, basis_change
+            if exact:
                 break
-        if not all(s is not None for s in signs):
-            continue  # try a basis change
-        # Jacobi: number of negative eigenvalues of the rank-4 part equals
-        # sign changes in 1, M1, M2, M3, M4
-        seq = [1] + signs
-        nneg = sum(1 for a, b in zip(seq, seq[1:]) if a != b)
-        npos = 4 - nneg
-        return (npos, nneg), iv, tuple(signs), basis_change
     return None
 
 

@@ -121,18 +121,6 @@ class GF:
             return True
         return self.power(a, (self.q - 1) // 2) == 1
 
-    # -- vectorized ops (numpy int arrays of element codes) -------------
-
-    def vadd(self, A, B):
-        if self.r == 1:
-            return (A + B) % self.p
-        return self._add[A, B]
-
-    def vmul(self, A, B):
-        if self.r == 1:
-            return (A * B) % self.p
-        return self._mul[A, B]
-
 
 def _factor_prime_power(q):
     for p in (2, 3, 5, 7, 11, 13):

@@ -79,8 +79,6 @@ class SquareClass:
     def is_square(self):
         if self.place == REAL:
             return self.sign > 0
-        if self.place == 2:
-            return self.val_parity == 0 and self.unit_class == 1
         return self.val_parity == 0 and self.unit_class == 1
 
     def __eq__(self, other):

@@ -185,22 +185,13 @@ class MultiPoly:
             n >>= 1
         return result
 
-    def shift(self, expvec):
-        """Multiply by the monomial with exponent vector ``expvec``."""
-        e0 = tuple(expvec)
-        terms = {tuple(a + b for a, b in zip(e, e0)): c
-                 for e, c in self.terms.items()}
-        out = MultiPoly.__new__(MultiPoly)
-        out.nvars, out.mod, out.terms = self.nvars, self.mod, terms
-        return out
-
     # -- change of coefficients / variables ----------------------------
 
     def reduce_mod(self, p):
         return MultiPoly(self.nvars, self.terms, mod=p)
 
     def evaluate(self, values):
-        """Evaluate at a point; values may be ints, Fractions or intervals."""
+        """Evaluate at a point of ints or Fractions."""
         if len(values) != self.nvars:
             raise ValueError("wrong number of values")
         total = 0

@@ -68,11 +68,6 @@ class QuadricForm:
                 coeffs.append(B[i][j])
         return cls(coeffs)
 
-    def coeff(self, i, j):
-        if i > j:
-            i, j = j, i
-        return self.coeffs[_COEFF_INDEX[(i, j)]]
-
     def gram(self):
         B = [[0] * 5 for _ in range(5)]
         for (i, j), c in zip(COEFF_ORDER, self.coeffs):

@@ -3,7 +3,9 @@
 Polynomials are coefficient lists in ascending degree order with int or
 Fraction entries.  Sturm chains are computed over Q and renormalised to
 primitive integer polynomials at every step (positive scaling only, which
-preserves signs) to keep coefficients small.
+preserves signs) to keep coefficients small.  A chain is built once per
+polynomial and handed to every count and bisection; certified signs on an
+interval come from one interval-Horner enclosure.
 """
 
 from __future__ import annotations
@@ -11,8 +13,23 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .intervals import RatInterval
 from .linalg import primitive_vector
+
+
+class RatInterval:
+    """Closed interval [lo, hi] with Fraction endpoints, lo <= hi."""
+
+    __slots__ = ("lo", "hi")
+
+    def __init__(self, lo, hi):
+        lo, hi = Fraction(lo), Fraction(hi)
+        if lo > hi:
+            raise ValueError("interval endpoints out of order")
+        self.lo = lo
+        self.hi = hi
+
+    def __repr__(self):
+        return "RatInterval(%s, %s)" % (self.lo, self.hi)
 
 
 def poly_trim(c):
@@ -28,15 +45,30 @@ def poly_degree(c):
 
 
 def poly_eval(c, x):
-    """Horner evaluation; works for Fraction, int or RatInterval x.
-
-    The value has the type of ``0 * x`` even for the zero polynomial, so an
-    interval argument always gives an interval (there [0, 0], whose sign()
-    is None)."""
-    total = 0 * x
+    """Horner evaluation at an int or Fraction x."""
+    total = 0
     for a in reversed(poly_trim(c)):
         total = total * x + a
     return total
+
+
+def horner_sign(c, iv):
+    """Certified sign of c on the RatInterval iv: 1 or -1 when c has that
+    sign at every point of iv, None when the enclosure touches zero (always
+    so for the zero polynomial).
+
+    Horner's rule over intervals, outward-exact: each partial sum is
+    enclosed by [lo, hi], and [lo, hi] * iv is spanned by the four endpoint
+    products, which are exact rationals, so nothing is rounded."""
+    lo = hi = 0
+    for a in reversed(poly_trim(c)):
+        cands = (lo * iv.lo, lo * iv.hi, hi * iv.lo, hi * iv.hi)
+        lo, hi = min(cands) + a, max(cands) + a
+    if lo > 0:
+        return 1
+    if hi < 0:
+        return -1
+    return None
 
 
 def poly_interpolate(values):
@@ -130,13 +162,13 @@ def squarefree_part(f):
 
 
 def sturm_chain(f):
-    """Sturm sequence of a squarefree polynomial.
+    """Sturm sequence of the squarefree part of f, which is ``chain[0]``.
 
-    Every element is rescaled to a primitive integer polynomial by a
+    Every later element is rescaled to a primitive integer polynomial by a
     positive constant, which keeps coefficients small without touching the
     sign pattern Sturm's theorem depends on.
     """
-    chain = [poly_primitive(f, normalize_sign=False)]
+    chain = [squarefree_part(f)]
     d = poly_derivative(chain[0])
     if poly_trim(d):
         chain.append(poly_primitive(d, normalize_sign=False))
@@ -182,12 +214,10 @@ def isolate_real_roots(f):
     c = poly_trim(f)
     if not c:
         raise ValueError("zero polynomial has no isolated roots")
-    if len(c) == 1:
-        return []
-    sf = squarefree_part(c)
+    chain = sturm_chain(c)
+    sf = chain[0]
     if poly_degree(sf) < 1:
         return []
-    chain = sturm_chain(sf)
     B = root_bound(sf)
     total = count_roots_halfopen(chain, -B, B)
     out = []
@@ -196,31 +226,27 @@ def isolate_real_roots(f):
         if count == 0:
             return
         if count == 1:
-            out.append(_shrink_away_from_root(chain, sf, a, b))
+            out.append(_shrink_away_from_root(chain, a, b))
             return
         mid = (a + b) / 2
+        left = count_roots_halfopen(chain, a, mid)
         if poly_eval(sf, mid) == 0:
-            out_mid = RatInterval(mid, mid)
-            left = count_roots_halfopen(chain, a, mid)
             # mid itself is counted in (a, mid]
-            recurse_left_count = left - 1
-            right = count - left
-            recurse(a, mid, recurse_left_count) if recurse_left_count else None
-            out.append(out_mid)
-            recurse(mid, b, right)
+            recurse(a, mid, left - 1)
+            out.append(RatInterval(mid, mid))
         else:
-            left = count_roots_halfopen(chain, a, mid)
             recurse(a, mid, left)
-            recurse(mid, b, count - left)
+        recurse(mid, b, count - left)
 
     recurse(-B, B, total)
     out.sort(key=lambda iv: iv.lo)
     return out
 
 
-def _shrink_away_from_root(chain, sf, a, b):
-    """Interval (a, b] with one root; return closed interval with non-root
-    endpoints still containing exactly that root."""
+def _shrink_away_from_root(chain, a, b):
+    """Interval (a, b] with one root of chain[0]; return closed interval
+    with non-root endpoints still containing exactly that root."""
+    sf = chain[0]
     # b may be the root itself (rational); check
     if poly_eval(sf, b) == 0:
         return RatInterval(b, b)
@@ -239,34 +265,16 @@ def _shrink_away_from_root(chain, sf, a, b):
     return RatInterval(a, b)
 
 
-def refine_root(f, interval, max_width=None, rounds=1):
-    """Shrink an isolating interval by bisection, never losing the root."""
-    sf = squarefree_part(f)
-    chain = sturm_chain(sf)
+def refine_root(chain, interval):
+    """One bisection of an isolating interval of a root of chain[0], never
+    losing the root: the half holding it, or the point interval at the
+    midpoint when that is the root.  A point interval stays as it is."""
     lo, hi = interval.lo, interval.hi
     if lo == hi:
         return interval
-    done_rounds = 0
-    while True:
-        if max_width is not None and hi - lo <= max_width:
-            break
-        if max_width is None and done_rounds >= rounds:
-            break
-        mid = (lo + hi) / 2
-        if poly_eval(sf, mid) == 0:
-            return RatInterval(mid, mid)
-        if count_roots_halfopen(chain, lo, mid) == 1:
-            hi = mid
-        else:
-            lo = mid
-        done_rounds += 1
-    return RatInterval(lo, hi)
-
-
-def count_distinct_real_roots(f):
-    sf = squarefree_part(f)
-    if poly_degree(sf) < 1:
-        return 0
-    chain = sturm_chain(sf)
-    B = root_bound(sf)
-    return count_roots_halfopen(chain, -B, B)
+    mid = (lo + hi) / 2
+    if poly_eval(chain[0], mid) == 0:
+        return RatInterval(mid, mid)
+    if count_roots_halfopen(chain, lo, mid) == 1:
+        return RatInterval(lo, mid)
+    return RatInterval(mid, hi)

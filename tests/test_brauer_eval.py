@@ -155,6 +155,30 @@ def test_real_search_outputs_pinned(cor_pencil, q3_pencil):
         find_real_point_with_invariant(q3_pencil, HALF, line_budget=20)
 
 
+def test_real_search_builds_few_sturm_chains(q3_pencil, monkeypatch):
+    # one chain isolates the roots of det on a line and one serves every
+    # bisection of every root on it, across all basis-change attempts
+    from symmetroid import brauer_eval, roots
+
+    calls = {"chain": 0, "line": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    chain = counted("chain", roots.sturm_chain)
+    monkeypatch.setattr(roots, "sturm_chain", chain)
+    monkeypatch.setattr(brauer_eval, "sturm_chain", chain, raising=False)
+    monkeypatch.setattr(brauer_eval, "_scan_line",
+                        counted("line", brauer_eval._scan_line))
+    with pytest.raises(LookupError):
+        find_real_point_with_invariant(q3_pencil, HALF, line_budget=20)
+    assert calls["line"] > 0
+    assert calls["chain"] <= 2 * calls["line"]
+
+
 def test_padic_lift_precision(q3_pencil):
     # [Q0] of the q3 pencil: certifying minor 576 = 2^6 * 3^2 at p = 3
     pts = lift_to_y(q3_pencil, (1, 0, 0, 0, 0), 3, padic_precision=6)

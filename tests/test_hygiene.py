@@ -51,14 +51,17 @@ def test_scan_sees_unused_and_exported_names():
     assert _unused_imports(tree, _exported(tree)) == [(2, "gcd")]
 
 
-def _references(node):
-    """Names read, attribute names and imported names under an AST node."""
+def _references(node, attributes_only=False):
+    """Names read, attribute names and imported names under an AST node;
+    only the attribute names with ``attributes_only``."""
     names = Counter()
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            names[sub.id] += 1
-        elif isinstance(sub, ast.Attribute):
+        if isinstance(sub, ast.Attribute):
             names[sub.attr] += 1
+        elif attributes_only:
+            continue
+        elif isinstance(sub, ast.Name):
+            names[sub.id] += 1
         elif isinstance(sub, ast.ImportFrom):
             names.update(alias.name for alias in sub.names)
     return names
@@ -80,12 +83,15 @@ def _definitions(tree):
 def _unreferenced_defs(modules, other_trees=()):
     """(module, name) of top-level defs and classes of ``modules`` (a dict
     name -> tree), and of methods of those classes, that no tree
-    references outside their own definition.  Dunders and names in any
+    references outside their own definition.  A method counts as
+    referenced only through attribute access, so a local or a function
+    of the same name does not keep it alive.  Dunders and names in any
     module's __all__ are exempt."""
-    refs = Counter()
+    refs = {False: Counter(), True: Counter()}
     exported = set()
     for tree in list(modules.values()) + list(other_trees):
-        refs.update(_references(tree))
+        for attributes_only, counter in refs.items():
+            counter.update(_references(tree, attributes_only))
     for tree in modules.values():
         exported |= _exported(tree)
     found = []
@@ -95,7 +101,8 @@ def _unreferenced_defs(modules, other_trees=()):
             if name.startswith("__") and name.endswith("__") \
                     or name in exported:
                 continue
-            if refs[name] == _references(node)[name]:
+            method = "." in qualname
+            if refs[method][name] == _references(node, method)[name]:
                 found.append((mod, qualname))
     return found
 
@@ -117,12 +124,14 @@ def test_def_scan_ignores_self_reference():
                     "    def __init__(self):\n        self.go()\n\n"
                     "    def go(self):\n        pass\n\n"
                     "    def idle(self):\n        return self.idle()\n\n"
-                    "def Public():\n    pass\n\n"
+                    "    def shift(self):\n        pass\n\n"
+                    "def Public():\n    shift = 2\n    return shift\n\n"
                     "__all__ = ['Public']\n\n"
                     "def __getattr__(name):\n    return used\n")
-    other = ast.parse("from mod import Kept\n")
+    # a local named like a dead method does not reference the method
+    other = ast.parse("from mod import Kept\nshift = 1\nprint(shift)\n")
     assert _unreferenced_defs({"mod": mod}, [other]) == [
-        ("mod", "recursive"), ("mod", "Kept.idle")]
+        ("mod", "recursive"), ("mod", "Kept.idle"), ("mod", "Kept.shift")]
 
 
 def test_benchmark_trace_targets_resolve():

@@ -2,21 +2,26 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from symmetroid.intervals import RatInterval
-from symmetroid.roots import (count_distinct_real_roots, isolate_real_roots,
-                              poly_eval, poly_interpolate, poly_trim,
-                              refine_root, squarefree_part, sturm_chain)
+from symmetroid.roots import (RatInterval, count_roots_halfopen, horner_sign,
+                              isolate_real_roots, poly_eval, poly_interpolate,
+                              poly_trim, refine_root, root_bound,
+                              squarefree_part, sturm_chain)
+
+
+def _refine_to_width(chain, iv, width):
+    while iv.hi - iv.lo > width:
+        iv = refine_root(chain, iv)
+    return iv
 
 
 def test_isolation_spec_examples():
     two = isolate_real_roots([-2, 0, 1])           # x^2 - 2
     assert len(two) == 2
-    assert two[0].hi < 0 < two[1].lo or two[0].contains(-1)
+    assert two[0].hi < 0 < two[1].lo or two[0].lo <= -1 <= two[0].hi
     assert isolate_real_roots([1, 0, 1]) == []      # x^2 + 1
     one = isolate_real_roots([0, 0, 0, 0, 0, 1])    # x^5
-    assert len(one) == 1 and one[0].contains(0)
+    assert len(one) == 1 and one[0].lo <= 0 <= one[0].hi
     with pytest.raises(ValueError):
         isolate_real_roots([])
 
@@ -66,15 +71,17 @@ def test_isolation_count_matches_grid_oracle():
         if len(sf) < 2:
             continue
         ivs = isolate_real_roots(c)
+        chain = sturm_chain(c)
         # grid oracle over a bound enclosing all roots; a fine grid can
         # only undercount when two roots share a cell, so refine first
-        ivs_fine = [refine_root(c, iv, max_width=Fraction(1, 1000))
+        ivs_fine = [_refine_to_width(chain, iv, Fraction(1, 1000))
                     for iv in ivs]
         lo = min((iv.lo for iv in ivs_fine), default=Fraction(-1)) - 1
         hi = max((iv.hi for iv in ivs_fine), default=Fraction(1)) + 1
         grid = _sign_change_count_on_grid(sf, lo, hi)
         assert grid <= len(ivs)
-        assert count_distinct_real_roots(c) == len(ivs)
+        B = root_bound(sf)
+        assert count_roots_halfopen(chain, -B, B) == len(ivs)
         checked += 1
     assert checked > 60
 
@@ -86,71 +93,68 @@ def test_refinement_never_loses_root():
         c = [rng.randint(-8, 8) for _ in range(deg + 1)]
         if not any(c):
             continue
+        chain = sturm_chain(c)
+        assert chain[0] == squarefree_part(c)
         for iv in isolate_real_roots(c):
             r = iv
-            sf = squarefree_part(c)
-            chain = sturm_chain(sf)
-            from symmetroid.roots import count_roots_halfopen
             for _ in range(20):
-                r = refine_root(c, r, rounds=1)
+                r = refine_root(chain, r)
                 if r.lo == r.hi:
-                    assert poly_eval(sf, r.lo) == 0
+                    assert poly_eval(chain[0], r.lo) == 0
                     break
                 assert count_roots_halfopen(chain, r.lo, r.hi) == 1
 
 
 def test_refine_to_width():
     iv = isolate_real_roots([-2, 0, 1])[1]
-    r = refine_root([-2, 0, 1], iv, max_width=Fraction(1, 10**9))
-    assert r.width() <= Fraction(1, 10**9)
+    r = _refine_to_width(sturm_chain([-2, 0, 1]), iv, Fraction(1, 10**9))
+    assert r.hi - r.lo <= Fraction(1, 10**9)
     assert (r.lo * r.lo - 2) * (r.hi * r.hi - 2) <= 0
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10**6))
-def test_interval_arithmetic_soundness(seed):
-    rng = random.Random(seed)
-    lo1 = Fraction(rng.randint(-8, 8), rng.randint(1, 5))
-    w1 = Fraction(rng.randint(0, 6), rng.randint(1, 5))
-    lo2 = Fraction(rng.randint(-8, 8), rng.randint(1, 5))
-    w2 = Fraction(rng.randint(0, 6), rng.randint(1, 5))
-    A = RatInterval(lo1, lo1 + w1)
-    B = RatInterval(lo2, lo2 + w2)
-    ops = [("add", lambda x, y: x + y), ("sub", lambda x, y: x - y),
-           ("mul", lambda x, y: x * y)]
-    for _, op in ops:
-        out = op(A, B)
-        for _ in range(100):
-            a = A.lo + (A.hi - A.lo) * Fraction(rng.randint(0, 64), 64)
-            b = B.lo + (B.hi - B.lo) * Fraction(rng.randint(0, 64), 64)
-            assert out.contains(op(RatInterval(a), RatInterval(b)).lo)
-
-
-def test_interval_division_and_pow():
-    A = RatInterval(1, 2)
-    B = RatInterval(-3, -1)
-    assert (A / B).contains(Fraction(-1, 1))
-    with pytest.raises(ZeroDivisionError):
-        A / RatInterval(-1, 1)
-    sq = RatInterval(-2, 3) ** 2
-    assert sq.lo == 0 and sq.hi == 9
+def test_refine_stops_on_exact_dyadic_root():
+    # (4x - 1)^2 (x^2 - 2): the chain starts from the squarefree part, and
+    # the second bisection of [0, 1] lands on the root 1/4 exactly
+    f = [-2, 16, -31, -8, 16]
+    chain = sturm_chain(f)
+    assert chain[0] == squarefree_part(f) == [2, -8, -1, 4]
+    r = refine_root(chain, RatInterval(0, 1))
+    assert (r.lo, r.hi) == (0, Fraction(1, 2))
+    r = refine_root(chain, r)
+    assert r.lo == r.hi == Fraction(1, 4)
+    assert poly_eval(f, r.lo) == 0
+    again = refine_root(chain, r)
+    assert (again.lo, again.hi) == (r.lo, r.hi)
 
 
 def test_interval_polynomial_evaluation_sound():
     rng = random.Random(77)
-    for _ in range(40):
-        c = [rng.randint(-5, 5) for _ in range(5)]
-        box = RatInterval(Fraction(rng.randint(-4, 2)),
-                          Fraction(rng.randint(3, 8)))
-        total = RatInterval(0)
-        for coeff in reversed(c):
-            total = total * box + RatInterval(coeff)
-        got = poly_eval(c, box)
-        assert (got.lo, got.hi) == (total.lo, total.hi)
+    definite = 0
+    for _ in range(200):
+        c = [rng.randint(-5, 5) for _ in range(rng.randrange(1, 6))]
+        lo = Fraction(rng.randint(-8, 8), rng.randint(1, 4))
+        box = RatInterval(lo, lo + Fraction(rng.randint(0, 4),
+                                            rng.randint(1, 8)))
+        sign = horner_sign(c, box)
+        # the reference enclosure: interval Horner spelled out endpoint by
+        # endpoint, with the same outward-exact product rule
+        elo = ehi = Fraction(0)
+        for coeff in reversed(poly_trim(c)):
+            prods = [a * b for a in (elo, ehi) for b in (box.lo, box.hi)]
+            elo, ehi = min(prods) + coeff, max(prods) + coeff
+        assert sign == (1 if elo > 0 else -1 if ehi < 0 else None)
+        if sign is None:
+            continue
+        definite += 1
         for _ in range(25):
             x = box.lo + (box.hi - box.lo) * Fraction(rng.randint(0, 32), 32)
-            assert total.contains(poly_eval(c, x))
-    # a minor restricted to a line can vanish identically: its value on an
-    # interval must still be an interval, one with no certified sign
-    zero = poly_eval([0, 0, 0], RatInterval(-1, 2))
-    assert isinstance(zero, RatInterval) and zero.sign() is None
+            v = poly_eval(c, x)
+            assert elo <= v <= ehi and v * sign > 0
+    assert definite > 50
+    # a point interval gives the exact sign
+    assert horner_sign([-2, 0, 1], RatInterval(3, 3)) == 1
+    assert horner_sign([-4, 0, 1], RatInterval(2, 2)) is None
+    # a minor restricted to a line can vanish identically: it has no
+    # certified sign on any interval
+    assert horner_sign([0, 0, 0], RatInterval(-1, 2)) is None
+    assert horner_sign([], RatInterval(1, 1)) is None
