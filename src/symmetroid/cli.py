@@ -101,7 +101,9 @@ def build_parser():
     p = add("sp-scan", "scan S_p membership for primes up to a cutoff")
     p.add_argument("--prime", type=int, help="scan a single prime")
     p.add_argument("--cutoff", type=int,
-                   help="scan all primes <= cutoff")
+                   help="scan all primes <= cutoff; a cutoff past the "
+                   "largest prime the scans accept is refused before any "
+                   "prime is scanned")
 
     p = add("density-bound", "certified Euler-product lower bound",
             pencil=False)
@@ -304,13 +306,13 @@ def _dispatch(args):
         return EXIT_OK if ok else EXIT_INCONCLUSIVE
 
     if name == "sp-scan":
-        from .density import _check_f32_window, primes_below, sp_member
+        from .density import _check_prime, primes_below, sp_member
         if args.prime:
             ps = [args.prime]
         elif args.cutoff:
             ps = primes_below(args.cutoff + 1)
             if ps:
-                _check_f32_window(ps[-1])
+                _check_prime(ps[-1])
         else:
             raise ValueError("sp-scan needs --prime or --cutoff")
         result = {}

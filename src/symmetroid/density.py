@@ -8,6 +8,14 @@ sampling random integral frames.
 
 All bound arithmetic is exact rational; numpy enters only for finite-field
 scans where every intermediate value is a small integer held exactly.
+For odd p the S_p scan never tabulates P^4(F_p): a member without a
+smooth point has Gram rank <= 2, and those members are read off the
+kernels of p^2 + p + 1 small matrices, one per point of a fixed plane
+(see "finite-field scans" below), so a frame costs O(p^2) and primes up
+to _MAX_PRIME = 1000 are scanned.  The Monte Carlo harness runs that scan
+prime by prime on every frame still alive, in batches.  Only p = 2 and
+the census (p = 2, 3) evaluate quadrics at every point of P^4(F_p), with
+a float32 GEMM.
 """
 
 from __future__ import annotations
@@ -16,12 +24,12 @@ import os
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
-from .linalg import fp_rank, is_prime
-from .quadform import (_COEFF_INDEX, COEFF_ORDER, QuadricForm,
-                       has_smooth_point_fq)
+from .linalg import _echelon_mod_p, fp_rank, is_prime
+from .quadform import COEFF_ORDER, QuadricForm, has_smooth_point_fq
 from .roots import poly_eval
 
 
@@ -176,132 +184,283 @@ def product_lower_bound(M):
 
 
 # ---------------------------------------------------------------------------
-# finite-field scan helpers (vectorized)
+# finite-field scans
+#
+# A member t of the pencil is the quadric sum t_i Q_i, with Gram matrix
+# (Hessian) B(t) = sum t_i B_i.  Over odd p a member without a smooth
+# F_p-point has rank <= 2, so its kernel has dimension >= 3 and meets the
+# plane W = <e0, e1, e2>: B(t) x = 0 for some x in P(W)(F_p).  Since
+# B(t) x = M(x) t with M(x) = [B_0 x | ... | B_4 x], every such t lies in
+# the kernel of one of the p^2 + p + 1 matrices M(x), and the S_p scan
+# looks for members there instead of over all of P^4(F_p).
+#
+# Residues are int64, and minors of residue matrices are formed without
+# reduction: a 5 x 5 one stays below 5! (p - 1)^5 in size, and a plane
+# matrix entry below 3 (p - 1)^2, so everything is exact while
+# 120 (p - 1)^5 < 2^63, that is for p <= 2381.  The scans stop lower, at
+# _MAX_PRIME, a desk-scale cap: one frame costs p^2 + p + 1 plane
+# matrices, about a million at the cap and a second of work.
+
+_MAX_PRIME = 1000
+_PAIRS = 1 << 15          # (frame, plane point) pairs per batch of M(x)
+_BLOCK = 4096             # Monte Carlo frames drawn at once
 
 
-_REPS_CACHE = {}
+def _check_prime(p):
+    if p > _MAX_PRIME:
+        raise ValueError("p = %d is above %d, the largest prime the S_p "
+                         "scans accept" % (p, _MAX_PRIME))
 
 
-def _projective_reps_matrix(p):
-    """All points of P^4(F_p) as float32 rows, first nonzero coordinate 1.
-    Entries are below p, so float32 holds them exactly.  The table is
-    stored column by column, the layout in which a matvec against it is
-    fastest."""
-    if p not in _REPS_CACHE:
-        blocks = []
-        for lead in range(5):
-            free = 4 - lead
-            count = p ** free
-            block = np.zeros((5, count), dtype=np.float32)
-            block[lead] = 1
-            r = np.arange(count)
-            for k in range(free):
-                block[lead + 1 + k] = r % p
-                r = r // p
-            blocks.append(block)
-        _REPS_CACHE[p] = np.concatenate(blocks, axis=1).T
-    return _REPS_CACHE[p]
+def _block_starts(p, n):
+    """Table positions where the points of P^(n-1)(F_p) with first nonzero
+    coordinate 0, 1, ..., n - 1 begin, followed by their number."""
+    return np.cumsum([0] + [p ** (n - 1 - lead) for lead in range(n)])
 
 
-def _point_eval_matrices(p):
-    """Evaluation table over F_p for quadrics given by 15 coefficients.
+def _projective_points(p, n=5, start=0, stop=None):
+    """The points of P^(n-1)(F_p) at positions start..stop of the table
+    order (all of them by default), as int64 rows whose first nonzero
+    coordinate is 1.  Table order: by the position of that 1, then by the
+    coordinates after it read as base-p digits, the first one lowest."""
+    starts = _block_starts(p, n)
+    idx = np.arange(start, starts[-1] if stop is None else stop)
+    lead = np.searchsorted(starts, idx, side="right")[:, None] - 1
+    digit = np.arange(n) - lead - 1         # coordinate c is digit c-lead-1
+    r = (idx - starts[lead[:, 0]])[:, None]
+    return np.where(digit >= 0, r // p ** np.maximum(digit, 0) % p,
+                    digit == -1)
 
-    Returns (points, W) where W is a (15, 6*npts) int8 matrix: C @ W gives,
-    per point, the quadric value followed by the five partials.  Entries
-    stay below p, so int8/int16 accumulation over 15 terms is exact."""
-    pts = _projective_reps_matrix(p)
-    npts = pts.shape[0]
-    W = np.zeros((15, 6 * npts), dtype=np.int8)
+
+def _table_index(t, p):
+    """Positions in the table order of P^4(F_p) of the rows of t, each
+    with first nonzero coordinate 1."""
+    lead = np.argmax(t != 0, axis=1)
+    digit = np.arange(5) - lead[:, None] - 1
+    weight = np.where(digit >= 0, p ** np.maximum(digit, 0), 0)
+    return _block_starts(p, 5)[lead] + (t * weight).sum(axis=1)
+
+
+def _normalize(t, p):
+    """The rows of t (nonzero residues) scaled to first nonzero entry 1."""
+    first = t[np.arange(len(t)), np.argmax(t != 0, axis=1)]
+    vals, pos = np.unique(first, return_inverse=True)
+    inv = np.array([pow(int(v), -1, p) for v in vals], dtype=np.int64)
+    return t * inv[pos.reshape(-1)][:, None] % p
+
+
+def _minors(M, rows):
+    """Minors of a batch of integer matrices on the given rows, for every
+    set of as many columns: {columns: array}.  ``M[r, c]`` is the array of
+    the (r, c) entries.  Laplace expansion along the first row, built up
+    from the last row; nothing is reduced, so for entries in [0, p) a
+    k x k minor stays below k! (p - 1)^k in size."""
+    out = {(): 1}
+    for k, r in enumerate(reversed(rows), 1):
+        prev, out = out, {}
+        for cols in combinations(range(M.shape[1]), k):
+            acc = 0
+            for pos, c in enumerate(cols):
+                term = M[r, c] * prev[cols[:pos] + cols[pos + 1:]]
+                acc = acc - term if pos % 2 else acc + term
+            out[cols] = acc
+    return out
+
+
+def _gram_stack(A, p):
+    """Gram matrices mod p of the generators: G[..., i, :, :] is B_i of
+    the frame A[...] (rows of 15 coefficients)."""
+    G = np.empty(A.shape[:-1] + (5, 5), dtype=np.int64)
     for m, (i, j) in enumerate(COEFF_ORDER):
-        W[m, 0::6] = pts[:, i] * pts[:, j] % p
-        for k in range(5):
-            if i == j:
-                if k == i and p != 2:
-                    W[m, k + 1::6] = 2 * pts[:, i] % p
-                # char 2: the square terms drop out of every partial
-            else:
-                if k == i:
-                    W[m, k + 1::6] = pts[:, j] % p
-                elif k == j:
-                    W[m, k + 1::6] = pts[:, i] % p
-    return pts, W
+        G[..., i, j] = G[..., j, i] = A[..., m] * (2 if i == j else 1) % p
+    return G
+
+
+def _kernel_mod_p(M, p):
+    """A basis (rows) of the right kernel of the residue matrix M."""
+    R = M.astype(np.int64)
+    pivots, _ = _echelon_mod_p(R, p, reduced=True)
+    free = [c for c in range(M.shape[1]) if c not in pivots]
+    K = np.zeros((len(free), M.shape[1]), dtype=np.int64)
+    for k, c in enumerate(free):
+        K[k, c] = 1
+        K[k, pivots] = -R[:len(pivots), c] % p
+    return K
+
+
+def _adjugate_column(minors, r):
+    """Column r of the adjugate of a batch of 5x5 matrices, from their 4x4
+    minors on the rows other than r."""
+    return np.stack([(-1) ** (r + j) * minors[tuple(c for c in range(5)
+                                                   if c != j)]
+                     for j in range(5)])
+
+
+def _rank_le2(B, p):
+    """Mask of the matrices of the batch B (``B[r, c]`` the array of (r, c)
+    entries, residues) of rank <= 2 mod p: every 3x3 minor vanishes."""
+    keep = np.ones(B.shape[2], dtype=bool)
+    for rows in combinations(range(5), 3):
+        for m in _minors(B, rows).values():
+            keep &= m % p == 0
+    return keep
+
+
+def _rank_le2_members(A, p):
+    """Members of Gram rank <= 2 mod p (odd p) of the frames A (frames x
+    5 x 15 residues): (frames, t), sorted by frame and then by table
+    order, t with first nonzero coordinate 1.
+
+    M(x) is formed for a batch of (frame, point) pairs at a time, and its
+    determinant from the cofactors along row 0.  When rank M(x) = 4 every
+    nonzero column of its adjugate spans the kernel, and the first one is
+    taken.  When rank M(x) <= 3 the adjugate vanishes; those M(x) get an
+    echelon form, and each distinct kernel, of dimension k, is enumerated:
+    (p^k - 1)/(p - 1) candidates.  Random frames rarely need this; k = 5
+    means that every generator is singular at x, and then the scan costs
+    p^4.  A candidate t is kept when B(t) has rank <= 2; candidates are
+    tested a batch at a time."""
+    G = _gram_stack(A, p)
+    n = p * p + p + 1
+    hits, pending, seen = [], [], set()
+    held = 0
+
+    def hold(f, t):
+        nonlocal held
+        pending.append((f, t))
+        held += len(t)
+        if held >= _PAIRS:
+            check()
+
+    def check():
+        nonlocal held
+        f = np.concatenate([f for f, _ in pending])
+        t = np.concatenate([t for _, t in pending])
+        pending.clear()
+        held = 0
+        keep = _rank_le2(np.einsum("ci,cirs->rsc", t, G[f]) % p, p)
+        hits.append((f[keep], t[keep]))
+
+    step = max(1, _PAIRS // n)
+    for f0 in range(0, len(G), step):
+        Gc = G[f0:f0 + step, :, :, :3].transpose(2, 1, 0, 3)  # r, i, f, c
+        for x0 in range(0, n, _PAIRS):
+            X = _projective_points(p, 3, x0, min(n, x0 + _PAIRS))
+            M = (Gc @ X.T % p).reshape(5, 5, -1)   # M[r, i, (f, x)]
+            K = _adjugate_column(_minors(M, (1, 2, 3, 4)), 0)
+            sing = np.flatnonzero((M[0] * K).sum(axis=0) % p == 0)
+            K, M = K[:, sing] % p, M[:, :, sing]
+            for r in range(1, 5):
+                # where adjugate columns 0..r-1 vanish, try column r
+                todo = np.flatnonzero(~K.any(axis=0))
+                if not todo.size:
+                    break
+                rows = tuple(i for i in range(5) if i != r)
+                K[:, todo] = _adjugate_column(
+                    _minors(M[:, :, todo], rows), r) % p
+            f = f0 + sing // len(X)
+            found = K.any(axis=0)
+            hold(f[found], _normalize(K[:, found].T, p))
+            for fr, Mx in zip(f[~found], M[:, :, ~found].transpose(2, 0, 1)):
+                basis = _kernel_mod_p(Mx, p)
+                if (fr, basis.tobytes()) in seen:
+                    continue
+                seen.add((fr, basis.tobytes()))
+                total = _block_starts(p, len(basis))[-1]
+                for s in range(0, total, _PAIRS):
+                    c = _projective_points(p, len(basis), s,
+                                           min(total, s + _PAIRS))
+                    hold(np.full(len(c), fr), _normalize(c @ basis % p, p))
+    if pending:
+        check()
+    f = np.concatenate([f for f, _ in hits])
+    t = np.concatenate([t for _, t in hits])
+    order = np.unique(np.stack([f, _table_index(t, p)], axis=1), axis=0,
+                      return_index=True)[1]
+    return f[order], t[order]
+
+
+def _bad_members(A, p):
+    """For each full-rank frame of A (frames x 5 x 15 residues mod p) the
+    first member in table order with no smooth F_p-point, as a tuple, or
+    None.  Odd p: the rank <= 2 members get the exact split/non-split
+    classification.  p = 2: direct evaluation over P^4(F_2)."""
+    out = [None] * len(A)
+    if not out:
+        return out
+    if p == 2:
+        T = _projective_points(2)
+        bad = _no_smooth_point_mask((T @ A % 2).reshape(-1, 15), 2)
+        bad = bad.reshape(len(A), len(T))
+        for f in np.flatnonzero(bad.any(axis=1)):
+            out[f] = tuple(T[np.argmax(bad[f])].tolist())
+        return out
+    for f, t in zip(*_rank_le2_members(A, p)):
+        if out[f] is None and not has_smooth_point_fq(
+                QuadricForm(t @ A[f] % p), p):
+            out[f] = tuple(t.tolist())
+    return out
+
+
+def _full_rank(A, p):
+    """Mask of the frames of A (residues mod p) whose five rows are
+    independent.  A nonzero 5x5 minor on one of three column blocks proves
+    it; fp_rank decides the frames where all three vanish."""
+    M = A.transpose(1, 2, 0)
+    full = np.zeros(len(A), dtype=bool)
+    for c in (0, 5, 10):
+        todo = np.flatnonzero(~full)
+        det = _minors(M[:, c:c + 5, todo], range(5))[tuple(range(5))]
+        full[todo[det % p != 0]] = True
+    for f in np.flatnonzero(~full):
+        full[f] = fp_rank(A[f], p) == 5
+    return full
 
 
 _EVAL_CACHE = {}
 
 
 def _cached_eval(p):
+    """Evaluation table over F_p for quadrics given by 15 coefficients:
+    a (15, 6 * #P^4(F_p)) float32 matrix W such that C @ W gives, per
+    point, the quadric value followed by the five partials."""
     if p not in _EVAL_CACHE:
-        _EVAL_CACHE[p] = _point_eval_matrices(p)
+        pts = _projective_points(p)
+        W = np.zeros((15, len(pts), 6), dtype=np.float32)
+        for m, (i, j) in enumerate(COEFF_ORDER):
+            W[m, :, 0] = pts[:, i] * pts[:, j] % p
+            if i != j:
+                W[m, :, i + 1] = pts[:, j]
+                W[m, :, j + 1] = pts[:, i]
+            elif p != 2:
+                W[m, :, i + 1] = 2 * pts[:, i] % p
+            # char 2: the square terms drop out of every partial
+        _EVAL_CACHE[p] = W.reshape(15, -1)
     return _EVAL_CACHE[p]
 
 
 def _no_smooth_point_mask(C, p):
-    """Boolean mask over quadric coefficient rows C: True when the quadric
-    has no smooth F_p-point.  Direct evaluation over all points of P^4."""
-    pts, W = _cached_eval(p)
-    npts = pts.shape[0]
-    # int16 accumulators: products < p^2 <= 4, summed over 15 monomials
-    vg = (C.astype(np.int16) @ W.astype(np.int16)) % p
-    vg = vg.reshape(C.shape[0], npts, 6)
-    smooth = (vg[:, :, 0] == 0) & (vg[:, :, 1:] != 0).any(axis=2)
-    return ~smooth.any(axis=1)
-
-
-# Largest prime the S_p scan accepts.  The rank <= 2 screen computes each
-# Gram entry of B(t) as a float32 matvec of five products below p^2, exact
-# while 5(p-1)^2 < 2^24.  Each 3x3 minor is three int32 terms a*(b*c - d*e)
-# of entries in [0, p), so its size stays below 3(p-1)^3, exact while
-# 3(p-1)^3 < 2^31.  Both hold up to p = 887; the cap is lower because the
-# point table of P^4(F_p) takes 20 p^4 bytes, already about 18 GB at 173.
-_F32_MAX_PRIME = 173
-
-
-def _check_f32_window(p):
-    if p > _F32_MAX_PRIME:
-        raise ValueError("p = %d is above %d, the largest prime the float32 "
-                         "scans accept" % (p, _F32_MAX_PRIME))
-
-
-_TRIPLES = [(a, b, c) for a in range(5) for b in range(a + 1, 5)
-            for c in range(b + 1, 5)]
-
-
-def _rank_le2_indices(A, p):
-    """Indices of member quadrics whose Gram matrix mod p has rank <= 2
-    (odd p): the points of P^4(F_p) where every 3x3 minor of B(t)
-    vanishes.
-
-    The 55 minors are evaluated in turn on the members still alive.  A
-    Gram entry is computed when a minor first needs it, as a float32
-    matvec of the alive points against the generators' column reduced
-    through int32, and is filtered with the alive points after each
-    minor.  Exact for p <= _F32_MAX_PRIME."""
-    T = _projective_reps_matrix(p)
-    idx = np.arange(T.shape[0])
-    gram = {}
-
-    def B(i, j):
-        key = (i, j) if i <= j else (j, i)
-        if key not in gram:
-            col = A[:, _COEFF_INDEX[key]] * (2 if i == j else 1) % p
-            gram[key] = (T @ col.astype(np.float32)).astype(np.int32) % p
-        return gram[key]
-
-    for a, b, c in _TRIPLES:
-        for d, e, f in _TRIPLES:
-            if (d, e, f) < (a, b, c):
-                continue
-            m = (B(a, d) * (B(b, e) * B(c, f) - B(b, f) * B(c, e))
-                 - B(a, e) * (B(b, d) * B(c, f) - B(b, f) * B(c, d))
-                 + B(a, f) * (B(b, d) * B(c, e) - B(b, e) * B(c, d)))
-            # fmod: divisibility ignores the sign, and it is cheaper than %
-            keep = np.flatnonzero(np.fmod(m, p) == 0)
-            idx, T = idx[keep], T[keep]
-            gram = {key: v[keep] for key, v in gram.items()}
-            if not idx.size:
-                return idx
-    return idx
+    """Boolean mask over quadric coefficient rows C (residues): True when
+    the quadric has no smooth F_p-point.  Direct evaluation over all
+    points of P^4 with a float32 GEMM, exact while every sum of 15
+    products below p^2 is an integer float32 holds; the sums are reduced
+    through an int32 cast, about 2^22 of them at a time.  Most quadrics
+    show a smooth point among the first 16 points, so the other points
+    are tried only on the rows left."""
+    if 15 * (p - 1) ** 2 >= 1 << 24:
+        raise ValueError("p = %d is past the float32 evaluation window" % p)
+    W = _cached_eval(p)
+    bad = np.ones(len(C), dtype=bool)
+    for Wc in (W[:, :6 * 16], W[:, 6 * 16:]):
+        rows = np.flatnonzero(bad)
+        step = max(1, (1 << 22) // Wc.shape[1])
+        for s in range(0, len(rows), step):
+            r = rows[s:s + step]
+            v = C[r].astype(np.float32) @ Wc
+            zero = (v.astype(np.int32) % p == 0).reshape(len(r), -1, 6)
+            smooth = zero[:, :, 0] & ~zero[:, :, 1:].all(axis=2)
+            bad[r[smooth.any(axis=1)]] = False
+    return bad
 
 
 @dataclass
@@ -321,23 +480,25 @@ def sp_member(P, p, coeff_rows=None):
     """Is the pencil's reduction mod p in S_p?
 
     S_p holds the planes containing a member quadric with no smooth
-    F_p-point.  All (p^5-1)/(p-1) members are scanned.  A frame whose five
-    generators become dependent mod p is reported as degenerate and, per
-    the frame-space convention, counted outside S_p."""
+    F_p-point; the witness is the first such member in table order.  A
+    frame whose five generators become dependent mod p is reported as
+    degenerate and, per the frame-space convention, counted outside S_p."""
     if not is_prime(p):
         raise ValueError("p must be prime")
-    _check_f32_window(p)
+    _check_prime(p)
     if coeff_rows is None:
         coeff_rows = np.array([Q.coeffs for Q in P.quadrics], dtype=np.int64)
     A = np.mod(coeff_rows, p)
     if fp_rank(A, p) < 5:
         return SpScanResult(member=False, degenerate_frame=True)
-    idx = _sp_member_rows(A, p)
-    if idx is None:
-        return SpScanResult(member=False)
-    T = _projective_reps_matrix(p)
-    return SpScanResult(member=True,
-                        witness=tuple(int(x) for x in T[idx]))
+    witness = _sp_member_rows(A, p)
+    return SpScanResult(member=witness is not None, witness=witness)
+
+
+def _sp_member_rows(A, p):
+    """S_p scan of one full-rank frame A (5 x 15 residues mod p): the
+    first member with no smooth F_p-point, or None."""
+    return _bad_members(A[None], p)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -430,31 +591,34 @@ def monte_carlo_density(height, cutoff, samples, seed=0):
 
     b(p) only bounds the per-prime failure rate from above, so the
     estimate is compared one-sidedly against prod (1 - b(p)) by the
-    caller.  Fixed seeds give bit-identical reports."""
+    caller.  Fixed seeds give bit-identical reports.  Frames are drawn
+    _BLOCK at a time, the same stream as one draw per frame, and each
+    prime is scanned on all frames still alive at once; a frame leaves at
+    its first failing prime."""
     if height < 2 and samples:
         raise ValueError("height must be at least 2")
     ps = primes_below(cutoff + 1)
     if ps:
-        _check_f32_window(ps[-1])
+        _check_prime(ps[-1])
     reference = Fraction(1)
     for p in ps:
         reference *= 1 - b_of_p(p)
     rng = np.random.default_rng(seed)
     passes = 0
     per_prime = {p: 0 for p in ps}
-    for _ in range(samples):
-        F = rng.integers(-height, height + 1, size=(5, 15))
-        ok = True
+    # one draw of a block gives the frames one draw per frame would give
+    for start in range(0, samples, _BLOCK):
+        F = rng.integers(-height, height + 1,
+                         size=(min(_BLOCK, samples - start), 5, 15))
         for p in ps:
             A = np.mod(F, p)
-            if fp_rank(A, p) < 5:
-                continue  # degenerate frame: outside pi^-1(S_p)
-            if _sp_member_rows(A, p) is not None:
-                per_prime[p] += 1
-                ok = False
-                break
-        if ok:
-            passes += 1
+            # a degenerate frame is outside pi^-1(S_p) and stays alive
+            full = np.flatnonzero(_full_rank(A, p))
+            bad = np.array([w is not None for w in _bad_members(A[full], p)],
+                           dtype=bool)
+            per_prime[p] += int(bad.sum())
+            F = np.delete(F, full[bad], axis=0)
+        passes += len(F)
     estimate = Fraction(passes, samples) if samples else None
     std = None
     ci = None
@@ -467,28 +631,6 @@ def monte_carlo_density(height, cutoff, samples, seed=0):
                             std_radius=std, ci95_radius=ci,
                             reference_product=reference,
                             per_prime_failures=per_prime)
-
-
-def _sp_member_rows(A, p):
-    """S_p scan core for a coefficient matrix reduced mod p with full rank.
-
-    Returns the index of a bad member (no smooth F_p-point), or None.
-    Odd p: the rank <= 2 screen leaves a handful of candidates that get
-    the exact split/nonsplit classification.  p = 2: direct evaluation."""
-    T = _projective_reps_matrix(p)
-    if p == 2:
-        C = np.mod(T @ A, 2)
-        bad = _no_smooth_point_mask(C, 2)
-        hits = np.nonzero(bad)[0]
-        return int(hits[0]) if hits.size else None
-    for i in _rank_le2_indices(A, p):
-        coeffs = [int(x) % p for x in (T[int(i)] @ A)]
-        Q = QuadricForm(coeffs)
-        if Q.is_zero():
-            continue  # cannot happen for nondegenerate frames
-        if not has_smooth_point_fq(Q, p):
-            return int(i)
-    return None
 
 
 def default_workers():

@@ -89,15 +89,15 @@ def test_sp_scan_subcommand(tmp_path):
 
 def test_sp_scan_refuses_cutoff_past_window_before_scanning(tmp_path,
                                                            monkeypatch):
-    # 179 is past the float32 window; not one prime below it is scanned
+    # 1009 is past the scans' cap; not one prime below it is scanned
     from symmetroid import density
     scanned = []
     monkeypatch.setattr(density, "sp_member",
                         lambda P, p: scanned.append(p))
-    code, rep = run_cli(["sp-scan", "thm_example", "--cutoff", "179"],
+    code, rep = run_cli(["sp-scan", "thm_example", "--cutoff", "1009"],
                         tmp_path)
     assert code == EXIT_ERROR and rep["status"] == "error"
-    assert "float32" in rep["result"] and scanned == []
+    assert "largest prime" in rep["result"] and scanned == []
 
 
 def test_density_and_census_subcommands(tmp_path):

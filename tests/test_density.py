@@ -102,43 +102,137 @@ def test_sp_member_degenerate_frame():
     assert res.degenerate_frame and not res.member
 
 
-def test_float32_window_refused_before_allocation(thm_pencil):
-    # 179 is the first prime past the exact float32 window; the scan
-    # matrices there would take tens of GB, so the refusal must come first
+def test_prime_window_refused_before_allocation(thm_pencil, monkeypatch):
+    # 1009 is the first prime past the scans' desk-scale cap; the refusal
+    # must come before any point table or Gram stack is built
     from symmetroid import density
-    with pytest.raises(ValueError, match="float32"):
-        sp_member(thm_pencil, 179)
-    with pytest.raises(ValueError, match="float32"):
-        monte_carlo_density(10, 179, 1, seed=0)
-    assert 179 not in density._REPS_CACHE
+
+    def allocates(*args, **kwargs):
+        raise AssertionError("allocated before refusing")
+
+    monkeypatch.setattr(density, "_projective_points", allocates)
+    monkeypatch.setattr(density, "_gram_stack", allocates)
+    assert density._MAX_PRIME < 1009
+    with pytest.raises(ValueError, match="largest prime"):
+        sp_member(thm_pencil, 1009)
+    with pytest.raises(ValueError, match="largest prime"):
+        monte_carlo_density(10, 1009, 1, seed=0)
+
+
+def _plane_kernel_dims(P, p):
+    """dim ker M(x) mod p for every x in P(<e0, e1, e2>)(F_p), by brute
+    force on the pencil's Gram matrices."""
+    from symmetroid.density import _kernel_mod_p, _projective_points
+    dims = []
+    for x in _projective_points(p, 3).tolist():
+        M = [[sum(B[r][c] * x[c] for c in range(3)) % p for B in P.grams]
+             for r in range(5)]
+        dims.append(len(_kernel_mod_p(np.array(M), p)))
+    return dims
 
 
 def test_rank_le2_screen_matches_fp_rank():
     # every member whose Gram matrix has F_p-rank <= 2, found one member at
-    # a time, is exactly what the minor screen returns
-    from symmetroid.density import _projective_reps_matrix, _rank_le2_indices
+    # a time, is exactly what the plane-kernel finder returns, in table order
+    from symmetroid.density import (_projective_points, _rank_le2_members,
+                                    _table_index)
     from symmetroid.linalg import fp_rank
     rng = np.random.default_rng(11)
-    frames = [rng.integers(-10, 11, size=(5, 15)) for _ in range(4)]
+    frames = [rng.integers(-10, 11, size=(5, 15)) for _ in range(6)]
     # first generators: x0^2 (a double plane), x0^2 - 3 x1^2 (rank 2) and
     # x0^2 + x1^2 + x2^2 (rank 3, every non-principal minor zero)
-    for F, e0 in zip(frames[1:], ({0: 1}, {0: 1, 5: -3},
-                                  {0: 1, 5: 1, 9: 1})):
+    for F, e0 in zip(frames[1:4], ({0: 1}, {0: 1, 5: -3},
+                                   {0: 1, 5: 1, 9: 1})):
         F[0] = 0
         F[0, list(e0)] = list(e0.values())
+    # all three at once: M(e1) and M(e2) have kernels of dimension >= 2
+    frames[4][:3] = 0
+    frames[4][0, 0] = frames[4][1, 0] = frames[4][2, [0, 5, 9]] = 1
+    frames[4][1, 5] = -3
+    # no generator involves x0: e0 is singular on every member, M(e0) = 0
+    frames[5][:, :5] = 0
     cases = [(F, p) for p in (3, 5, 7) for F in frames]
     cases += [(frames[1], 11), (frames[2], 13)]
     for F, p in cases:
         P = Pencil([QuadricForm(row) for row in F.tolist()])
-        points = _projective_reps_matrix(p).astype(int).tolist()
+        points = _projective_points(p).tolist()
         brute = [n for n, t in enumerate(points)
                  if fp_rank(P.gram_at(t), p) <= 2]
-        assert _rank_le2_indices(np.mod(F, p), p).tolist() == brute, p
+        frame_ids, t = _rank_le2_members(np.mod(F, p)[None], p)
+        assert _table_index(t, p).tolist() == brute, p
+        assert set(frame_ids.tolist()) <= {0}
+        assert t.tolist() == [points[n] for n in brute]
         # e_0 = (1, 0, 0, 0, 0) is row 0
         if F is frames[1] or F is frames[2]:
             assert brute[0] == 0
         elif F is frames[3]:
             assert 0 not in brute
+        if F is frames[4]:
+            dims = _plane_kernel_dims(P, p)
+            assert max(dims) >= 2 and len(brute) >= p + 1
+        elif F is frames[5]:
+            assert _plane_kernel_dims(P, p)[0] == 5
+
+
+def test_sp_member_at_173_is_desk_scale(thm_pencil):
+    # the p^4 point table alone would take ~18 GB here; the plane scan
+    # holds O(p^2) residues
+    import time
+    import tracemalloc
+    tracemalloc.start()
+    t0 = time.monotonic()
+    try:
+        res = sp_member(thm_pencil, 173)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.monotonic() - t0 < 20
+    assert peak < 64 * 2 ** 20
+    assert not res.member and not res.degenerate_frame
+
+
+# S_p verdicts of the bundled pencils at every prime <= 31: members only
+# at these primes, with these witnesses, and never a degenerate frame
+_SP_MEMBERS = {"thm_example": {}, "prop_q3": {2: [1, 0, 0, 0, 0],
+                                              3: [1, 0, 0, 0, 0]},
+               "cor_easy": {2: [1, 0, 0, 0, 0]}}
+
+
+def test_sp_member_pinned_on_bundled_pencils(thm_pencil, q3_pencil,
+                                             cor_pencil):
+    pencils = {"thm_example": thm_pencil, "prop_q3": q3_pencil,
+               "cor_easy": cor_pencil}
+    for name, P in pencils.items():
+        for p in primes_below(32):
+            witness = _SP_MEMBERS[name].get(p)
+            assert sp_member(P, p).as_json() == {
+                "member": witness is not None, "witness": witness,
+                "degenerate_frame": False}, (name, p)
+
+
+_MC_SEED7 = {
+    "height": 10, "cutoff": 20, "samples": 150, "seed": 7, "passes": 107,
+    "estimate": "107/150", "estimate_float": 0.7133333333333334,
+    "std_radius": 0.0369223409233388, "ci95_radius": 0.07236778820974404,
+    "reference_product": "5741576082454474365777458513686908310953650184430"
+                         "5070955179669120/775610695517848981200820274352"
+                         "94468162794844143515115535838076207",
+    "reference_product_float": 0.740265202070353,
+    "per_prime_failures": {"2": 25, "3": 13, "5": 3, "7": 1, "11": 0,
+                           "13": 1, "17": 0, "19": 0}}
+
+
+def test_monte_carlo_pinned_and_block_invariant(monkeypatch):
+    from symmetroid import density
+    assert monte_carlo_density(10, 20, 150, seed=7).as_json() == _MC_SEED7
+    # a block of frames is the stream of single draws ...
+    one, many = np.random.default_rng(7), np.random.default_rng(7)
+    block = one.integers(-10, 11, size=(9, 5, 15))
+    assert (block == [many.integers(-10, 11, size=(5, 15))
+                      for _ in range(9)]).all()
+    # ... so blocks of 7 frames, ending mid-sample, change nothing
+    monkeypatch.setattr(density, "_BLOCK", 7)
+    assert monte_carlo_density(10, 20, 150, seed=7).as_json() == _MC_SEED7
 
 
 def test_monte_carlo_determinism_and_edges():
