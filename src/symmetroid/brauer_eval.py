@@ -292,9 +292,8 @@ def _scan_line(P, u, w, target, rng):
     coeffs = P.line_minors(u, w)[4]
     if not any(coeffs):
         return None
-    roots = isolate_real_roots(coeffs)
     chain = sturm_chain(coeffs)
-    for iv in roots:
+    for iv in isolate_real_roots(chain):
         got = _certify_root(P, chain, u, w, iv, rng)
         if got is None:
             continue

@@ -28,9 +28,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .linalg import _echelon_mod_p, fp_rank, is_prime
+from .linalg import _echelon_mod_p, fp_rank, is_prime, laplace_minors
 from .quadform import COEFF_ORDER, QuadricForm, has_smooth_point_fq
-from .roots import poly_eval
+from .roots import poly_eval, poly_interpolate
 
 
 def primes_below(M):
@@ -86,53 +86,29 @@ _F_NUM = [0, 0, 2, 1, 2, 1, 2, 0, 1, 0, 1]   # p^2 * (closed-form numerator)
 _F_DEN = [2, 0, 0, 0, 0, 2, 0, 0, 0, 0, 2]
 
 
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def _poly_shift(coeffs, h):
-    """Coefficients of f(m + h) given those of f(n)."""
-    out = [0] * len(coeffs)
-    for c in reversed(coeffs):
-        # multiply current out by (m + h) and add c
-        new = [0] * len(out)
-        for i, v in enumerate(out[:-1]):
-            new[i + 1] += v
-        for i, v in enumerate(out):
-            new[i] += v * h
-        new[0] += c
-        out = new
-    return out
-
-
 def certify_p2b_decreasing():
     """Certify symbolically that f(n) = n^2 b(n) is strictly decreasing for
     real n >= 3 and bounded below by 1/2.
 
-    Both claims reduce to integer polynomials being positive for n >= 3,
-    which is certified by nonnegativity of every coefficient after the
-    substitution n -> m + 3 (plus positivity at m = 0).
+    Both claims reduce to integer polynomials g being positive for n >= 3,
+    which is certified by nonnegativity of every coefficient of g(m + 3)
+    (plus positivity at m = 0).  Those coefficients are interpolated from
+    the values g(3), g(4), ..., one more than the degree bound of g.
     """
-    # D(n) = num(n) den(n+1) - num(n+1) den(n) must be > 0 for n >= 3
-    num_shift = _poly_shift(_F_NUM, 1)
-    den_shift = _poly_shift(_F_DEN, 1)
-    D = [a - b for a, b in zip(_poly_mul(_F_NUM, den_shift),
-                               _poly_mul(num_shift, _F_DEN))]
-    D3 = _poly_shift(D, 3)
-    if any(c < 0 for c in D3) or poly_eval(D, 3) <= 0:
-        return False
+    def num(n):
+        return poly_eval(_F_NUM, n)
+
+    def den(n):
+        return poly_eval(_F_DEN, n)
+
+    # D(n) = num(n) den(n+1) - num(n+1) den(n) > 0 makes f decreasing;
     # E(n) = 2 num(n) - den(n) > 0 gives f(n) > 1/2
-    E = [2 * a - b for a, b in zip(_F_NUM + [0] * len(_F_DEN), _F_DEN
-                                   + [0] * len(_F_NUM))][:max(len(_F_NUM),
-                                                              len(_F_DEN))]
-    E3 = _poly_shift(E, 3)
-    if any(c < 0 for c in E3) or poly_eval(E, 3) <= 0:
-        return False
-    return True
+    D = [num(n) * den(n + 1) - num(n + 1) * den(n)
+         for n in range(3, 2 + len(_F_NUM) + len(_F_DEN))]
+    E = [2 * num(n) - den(n)
+         for n in range(3, 3 + max(len(_F_NUM), len(_F_DEN)))]
+    return all(values[0] > 0 and min(poly_interpolate(values)) >= 0
+               for values in (D, E))
 
 
 @dataclass
@@ -194,12 +170,13 @@ def product_lower_bound(M):
 # the kernel of one of the p^2 + p + 1 matrices M(x), and the S_p scan
 # looks for members there instead of over all of P^4(F_p).
 #
-# Residues are int64, and minors of residue matrices are formed without
-# reduction: a 5 x 5 one stays below 5! (p - 1)^5 in size, and a plane
-# matrix entry below 3 (p - 1)^2, so everything is exact while
-# 120 (p - 1)^5 < 2^63, that is for p <= 2381.  The scans stop lower, at
-# _MAX_PRIME, a desk-scale cap: one frame costs p^2 + p + 1 plane
-# matrices, about a million at the cap and a second of work.
+# Residues are int64, and ``laplace_minors`` forms minors of residue
+# matrices without reduction: for entries in [0, p) a k x k one stays
+# below k! (p - 1)^k in size, and a plane matrix entry below 3 (p - 1)^2,
+# so everything is exact while 5! (p - 1)^5 < 2^63, that is for
+# p <= 2381.  The scans stop lower, at _MAX_PRIME, a desk-scale cap: one
+# frame costs p^2 + p + 1 plane matrices, about a million at the cap and
+# a second of work.
 
 _MAX_PRIME = 1000
 _PAIRS = 1 << 15          # (frame, plane point) pairs per batch of M(x)
@@ -249,24 +226,6 @@ def _normalize(t, p):
     return t * inv[pos.reshape(-1)][:, None] % p
 
 
-def _minors(M, rows):
-    """Minors of a batch of integer matrices on the given rows, for every
-    set of as many columns: {columns: array}.  ``M[r, c]`` is the array of
-    the (r, c) entries.  Laplace expansion along the first row, built up
-    from the last row; nothing is reduced, so for entries in [0, p) a
-    k x k minor stays below k! (p - 1)^k in size."""
-    out = {(): 1}
-    for k, r in enumerate(reversed(rows), 1):
-        prev, out = out, {}
-        for cols in combinations(range(M.shape[1]), k):
-            acc = 0
-            for pos, c in enumerate(cols):
-                term = M[r, c] * prev[cols[:pos] + cols[pos + 1:]]
-                acc = acc - term if pos % 2 else acc + term
-            out[cols] = acc
-    return out
-
-
 def _gram_stack(A, p):
     """Gram matrices mod p of the generators: G[..., i, :, :] is B_i of
     the frame A[...] (rows of 15 coefficients)."""
@@ -301,7 +260,7 @@ def _rank_le2(B, p):
     entries, residues) of rank <= 2 mod p: every 3x3 minor vanishes."""
     keep = np.ones(B.shape[2], dtype=bool)
     for rows in combinations(range(5), 3):
-        for m in _minors(B, rows).values():
+        for m in laplace_minors(B, rows).values():
             keep &= m % p == 0
     return keep
 
@@ -347,7 +306,7 @@ def _rank_le2_members(A, p):
         for x0 in range(0, n, _PAIRS):
             X = _projective_points(p, 3, x0, min(n, x0 + _PAIRS))
             M = (Gc @ X.T % p).reshape(5, 5, -1)   # M[r, i, (f, x)]
-            K = _adjugate_column(_minors(M, (1, 2, 3, 4)), 0)
+            K = _adjugate_column(laplace_minors(M, (1, 2, 3, 4)), 0)
             sing = np.flatnonzero((M[0] * K).sum(axis=0) % p == 0)
             K, M = K[:, sing] % p, M[:, :, sing]
             for r in range(1, 5):
@@ -357,7 +316,7 @@ def _rank_le2_members(A, p):
                     break
                 rows = tuple(i for i in range(5) if i != r)
                 K[:, todo] = _adjugate_column(
-                    _minors(M[:, :, todo], rows), r) % p
+                    laplace_minors(M[:, :, todo], rows), r) % p
             f = f0 + sing // len(X)
             found = K.any(axis=0)
             hold(f[found], _normalize(K[:, found].T, p))
@@ -410,7 +369,8 @@ def _full_rank(A, p):
     full = np.zeros(len(A), dtype=bool)
     for c in (0, 5, 10):
         todo = np.flatnonzero(~full)
-        det = _minors(M[:, c:c + 5, todo], range(5))[tuple(range(5))]
+        det = laplace_minors(M[:, c:c + 5, todo],
+                             range(5))[tuple(range(5))]
         full[todo[det % p != 0]] = True
     for f in np.flatnonzero(~full):
         full[f] = fp_rank(A[f], p) == 5

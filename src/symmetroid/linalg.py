@@ -1,7 +1,18 @@
 """Exact linear algebra over Z, Q and F_p.
 
 Integer matrices are plain lists of lists of Python ints, so all arithmetic
-is arbitrary precision.  numpy backs the F_p kernels:
+is arbitrary precision.  Two loops serve every ring or field they meet:
+
+- ``laplace_minors``, the generalized Laplace expansion, gives all
+  minors on a set of rows.  It reads entries as ``M[r][c]`` and uses
+  only *, + and -, so it runs on integers, on ``MultiPoly`` entries
+  (leading minors of B(t), the rank <= 2 and singular-locus ideals) and
+  on numpy batches of residue matrices (the S_p scans).
+- ``nullspace``, Gauss-Jordan over a field given by its add, mul, neg
+  and inv: Q (``_RATIONALS``, behind ``kernel_rational``) or a ``GF``
+  table field (the char-2 vertex in ``quadform``).
+
+numpy backs the F_p kernels:
 
 - ``_echelon_mod_p``, the plain in-place echelon loop, one pivot at a
   time.  It stores residues as int64 and forms each product there,
@@ -30,8 +41,11 @@ above.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -113,6 +127,31 @@ def det_bareiss(M):
     return sign * a[n - 1][n - 1]
 
 
+def laplace_minors(M, rows):
+    """Minors of M on ``rows`` (a sequence, taken in its order) for every
+    set of as many columns: {column tuple: minor}, the tuples in
+    ``itertools.combinations`` order.
+
+    Generalized Laplace expansion (Muir): a minor on the last k of the
+    rows expands along its first row into minors on the last k - 1, which
+    are all built first and shared, so each of the sum_k k * C(n, k)
+    products (n columns) is formed once.  Entries are read as ``M[r][c]``
+    and need only *, + and -: lists of ints or of ``MultiPoly``, and
+    numpy batches whose ``M[r][c]`` is an array of entries, all work.
+    Nothing is reduced and no entry is skipped."""
+    n = len(M[0])
+    out = {(): 1}
+    for k, r in enumerate(reversed(rows), 1):
+        prev, out = out, {}
+        for cols in combinations(range(n), k):
+            acc = 0
+            for pos, c in enumerate(cols):
+                term = M[r][c] * prev[cols[:pos] + cols[pos + 1:]]
+                acc = acc - term if pos % 2 else acc + term
+            out[cols] = acc
+    return out
+
+
 def primitive_vector(v):
     """The primitive integer vector on the ray of a rational vector.
 
@@ -126,46 +165,56 @@ def primitive_vector(v):
     return [x // g for x in out] if g > 1 else out
 
 
-def kernel_rational(M, ncols=None):
+# Q with the field operations that ``nullspace`` and the congruence
+# diagonalisation take from a ``GF``
+_RATIONALS = SimpleNamespace(add=operator.add, mul=operator.mul,
+                             neg=operator.neg, inv=lambda a: 1 / a)
+
+
+def nullspace(A, F):
+    """Basis of the right kernel of the matrix A over the field F, whose
+    add, mul, neg and inv are used: ``_RATIONALS`` on Fraction entries or
+    a ``GF`` on its elements.
+
+    Gauss-Jordan elimination on a copy of A.  Each basis vector is 1 at
+    one free column, 0 at the other free columns, and minus that column
+    of the reduced rows at the pivot columns."""
+    n = len(A[0])
+    rows = [row[:] for row in A]
+    pivots = []  # (row, col)
+    for c in range(n):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = F.inv(rows[r][c])
+        rows[r] = [F.mul(inv, x) for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = F.neg(rows[i][c])
+                rows[i] = [F.add(x, F.mul(f, y))
+                           for x, y in zip(rows[i], rows[r])]
+        pivots.append((r, c))
+    basis = []
+    for fc in sorted(set(range(n)) - {c for _, c in pivots}):
+        v = [0] * n
+        v[fc] = 1
+        for pr, pc in pivots:
+            v[pc] = F.neg(rows[pr][fc])
+        basis.append(v)
+    return basis
+
+
+def kernel_rational(M):
     """Basis of the right kernel of an integer (or Fraction) matrix over Q.
 
     Returns a list of integer vectors (cleared of denominators, content 1).
     """
     if not M:
         raise ValueError("empty matrix")
-    n = ncols if ncols is not None else len(M[0])
-    rows = [[Fraction(x) for x in row] for row in M]
-    pivots = []  # (row, col)
-    r = 0
-    for c in range(n):
-        pr = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == len(rows):
-            break
-    pivot_cols = {c for _, c in pivots}
-    free_cols = [c for c in range(n) if c not in pivot_cols]
-    basis = []
-    for fc in free_cols:
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
-        for pr, pc in pivots:
-            v[pc] = -rows[pr][fc]
-        basis.append(primitive_vector(v))
-    return basis
+    return [primitive_vector(v) for v in nullspace(
+        [[Fraction(x) for x in row] for row in M], _RATIONALS)]
 
 
 def rank_rational(M):

@@ -17,10 +17,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linalg import (det_bareiss, is_prime, kernel_rational, mat_mul,
-                     mat_vec, primitive_vector, random_unimodular,
+from .linalg import (det_bareiss, is_prime, kernel_rational, laplace_minors,
+                     mat_mul, mat_vec, primitive_vector, random_unimodular,
                      rank_rational, transpose)
-from .polys import MultiPoly, poly_matrix_det, poly_maximal_minors
+from .polys import MultiPoly, poly_matrix_det
 from .quadform import QuadricForm, parse_quadric_line, quadric_to_line
 from .roots import poly_eval, poly_interpolate
 
@@ -298,7 +298,8 @@ def rank_le2_minor_ideal(P):
 
     Their common zero locus inside the parameter space is the set of
     members whose Gram matrix has rank at most 2.  Minors are symmetric in
-    (rows, cols), so only the 55 distinct ones are listed.
+    (rows, cols), so only the 55 distinct ones are listed: rows I and
+    columns J >= I, in ``combinations`` order.
     """
     from itertools import combinations
 
@@ -306,16 +307,9 @@ def rank_le2_minor_ideal(P):
 
     mat = P.gram_matrix_poly()
     gens = []
-    seen = set()
     for I in combinations(range(5), 3):
-        for J in combinations(range(5), 3):
-            if (J, I) in seen:
-                continue
-            seen.add((I, J))
-            sub = [[mat[i][j] for j in J] for i in I]
-            m = poly_matrix_det(sub)
-            if not m.is_zero():
-                gens.append(m)
+        gens += [m for J, m in laplace_minors(mat, I).items()
+                 if J >= I and not m.is_zero()]
     return HomIdealPresentation(nvars=5, generators=gens)
 
 
@@ -373,7 +367,7 @@ def singular_locus_ideal(P, p):
                     terms[tuple(e)] = c
             row.append(MultiPoly(10, terms, p))
         jac.append(row)
-    for cols, m in poly_maximal_minors(jac).items():
+    for cols, m in laplace_minors(jac, range(5)).items():
         if m.is_zero():
             continue
         k = sum(1 for c in cols if c < 5)  # x-partials contribute (0,1)

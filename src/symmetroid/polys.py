@@ -15,6 +15,8 @@ from operator import add
 
 import numpy as np
 
+from .linalg import laplace_minors
+
 
 def grlex_key(expvec):
     """Sort key for graded-lex order (ascending); reverse for display."""
@@ -344,55 +346,7 @@ def poly_matrix_det(rows):
     n = len(rows)
     if n == 0:
         raise ValueError("empty matrix")
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    det = None
-    for j in range(n):
-        a = rows[0][j]
-        if a.is_zero():
-            continue
-        sub = [[rows[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        term = a * poly_matrix_det(sub)
-        if j % 2:
-            term = -term
-        det = term if det is None else det + term
-    if det is None:
-        some = rows[0][0]
-        return MultiPoly.zero(some.nvars, some.mod)
-    return det
-
-
-def poly_maximal_minors(rows):
-    """All maximal minors of an r x n matrix of MultiPoly entries (r <= n),
-    as a dict from column tuples, in ``itertools.combinations`` order, to
-    determinants.
-
-    Laplace recursion over column subsets: the minors of the first k rows
-    on each k-subset S expand along row k - 1 into minors of the first
-    k - 1 rows on the (k-1)-subsets of S, so every product is formed once:
-    sum_k C(n, k) * k of them, against the ~r! of a cofactor expansion of
-    each minor."""
-    from itertools import combinations
-
-    n = len(rows[0])
-    some = rows[0][0]
-    zero = MultiPoly.zero(some.nvars, some.mod)
-    minors = {(): MultiPoly.constant(some.nvars, 1, some.mod)}
-    for k, row in enumerate(rows):
-        nxt = {}
-        for S in combinations(range(n), k + 1):
-            acc = zero
-            for pos, j in enumerate(S):
-                sub = minors[S[:pos] + S[pos + 1:]]
-                if row[j].is_zero() or sub.is_zero():
-                    continue
-                term = row[j] * sub
-                acc = acc - term if (k + pos) % 2 else acc + term
-            nxt[S] = acc
-        minors = nxt
-    return minors
+    return laplace_minors(rows, range(n))[tuple(range(n))]
 
 
 def monomials_of_degree(nvars, d):

@@ -13,13 +13,11 @@ bilinear rank (it misrepresents quadrics there) and works by enumeration.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from types import SimpleNamespace
 
 from .gf import GF, projective_points
-from .linalg import is_prime, primitive_vector
+from .linalg import _RATIONALS, is_prime, nullspace, primitive_vector
 from .localfields import hilbert_symbol, is_square_at
 from .polys import MultiPoly, parse_poly
 
@@ -128,11 +126,6 @@ class FormClassification:
         if self.split is not None:
             out["split"] = self.split
         return out
-
-
-# Q with the scalar operations that _diagonalize takes from GF
-_RATIONALS = SimpleNamespace(add=operator.add, mul=operator.mul,
-                             neg=operator.neg, inv=lambda a: 1 / a)
 
 
 def diagonalize_symmetric(B, p=None):
@@ -268,7 +261,7 @@ def _char2_rank(Q, gf):
     q = gf.q
     B = Q.gram()
     # kernel of the polar form over F_q by elimination with table arithmetic
-    basis = _gf_nullspace([[x % gf.p for x in row] for row in B], gf)
+    basis = nullspace([[x % gf.p for x in row] for row in B], gf)
     # enumerate the kernel, collect vertex vectors
     vertex = []
     k = len(basis)
@@ -299,42 +292,6 @@ def _eval_gf(Q, x, gf):
     for (i, j), c in zip(COEFF_ORDER, Q.coeffs):
         total = gf.add(total, gf.mul(c % gf.p, gf.mul(x[i], x[j])))
     return total
-
-
-def _gf_nullspace(A, gf):
-    n = len(A[0])
-    rows = [row[:] for row in A]
-    pivots = []
-    r = 0
-    for c in range(n):
-        pr = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = gf.inv(rows[r][c])
-        rows[r] = [gf.mul(inv, x) for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [gf.sub(x, gf.mul(f, y))
-                           for x, y in zip(rows[i], rows[r])]
-        pivots.append((r, c))
-        r += 1
-    pivot_cols = {c for _, c in pivots}
-    basis = []
-    for fc in range(n):
-        if fc in pivot_cols:
-            continue
-        v = [0] * n
-        v[fc] = 1
-        for pr, pc in pivots:
-            v[pc] = gf.neg(rows[pr][fc])
-        basis.append(v)
-    return basis
 
 
 def _gf_row_basis(vectors, gf):

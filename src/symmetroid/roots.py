@@ -111,34 +111,14 @@ def poly_primitive(c, normalize_sign=True):
     return ints
 
 
-def _poly_rem(f, g):
-    """Remainder of f by g over Q (g nonzero)."""
-    f = [Fraction(a) for a in poly_trim(f)]
-    g = [Fraction(a) for a in poly_trim(g)]
-    while len(f) >= len(g) and f:
-        coef = f[-1] / g[-1]
-        shift = len(f) - len(g)
-        for i, b in enumerate(g):
-            f[i + shift] -= coef * b
-        f = poly_trim(f)
-    return f
-
-
-def poly_gcd(f, g):
-    """Primitive integer gcd of two polynomials over Q."""
-    a, b = poly_trim(f), poly_trim(g)
-    while b:
-        a, b = b, _poly_rem(a, b)
-    return poly_primitive(a)
-
-
-def poly_divexact(f, g):
-    """Exact quotient f / g over Q (raises if not exact)."""
+def _poly_divmod(f, g):
+    """Quotient and trimmed remainder of f by g over Q, as Fraction lists;
+    ZeroDivisionError when g is zero."""
     f = [Fraction(a) for a in poly_trim(f)]
     g = [Fraction(a) for a in poly_trim(g)]
     if not g:
         raise ZeroDivisionError
-    q = [Fraction(0)] * (len(f) - len(g) + 1) if len(f) >= len(g) else []
+    q = [Fraction(0)] * max(len(f) - len(g) + 1, 0)
     while len(f) >= len(g) and f:
         coef = f[-1] / g[-1]
         shift = len(f) - len(g)
@@ -146,9 +126,15 @@ def poly_divexact(f, g):
         for i, b in enumerate(g):
             f[i + shift] -= coef * b
         f = poly_trim(f)
-    if f:
-        raise ValueError("division not exact")
-    return q
+    return q, f
+
+
+def poly_gcd(f, g):
+    """Primitive integer gcd of two polynomials over Q."""
+    a, b = poly_trim(f), poly_trim(g)
+    while b:
+        a, b = b, _poly_divmod(a, b)[1]
+    return poly_primitive(a)
 
 
 def squarefree_part(f):
@@ -158,7 +144,7 @@ def squarefree_part(f):
     g = poly_gcd(f, poly_derivative(f))
     if poly_degree(g) < 1:
         return f
-    return poly_primitive(poly_divexact(f, g))
+    return poly_primitive(_poly_divmod(f, g)[0])
 
 
 def sturm_chain(f):
@@ -173,8 +159,7 @@ def sturm_chain(f):
     if poly_trim(d):
         chain.append(poly_primitive(d, normalize_sign=False))
     while poly_degree(chain[-1]) > 0:
-        r = _poly_rem(chain[-2], chain[-1])
-        r = poly_trim(r)
+        r = _poly_divmod(chain[-2], chain[-1])[1]
         if not r:
             break
         chain.append(poly_primitive([-a for a in r], normalize_sign=False))
@@ -203,19 +188,18 @@ def root_bound(f):
     return Fraction(m, lead) + 1
 
 
-def isolate_real_roots(f):
-    """Disjoint rational intervals, one per distinct real root of f.
+def isolate_real_roots(chain):
+    """Disjoint rational intervals, one per distinct real root of the
+    polynomial whose Sturm chain (``sturm_chain``) is given.
 
-    f must be nonzero.  Point intervals [r, r] mark exact rational roots;
-    all other intervals are half-open caches (lo, hi] with exactly one root
-    certified by Sturm counts, returned as closed RatIntervals whose
-    endpoints are themselves non-roots.
+    The polynomial must be nonzero.  Point intervals [r, r] mark exact
+    rational roots; all other intervals are half-open caches (lo, hi] with
+    exactly one root certified by Sturm counts, returned as closed
+    RatIntervals whose endpoints are themselves non-roots.
     """
-    c = poly_trim(f)
-    if not c:
-        raise ValueError("zero polynomial has no isolated roots")
-    chain = sturm_chain(c)
     sf = chain[0]
+    if not sf:
+        raise ValueError("zero polynomial has no isolated roots")
     if poly_degree(sf) < 1:
         return []
     B = root_bound(sf)

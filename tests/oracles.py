@@ -213,3 +213,18 @@ def restrict_to_line(poly, u, w):
     for (d,), c in uni.terms.items():
         coeffs[d] = c
     return coeffs
+
+
+def cofactor_det(rows):
+    """Determinant of a square matrix of MultiPoly entries by the textbook
+    recursive cofactor expansion along the first row, one minor at a
+    time, independent of the shared Laplace recursion."""
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    det = 0
+    for j in range(n):
+        sub = [[row[k] for k in range(n) if k != j] for row in rows[1:]]
+        term = rows[0][j] * cofactor_det(sub)
+        det = det - term if j % 2 else det + term
+    return det

@@ -14,6 +14,20 @@ from symmetroid.pencil import Pencil
 from symmetroid.quadform import QuadricForm
 
 
+def test_p2b_certificate_refuses_what_it_cannot_prove(monkeypatch):
+    from symmetroid import density
+    # an extra n^11 term makes f(n) ~ n/2 grow: D(m + 3) has a negative
+    # coefficient, and the tail bound must refuse to run
+    monkeypatch.setattr(density, "_F_NUM", density._F_NUM + [1])
+    assert certify_p2b_decreasing() is False
+    with pytest.raises(AssertionError, match="monotonicity"):
+        product_lower_bound(100)
+    # a doubled denominator keeps f decreasing but drops it to 1/4: E fails
+    monkeypatch.undo()
+    monkeypatch.setattr(density, "_F_DEN", [2 * c for c in density._F_DEN])
+    assert certify_p2b_decreasing() is False
+
+
 def test_gaussian_counts():
     assert gaussian_count(3, 4, 2) == 31
     assert gaussian_count(2, 4, 2) == 155

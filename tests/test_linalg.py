@@ -1,4 +1,5 @@
 import random
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -7,9 +8,11 @@ from oracles import pivot_rows_by_dicts
 from symmetroid import linalg
 from symmetroid.linalg import (SparseRows, det_bareiss, det_exact_crt,
                                fp_pivot_rows, fp_rank, fp_rank_sparse_dense,
-                               is_prime, kernel_rational, mat_mul, mat_vec,
-                               random_unimodular, smith_divisors,
-                               smith_normal_form)
+                               is_prime, kernel_rational, laplace_minors,
+                               mat_mul, mat_vec, nullspace, random_unimodular,
+                               smith_divisors, smith_normal_form)
+from symmetroid.gf import GF
+from symmetroid.polys import MultiPoly
 
 
 def _sparse(M):
@@ -275,6 +278,64 @@ def test_kernel_rational():
     assert len(ker) == 2
     for v in ker:
         assert mat_vec(M, v) == [0, 0]
+    # the same loop over the table fields F_4 and F_8: A v = 0 for every
+    # basis vector, and dim = n - rank with the rank read off the size
+    # q^rank of the row space, enumerated
+    rng = random.Random(17)
+    for q, n in ((4, 5), (8, 4)):
+        F = GF(q)
+        for _ in range(12):
+            m = rng.randint(1, 3)
+            A = [[rng.randrange(q) if rng.random() < 0.7 else 0
+                  for _ in range(n)] for _ in range(m)]
+            if rng.random() < 0.5:       # a row dependent on the others
+                c = [rng.randrange(q) for _ in range(m)]
+                A.append([_gf_dot(F, c, col) for col in zip(*A)])
+            basis = nullspace(A, F)
+            for v in basis:
+                assert [_gf_dot(F, row, v) for row in A] == [0] * len(A)
+            span = {tuple(_gf_dot(F, c, col) for col in zip(*A))
+                    for c in product(range(q), repeat=len(A))}
+            assert q ** (n - len(basis)) == len(span)
+
+
+def _gf_dot(F, a, b):
+    total = 0
+    for x, y in zip(a, b):
+        total = F.add(total, F.mul(x, y))
+    return total
+
+
+def test_laplace_minors_match_bareiss():
+    rng = random.Random(41)
+    # every square submatrix of r x n matrices, its rows shuffled
+    for n in range(1, 7):
+        for r in range(1, n + 1):
+            M = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(r)]
+            for k in range(1, r + 1):
+                for rows in combinations(range(r), k):
+                    rows = rng.sample(rows, k)
+                    minors = laplace_minors(M, rows)
+                    assert list(minors) == list(combinations(range(n), k))
+                    for cols, m in minors.items():
+                        assert m == det_bareiss([[M[i][j] for j in cols]
+                                                 for i in rows])
+    # a batch of 5x5 residue matrices, entry (r, c) an array over the batch
+    B = np.random.default_rng(41).integers(0, 31, size=(5, 5, 40))
+    dets = laplace_minors(B, range(5))[tuple(range(5))]
+    assert dets.tolist() == [det_bareiss(B[:, :, k].tolist())
+                             for k in range(B.shape[2])]
+    # polynomial entries, checked at points
+    mat = [[MultiPoly(2, {(rng.randint(0, 2), rng.randint(0, 2)):
+                          rng.randint(-5, 5) for _ in range(3)})
+            for _ in range(5)] for _ in range(4)]
+    rows = (3, 0, 2)
+    minors = laplace_minors(mat, rows)
+    for _ in range(5):
+        pt = [rng.randint(-4, 4), rng.randint(-4, 4)]
+        for cols, m in minors.items():
+            assert m.evaluate(pt) == det_bareiss(
+                [[mat[i][j].evaluate(pt) for j in cols] for i in rows])
 
 
 def test_det_exact_crt_matches_bareiss():

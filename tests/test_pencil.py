@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import restrict_to_line
+from oracles import cofactor_det, restrict_to_line
 from symmetroid.linalg import det_bareiss, mat_vec, random_unimodular
 from symmetroid.pencil import (Pencil, alpha_symbol, parse_pencil_text,
                                rank_le2_minor_ideal, singular_locus_ideal,
@@ -196,16 +196,16 @@ def _partial(f, j):
 @pytest.mark.parametrize("name,p", [("thm_pencil", 7), ("q3_pencil", 7),
                                     ("cor_pencil", 11)])
 def test_singular_locus_minors_match_cofactor_expansion(name, p, request):
-    # the Laplace recursion over column subsets gives the same generators,
-    # in the same order and bidegrees, as one cofactor expansion per minor
-    # of the Jacobian of the five bilinear forms
+    # the shared Laplace recursion gives the same generators, in the same
+    # order and bidegrees, as one cofactor expansion per minor of the
+    # Jacobian of the five bilinear forms
     from itertools import combinations
     ideal = singular_locus_ideal(request.getfixturevalue(name), p)
     forms = ideal.generators[:5]
     jac = [[_partial(f, j) for j in range(10)] for f in forms]
     want, bidegrees = [], []
     for cols in combinations(range(10), 5):
-        m = poly_matrix_det([[row[c] for c in cols] for row in jac])
+        m = cofactor_det([[row[c] for c in cols] for row in jac])
         if not m.is_zero():
             want.append(m)
             k = sum(1 for c in cols if c < 5)

@@ -16,14 +16,14 @@ def _refine_to_width(chain, iv, width):
 
 
 def test_isolation_spec_examples():
-    two = isolate_real_roots([-2, 0, 1])           # x^2 - 2
+    two = isolate_real_roots(sturm_chain([-2, 0, 1]))          # x^2 - 2
     assert len(two) == 2
     assert two[0].hi < 0 < two[1].lo or two[0].lo <= -1 <= two[0].hi
-    assert isolate_real_roots([1, 0, 1]) == []      # x^2 + 1
-    one = isolate_real_roots([0, 0, 0, 0, 0, 1])    # x^5
+    assert isolate_real_roots(sturm_chain([1, 0, 1])) == []     # x^2 + 1
+    one = isolate_real_roots(sturm_chain([0, 0, 0, 0, 0, 1]))   # x^5
     assert len(one) == 1 and one[0].lo <= 0 <= one[0].hi
     with pytest.raises(ValueError):
-        isolate_real_roots([])
+        isolate_real_roots(sturm_chain([]))
 
 
 def test_interpolation_recovers_integer_polynomials():
@@ -70,8 +70,8 @@ def test_isolation_count_matches_grid_oracle():
         sf = squarefree_part(c)
         if len(sf) < 2:
             continue
-        ivs = isolate_real_roots(c)
         chain = sturm_chain(c)
+        ivs = isolate_real_roots(chain)
         # grid oracle over a bound enclosing all roots; a fine grid can
         # only undercount when two roots share a cell, so refine first
         ivs_fine = [_refine_to_width(chain, iv, Fraction(1, 1000))
@@ -95,7 +95,7 @@ def test_refinement_never_loses_root():
             continue
         chain = sturm_chain(c)
         assert chain[0] == squarefree_part(c)
-        for iv in isolate_real_roots(c):
+        for iv in isolate_real_roots(chain):
             r = iv
             for _ in range(20):
                 r = refine_root(chain, r)
@@ -106,8 +106,9 @@ def test_refinement_never_loses_root():
 
 
 def test_refine_to_width():
-    iv = isolate_real_roots([-2, 0, 1])[1]
-    r = _refine_to_width(sturm_chain([-2, 0, 1]), iv, Fraction(1, 10**9))
+    chain = sturm_chain([-2, 0, 1])
+    r = _refine_to_width(chain, isolate_real_roots(chain)[1],
+                         Fraction(1, 10**9))
     assert r.hi - r.lo <= Fraction(1, 10**9)
     assert (r.lo * r.lo - 2) * (r.hi * r.hi - 2) <= 0
 
