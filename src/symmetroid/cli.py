@@ -300,9 +300,14 @@ def _dispatch(args):
                    "saturate_at_2": not args.no_saturate},
             cert.as_json(), status="ok" if ok else "inconclusive")
         reports.emit(report, args.out, args.pretty)
-        reports.summary("V3 avoidance: %s" % (
-            "certified for all primes (degree %s)" % cert.degree if ok
-            else "inconclusive"))
+        if ok:
+            verdict = "certified for all primes (degree %s)" % cert.degree
+        elif cert.witness:
+            verdict = ("inconclusive (common zero %s mod %d)"
+                       % (cert.witness["point"], cert.witness["prime"]))
+        else:
+            verdict = "inconclusive"
+        reports.summary("V3 avoidance: %s" % verdict)
         return EXIT_OK if ok else EXIT_INCONCLUSIVE
 
     if name == "sp-scan":

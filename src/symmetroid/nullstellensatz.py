@@ -13,6 +13,14 @@ Spec Z.  Saturation with respect to 2 is implemented by stripping the
 2-parts of the divisors, which matches saturating the ideal at 2 degree by
 degree.  Certificates are only ever issued on positive evidence; running
 out of degree budget reports "inconclusive", never a verdict.
+
+A degree whose index evidence names a prime q that the rank mod q
+cannot clear ends the ladder early when the generators have a common zero
+x in P^{n-1}(F_q): every Macaulay row g*m vanishes at x, so at every
+degree d the vector of degree-d monomials at x is a nonzero kernel vector
+mod q, q divides every later lattice index, and no degree can clear it.
+The result is then "inconclusive" at once, with x and q as its witness.
+Under 2-saturation q = 2 is never a bad prime, so it is never screened.
 """
 
 from __future__ import annotations
@@ -90,19 +98,25 @@ class EmptinessCertificate:
 
 
 class Inconclusive:
-    """Result value when the degree cap is exhausted without a certificate."""
+    """Result value when the degree cap is exhausted without a certificate,
+    or when a ``witness`` (a common zero mod a prime no degree can clear)
+    shows that no degree can give one."""
 
-    def __init__(self, reason, degree_cap):
+    def __init__(self, reason, degree_cap, witness=None):
         self.reason = reason
         self.degree_cap = degree_cap
+        self.witness = witness          # {"prime": q, "point": [...]}
 
     def __bool__(self):
         return False
 
     def as_json(self):
-        return {"inconclusive": True, "reason": self.reason,
-                "degree_cap": list(self.degree_cap)
-                if isinstance(self.degree_cap, tuple) else self.degree_cap}
+        out = {"inconclusive": True, "reason": self.reason,
+               "degree_cap": list(self.degree_cap)
+               if isinstance(self.degree_cap, tuple) else self.degree_cap}
+        if self.witness is not None:
+            out["witness"] = self.witness
+        return out
 
     def __repr__(self):
         return "Inconclusive(%r)" % self.reason
@@ -213,6 +227,7 @@ def empty_all_primes(ideal, saturate_at_2=True, d_max=12, snf_limit=(40, 16)):
         return Inconclusive("zero ideal", d_max)
     d_lo = max(g.total_degree() for g in gens)
     last_reason = "no certificate found"
+    screened = set()
     for d in range(d_lo, d_max + 1):
         block, ncols = _degree_block(gens, d, ideal.nvars)
         if len(block) < ncols:
@@ -225,6 +240,19 @@ def empty_all_primes(ideal, saturate_at_2=True, d_max=12, snf_limit=(40, 16)):
             last_reason = ("factoring the index evidence ran out of its "
                            "Pollard-rho budget at degree %d" % d)
             continue
+        except _PrimeNotCleared as exc:
+            q = exc.args[0]
+            # at d_max there is no later degree left to skip
+            if d < d_max and q not in screened:
+                screened.add(q)
+                x = _common_zero_mod(gens, ideal.nvars, q)
+                if x is not None:
+                    return Inconclusive(
+                        "the prime %d is not cleared at degree %d and the "
+                        "generators vanish at %s mod %d, so no degree "
+                        "clears it" % (q, d, x, q), d_max,
+                        witness={"prime": q, "point": list(x)})
+            result = None
         if result is None:
             last_reason = "lattice not full (after stripping) at degree %d" % d
             continue
@@ -241,10 +269,60 @@ class _FactoringGaveUp(Exception):
     budget, so nothing is known about the lattice."""
 
 
+class _PrimeNotCleared(Exception):
+    """The prime q (the only argument) divides the index evidence and the
+    block loses rank mod q, so the lattice is not full."""
+
+
+# A bad prime q is screened for a common zero only when P^{n-1}(F_q) has at
+# most this many points and q itself is at most this large (which the point
+# count implies for n >= 2).  Every product of two residues in
+# _common_zero_mod then stays below 10^10 < 2^63, so int64 is exact.
+_POINT_CAP = 100_000
+
+
+def _common_zero_mod(gens, nvars, q):
+    """The first common zero mod q of the generators in P^{nvars-1}(F_q),
+    as a tuple of residues, or None; None also when there are more than
+    ``_POINT_CAP`` points.
+
+    Points have their first nonzero coordinate 1 and come leading 1 first
+    (position 0 first), then in lexicographic order of the tail.  Each
+    generator is evaluated only where all the earlier ones vanish."""
+    if q > _POINT_CAP or (q ** nvars - 1) // (q - 1) > _POINT_CAP:
+        return None
+    pts = []
+    for lead in range(nvars):
+        k = nvars - 1 - lead
+        block = np.zeros((q ** k, nvars), dtype=np.int64)
+        block[:, lead] = 1
+        block[:, lead + 1:] = np.indices((q,) * k).reshape(k, q ** k).T
+        pts.append(block)
+    pts = np.concatenate(pts)
+    terms = [_term_arrays(g) for g in gens]
+    # powers[e, r] = r^e mod q
+    powers = np.ones((max(int(e.max()) for e, _ in terms) + 1, q),
+                     dtype=np.int64)
+    for e in range(1, len(powers)):
+        powers[e] = powers[e - 1] * np.arange(q) % q
+    for e, c in terms:
+        vals = np.zeros(len(pts), dtype=np.int64)
+        for ek, ck in zip(e, (c % q).astype(np.int64)):
+            term = np.full(len(pts), ck)
+            for j in np.flatnonzero(ek):
+                term = term * powers[ek[j], pts[:, j]] % q
+            vals = (vals + term) % q
+        pts = pts[vals == 0]
+        if not len(pts):
+            return None
+    return tuple(int(x) for x in pts[0])
+
+
 def _lattice_is_full_after_stripping(block, ncols, saturate_at_2, snf_limit):
     """None when the row lattice is provably/possibly not full; otherwise a
     (divisor_summary, method) pair constituting the certificate.  Raises
-    _FactoringGaveUp when the evidence gcd cannot be factored.
+    _FactoringGaveUp when the evidence gcd cannot be factored, and
+    _PrimeNotCleared when a prime of it cannot be cleared.
 
     The lattice index [Z^N : L] divides the determinant of every maximal
     nonsingular row subset, so full rank modulo a screening prime plus a
@@ -310,11 +388,9 @@ def _lattice_is_full_after_stripping(block, ncols, saturate_at_2, snf_limit):
     for q in factors:
         if saturate_at_2 and q == 2:
             continue
-        if fp_rank_sparse_dense(block, ncols, q) == ncols:
-            cleared.append(q)
-            continue
-        summary["bad_primes"] = [q]
-        return None
+        if fp_rank_sparse_dense(block, ncols, q) != ncols:
+            raise _PrimeNotCleared(q)
+        cleared.append(q)
     summary["index_evidence_gcd"] = g
     summary["cleared_primes"] = cleared
     return (summary, "minor-gcd")

@@ -252,13 +252,20 @@ def _shrink_away_from_root(chain, a, b):
 def refine_root(chain, interval):
     """One bisection of an isolating interval of a root of chain[0], never
     losing the root: the half holding it, or the point interval at the
-    midpoint when that is the root.  A point interval stays as it is."""
+    midpoint when that is the root.  A point interval stays as it is.
+
+    The interval is one from ``isolate_real_roots`` or from an earlier
+    bisection: its endpoints are not roots and it holds one root of the
+    squarefree chain[0], which is simple, so chain[0] changes sign across
+    it exactly once.  The root lies in (lo, mid) exactly when chain[0] has
+    different signs at lo and mid; the rest of the chain is not needed."""
     lo, hi = interval.lo, interval.hi
     if lo == hi:
         return interval
     mid = (lo + hi) / 2
-    if poly_eval(chain[0], mid) == 0:
+    at_mid = poly_eval(chain[0], mid)
+    if at_mid == 0:
         return RatInterval(mid, mid)
-    if count_roots_halfopen(chain, lo, mid) == 1:
+    if (poly_eval(chain[0], lo) > 0) != (at_mid > 0):
         return RatInterval(lo, mid)
     return RatInterval(mid, hi)

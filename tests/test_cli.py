@@ -1,5 +1,6 @@
 import json
 import os
+import time
 
 import jsonschema
 import pytest
@@ -77,6 +78,19 @@ def test_v3_subcommand_and_inconclusive_exit(tmp_path):
     code, rep = run_cli(["v3-test", str(bad), "--dmax", "5"], tmp_path)
     assert code == EXIT_INCONCLUSIVE
     assert rep["status"] == "inconclusive"
+
+
+def test_v3_subcommand_stops_at_a_common_zero(tmp_path, capsys):
+    # at the default --dmax 12: the F_3-point ends the ladder at degree 3
+    t0 = time.perf_counter()
+    code, rep = run_cli(["v3-test", "prop_q3"], tmp_path)
+    assert time.perf_counter() - t0 < 10
+    assert code == EXIT_INCONCLUSIVE and rep["status"] == "inconclusive"
+    assert rep["inputs"]["dmax"] == 12
+    assert rep["result"]["witness"] == {"prime": 3,
+                                        "point": [1, 0, 0, 0, 0]}
+    assert capsys.readouterr().err == (
+        "V3 avoidance: inconclusive (common zero [1, 0, 0, 0, 0] mod 3)\n")
 
 
 def test_sp_scan_subcommand(tmp_path):

@@ -115,10 +115,69 @@ def test_v3_certificate_on_fixture(thm_pencil):
 
 
 def test_v3_verdict_of_prop_q3_pinned(q3_pencil):
-    # prop_q3 has F_3-points on V3, so no degree clears the prime 3
+    # prop_q3 has F_3-points on V3, so no degree clears the prime 3: the
+    # first degree that names 3 ends the ladder with the first such point
     out = empty_all_primes(rank_le2_minor_ideal(q3_pencil), d_max=5)
     assert isinstance(out, Inconclusive)
-    assert out.reason == "lattice not full (after stripping) at degree 5"
+    assert out.reason == ("the prime 3 is not cleared at degree 3 and the "
+                          "generators vanish at (1, 0, 0, 0, 0) mod 3, so "
+                          "no degree clears it")
+    assert out.witness == {"prime": 3, "point": [1, 0, 0, 0, 0]}
+    assert out.as_json()["witness"] == out.witness
+
+
+@pytest.mark.parametrize("fixture, point", [
+    ("q3_pencil", [1, 0, 0, 0, 0]), ("cor_pencil", [1, 2, 1, 0, 1])])
+def test_v3_screen_ends_the_ladder_at_default_dmax(fixture, point, request):
+    ideal = rank_le2_minor_ideal(request.getfixturevalue(fixture))
+    t0 = time.perf_counter()
+    out = empty_all_primes(ideal, d_max=12)
+    assert time.perf_counter() - t0 < 1
+    assert isinstance(out, Inconclusive) and out.degree_cap == 12
+    assert out.witness == {"prime": 3, "point": point}
+    # the witness is a common zero, checked by plain polynomial evaluation
+    assert all(g.evaluate(point) % 3 == 0 for g in ideal.generators)
+
+
+def test_screen_needs_a_point_over_the_prime_field(monkeypatch):
+    # the ideal is empty over Q from degree 6 on and 3 divides every
+    # lattice index, but mod 3 the zeros need t0^2 = -t1^2, which has
+    # solutions only over F_9: the screen at degree 6 finds nothing and
+    # the ladder runs on to d_max
+    from symmetroid import nullstellensatz
+    real = nullstellensatz._common_zero_mod
+    calls = []
+
+    def spy(gens, nvars, q):
+        calls.append(q)
+        return real(gens, nvars, q)
+    monkeypatch.setattr(nullstellensatz, "_common_zero_mod", spy)
+    out = empty_all_primes(_ideal(["t0^2 + t1^2", "3*t0*t1", "t2^2",
+                                   "t3^2", "t4^2"]), d_max=7)
+    assert isinstance(out, Inconclusive) and out.witness is None
+    assert out.reason == "lattice not full (after stripping) at degree 7"
+    assert calls == [3]
+    assert "witness" not in out.as_json()
+
+
+def test_screen_skips_primes_past_the_point_cap():
+    from symmetroid.nullstellensatz import _POINT_CAP, _common_zero_mod
+    # (0:0:0:0:1) is a common zero mod q; P^4(F_7) has 2,801 points
+    out = empty_all_primes(_ideal(["t0", "t1", "t2", "t3", "7*t4"]),
+                           d_max=4)
+    assert out.witness == {"prime": 7, "point": [0, 0, 0, 0, 1]}
+    # P^4(F_1009) has ~10^12 points: not screened, the ladder runs on
+    assert (1009 ** 5 - 1) // 1008 > _POINT_CAP
+    ideal = _ideal(["t0", "t1", "t2", "t3", "1009*t4"])
+    assert _common_zero_mod(ideal.generators, 5, 1009) is None
+    out = empty_all_primes(ideal, d_max=4)
+    assert out.witness is None
+    assert out.reason == "lattice not full (after stripping) at degree 4"
+    # P^1(F_q) just under the cap is screened
+    q = 99991
+    assert q + 1 <= _POINT_CAP
+    assert _common_zero_mod(_ideal(["t0", "%d*t1" % q], 2).generators, 2,
+                            q) == (0, 1)
 
 
 def test_pivot_rows_of_macaulay_blocks_match_oracle(q3_pencil):
