@@ -22,21 +22,26 @@ numpy backs the F_p kernels:
   blocks use it.
 - ``_rank_blocked``, a right-looking blocked elimination for Macaulay
   blocks of at least ``_BLOCKED_MIN`` rows and columns over small primes.
-  Each step picks up to ``_PANEL`` pivots at once and forms the Schur
-  complement of the rest with float GEMMs.  It is exact while every
-  partial sum is an integer the float type holds, k(p-1)^2 + 2p < 2^24
-  for float32 and 2^53 for float64 with k the GEMM's inner dimension
-  (``_float_dtype``, ``_limit``); reductions mod p are delayed until that
-  bound would be passed.  Outside both windows the plain loop runs.
+  Each step picks up to ``_PANEL`` pivots at once, stores them as rows
+  [0 | I | W], and forms the Schur complement of the rest with float
+  GEMMs.  It is exact while every partial sum is an integer the float
+  type holds, k(p-1)^2 + 2p < 2^24 for float32 and 2^53 for float64 with
+  k the GEMM's inner dimension (``_float_dtype``, ``_limit``); reductions
+  mod p are delayed until that bound would be passed, and a prime outside
+  the window is refused (``_window``).  Outside both windows the plain
+  loop runs.
 
-``fp_rank_sparse_dense`` takes a ``SparseRows`` block, chooses between
-them and feeds the chosen kernel ``_BATCH`` rows at a time under the
-basis found so far, so at most ncols + ``_BATCH`` rows are ever dense.
-``fp_pivot_rows`` feeds the same batches to the plain loop on their
-transpose, whose pivot columns are the row rank profile: the rows that
-form a basis, each independent of the rows before it.  Its residues
-are stored in ``_fp_dtype``: int64, exact for p < 2^31, and Python ints
-above.
+``fp_rank_sparse_dense`` takes a ``SparseRows`` block and chooses between
+them.  On the blocked path it keeps the panels found so far and reduces
+each batch of ``_BATCH_BLOCKED`` new rows against them, one GEMM per
+panel (``_sweep``), before ``_rank_blocked`` runs on the columns still
+free, so at most ncols + ``_BATCH_BLOCKED`` rows are ever dense.  The
+plain loop is fed ``_BATCH`` rows at a time under the basis found so
+far.  ``fp_pivot_rows`` feeds the same ``_BATCH`` batches to the plain
+loop on their transpose, whose pivot columns are the row rank profile:
+the rows that form a basis, each independent of the rows before it.  Its
+residues are stored in ``_fp_dtype``: int64, exact for p < 2^31, and
+Python ints above.
 """
 
 from __future__ import annotations
@@ -380,7 +385,7 @@ def _fp_dtype(p):
     return np.int64 if p < 1 << 31 else object
 
 
-def _echelon_mod_p(A, p, reduced=False):
+def _echelon_mod_p(A, p, reduced=False, width=None):
     """Row-reduce ``A`` to row echelon form over F_p, in place.
 
     ``A`` holds residues in [0, p) with dtype ``_fp_dtype(p)``.
@@ -388,13 +393,16 @@ def _echelon_mod_p(A, p, reduced=False):
     in column ``pivot_cols[i]``, the rows past ``len(pivot_cols)`` are
     zero, and ``det`` is the determinant of ``A`` mod p when ``A`` is
     square (0 otherwise).  With ``reduced`` the pivot columns are cleared
-    above the pivots too (reduced row echelon form).
+    above the pivots too (reduced row echelon form).  With ``width``,
+    pivots are sought in the first ``width`` columns only (the row
+    operations still span every column), and the rows past the pivots are
+    zero there.
     """
     m, n = A.shape
     pivot_cols = []
     det = 1
     r = 0
-    for c in range(n):
+    for c in range(n if width is None else width):
         if r == m:
             break
         nz = np.flatnonzero(A[r:, c])
@@ -442,8 +450,11 @@ def fp_rank(M, p):
 
 
 _PANEL = 64           # pivots per Schur step: the inner dimension of its GEMMs
-_CHUNK = 512          # rows updated by one Schur GEMM
 _BATCH = 2600         # rows written under the basis found so far per pass
+                      # of the plain loop
+_BATCH_BLOCKED = 512  # rows reduced against the stored panels per pass of the
+                      # blocked path, whose buffer holds (ncols + 512) * ncols
+                      # floats: 29 MB in float32 for 2450 columns
 _BLOCKED_MIN = 256    # blocks with fewer rows or columns keep the plain loop
                       # (dense mod 7, one core: 128^2 10 ms plain against
                       # 16 ms blocked, 256^2 56 ms against 34 ms)
@@ -542,32 +553,48 @@ def _to_front(A, first, picks, perm):
     perm[first:first + width] = perm[order]
 
 
-def _rank_blocked(A, p, perm):
+def _window(dtype, p):
+    """``(step, limit)``: ``step`` = _PANEL * (p-1)^2 bounds what one GEMM
+    of inner dimension at most ``_PANEL`` over reduced residues adds to an
+    entry, and ``limit`` is ``_limit``.  Raises ValueError when one step on
+    a reduced entry already passes the limit, p outside the float window
+    of ``dtype``."""
+    step = _PANEL * (p - 1) ** 2
+    limit = _limit(dtype, p)
+    if step + p - 1 > limit:
+        raise ValueError("p = %d is outside the %s window"
+                         % (p, np.dtype(dtype).name))
+    return step, limit
+
+
+def _rank_blocked(A, p, perm, panels):
     """Rank over F_p of the float array ``A`` of reduced residues
     (|a| < p).  Afterwards the first rank rows of ``A``, in the column
     order ``perm`` (permuted along with the columns), are a basis of its
-    row space in block echelon form, with entries |a| < p; the rows below
-    are left over.
+    row space in block echelon form: ``panels`` gains one (c, k) per step,
+    and that step's k rows are zero left of column c, the identity on
+    columns c..c+k-1 and a reduced W (|w| < p) to their right, [0 | I | W].
+    The rows below are left over.
 
     Right-looking blocked elimination.  Each step looks at the leftmost
     ``_PANEL`` live columns, retires those that are zero on every live row,
     and picks k pivot rows and columns inside the panel whose k x k block S
     is invertible: the candidates are one row per distinct leading column
-    plus the first rows that reach the panel, and two small eliminations
-    give independent rows, pivot columns and inv(S).  Every other live row
-    that reaches the panel then loses its pivot-column part at once,
-    ``A_rest -= C @ (inv(S) @ A_piv)`` with ``C = A_rest[:, piv]``: GEMMs
-    of inner dimension k.  rank(A) is k plus the rank of that Schur
-    complement, whichever invertible S is chosen.
+    plus the first rows that reach the panel, and one reduced elimination
+    of [candidates | I], pivoting in the panel only, gives the pivot rows,
+    the pivot columns and inv(S).  Every other live row that reaches the
+    panel then loses its pivot-column part at once,
+    ``A_rest -= C @ W``, ``W = inv(S) @ A_piv`` and ``C = A_rest[:, piv]``:
+    GEMMs of inner dimension k.  rank(A) is k plus the rank of that Schur
+    complement, whichever invertible S is chosen (cf. Jeannerod, Pernet
+    and Storjohann, "Rank-profile revealing Gaussian elimination and the
+    CUP matrix decomposition", JSC 56, 2013).
 
-    Reduction is delayed: the GEMM operands (the panel, the pivot rows and
-    inv(S) @ A_piv) are reduced before use, while the rest of the live
-    block only grows by k(p-1)^2 per step and is reduced when the next
-    step would pass ``_limit``.
+    Reduction is delayed: the GEMM operands (the panel and W) are reduced
+    before use, while the rest of the live block only grows by k(p-1)^2
+    per step and is reduced when the next step would pass ``_limit``.
     """
-    step = _PANEL * (p - 1) ** 2
-    limit = _limit(A.dtype, p)
-    assert step + p - 1 <= limit, "p = %d is outside the float window" % p
+    step, limit = _window(A.dtype, p)
     m, n = A.shape
     bound = p - 1        # |entries| of the live block
     r = c = 0
@@ -583,61 +610,128 @@ def _rank_blocked(A, p, perm):
             continue
         hit = np.flatnonzero(nz.any(axis=1))
         _, first = np.unique(nz[hit].argmax(axis=1), return_index=True)
-        cand = np.concatenate([hit[first], hit[:_PANEL]])
-        cand = cand[np.sort(np.unique(cand, return_index=True)[1])]
-        sub = panel[cand].astype(np.int64) % p
-        rows = np.sort(cand[_echelon_mod_p(sub.T.copy(), p)[0]])
-        k = rows.size
-        GJ = np.zeros((k, panel.shape[1] + k), dtype=np.int64)
-        GJ[:, :-k] = panel[rows].astype(np.int64) % p
-        GJ[:, -k:] = np.eye(k, dtype=np.int64)
-        # RREF of [P | I] is [E | T] with T @ P = E, E = I on the pivot
-        # columns: T = inv(S) for S = P[:, cols], and cols is ascending
-        cols = np.array(_echelon_mod_p(GJ, p, reduced=True)[0])
+        cand = np.union1d(hit[first], hit[:_PANEL])
+        w = panel.shape[1]
+        G = np.zeros((cand.size, w + cand.size), dtype=np.int64)
+        G[:, :w] = panel[cand].astype(np.int64) % p
+        G[:, w:] = np.eye(cand.size, dtype=np.int64)
+        # [P | I] reduces to [E | T] with T @ P = E, E = I on the ascending
+        # pivot columns cols; each pivot row of T combines only the k
+        # candidates that pivoted, so T[:k] there is inv(S) for the
+        # ascending rows
+        cols = np.array(_echelon_mod_p(G, p, reduced=True, width=w)[0])
+        k = cols.size
+        picked = np.flatnonzero(G[:k, w:].any(axis=0))
+        inv = G[:k, w + picked]
         # rows is ascending, so each pick stays put until its own swap
-        for i, src in enumerate((r + rows).tolist(), r):
+        for i, src in enumerate((r + cand[picked]).tolist(), r):
             if src != i:
                 A[[i, src]] = A[[src, i]]
         _to_front(A, c, c + cols, perm)
-        # the pivot rows are zero left of the panel; what is stored there
-        # is left over from earlier steps
-        A[r:r + k, :c] = 0
         piv = A[r:r + k, c + k:]
         _reduce(piv, p)
-        W = GJ[:, -k:].astype(A.dtype) @ piv
+        W = inv.astype(A.dtype) @ piv
         _reduce(W, p)
+        # what is stored left of the panel is left over from earlier steps
+        A[r:r + k, :c] = 0
+        A[r:r + k, c:c + k] = np.eye(k, dtype=A.dtype)
+        A[r:r + k, c + k:] = W
         if bound + step > limit:
-            for i in range(r + k, m, _CHUNK):
-                _reduce(A[i:i + _CHUNK, c + k:], p)
+            _reduce(A[r + k:, c + k:], p)
             bound = p - 1
-        for i in range(r + k, m, _CHUNK):
-            C = A[i:i + _CHUNK, c:c + k]
-            if C.any():
-                A[i:i + _CHUNK, c + k:] -= C @ W
+        C = A[r + k:, c:c + k]
+        if C.any():
+            A[r + k:, c + k:] -= C @ W
         bound += step
+        panels.append((c, k))
         r += k
         c += k
     return r
 
 
+def _sweep(X, basis, panels, p):
+    """Reduce the float rows ``X`` of residues in [0, p), left-looking,
+    against the stored ``basis``: each panel (r, k) of ``panels``, in
+    order, holds the rows ``basis[r:r+k]`` = [0 | I | W] with the identity
+    on columns r..r+k-1, and X loses its part on those columns,
+    ``X[:, r+k:] -= X[:, r:r+k] @ W``: one GEMM per panel.  The panels
+    cover columns 0..rank-1, where X ends zero; past them X ends reduced.
+    Reductions are delayed as in ``_rank_blocked``."""
+    step, limit = _window(X.dtype, p)
+    bound = p - 1
+    rank = 0
+    for r, k in panels:
+        C = X[:, r:r + k]
+        _reduce(C, p)
+        if C.any():
+            if bound + step > limit:
+                _reduce(X[:, r + k:], p)
+                bound = p - 1
+            X[:, r + k:] -= C @ basis[r:r + k, r + k:]
+            bound += step
+        rank = r + k
+    X[:, :rank] = 0
+    _reduce(X[:, rank:], p)
+
+
+def _rank_incremental(rows, ncols, p, dtype):
+    """Rank over F_p of the ``SparseRows`` block ``rows`` by the blocked
+    path of ``fp_rank_sparse_dense``, in a float buffer of ``dtype``."""
+    m = len(rows)
+    buf = np.empty((min(m, ncols + _BATCH_BLOCKED), ncols), dtype=dtype)
+    perm = np.arange(ncols)       # the column order of buf
+    where = np.arange(ncols)      # its inverse
+    panels = []                   # (r, k): [0 | I | W] rows in buf[r:r+k]
+    rank = 0
+    for start in range(0, m, _BATCH_BLOCKED):
+        if rank == ncols:
+            break
+        stop = min(m, start + _BATCH_BLOCKED)
+        X = buf[rank:rank + stop - start]
+        rows.dense(start, stop, p, X, where)
+        _sweep(X, buf, panels, p)
+        local = np.arange(ncols - rank)
+        new = []
+        k = _rank_blocked(X[:, rank:], p, local, new)
+        # the batch's pivot columns, in panel order, then the free ones
+        free = np.ones(ncols - rank, dtype=bool)
+        order = []
+        at = rank
+        for c, w in new:
+            free[c:c + w] = False
+            order.append(np.arange(c, c + w))
+            panels.append((at, w))
+            at += w
+        order = np.concatenate(order + [np.flatnonzero(free)])
+        buf[:rank, rank:] = buf[:rank, rank:][:, local[order]]
+        X[:k, rank:] = X[:k, rank:][:, order]
+        perm[rank:] = perm[rank:][local[order]]
+        where[perm] = np.arange(ncols)
+        rank += k
+    return rank
+
+
 def fp_rank_sparse_dense(rows, ncols, p):
     """Rank over F_p of ``rows``, a ``SparseRows`` block of integer rows.
 
-    The rows are eliminated ``_BATCH`` at a time, each batch written into
-    one preallocated buffer right under the basis found so far, so no more
-    than ncols + ``_BATCH`` rows are ever dense; it stops at rank ncols.
     Blocks with at least ``_BLOCKED_MIN`` rows and columns over a prime
-    inside the float window of ``_float_dtype`` take ``_rank_blocked``,
-    other blocks ``_echelon_mod_p``.
+    inside the float window of ``_float_dtype`` take the blocked path.
+    It keeps the basis found so far as panels [0 | I | W] on its pivot
+    columns, which it keeps first.  Each batch of ``_BATCH_BLOCKED`` rows
+    is written right under them and reduced against them (``_sweep``),
+    and ``_rank_blocked`` eliminates it on the columns still free; one
+    column permutation then puts the batch's pivot columns after the old
+    ones.  Other blocks are fed to ``_echelon_mod_p`` ``_BATCH`` rows at a
+    time, each batch written under the basis found so far.  So at most
+    ncols + ``_BATCH_BLOCKED`` or ncols + ``_BATCH`` rows are ever dense;
+    both stop at rank ncols.
     """
     m = len(rows)
     dtype = _float_dtype(p)
-    blocked = dtype is not None and min(m, ncols) >= _BLOCKED_MIN
-    if not blocked:
-        dtype = _fp_dtype(p)
-    buf = np.empty((min(m, ncols + _BATCH), ncols), dtype=dtype)
-    perm = np.arange(ncols)       # the column order of buf
-    where = np.arange(ncols)      # its inverse
+    if dtype is not None and min(m, ncols) >= _BLOCKED_MIN:
+        return _rank_incremental(rows, ncols, p, dtype)
+    buf = np.empty((min(m, ncols + _BATCH), ncols), dtype=_fp_dtype(p))
+    where = np.arange(ncols)
     rank = 0
     for start in range(0, m, _BATCH):
         if rank == ncols:
@@ -645,11 +739,7 @@ def fp_rank_sparse_dense(rows, ncols, p):
         stop = min(m, start + _BATCH)
         view = buf[:rank + stop - start]
         rows.dense(start, stop, p, view[rank:], where)
-        if blocked:
-            rank = _rank_blocked(view, p, perm)
-            where[perm] = np.arange(ncols)
-        else:
-            rank = len(_echelon_mod_p(view, p)[0])
+        rank = len(_echelon_mod_p(view, p)[0])
     return rank
 
 
@@ -660,9 +750,10 @@ def fp_pivot_rows(rows, ncols, p):
 
     The row rank profile of A is the column rank profile of its transpose,
     which the plain loop reveals.  The rows are fed ``_BATCH`` at a time,
-    as in ``fp_rank_sparse_dense``, each batch written right under the
-    rows kept so far; those are independent, so they pivot first in the
-    transpose, and the pivot columns past them are the batch's new rows.
+    as to the plain loop of ``fp_rank_sparse_dense``, each batch written
+    right under the rows kept so far; those are independent, so they pivot
+    first in the transpose, and the pivot columns past them are the
+    batch's new rows.  At most ncols + ``_BATCH`` rows are ever dense.
     """
     m = len(rows)
     buf = np.empty((min(m, ncols + _BATCH), ncols), dtype=_fp_dtype(p))

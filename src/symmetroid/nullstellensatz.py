@@ -507,9 +507,9 @@ def empty_bihomogeneous(ideal, d_max=(4, 4), p=None):
 
     A full bidegree-(a,b) span puts (x)^a (y)^b inside the ideal, which
     leaves no biprojective point for V(I): certificates from any bidegree
-    are valid.  Bidegrees up to the cap are scanned cheapest first; since
-    the ideals met here are symmetric under swapping the factors, only
-    a >= b is tried.
+    are valid.  Bidegrees (a, b) with a <= d_max[0] and b <= d_max[1]
+    are scanned cheapest first; since the ideals met here are symmetric
+    under swapping the factors, only a >= b is tried.
     """
     if p is None:
         p = ideal.mod
@@ -524,9 +524,9 @@ def empty_bihomogeneous(ideal, d_max=(4, 4), p=None):
         return Inconclusive("all generators vanish mod %d" % p, d_max)
     if not isinstance(d_max, tuple):
         d_max = (d_max, d_max)
-    d_cap = max(d_max)
     ladder = sorted(
-        ((a, b) for a in range(1, d_cap + 1) for b in range(1, a + 1)),
+        ((a, b) for a in range(1, d_max[0] + 1)
+         for b in range(1, min(a, d_max[1]) + 1)),
         key=lambda ab: len(monomials_of_degree(nx, ab[0]))
         * len(monomials_of_degree(ny, ab[1])))
     for (da, db) in ladder:

@@ -14,13 +14,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
-from .linalg import (det_bareiss, is_prime, kernel_rational, laplace_minors,
-                     mat_mul, mat_vec, primitive_vector, random_unimodular,
-                     rank_rational, transpose)
-from .polys import MultiPoly, poly_matrix_det
+from .linalg import (_fp_dtype, det_bareiss, is_prime, kernel_rational,
+                     laplace_minors, mat_mul, mat_vec, primitive_vector,
+                     random_unimodular, rank_rational, transpose)
+from .polys import MultiPoly, monomials_of_degree, poly_matrix_det
 from .quadform import QuadricForm, parse_quadric_line, quadric_to_line
 from .roots import poly_eval, poly_interpolate
 
@@ -301,8 +302,6 @@ def rank_le2_minor_ideal(P):
     (rows, cols), so only the 55 distinct ones are listed: rows I and
     columns J >= I, in ``combinations`` order.
     """
-    from itertools import combinations
-
     from .nullstellensatz import HomIdealPresentation
 
     mat = P.gram_matrix_poly()
@@ -324,55 +323,75 @@ def diagonal_avoidance_ideal(P, p):
 
 def singular_locus_ideal(P, p):
     """Bihomogeneous ideal of the singular locus of the (1,1)-divisor
-    intersection in P^4 x P^4 over F_p: the five bilinear forms plus all
-    5x5 minors of their 5x10 Jacobian."""
+    intersection in P^4 x P^4 over F_p: the five bilinear forms x^t B_i y
+    plus all 5x5 minors of their 5x10 Jacobian, in ``combinations`` order
+    of the columns, zero minors left out.
+
+    The B_i are symmetric, so the Jacobian (columns d/dx_j, then d/dy_j)
+    is J = [L(y) | L(x)] with L(z)[i][j] = (B_i z)_j.  A minor on the
+    columns S of L(y) and T of L(x), k = |S|, expands along the two column
+    blocks (Laplace; Muir, "A Treatise on the Theory of Determinants"):
+    det = sum over k-sets R of rows, 0-based, of
+    (-1)^(sum R + k(k-1)/2) det L(y)[R, S] det L(x)[R^c, T].  The minors
+    of L(z) are formed once, as coefficient vectors over the monomials of
+    z, and serve both x and y; each term is the outer product of an
+    x-vector and a y-vector, x-major, and the minor has bidegree
+    (5 - k, k).
+    """
     from .nullstellensatz import HomIdealPresentation
 
-    forms = []
+    gens = []
     for B in P.grams:
         terms = {}
         for i in range(5):
             for j in range(5):
-                c = B[i][j]
-                if c % p:
-                    e = [0] * 10
-                    e[i] += 1
-                    e[5 + j] += 1
-                    key = tuple(e)
-                    terms[key] = (terms.get(key, 0) + c) % p
-        forms.append(MultiPoly(10, terms, p))
-    gens = [f for f in forms]
+                e = [0] * 10
+                e[i] += 1
+                e[5 + j] += 1
+                terms[tuple(e)] = B[i][j]
+        gens.append(MultiPoly(10, terms, p))
     bidegrees = [(1, 1)] * len(gens)
-    # Jacobian columns: d/dx_j -> (B_i y)_j of bidegree (0,1);
-    #                   d/dy_j -> (B_i x)_j of bidegree (1,0)
-    jac = []
-    for B in P.grams:
-        row = []
-        for j in range(5):
-            terms = {}
-            for k in range(5):
-                c = B[j][k] % p
-                if c:
-                    e = [0] * 10
-                    e[5 + k] = 1
-                    terms[tuple(e)] = c
-            row.append(MultiPoly(10, terms, p))
-        for j in range(5):
-            terms = {}
-            for k in range(5):
-                c = B[k][j] % p
-                if c:
-                    e = [0] * 10
-                    e[k] = 1
-                    terms[tuple(e)] = c
-            row.append(MultiPoly(10, terms, p))
-        jac.append(row)
-    for cols, m in laplace_minors(jac, range(5)).items():
-        if m.is_zero():
-            continue
-        k = sum(1 for c in cols if c < 5)  # x-partials contribute (0,1)
-        gens.append(m)
-        bidegrees.append((5 - k, k))
+    units = [tuple(int(m == k) for m in range(5)) for k in range(5)]
+    L = [[MultiPoly(5, dict(zip(units, B[j])), p) for j in range(5)]
+         for B in P.grams]
+    mons = [monomials_of_degree(5, j) for j in range(6)]
+    sets = [list(combinations(range(5), j)) for j in range(6)]
+    at = {S: i for j in range(6) for i, S in enumerate(sets[j])}
+    # minors[R][at[S]]: det L(z)[R, S] over the monomials mons[|R|], as
+    # residues in _fp_dtype(p), where a product of two residues and a
+    # residue added to it stay exact
+    minors = {}
+    for j, mon in enumerate(mons):
+        index = {e: i for i, e in enumerate(mon)}
+        for R in sets[j]:
+            table = np.zeros((len(sets[j]), len(mon)), dtype=_fp_dtype(p))
+            for S, m in laplace_minors(L, R).items():
+                for e, c in (m.terms if j else {mon[0]: 1}).items():
+                    table[at[S], index[e]] = c
+            minors[R] = table
+    # block[k][at[T], :, at[S], :]: the minor on (S, T), |S| = k, x-major
+    block = []
+    for k in range(6):
+        acc = 0
+        for R in sets[k]:
+            Rc = tuple(i for i in range(5) if i not in R)
+            term = np.multiply.outer(minors[Rc], minors[R])
+            acc = (acc - term if (sum(R) + k * (k - 1) // 2) % 2
+                   else acc + term) % p
+        block.append(acc)
+    # the exponent tuple of each cell of a bidegree-(5 - k, k) minor
+    keys = [[ex + ey for ex in mons[5 - k] for ey in mons[k]]
+            for k in range(6)]
+    for cols in combinations(range(10), 5):
+        S = tuple(c for c in cols if c < 5)
+        T = tuple(c - 5 for c in cols if c >= 5)
+        k = len(S)
+        flat = block[k][at[T], :, at[S], :].ravel()
+        nz = np.flatnonzero(flat)
+        if nz.size:
+            gens.append(MultiPoly(10, dict(zip(
+                map(keys[k].__getitem__, nz.tolist()), flat[nz].tolist())), p))
+            bidegrees.append((5 - k, k))
     return HomIdealPresentation(nvars=10, generators=gens,
                                 bidegrees=bidegrees, nx=5, ny=5)
 

@@ -158,7 +158,7 @@ def _plain_rank(A, p):
 def test_blocked_ranks_match_plain_loop():
     rng = np.random.default_rng(6)
     # tall, wide, square, rank-deficient; the float kernel sees several
-    # panels (_PANEL = 64 columns) and update chunks (_CHUNK rows)
+    # panels (_PANEL = 64 columns)
     shapes = ((700, 150, 150), (150, 300, 150), (200, 200, 200),
               (300, 180, 120), (140, 250, 90))
     # 1000003 runs the same kernel in float64
@@ -170,29 +170,32 @@ def test_blocked_ranks_match_plain_loop():
             assert want < min(m, n)   # the planted dependencies hold
             B = A.astype(dtype)
             perm = np.arange(n)
-            assert linalg._rank_blocked(B, p, perm) == want, (p, m, n)
+            panels = []
+            assert linalg._rank_blocked(B, p, perm, panels) == want, \
+                (p, m, n)
             # the first rank rows, in the column order perm, are a basis
-            # of the row space with reduced entries
+            # of the row space with reduced entries, panel by panel
+            # [0 | I | W]
             basis = np.zeros((want, n), dtype=np.int64)
             basis[:, perm] = B[:want].astype(np.int64) % p
             assert (np.abs(B[:want]) < p).all()
             assert _plain_rank(basis, p) == want
             assert _plain_rank(np.vstack([basis, A]), p) == want
+            r = 0
+            for c, k in panels:
+                assert (B[r:r + k, :c] == 0).all()
+                assert (B[r:r + k, c:c + k] == np.eye(k)).all()
+                r += k
+            assert r == want
 
 
-def test_blocked_rank_stays_exact_as_the_window_fills():
-    # A = L @ U with unit block triangular factors whose off-diagonal
-    # blocks hold an odd h near p/2 (h - 1 in the first column of L's) and
-    # a zero last diagonal block.  Every Schur step then has S = I and
-    # subtracts the same odd sum, near _PANEL * h^2, from each live entry;
-    # at the largest prime whose one step fits float32, unreduced entries
-    # pass 2^24 by the fifth step unless the live block is reduced in time,
-    # and the last complement, which is zero mod p, is formed after six.
+def _window_filler(p, blocks):
+    """Unit block triangular L (lower) and U (upper), blocks of _PANEL,
+    whose off-diagonal blocks hold an odd h near p/2 (h - 1 in the first
+    column of L's), U with a zero last diagonal block."""
     k = linalg._PANEL
-    p = P_F32
     h = (p - 1) // 2
     h -= 1 - h % 2
-    blocks = 7
     L = np.eye(blocks * k, dtype=np.int64)
     U = np.eye(blocks * k, dtype=np.int64)
     for i in range(blocks):
@@ -203,43 +206,113 @@ def test_blocked_rank_stays_exact_as_the_window_fills():
             elif i < j:
                 U[i * k:(i + 1) * k, j * k:(j + 1) * k] = h
     U[-k:, -k:] = 0
+    return L, U
+
+
+def test_blocked_rank_stays_exact_as_the_window_fills():
+    # A = L @ U (``_window_filler``).  Every Schur step then has S = I and
+    # subtracts the same odd sum, near _PANEL * h^2, from each live entry;
+    # at the largest prime whose one step fits float32, unreduced entries
+    # pass 2^24 by the fifth step unless the live block is reduced in time,
+    # and the last complement, which is zero mod p, is formed after six.
+    k = linalg._PANEL
+    p = P_F32
+    blocks = 7
+    L, U = _window_filler(p, blocks)
     A = L @ U % p
     assert _plain_rank(A, p) == (blocks - 1) * k
     assert linalg._rank_blocked(A.astype(np.float32), p,
-                                np.arange(len(A))) == (blocks - 1) * k
+                                np.arange(len(A)), []) == (blocks - 1) * k
+
+
+def test_stored_panel_sweep_stays_exact_as_the_window_fills(monkeypatch):
+    # The first batch is U without its zero last block row
+    # (``_window_filler``): it is its own stored panels [I | W], W = h.
+    # The second is the last block row of L @ U, inside U's row space.
+    # Its sweep subtracts the same odd sum, near _PANEL * h^2, from each
+    # entry per panel: at the largest prime whose one step fits float32,
+    # unreduced entries pass 2^24 by the fifth panel unless they are
+    # reduced in time, and the rows, zero mod p, are finished after six.
+    k = linalg._PANEL
+    p = P_F32
+    blocks = 7
+    L, U = _window_filler(p, blocks)
+    A = np.vstack([U[:-k], (L @ U % p)[-k:]])
+    monkeypatch.setattr(linalg, "_BATCH_BLOCKED", (blocks - 1) * k)
+    assert _plain_rank(A, p) == (blocks - 1) * k
+    assert fp_rank_sparse_dense(_sparse(A), blocks * k, p) \
+        == (blocks - 1) * k
+
+
+def _watch_dense(monkeypatch):
+    """Record (stop, rows of the dense buffer) for every batch that
+    ``SparseRows.dense`` writes."""
+    seen = []
+    dense = SparseRows.dense
+
+    def run(self, start, stop, p, out, where):
+        seen.append((stop, out.base.shape[0]))
+        return dense(self, start, stop, p, out, where)
+
+    monkeypatch.setattr(SparseRows, "dense", run)
+    return seen
+
+
+def test_blocked_path_matches_plain_loop_across_batches(monkeypatch):
+    # batches of 96 rows, reduced against the panels stored from earlier
+    # batches; 70 columns are zero in every row of the first batches and
+    # live only later.  A full-rank block stops before its last batch, a
+    # rank-deficient one reads every row.
+    seen = _watch_dense(monkeypatch)
+    monkeypatch.setattr(linalg, "_BATCH_BLOCKED", 96)
+    rng = np.random.default_rng(9)
+    for p in KERNEL_PRIMES + (1000003,):
+        for m, n, rank in ((700, 300, 300), (700, 300, 230),
+                           (400, 330, 260)):
+            A = _test_matrix(rng, m, n, rank, p)
+            if rank == n:
+                A[:, [1, n // 2, -1]] = rng.integers(0, p, size=(m, 3))
+            A[:300, 40:110] = 0
+            want = _plain_rank(A, p)
+            seen.clear()
+            assert fp_rank_sparse_dense(_sparse(A), n, p) == want, \
+                (p, m, n)
+            assert max(rows for _, rows in seen) <= n + 96
+            if rank == n:
+                assert want == n and seen[-1][0] < m
+            else:
+                assert seen[-1][0] == m
+
+
+def test_float_kernels_refuse_primes_outside_their_window():
+    for dtype, p in ((np.float32, 521), (np.float64, (1 << 31) - 1)):
+        A = np.zeros((4, 4), dtype=dtype)
+        with pytest.raises(ValueError, match="outside"):
+            linalg._rank_blocked(A, p, np.arange(4), [])
+        with pytest.raises(ValueError, match="outside"):
+            linalg._sweep(A, A, [], p)
 
 
 def test_fp_rank_sparse_dense_paths(monkeypatch):
     rng = np.random.default_rng(7)
-    seen = []
-
-    def watch(kernel):
-        def run(A, p, *args, **kwargs):
-            seen.append(A.shape)
-            return kernel(A, p, *args, **kwargs)
-        return run
-
-    monkeypatch.setattr(linalg, "_rank_blocked",
-                        watch(linalg._rank_blocked))
-    monkeypatch.setattr(linalg, "_echelon_mod_p",
-                        watch(linalg._echelon_mod_p))
+    seen = _watch_dense(monkeypatch)
     # tall blocks, full rank and deficient, and a wide one, in batches of
-    # 100 rows: the rank is exact, no more than ncols + 100 rows are ever
-    # dense, and the passes stop at full rank
+    # 100 rows on either path: the rank is exact, no more than ncols + 100
+    # rows are ever dense, and the passes stop at full rank
     monkeypatch.setattr(linalg, "_BATCH", 100)
+    monkeypatch.setattr(linalg, "_BATCH_BLOCKED", 100)
     for p in (2, 7, P_F32, 1000003, (1 << 31) - 1):
         for m, n, rank in ((900, 300, 300), (900, 300, 260),
                            (300, 400, 250)):
             A = _test_matrix(rng, m, n, rank, p)
             if rank == n:
-                A[:, -1] = rng.integers(0, p, size=m)
+                A[:, [1, n // 2, -1]] = rng.integers(0, p, size=(m, 3))
             want = _plain_rank(A, p)
             seen.clear()
             assert fp_rank_sparse_dense(_sparse(A), n, p) == want, (p, m, n)
-            passes = [rows for rows, cols in seen if cols == n]
-            assert max(passes) <= n + 100
-            if want == n:
-                assert len(passes) < -(-m // 100)
+            assert max(rows for _, rows in seen) <= n + 100
+            if rank == n:
+                assert want == n and seen[-1][0] < m
     # the float windows: float32 up to P_F32, then float64, then the
     # exact integer loop, which must not reach the float kernel
     assert linalg._float_dtype(521) is np.float64      # the next prime

@@ -279,6 +279,20 @@ def test_bihomogeneous_trivial_cases(thm_pencil):
     assert isinstance(out, Inconclusive)
 
 
+def test_bihomogeneous_keeps_to_both_caps():
+    # every bidegree-(2, 2) monomial in (x0, x1; y0, y1): the first full
+    # span is at (2, 2), which a cap of (2, 1) must not try
+    mons = [(a, 2 - a, b, 2 - b) for a in range(3) for b in range(3)]
+    I = HomIdealPresentation(4, [MultiPoly.monomial(4, e, mod=5)
+                                 for e in mons],
+                             bidegrees=[(2, 2)] * len(mons), nx=2, ny=2)
+    cert = empty_bihomogeneous(I, (2, 2), 5)
+    assert cert and cert.degree == (2, 2)
+    out = empty_bihomogeneous(I, (2, 1), 5)
+    assert isinstance(out, Inconclusive)
+    assert "up to (2, 1)" in out.reason
+
+
 def test_regularity_diagonal_failure_detected():
     # a common zero of all five quadrics breaks diagonal avoidance
     qs = ["x0^2", "x0*x1", "x0*x2", "x0*x3 + x1^2", "x0*x4 + x2^2"]
