@@ -22,26 +22,30 @@ numpy backs the F_p kernels:
   blocks use it.
 - ``_rank_blocked``, a right-looking blocked elimination for Macaulay
   blocks of at least ``_BLOCKED_MIN`` rows and columns over small primes.
-  Each step picks up to ``_PANEL`` pivots at once, stores them as rows
-  [0 | I | W], and forms the Schur complement of the rest with float
-  GEMMs.  It is exact while every partial sum is an integer the float
-  type holds, k(p-1)^2 + 2p < 2^24 for float32 and 2^53 for float64 with
-  k the GEMM's inner dimension (``_float_dtype``, ``_limit``); reductions
-  mod p are delayed until that bound would be passed, and a prime outside
-  the window is refused (``_window``).  Outside both windows the plain
-  loop runs.
+  Each step picks up to ``_PANEL`` pivots at once and forms the Schur
+  complement of the rows below with float GEMMs; one more GEMM clears
+  the new pivot columns in the pivot rows above, so the rows it returns
+  are in Gauss-Jordan form.  It is exact while every partial sum is an
+  integer the float type holds, k(p-1)^2 + 2p < 2^24 for float32 and
+  2^53 for float64 with k the GEMM's inner dimension (``_float_dtype``,
+  ``_limit``); reductions mod p are delayed until that bound would be
+  passed, and a prime outside the window is refused (``_window``).
+  Outside both windows the plain loop runs.
 
 ``fp_rank_sparse_dense`` takes a ``SparseRows`` block and chooses between
-them.  On the blocked path it keeps the panels found so far and reduces
-each batch of ``_BATCH_BLOCKED`` new rows against them, one GEMM per
-panel (``_sweep``), before ``_rank_blocked`` runs on the columns still
-free, so at most ncols + ``_BATCH_BLOCKED`` rows are ever dense.  The
-plain loop is fed ``_BATCH`` rows at a time under the basis found so
-far.  ``fp_pivot_rows`` feeds the same ``_BATCH`` batches to the plain
-loop on their transpose, whose pivot columns are the row rank profile:
-the rows that form a basis, each independent of the rows before it.  Its
-residues are stored in ``_fp_dtype``: int64, exact for p < 2^31, and
-Python ints above.
+them.  On the blocked path it keeps the basis found so far fully reduced,
+rows [I | W] over all its pivot columns.  Each batch of ``_BATCH_BLOCKED``
+new rows loses its part on those columns through one GEMM,
+``X[:, r:] -= X[:, :r] @ W`` (``_eliminate``, its inner dimension cut
+into chunks that fit the window), before ``_rank_blocked`` runs on the
+columns still free; the old basis then loses its part on the batch's new
+pivot columns the same way, so at most ncols + ``_BATCH_BLOCKED`` rows are
+ever dense.  The plain loop is fed ``_BATCH`` rows at a time under the
+basis found so far.  ``fp_pivot_rows`` feeds the same ``_BATCH`` batches
+to the plain loop on their transpose, whose pivot columns are the row rank
+profile: the rows that form a basis, each independent of the rows before
+it.  Its residues are stored in ``_fp_dtype``: int64, exact for p < 2^31,
+and Python ints above.
 """
 
 from __future__ import annotations
@@ -452,7 +456,7 @@ def fp_rank(M, p):
 _PANEL = 64           # pivots per Schur step: the inner dimension of its GEMMs
 _BATCH = 2600         # rows written under the basis found so far per pass
                       # of the plain loop
-_BATCH_BLOCKED = 512  # rows reduced against the stored panels per pass of the
+_BATCH_BLOCKED = 512  # rows reduced against the stored basis per pass of the
                       # blocked path, whose buffer holds (ncols + 512) * ncols
                       # floats: 29 MB in float32 for 2450 columns
 _BLOCKED_MIN = 256    # blocks with fewer rows or columns keep the plain loop
@@ -571,10 +575,10 @@ def _rank_blocked(A, p, perm, panels):
     """Rank over F_p of the float array ``A`` of reduced residues
     (|a| < p).  Afterwards the first rank rows of ``A``, in the column
     order ``perm`` (permuted along with the columns), are a basis of its
-    row space in block echelon form: ``panels`` gains one (c, k) per step,
-    and that step's k rows are zero left of column c, the identity on
-    columns c..c+k-1 and a reduced W (|w| < p) to their right, [0 | I | W].
-    The rows below are left over.
+    row space in Gauss-Jordan form: ``panels`` gains one (c, k) per step,
+    the pivot columns of that step are c..c+k-1, and on the pivot columns
+    of all steps the rows are the identity; every entry is reduced
+    (|a| < p).  The rows below are left over.
 
     Right-looking blocked elimination.  Each step looks at the leftmost
     ``_PANEL`` live columns, retires those that are zero on every live row,
@@ -582,25 +586,25 @@ def _rank_blocked(A, p, perm, panels):
     is invertible: the candidates are one row per distinct leading column
     plus the first rows that reach the panel, and one reduced elimination
     of [candidates | I], pivoting in the panel only, gives the pivot rows,
-    the pivot columns and inv(S).  Every other live row that reaches the
-    panel then loses its pivot-column part at once,
-    ``A_rest -= C @ W``, ``W = inv(S) @ A_piv`` and ``C = A_rest[:, piv]``:
-    GEMMs of inner dimension k.  rank(A) is k plus the rank of that Schur
-    complement, whichever invertible S is chosen (cf. Jeannerod, Pernet
-    and Storjohann, "Rank-profile revealing Gaussian elimination and the
-    CUP matrix decomposition", JSC 56, 2013).
+    the pivot columns and inv(S).  Every other row, the live ones below and
+    the pivot rows of earlier steps above, then loses its pivot-column part
+    at once, ``A_rest -= C @ W``, ``W = inv(S) @ A_piv`` and
+    ``C = A_rest[:, piv]``: two GEMMs of inner dimension k.  rank(A) is k
+    plus the rank of the Schur complement below, whichever invertible S is
+    chosen (cf. Jeannerod, Pernet and Storjohann, "Rank-profile revealing
+    Gaussian elimination and the CUP matrix decomposition", JSC 56, 2013).
 
     Reduction is delayed: the GEMM operands (the panel and W) are reduced
-    before use, while the rest of the live block only grows by k(p-1)^2
-    per step and is reduced when the next step would pass ``_limit``.
+    before use, while the rest of the block only grows by k(p-1)^2 per step
+    and is reduced when the next step would pass ``_limit``.
     """
     step, limit = _window(A.dtype, p)
     m, n = A.shape
-    bound = p - 1        # |entries| of the live block
+    bound = p - 1        # |entries| right of the panel
     r = c = 0
     while r < m and c < n:
+        _reduce(A[:, c:c + _PANEL], p)
         panel = A[r:, c:c + _PANEL]
-        _reduce(panel, p)
         nz = panel != 0
         live = nz.any(axis=0)
         if not live.all():
@@ -637,41 +641,40 @@ def _rank_blocked(A, p, perm, panels):
         A[r:r + k, c:c + k] = np.eye(k, dtype=A.dtype)
         A[r:r + k, c + k:] = W
         if bound + step > limit:
-            _reduce(A[r + k:, c + k:], p)
+            _reduce(A[:, c + k:], p)
             bound = p - 1
-        C = A[r + k:, c:c + k]
-        if C.any():
-            A[r + k:, c + k:] -= C @ W
+        for C, rest in ((A[r + k:, c:c + k], A[r + k:, c + k:]),
+                        (A[:r, c:c + k], A[:r, c + k:])):
+            if C.any():
+                rest -= C @ W
+        A[:r, c:c + k] = 0
         bound += step
         panels.append((c, k))
         r += k
         c += k
+    _reduce(A[:r], p)
     return r
 
 
-def _sweep(X, basis, panels, p):
-    """Reduce the float rows ``X`` of residues in [0, p), left-looking,
-    against the stored ``basis``: each panel (r, k) of ``panels``, in
-    order, holds the rows ``basis[r:r+k]`` = [0 | I | W] with the identity
-    on columns r..r+k-1, and X loses its part on those columns,
-    ``X[:, r+k:] -= X[:, r:r+k] @ W``: one GEMM per panel.  The panels
-    cover columns 0..rank-1, where X ends zero; past them X ends reduced.
-    Reductions are delayed as in ``_rank_blocked``."""
-    step, limit = _window(X.dtype, p)
-    bound = p - 1
-    rank = 0
-    for r, k in panels:
-        C = X[:, r:r + k]
-        _reduce(C, p)
-        if C.any():
-            if bound + step > limit:
-                _reduce(X[:, r + k:], p)
-                bound = p - 1
-            X[:, r + k:] -= C @ basis[r:r + k, r + k:]
-            bound += step
-        rank = r + k
-    X[:, :rank] = 0
-    _reduce(X[:, rank:], p)
+def _eliminate(T, C, W, p):
+    """``T -= C @ W`` mod p in place, for float arrays of reduced residues
+    (|x| < p); T ends reduced.
+
+    The inner dimension is cut into chunks of h columns of C, the most for
+    which a reduced entry plus one chunk's products, (p-1) + h(p-1)^2,
+    stays within ``_limit``; T is reduced after each chunk.  The rows of T
+    go ``_BATCH_BLOCKED`` at a time, so no product held at once is larger
+    than ``_BATCH_BLOCKED`` rows of T.  Raises ValueError for p outside
+    the float window of the dtype, as ``_window`` does."""
+    _, limit = _window(T.dtype, p)
+    h = (limit - (p - 1)) // (p - 1) ** 2
+    for i in range(0, T.shape[0], _BATCH_BLOCKED):
+        rows = T[i:i + _BATCH_BLOCKED]
+        for j in range(0, C.shape[1], h):
+            part = C[i:i + _BATCH_BLOCKED, j:j + h]
+            if part.any():
+                rows -= part @ W[j:j + h]
+                _reduce(rows, p)
 
 
 def _rank_incremental(rows, ncols, p, dtype):
@@ -681,30 +684,30 @@ def _rank_incremental(rows, ncols, p, dtype):
     buf = np.empty((min(m, ncols + _BATCH_BLOCKED), ncols), dtype=dtype)
     perm = np.arange(ncols)       # the column order of buf
     where = np.arange(ncols)      # its inverse
-    panels = []                   # (r, k): [0 | I | W] rows in buf[r:r+k]
-    rank = 0
+    rank = 0                      # buf[:rank] = [I | W], reduced
     for start in range(0, m, _BATCH_BLOCKED):
         if rank == ncols:
             break
         stop = min(m, start + _BATCH_BLOCKED)
         X = buf[rank:rank + stop - start]
         rows.dense(start, stop, p, X, where)
-        _sweep(X, buf, panels, p)
+        _eliminate(X[:, rank:], X[:, :rank], buf[:rank, rank:], p)
         local = np.arange(ncols - rank)
         new = []
         k = _rank_blocked(X[:, rank:], p, local, new)
         # the batch's pivot columns, in panel order, then the free ones
         free = np.ones(ncols - rank, dtype=bool)
-        order = []
-        at = rank
         for c, w in new:
             free[c:c + w] = False
-            order.append(np.arange(c, c + w))
-            panels.append((at, w))
-            at += w
-        order = np.concatenate(order + [np.flatnonzero(free)])
+        order = np.concatenate([np.arange(c, c + w) for c, w in new]
+                               + [np.flatnonzero(free)])
         buf[:rank, rank:] = buf[:rank, rank:][:, local[order]]
         X[:k, rank:] = X[:k, rank:][:, order]
+        X[:k, :rank] = 0
+        # the old rows lose their part on the new pivot columns
+        _eliminate(buf[:rank, rank + k:], buf[:rank, rank:rank + k],
+                   X[:k, rank + k:], p)
+        buf[:rank, rank:rank + k] = 0
         perm[rank:] = perm[rank:][local[order]]
         where[perm] = np.arange(ncols)
         rank += k
@@ -716,13 +719,14 @@ def fp_rank_sparse_dense(rows, ncols, p):
 
     Blocks with at least ``_BLOCKED_MIN`` rows and columns over a prime
     inside the float window of ``_float_dtype`` take the blocked path.
-    It keeps the basis found so far as panels [0 | I | W] on its pivot
-    columns, which it keeps first.  Each batch of ``_BATCH_BLOCKED`` rows
-    is written right under them and reduced against them (``_sweep``),
-    and ``_rank_blocked`` eliminates it on the columns still free; one
-    column permutation then puts the batch's pivot columns after the old
-    ones.  Other blocks are fed to ``_echelon_mod_p`` ``_BATCH`` rows at a
-    time, each batch written under the basis found so far.  So at most
+    It keeps the basis found so far as rows [I | W], fully reduced, on its
+    pivot columns, which it keeps first.  Each batch of ``_BATCH_BLOCKED``
+    rows is written right under them and loses its part on those columns
+    (``_eliminate``), and ``_rank_blocked`` eliminates it on the columns
+    still free; one column permutation puts the batch's pivot columns
+    after the old ones, and the old rows lose their part on them.  Other
+    blocks are fed to ``_echelon_mod_p`` ``_BATCH`` rows at a time, each
+    batch written under the basis found so far.  So at most
     ncols + ``_BATCH_BLOCKED`` or ncols + ``_BATCH`` rows are ever dense;
     both stop at rank ncols.
     """

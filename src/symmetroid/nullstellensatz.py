@@ -26,7 +26,7 @@ Under 2-saturation q = 2 is never a bad prime, so it is never screened.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb, gcd
+from math import comb, gcd, prod
 
 import numpy as np
 
@@ -136,25 +136,63 @@ def _term_arrays(g):
             np.array(coeffs, dtype=np.int64 if fits else object))
 
 
-def _macaulay_rows(terms, multipliers, rank):
-    """The Macaulay rows g*m as ``SparseRows``: generator by generator, one
-    row for each monomial m of that generator's ``multipliers`` (an
-    (N, nvars) exponent array), entries in the generator's term order.
-    ``terms`` holds each generator's ``_term_arrays``; ``rank`` maps an
-    array of exponent vectors to column indices.  Products are ranked one
-    generator at a time: all of them at once would hold nvars int64s per
-    nonzero of the block."""
-    indices = [np.zeros(0, dtype=np.int64)]
-    data = [np.zeros(0, dtype=np.int64)]
-    counts = [np.zeros(0, dtype=np.int64)]
-    for (e, c), mults in zip(terms, multipliers):
-        if not len(mults):
-            continue
-        indices.append(rank((mults[:, None, :] + e).reshape(-1, e.shape[1])))
-        data.append(np.tile(c, len(mults)))
-        counts.append(np.full(len(mults), len(c)))
-    indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
-    return SparseRows(indptr, np.concatenate(indices), np.concatenate(data))
+def _product_table(nvars, dt, dm):
+    """table[i, j]: the rank in ``monomials_of_degree(nvars, dt + dm)`` of
+    the product of the monomials of ranks i (degree dt) and j (degree
+    dm)."""
+    t = _exponents(monomials_of_degree(nvars, dt), nvars)
+    m = _exponents(monomials_of_degree(nvars, dm), nvars)
+    return monomial_ranks((t[:, None, :] + m).reshape(-1, nvars)).reshape(
+        len(t), len(m))
+
+
+def _macaulay_rows(terms, degrees, sizes, top):
+    """The Macaulay rows g*m of multidegree ``top`` as ``SparseRows``.
+
+    The variables fall into blocks of ``sizes`` (one block: the usual
+    grading; two: the bigrading); generator g has the multidegree
+    ``degrees[g]`` and the ``_term_arrays`` ``terms[g]``.  Generator by
+    generator, there is one row for each multiplier m of multidegree
+    top - deg g, in mixed-radix order of its ranks in the blocks (the
+    first block most significant), with entries in the generator's term
+    order.  The columns are the monomials of multidegree ``top`` in the
+    same order.
+
+    The column of t*m is read from a ``_product_table`` per block, built
+    once per (term degree, multiplier degree) and indexed by the ranks of
+    t and m in that block.  Each generator's rows are written straight
+    into arrays allocated once; ``data`` is an object array when a
+    contributing generator's coefficients are."""
+    used = [(e, c, deg) for (e, c), deg in zip(terms, degrees)
+            if all(0 <= a <= d for a, d in zip(deg, top))]
+    cut = np.cumsum((0,) + tuple(sizes))
+    e = np.concatenate([np.zeros((0, cut[-1]), dtype=np.int64)]
+                       + [e for e, _, _ in used])
+    # the rank of every term in each block, all generators at once
+    ranks = [monomial_ranks(e[:, lo:hi]) for lo, hi in zip(cut, cut[1:])]
+    length = np.array([len(c) for _, c, _ in used], dtype=np.int64)
+    nrows = np.array([prod(comb(d - a + s - 1, s - 1)
+                           for a, d, s in zip(deg, top, sizes))
+                      for _, _, deg in used], dtype=np.int64)
+    indptr = np.concatenate([[0], np.cumsum(np.repeat(length, nrows))])
+    indices = np.empty(indptr[-1], dtype=np.int64)
+    data = np.empty(indptr[-1], dtype=object if any(
+        c.dtype == object for _, c, _ in used) else np.int64)
+    tables = {}
+    lo = at = 0
+    for (_, c, deg), n in zip(used, length):
+        cols = np.zeros((1, n), dtype=np.int64)
+        for b, (a, d) in enumerate(zip(deg, top)):
+            key = (sizes[b], a, d - a)
+            if key not in tables:
+                tables[key] = _product_table(*key)
+            cols = (cols[:, None, :] * comb(d + sizes[b] - 1, sizes[b] - 1)
+                    + tables[key][ranks[b][lo:lo + n]].T).reshape(-1, n)
+        indices[at:at + cols.size].reshape(cols.shape)[...] = cols
+        data[at:at + cols.size].reshape(cols.shape)[...] = c
+        lo += n
+        at += cols.size
+    return SparseRows(indptr, indices, data)
 
 
 def _exponents(monomials, nvars):
@@ -164,11 +202,10 @@ def _exponents(monomials, nvars):
 def _degree_block(generators, d, nvars):
     """Rows and column count of the degree-d Macaulay matrix, whose columns
     are ``monomials_of_degree(nvars, d)``."""
-    multipliers = [_exponents(monomials_of_degree(nvars, d - g.total_degree())
-                              if 0 <= g.total_degree() <= d else [], nvars)
-                   for g in generators]
-    return _macaulay_rows([_term_arrays(g) for g in generators], multipliers,
-                          monomial_ranks), comb(d + nvars - 1, nvars - 1)
+    return (_macaulay_rows([_term_arrays(g) for g in generators],
+                           [(g.total_degree(),) for g in generators],
+                           (nvars,), (d,)),
+            comb(d + nvars - 1, nvars - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -486,22 +523,6 @@ def _pollard_rho(n):
 # bihomogeneous test in P^4 x P^4
 
 
-def _bimonomials(nx, ny, dx, dy):
-    """Bidegree-(dx, dy) monomials as flat (nx + ny)-tuples, x-major."""
-    if dx < 0 or dy < 0:
-        return []
-    ys = monomials_of_degree(ny, dy)
-    return [ex + ey for ex in monomials_of_degree(nx, dx) for ey in ys]
-
-
-def _birank(nx, ny, dy):
-    """Column index of bidegree-(., dy) exponent rows in ``_bimonomials``
-    order: x-rank times the number of y-monomials, plus the y-rank."""
-    count_y = comb(dy + ny - 1, ny - 1)
-    return lambda E: (monomial_ranks(E[:, :nx]) * count_y
-                      + monomial_ranks(E[:, nx:]))
-
-
 def empty_bihomogeneous(ideal, d_max=(4, 4), p=None):
     """Certify emptiness in P^{nx-1} x P^{ny-1} over F_pbar.
 
@@ -530,9 +551,8 @@ def empty_bihomogeneous(ideal, d_max=(4, 4), p=None):
         key=lambda ab: len(monomials_of_degree(nx, ab[0]))
         * len(monomials_of_degree(ny, ab[1])))
     for (da, db) in ladder:
-        multipliers = [_exponents(_bimonomials(nx, ny, da - a, db - b),
-                                  nx + ny) for _, (a, b) in pairs]
-        rows = _macaulay_rows(terms, multipliers, _birank(nx, ny, db))
+        rows = _macaulay_rows(terms, [bd for _, bd in pairs], (nx, ny),
+                              (da, db))
         ncols = comb(da + nx - 1, nx - 1) * comb(db + ny - 1, ny - 1)
         if len(rows) < ncols:
             continue

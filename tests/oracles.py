@@ -228,3 +228,38 @@ def cofactor_det(rows):
         term = rows[0][j] * cofactor_det(sub)
         det = det - term if j % 2 else det + term
     return det
+
+
+def macaulay_rows_by_exponent_sums(terms, degrees, sizes, top):
+    """The Macaulay rows of ``nullstellensatz._macaulay_rows`` (same
+    arguments and row, entry and column order), built directly: every
+    multiplier's exponent vector is added to every term of its generator,
+    and the sums are ranked by ``monomial_ranks`` block by block, the
+    first block the most significant digit.  Generators are taken one at
+    a time and the pieces concatenated."""
+    from itertools import product
+    from math import comb
+
+    from symmetroid.linalg import SparseRows
+    from symmetroid.polys import monomial_ranks, monomials_of_degree
+
+    cut = np.cumsum((0,) + tuple(sizes))
+    indices = [np.zeros(0, dtype=np.int64)]
+    data = [np.zeros(0, dtype=np.int64)]
+    lengths = [np.zeros(0, dtype=np.int64)]
+    for (e, c), deg in zip(terms, degrees):
+        if not all(0 <= a <= d for a, d in zip(deg, top)):
+            continue
+        mults = np.array([sum(parts, ()) for parts in product(
+            *(monomials_of_degree(s, d - a)
+              for s, a, d in zip(sizes, deg, top)))], dtype=np.int64)
+        sums = (mults[:, None, :] + e).reshape(-1, e.shape[1])
+        cols = np.zeros(len(sums), dtype=np.int64)
+        for b, (d, s) in enumerate(zip(top, sizes)):
+            cols = (cols * comb(d + s - 1, s - 1)
+                    + monomial_ranks(sums[:, cut[b]:cut[b + 1]]))
+        indices.append(cols)
+        data.append(np.tile(c, len(mults)))
+        lengths.append(np.full(len(mults), len(c)))
+    indptr = np.concatenate([[0], np.cumsum(np.concatenate(lengths))])
+    return SparseRows(indptr, np.concatenate(indices), np.concatenate(data))

@@ -155,7 +155,24 @@ def _plain_rank(A, p):
     return len(linalg._echelon_mod_p(A.astype(linalg._fp_dtype(p)), p)[0])
 
 
-def test_blocked_ranks_match_plain_loop():
+def _blocked_basis(A, B, p):
+    """The rank ``_rank_blocked`` finds for B, A as floats, after checking
+    that the first rank rows, in its column order, are in Gauss-Jordan
+    form: the identity on the pivot columns of all steps, every entry
+    reduced, and a basis of the rows of A."""
+    perm = np.arange(A.shape[1])
+    panels = []
+    rank = linalg._rank_blocked(B, p, perm, panels)
+    pivots = np.concatenate([np.arange(c, c + k) for c, k in panels])
+    assert (B[:rank][:, pivots] == np.eye(rank)).all()
+    assert (np.abs(B[:rank]) < p).all()
+    basis = np.zeros((rank, A.shape[1]), dtype=np.int64)
+    basis[:, perm] = B[:rank].astype(np.int64) % p
+    assert _plain_rank(np.vstack([basis, A]), p) == _plain_rank(basis, p)
+    return rank
+
+
+def test_blocked_ranks_match_plain_loop(monkeypatch):
     rng = np.random.default_rng(6)
     # tall, wide, square, rank-deficient; the float kernel sees several
     # panels (_PANEL = 64 columns)
@@ -169,24 +186,21 @@ def test_blocked_ranks_match_plain_loop():
             want = _plain_rank(A, p)
             assert want < min(m, n)   # the planted dependencies hold
             B = A.astype(dtype)
-            perm = np.arange(n)
-            panels = []
-            assert linalg._rank_blocked(B, p, perm, panels) == want, \
-                (p, m, n)
-            # the first rank rows, in the column order perm, are a basis
-            # of the row space with reduced entries, panel by panel
-            # [0 | I | W]
-            basis = np.zeros((want, n), dtype=np.int64)
-            basis[:, perm] = B[:want].astype(np.int64) % p
-            assert (np.abs(B[:want]) < p).all()
-            assert _plain_rank(basis, p) == want
-            assert _plain_rank(np.vstack([basis, A]), p) == want
-            r = 0
-            for c, k in panels:
-                assert (B[r:r + k, :c] == 0).all()
-                assert (B[r:r + k, c:c + k] == np.eye(k)).all()
-                r += k
-            assert r == want
+            assert _blocked_basis(A, B, p) == want, (p, m, n)
+    # planted full-rank and rank-deficient blocks on the incremental path
+    # in batches of 80 rows: the stored basis soon holds more rows than a
+    # batch, so its update runs in row chunks, and at P_F32 the GEMMs of
+    # both updates (inner dimensions up to 260 and 80) run in chunks of 65
+    monkeypatch.setattr(linalg, "_BATCH_BLOCKED", 80)
+    assert linalg._limit(np.float32, P_F32) < 66 * (P_F32 - 1) ** 2
+    for p in (2, 7, P_F32, 1000003):
+        for m, n, rank in ((400, 260, 260), (400, 260, 170)):
+            A = _test_matrix(rng, m, n, rank, p)
+            if rank == n:
+                A[:, [1, n // 2, -1]] = rng.integers(0, p, size=(m, 3))
+            want = _plain_rank(A, p)
+            assert (want == n) == (rank == n)
+            assert fp_rank_sparse_dense(_sparse(A), n, p) == want, (p, rank)
 
 
 def _window_filler(p, blocks):
@@ -221,27 +235,39 @@ def test_blocked_rank_stays_exact_as_the_window_fills():
     L, U = _window_filler(p, blocks)
     A = L @ U % p
     assert _plain_rank(A, p) == (blocks - 1) * k
-    assert linalg._rank_blocked(A.astype(np.float32), p,
-                                np.arange(len(A)), []) == (blocks - 1) * k
+    assert _blocked_basis(A, A.astype(np.float32), p) == (blocks - 1) * k
+    # U with the blocks between its first block row and its last block
+    # column cleared: the pivot rows of each later step are the identity
+    # and h on the last block, and the first block row, above them, keeps
+    # h on their panel, so it loses the same sum _PANEL * h^2 on its last
+    # block at every step, which passes 2^24 by the fifth unless the rows
+    # above are reduced in time as well
+    for i in range(1, blocks):
+        U[i * k:(i + 1) * k, (i + 1) * k:-k] = 0
+    assert _blocked_basis(U, U.astype(np.float32), p) == (blocks - 1) * k
 
 
-def test_stored_panel_sweep_stays_exact_as_the_window_fills(monkeypatch):
-    # The first batch is U without its zero last block row
-    # (``_window_filler``): it is its own stored panels [I | W], W = h.
-    # The second is the last block row of L @ U, inside U's row space.
-    # Its sweep subtracts the same odd sum, near _PANEL * h^2, from each
-    # entry per panel: at the largest prime whose one step fits float32,
-    # unreduced entries pass 2^24 by the fifth panel unless they are
-    # reduced in time, and the rows, zero mod p, are finished after six.
+def test_reduced_basis_update_stays_exact_as_the_window_fills(monkeypatch):
+    # The first batch is U of ``_window_filler`` with the identity over its
+    # first blocks, without its zero last block row: its own reduced basis
+    # [I | H] of rank r = (blocks - 1) * _PANEL, every entry of H the odd
+    # h.  The second is the last block row of L @ U, inside that row space,
+    # whose first r columns hold L's h and h - 1.  Reducing it subtracts a
+    # sum of r products, most of them the odd h^2, from each entry: at the
+    # largest prime whose one step fits float32 it passes 2^24 unless the
+    # inner dimension is cut into chunks and the entries are reduced after
+    # each, and the rows, zero mod p, are finished after the last chunk.
     k = linalg._PANEL
     p = P_F32
     blocks = 7
+    r = (blocks - 1) * k
     L, U = _window_filler(p, blocks)
-    A = np.vstack([U[:-k], (L @ U % p)[-k:]])
-    monkeypatch.setattr(linalg, "_BATCH_BLOCKED", (blocks - 1) * k)
-    assert _plain_rank(A, p) == (blocks - 1) * k
-    assert fp_rank_sparse_dense(_sparse(A), blocks * k, p) \
-        == (blocks - 1) * k
+    U[:r, :r] = np.eye(r)
+    A = np.vstack([U[:r], (L @ U % p)[-k:]])
+    assert r * (p - 1) ** 2 > 1 << 24
+    monkeypatch.setattr(linalg, "_BATCH_BLOCKED", r)
+    assert _plain_rank(A, p) == r
+    assert fp_rank_sparse_dense(_sparse(A), blocks * k, p) == r
 
 
 def _watch_dense(monkeypatch):
@@ -290,7 +316,7 @@ def test_float_kernels_refuse_primes_outside_their_window():
         with pytest.raises(ValueError, match="outside"):
             linalg._rank_blocked(A, p, np.arange(4), [])
         with pytest.raises(ValueError, match="outside"):
-            linalg._sweep(A, A, [], p)
+            linalg._eliminate(A, A, A, p)
 
 
 def test_fp_rank_sparse_dense_paths(monkeypatch):
@@ -421,6 +447,24 @@ def test_det_exact_crt_matches_bareiss():
     n = 12
     M = [[(i + 1) ** j % 97 for j in range(n)] for i in range(n)]
     assert det_exact_crt(M) == det_bareiss(M)
+
+
+def test_smith_divisors_and_crt_determinants_match_sympy():
+    # an independent implementation, where it is installed: no declared
+    # dependency
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+    rng = random.Random(29)
+    for _ in range(40):
+        m, n = rng.randrange(1, 6), rng.randrange(1, 6)
+        M = [[rng.randint(-20, 20) for _ in range(n)] for _ in range(m)]
+        if rng.random() < 0.3 and m > 1:     # a dependent row
+            M[-1] = [2 * a - 3 * b for a, b in zip(M[0], M[1 % m])]
+        want = [abs(int(x)) for x in invariant_factors(
+            sympy.Matrix(M), domain=sympy.ZZ)]
+        assert smith_divisors(M) == want, M
+        if m == n:
+            assert det_exact_crt(M) == int(sympy.Matrix(M).det()), M
 
 
 def test_random_unimodular_is_unimodular():

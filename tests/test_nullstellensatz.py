@@ -1,6 +1,7 @@
 import random
 import time
 
+import numpy as np
 import pytest
 
 from symmetroid.gf import GF, projective_points
@@ -10,7 +11,7 @@ from symmetroid.nullstellensatz import (HomIdealPresentation, Inconclusive,
                                         empty_over_fpbar)
 from symmetroid.pencil import (Pencil, diagonal_avoidance_ideal,
                                rank_le2_minor_ideal, singular_locus_ideal)
-from symmetroid.polys import MultiPoly, parse_poly
+from symmetroid.polys import MultiPoly, monomials_of_degree, parse_poly
 from symmetroid.quadform import QuadricForm
 
 
@@ -89,6 +90,57 @@ def test_coefficients_past_int64_stay_exact():
                                     "%d*t4" % 2 ** 63]), d_max=3)
     assert cert.degree == 1 and cert.method == "smith"
     assert cert.divisor_summary["two_valuations"] == [0, 0, 0, 0, 63]
+
+
+def _same_rows(got, want):
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+def test_degree_blocks_match_exponent_sums():
+    # seeded homogeneous generators in 3-6 variables plus a quadric with a
+    # coefficient past int64: the rows read from product tables equal the
+    # direct construction field for field, and the big coefficient stays
+    # exact in an object array from the degree where that quadric has
+    # multipliers
+    from oracles import macaulay_rows_by_exponent_sums
+
+    from symmetroid.nullstellensatz import _degree_block, _term_arrays
+    rng = random.Random(23)
+    big = 2 ** 64 + 3
+    for nvars in range(3, 7):
+        gens = []
+        for _ in range(4):
+            mons = monomials_of_degree(nvars, rng.randint(1, 3))
+            gens.append(MultiPoly(nvars, {
+                m: rng.choice((-2, -1, 1, 3)) * rng.randint(1, 9)
+                for m in rng.sample(mons, min(len(mons), rng.randint(1, 6)))}))
+        gens.append(MultiPoly(nvars, {(2,) + (0,) * (nvars - 1): big,
+                                      (1,) + (0,) * (nvars - 2) + (1,): -5}))
+        for d in range(1, 5):
+            rows, ncols = _degree_block(gens, d, nvars)
+            assert ncols == len(monomials_of_degree(nvars, d))
+            _same_rows(rows, macaulay_rows_by_exponent_sums(
+                [_term_arrays(g) for g in gens],
+                [(g.total_degree(),) for g in gens], (nvars,), (d,)))
+            assert rows.data.dtype == (object if d >= 2 else np.int64)
+            assert (big in rows.data.tolist()) == (d >= 2)
+
+
+def test_bidegree_blocks_match_exponent_sums(q3_pencil):
+    # every bidegree up to (4, 4) of the regularity ideal, whose rows take
+    # an x-table and a y-table
+    from oracles import macaulay_rows_by_exponent_sums
+
+    from symmetroid.nullstellensatz import _macaulay_rows, _term_arrays
+    ideal = singular_locus_ideal(q3_pencil, 7)
+    terms = [_term_arrays(g) for g in ideal.generators]
+    for a in range(1, 5):
+        for b in range(1, 5):
+            args = (terms, ideal.bidegrees, (5, 5), (a, b))
+            _same_rows(_macaulay_rows(*args),
+                       macaulay_rows_by_exponent_sums(*args))
 
 
 def test_v3_certificate_on_fixture(thm_pencil):

@@ -89,6 +89,24 @@ def test_det_matches_numeric():
         assert d.evaluate(pt) == det_bareiss(nums)
 
 
+def test_det_matches_sympy():
+    # an independent implementation, where it is installed: no declared
+    # dependency.  Entries become elements of sympy's ZZ[t0, t1, t2], dicts
+    # {exponent tuple: coefficient} as MultiPoly terms are
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+    ring = sympy.ZZ[sympy.symbols("t0:3")]
+    rng = random.Random(31)
+    for n in (1, 2, 3, 4):
+        for _ in range(6):
+            mat = [[rand_poly(rng, nvars=3, terms=3, deg=2) for _ in range(n)]
+                   for _ in range(n)]
+            want = DomainMatrix([[ring.ring.from_dict(f.terms) for f in row]
+                                 for row in mat], (n, n), ring).det()
+            assert poly_matrix_det(mat).terms == {
+                e: int(c) for e, c in want.items()}, n
+
+
 def test_monomials_of_degree_count_and_order():
     ms = monomials_of_degree(3, 4)
     assert len(ms) == 15  # C(4+2, 2)
