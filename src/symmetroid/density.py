@@ -238,7 +238,7 @@ def _gram_stack(A, p):
 def _kernel_mod_p(M, p):
     """A basis (rows) of the right kernel of the residue matrix M."""
     R = M.astype(np.int64)
-    pivots, _ = _echelon_mod_p(R, p, reduced=True)
+    pivots = _echelon_mod_p(R, p, reduced=True)
     free = [c for c in range(M.shape[1]) if c not in pivots]
     K = np.zeros((len(free), M.shape[1]), dtype=np.int64)
     for k, c in enumerate(free):

@@ -17,9 +17,11 @@ numpy backs the F_p kernels:
 - ``_echelon_mod_p``, the plain in-place echelon loop, one pivot at a
   time.  It stores residues as int64 and forms each product there,
   exact for p < 2^31; larger primes run the same loop on a numpy object
-  array of Python ints.  ``fp_rank`` (the sieve's 5 x 15 blocks),
-  ``det_exact_crt`` (primes near 2^30) and small or large-prime Macaulay
-  blocks use it.
+  array of Python ints.  ``fp_rank`` (the sieve's 5 x 15 blocks) and
+  small or large-prime Macaulay blocks use it.
+- ``_dets_mod_primes``, the determinants of one stack of residue
+  matrices, each modulo its own prime near 2^30, in one pivot loop over
+  the whole stack (``det_exact_crt``'s residues).
 - ``_rank_blocked``, a right-looking blocked elimination for Macaulay
   blocks of at least ``_BLOCKED_MIN`` rows and columns over small primes.
   Each step picks up to ``_PANEL`` pivots at once and forms the Schur
@@ -393,10 +395,9 @@ def _echelon_mod_p(A, p, reduced=False, width=None):
     """Row-reduce ``A`` to row echelon form over F_p, in place.
 
     ``A`` holds residues in [0, p) with dtype ``_fp_dtype(p)``.
-    Returns ``(pivot_cols, det)``: row i of the result has its pivot (a 1)
-    in column ``pivot_cols[i]``, the rows past ``len(pivot_cols)`` are
-    zero, and ``det`` is the determinant of ``A`` mod p when ``A`` is
-    square (0 otherwise).  With ``reduced`` the pivot columns are cleared
+    Returns ``pivot_cols``: row i of the result has its pivot (a 1) in
+    column ``pivot_cols[i]``, and the rows past ``len(pivot_cols)`` are
+    zero.  With ``reduced`` the pivot columns are cleared
     above the pivots too (reduced row echelon form).  With ``width``,
     pivots are sought in the first ``width`` columns only (the row
     operations still span every column), and the rows past the pivots are
@@ -404,7 +405,6 @@ def _echelon_mod_p(A, p, reduced=False, width=None):
     """
     m, n = A.shape
     pivot_cols = []
-    det = 1
     r = 0
     for c in range(n if width is None else width):
         if r == m:
@@ -416,9 +416,7 @@ def _echelon_mod_p(A, p, reduced=False, width=None):
         if pr != r:
             # every row from r down is zero left of column c
             A[[r, pr], c:] = A[[pr, r], c:]
-            det = -det
         piv = int(A[r, c])
-        det = det * piv % p
         if piv != 1:
             A[r, c:] = A[r, c:] * pow(piv, -1, p) % p
         # the rows below r that reach column c; the swap moved a row that
@@ -433,7 +431,7 @@ def _echelon_mod_p(A, p, reduced=False, width=None):
             A[hit, c:] = U
         pivot_cols.append(c)
         r += 1
-    return pivot_cols, (det if r == m == n else 0)
+    return pivot_cols
 
 
 def fp_rank(M, p):
@@ -445,8 +443,7 @@ def fp_rank(M, p):
     A = np.asarray(M)
     if A.dtype.kind not in "iu" or p >= 1 << 63:
         A = A.astype(object)      # reduce as Python ints
-    return len(_echelon_mod_p((A % p).astype(_fp_dtype(p), copy=False),
-                              p)[0])
+    return len(_echelon_mod_p((A % p).astype(_fp_dtype(p), copy=False), p))
 
 
 # ---------------------------------------------------------------------------
@@ -623,7 +620,7 @@ def _rank_blocked(A, p, perm, panels):
         # pivot columns cols; each pivot row of T combines only the k
         # candidates that pivoted, so T[:k] there is inv(S) for the
         # ascending rows
-        cols = np.array(_echelon_mod_p(G, p, reduced=True, width=w)[0])
+        cols = np.array(_echelon_mod_p(G, p, reduced=True, width=w))
         k = cols.size
         picked = np.flatnonzero(G[:k, w:].any(axis=0))
         inv = G[:k, w + picked]
@@ -743,7 +740,7 @@ def fp_rank_sparse_dense(rows, ncols, p):
         stop = min(m, start + _BATCH)
         view = buf[:rank + stop - start]
         rows.dense(start, stop, p, view[rank:], where)
-        rank = len(_echelon_mod_p(view, p)[0])
+        rank = len(_echelon_mod_p(view, p))
     return rank
 
 
@@ -770,7 +767,7 @@ def fp_pivot_rows(rows, ncols, p):
         stop = min(m, start + _BATCH)
         view = buf[:rank + stop - start]
         rows.dense(start, stop, p, view[rank:], where)
-        new = np.array(_echelon_mod_p(view.T.copy(), p)[0][rank:],
+        new = np.array(_echelon_mod_p(view.T.copy(), p)[rank:],
                        dtype=np.int64)
         view[rank:rank + new.size] = view[new]
         kept += (start - rank + new).tolist()
@@ -791,10 +788,50 @@ def _primes_for_crt(bound):
     return primes
 
 
+# residue matrices eliminated at once by ``det_exact_crt``: at most this
+# many entries, 16 MB of int64, or a single matrix when one is larger
+_CRT_STACK_CELLS = 1 << 21
+
+
+def _dets_mod_primes(R, primes):
+    """Determinants of the square residue matrices of the int64 stack R,
+    ``R[i]`` reduced mod ``primes[i]``; R is overwritten.
+
+    One Gaussian elimination for the whole stack: at column c every prime
+    takes its first row from c down that is nonzero there, swaps it into
+    row c and clears the column below with one broadcast rank-1 update,
+    then the stack is reduced mod its primes.  A prime without a pivot
+    finds the zero pivot in row c, so its det becomes 0 and its column,
+    already clear, is left as it is.  Exact in int64: a residue is
+    < p < 2^31, so r - a*b stays above -2^62."""
+    n = R.shape[1]
+    mods = np.array(primes, dtype=np.int64)
+    det = np.ones(len(primes), dtype=np.int64)
+    for c in range(n):
+        pr = c + (R[:, c:, c] != 0).argmax(axis=1)
+        swap = np.flatnonzero(pr != c)
+        if swap.size:
+            top = R[swap, c].copy()
+            R[swap, c] = R[swap, pr[swap]]
+            R[swap, pr[swap]] = top
+            det[swap] = mods[swap] - det[swap]
+        piv = R[:, c, c]
+        det = det * piv % mods
+        inv = np.array([pow(a, -1, q) if a else 0
+                        for a, q in zip(piv.tolist(), primes)],
+                       dtype=np.int64)
+        f = R[:, c + 1:, c] * inv[:, None] % mods[:, None]
+        below = R[:, c + 1:, c + 1:]
+        below -= f[:, :, None] * R[:, c, None, c + 1:]
+        below %= mods[:, None, None]
+    return det.tolist()
+
+
 def det_exact_crt(M):
     """Exact determinant of a square integer matrix by CRT.
 
-    Determinants modulo primes near 2^30 (the int64 kernel) are combined
+    Determinants modulo primes near 2^30 (``_dets_mod_primes``, as many
+    primes at once as ``_CRT_STACK_CELLS`` entries allow) are combined
     past the Hadamard bound, so the reconstruction is certified exact.
     Far faster than Bareiss on the large Macaulay submatrices.
     """
@@ -810,16 +847,23 @@ def det_exact_crt(M):
     if bound < 4:
         bound = 4
     primes = _primes_for_crt(bound)
+    try:
+        A = np.array(M, dtype=np.int64)
+    except OverflowError:     # past int64: reduce as Python ints
+        A = np.array(M, dtype=object)
+    step = max(1, _CRT_STACK_CELLS // (n * n))
     residue = 0
     modulus = 1
-    for p in primes:
-        Ap = np.array([[x % p for x in row] for row in M], dtype=_fp_dtype(p))
-        dp = _echelon_mod_p(Ap, p)[1]
-        # CRT combine
-        inv = pow(modulus % p, p - 2, p)
-        t = (dp - residue) % p * inv % p
-        residue += modulus * t
-        modulus *= p
+    for g in range(0, len(primes), step):
+        group = primes[g:g + step]
+        mods = np.array(group, dtype=A.dtype)[:, None, None]
+        R = (A[None] % mods).astype(np.int64, copy=False)
+        for p, dp in zip(group, _dets_mod_primes(R, group)):
+            # CRT combine
+            inv = pow(modulus % p, p - 2, p)
+            t = (dp - residue) % p * inv % p
+            residue += modulus * t
+            modulus *= p
     if residue * 2 > modulus:
         residue -= modulus
     return residue

@@ -316,6 +316,8 @@ class _PrimeNotCleared(Exception):
 # count implies for n >= 2).  Every product of two residues in
 # _common_zero_mod then stays below 10^10 < 2^63, so int64 is exact.
 _POINT_CAP = 100_000
+# term values at points that _common_zero_mod holds at once, 8 MB of int64
+_GATHER_CELLS = 1 << 20
 
 
 def _common_zero_mod(gens, nvars, q):
@@ -325,7 +327,10 @@ def _common_zero_mod(gens, nvars, q):
 
     Points have their first nonzero coordinate 1 and come leading 1 first
     (position 0 first), then in lexicographic order of the tail.  Each
-    generator is evaluated only where all the earlier ones vanish."""
+    generator is evaluated only where all the earlier ones vanish, at
+    those points at once (``_GATHER_CELLS`` term values at a time): the
+    values of its terms there are one gather from the table of powers per
+    variable, multiplied across the variables mod q."""
     if q > _POINT_CAP or (q ** nvars - 1) // (q - 1) > _POINT_CAP:
         return None
     pts = []
@@ -343,13 +348,18 @@ def _common_zero_mod(gens, nvars, q):
     for e in range(1, len(powers)):
         powers[e] = powers[e - 1] * np.arange(q) % q
     for e, c in terms:
-        vals = np.zeros(len(pts), dtype=np.int64)
-        for ek, ck in zip(e, (c % q).astype(np.int64)):
-            term = np.full(len(pts), ck)
-            for j in np.flatnonzero(ek):
-                term = term * powers[ek[j], pts[:, j]] % q
-            vals = (vals + term) % q
-        pts = pts[vals == 0]
+        c = (c % q).astype(np.int64)[:, None]
+        step = max(1, _GATHER_CELLS // len(e))
+        zero = np.empty(len(pts), dtype=bool)
+        for i in range(0, len(pts), step):
+            at = pts[i:i + step]
+            # vals[k, m]: term k of the generator at the point at[m]
+            vals = np.repeat(c, len(at), axis=1)
+            for j in range(nvars):
+                vals *= powers[e[:, j]][:, at[:, j]]
+                vals %= q
+            zero[i:i + step] = vals.sum(axis=0) % q == 0
+        pts = pts[zero]
         if not len(pts):
             return None
     return tuple(int(x) for x in pts[0])

@@ -6,12 +6,20 @@ primitive integer polynomials at every step (positive scaling only, which
 preserves signs) to keep coefficients small.  A chain is built once per
 polynomial and handed to every count and bisection; certified signs on an
 interval come from one interval-Horner enclosure.
+
+Every evaluation at a rational x = n/d (d > 0) is one homogenized Horner
+loop, ``poly_eval_scaled``: it returns d^deg c(n/d), an integer for an
+integer polynomial, with the sign of c(x), so Sturm counts, bisections
+and root tests make no rational arithmetic (cf. Rouillier and
+Zimmermann, "Efficient isolation of polynomial's real roots", JCAM 162,
+2004).  ``poly_eval`` divides that value by d^deg, and ``horner_sign``
+runs its interval Horner on endpoints over one common denominator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from .linalg import primitive_vector
 
@@ -44,12 +52,31 @@ def poly_degree(c):
     return len(c) - 1 if c else -1
 
 
-def poly_eval(c, x):
-    """Horner evaluation at an int or Fraction x."""
+def poly_eval_scaled(c, x):
+    """d^deg * c(n/d) for an int or Fraction x = n/d in lowest terms, with
+    deg = len(c) - 1: the same sign as c(x), since d > 0, and an integer
+    when c has integer coefficients.  The zero list gives 0.
+
+    Homogenized Horner: the partial sum after coefficient a_k is
+    d^(deg-k) times the usual one, so each step is total * n + a_k d^(deg-k)
+    and no rational is ever formed."""
+    n, d = x.numerator, x.denominator
     total = 0
-    for a in reversed(poly_trim(c)):
-        total = total * x + a
+    dk = 1
+    for a in reversed(c):
+        total = total * n + a * dk
+        dk *= d
     return total
+
+
+def poly_eval(c, x):
+    """Horner evaluation at an int or Fraction x: an int at an int, a
+    Fraction at a Fraction."""
+    c = poly_trim(c)
+    total = poly_eval_scaled(c, x)
+    if isinstance(x, int) or not c:
+        return total
+    return Fraction(total, x.denominator ** (len(c) - 1))
 
 
 def horner_sign(c, iv):
@@ -59,11 +86,20 @@ def horner_sign(c, iv):
 
     Horner's rule over intervals, outward-exact: each partial sum is
     enclosed by [lo, hi], and [lo, hi] * iv is spanned by the four endpoint
-    products, which are exact rationals, so nothing is rounded."""
+    products, which are exact, so nothing is rounded.  The endpoints are
+    a/D and b/D over a common denominator D > 0, and the enclosure after
+    coefficient c_k is kept times D^(deg-k), in integers for integer c:
+    every endpoint product and min or max is the rational one times that
+    positive power, so the signs at the end are the same."""
+    D = lcm(iv.lo.denominator, iv.hi.denominator)
+    a = iv.lo.numerator * (D // iv.lo.denominator)
+    b = iv.hi.numerator * (D // iv.hi.denominator)
     lo = hi = 0
-    for a in reversed(poly_trim(c)):
-        cands = (lo * iv.lo, lo * iv.hi, hi * iv.lo, hi * iv.hi)
-        lo, hi = min(cands) + a, max(cands) + a
+    dk = 1
+    for coeff in reversed(poly_trim(c)):
+        cands = (lo * a, lo * b, hi * a, hi * b)
+        lo, hi = min(cands) + coeff * dk, max(cands) + coeff * dk
+        dk *= D
     if lo > 0:
         return 1
     if hi < 0:
@@ -172,7 +208,8 @@ def _sign_variations(values):
 
 
 def sturm_variations_at(chain, x):
-    return _sign_variations([poly_eval(c, Fraction(x)) for c in chain])
+    x = Fraction(x)
+    return _sign_variations([poly_eval_scaled(c, x) for c in chain])
 
 
 def count_roots_halfopen(chain, a, b):
@@ -206,42 +243,53 @@ def isolate_real_roots(chain):
     total = count_roots_halfopen(chain, -B, B)
     out = []
 
-    def recurse(a, b, count):
+    def recurse(a, b, count, b_excluded=False):
+        # count roots in (a, b], or in (a, b) when b is a root already out
         if count == 0:
             return
         if count == 1:
-            out.append(_shrink_away_from_root(chain, a, b))
+            out.append(_shrink_away_from_root(chain, a, b, b_excluded))
             return
         mid = (a + b) / 2
         left = count_roots_halfopen(chain, a, mid)
-        if poly_eval(sf, mid) == 0:
+        if poly_eval_scaled(sf, mid) == 0:
             # mid itself is counted in (a, mid]
-            recurse(a, mid, left - 1)
+            recurse(a, mid, left - 1, True)
             out.append(RatInterval(mid, mid))
         else:
             recurse(a, mid, left)
-        recurse(mid, b, count - left)
+        recurse(mid, b, count - left, b_excluded)
 
     recurse(-B, B, total)
     out.sort(key=lambda iv: iv.lo)
     return out
 
 
-def _shrink_away_from_root(chain, a, b):
-    """Interval (a, b] with one root of chain[0]; return closed interval
-    with non-root endpoints still containing exactly that root."""
+def _shrink_away_from_root(chain, a, b, b_excluded=False):
+    """Interval (a, b] with one root of chain[0], or (a, b) when
+    ``b_excluded`` (b is then a root outside the interval); return closed
+    interval with non-root endpoints still containing exactly that root."""
     sf = chain[0]
+    # pull an excluded b to the left of the root, onto a non-root
+    while b_excluded:
+        mid = (a + b) / 2
+        if poly_eval_scaled(sf, mid) == 0:
+            return RatInterval(mid, mid)
+        if count_roots_halfopen(chain, a, mid) == 1:
+            b, b_excluded = mid, False
+        else:
+            a = mid
     # b may be the root itself (rational); check
-    if poly_eval(sf, b) == 0:
+    if poly_eval_scaled(sf, b) == 0:
         return RatInterval(b, b)
     # a is not a root of the half-open interval by construction; if
-    # poly_eval(sf, a) == 0, the root at `a` belongs to the neighbour, so
-    # nudge a to the right while keeping the count at 1.
-    if poly_eval(sf, a) == 0:
+    # sf(a) == 0, the root at `a` belongs to the neighbour, so nudge a to
+    # the right while keeping the count at 1.
+    if poly_eval_scaled(sf, a) == 0:
         lo, hi = a, b
         while True:
             mid = (lo + hi) / 2
-            if poly_eval(sf, mid) == 0:
+            if poly_eval_scaled(sf, mid) == 0:
                 return RatInterval(mid, mid)
             if count_roots_halfopen(chain, mid, b) == 1:
                 return RatInterval(mid, b)
@@ -263,9 +311,9 @@ def refine_root(chain, interval):
     if lo == hi:
         return interval
     mid = (lo + hi) / 2
-    at_mid = poly_eval(chain[0], mid)
+    at_mid = poly_eval_scaled(chain[0], mid)
     if at_mid == 0:
         return RatInterval(mid, mid)
-    if (poly_eval(chain[0], lo) > 0) != (at_mid > 0):
+    if (poly_eval_scaled(chain[0], lo) > 0) != (at_mid > 0):
         return RatInterval(lo, mid)
     return RatInterval(mid, hi)

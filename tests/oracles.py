@@ -263,3 +263,36 @@ def macaulay_rows_by_exponent_sums(terms, degrees, sizes, top):
         lengths.append(np.full(len(mults), len(c)))
     indptr = np.concatenate([[0], np.cumsum(np.concatenate(lengths))])
     return SparseRows(indptr, np.concatenate(indices), np.concatenate(data))
+
+
+def poly_eval_fraction(c, x):
+    """Horner evaluation of the coefficient list c (ascending) at the
+    rational x in Fraction arithmetic, one rational step per coefficient."""
+    total = Fraction(0)
+    x = Fraction(x)
+    for a in reversed(c):
+        total = total * x + a
+    return total
+
+
+def sturm_variations_fraction(chain, x):
+    """Sign variations of the Sturm chain at the rational x, each member
+    evaluated by ``poly_eval_fraction`` and zeros dropped."""
+    signs = [1 if v > 0 else -1
+             for v in (poly_eval_fraction(c, x) for c in chain) if v != 0]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def first_common_zero_bruteforce(gens, nvars, q):
+    """The first common zero mod q of the MultiPoly generators in
+    P^{nvars-1}(F_q), or None, by evaluating every generator at every
+    point with ``MultiPoly.evaluate``.  Points are normalised with first
+    nonzero coordinate 1 and listed by the position of that 1, then in
+    lexicographic order of the coordinates after it."""
+    from itertools import product
+    for lead in range(nvars):
+        for tail in product(range(q), repeat=nvars - 1 - lead):
+            point = (0,) * lead + (1,) + tail
+            if all(g.evaluate(point) % q == 0 for g in gens):
+                return point
+    return None

@@ -152,7 +152,7 @@ def _test_matrix(rng, m, n, rank, p):
 
 
 def _plain_rank(A, p):
-    return len(linalg._echelon_mod_p(A.astype(linalg._fp_dtype(p)), p)[0])
+    return len(linalg._echelon_mod_p(A.astype(linalg._fp_dtype(p)), p))
 
 
 def _blocked_basis(A, B, p):
@@ -447,6 +447,85 @@ def test_det_exact_crt_matches_bareiss():
     n = 12
     M = [[(i + 1) ** j % 97 for j in range(n)] for i in range(n)]
     assert det_exact_crt(M) == det_bareiss(M)
+
+
+def _crt_primes(M):
+    """The primes ``det_exact_crt`` takes for M, in order."""
+    from math import isqrt
+    bound = 2
+    for row in M:
+        bound *= isqrt(sum(x * x for x in row)) + 1
+    return linalg._primes_for_crt(max(bound, 4))
+
+
+def test_det_exact_crt_on_pivots_that_differ_by_prime():
+    rng = random.Random(17)
+    n = 7
+    M = [[rng.randint(-50, 50) for _ in range(n)] for _ in range(n)]
+    p1 = _crt_primes(M)[0]
+    # the first column vanishes mod the first prime only: that prime finds
+    # no pivot at the first step while every other prime does
+    zero_col = [[p1 * x if j == 0 else x for j, x in enumerate(row)]
+                for row in M]
+    assert _crt_primes(zero_col)[0] == p1
+    # det divisible by p1 with no column zero mod p1: p1 runs out of
+    # pivots at a later step
+    D = [[1, 0, 0], [0, 1, 0], [0, 0, p1]]
+    mixed = mat_mul(mat_mul(random_unimodular(3, rng), D),
+                    random_unimodular(3, rng))
+    assert all(any(x % p1 for x in col) for col in zip(*mixed))
+    # the top-left entry is 0 mod p1 alone: p1 swaps a row in there,
+    # the other primes keep row 0; and the next pivot likewise for p2
+    swapped = [row[:] for row in M]
+    p2 = _crt_primes(M)[1]
+    swapped[0][0] = p1 * 3
+    swapped[1][1] = p2 * 5
+    for A in (zero_col, mixed, swapped):
+        assert det_exact_crt(A) == det_bareiss(A)
+    assert det_exact_crt(mixed) == p1
+    assert det_exact_crt(zero_col) % p1 == 0
+
+
+def test_det_exact_crt_edge_cases():
+    assert det_exact_crt([[5]]) == 5
+    assert det_exact_crt([[-7]]) == -7
+    assert det_exact_crt([[0, 0], [0, 0]]) == 0
+    assert det_exact_crt([[0] * 5 for _ in range(5)]) == 0
+    singular = [[1, 2, 3], [4, 5, 6], [7, 8, 9]]
+    assert det_exact_crt(singular) == 0 == det_bareiss(singular)
+    # entries past 2^63 are reduced as Python ints
+    big = [[(1 << 70) + 3, 5, -(1 << 64)], [2, (1 << 63), 1], [7, -11, 13]]
+    assert det_exact_crt(big) == det_bareiss(big)
+    assert det_exact_crt([[-(1 << 80)]]) == -(1 << 80)
+
+
+def test_det_exact_crt_in_several_prime_groups(monkeypatch):
+    rng = random.Random(19)
+    n = 12
+    M = [[rng.randint(-10 ** 6, 10 ** 6) for _ in range(n)] for _ in range(n)]
+    M[3][4] = 0
+    M[0][0] = _crt_primes(M)[2]
+    want = det_bareiss(M)
+    groups = []
+    real = linalg._dets_mod_primes
+
+    def spy(R, primes):
+        assert R.size <= max(n * n, linalg._CRT_STACK_CELLS)
+        groups.append(len(primes))
+        return real(R, primes)
+    monkeypatch.setattr(linalg, "_dets_mod_primes", spy)
+    assert det_exact_crt(M) == want
+    assert groups == [len(_crt_primes(M))]
+    groups.clear()
+    monkeypatch.setattr(linalg, "_CRT_STACK_CELLS", 2 * n * n)
+    assert det_exact_crt(M) == want
+    assert len(groups) > 2 and set(groups[:-1]) == {2}
+    assert sum(groups) == len(_crt_primes(M))
+    # one matrix past the cap still runs, one prime at a time
+    groups.clear()
+    monkeypatch.setattr(linalg, "_CRT_STACK_CELLS", 10)
+    assert det_exact_crt(M) == want
+    assert set(groups) == {1}
 
 
 def test_smith_divisors_and_crt_determinants_match_sympy():

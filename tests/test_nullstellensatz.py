@@ -232,6 +232,43 @@ def test_screen_skips_primes_past_the_point_cap():
                             q) == (0, 1)
 
 
+@pytest.mark.parametrize("q", [3, 5])
+def test_common_zero_matches_bruteforce_enumeration(q, monkeypatch):
+    from oracles import first_common_zero_bruteforce
+    from symmetroid import nullstellensatz
+    rng = random.Random(q)
+    ideals = [
+        # no zero anywhere: the irrelevant ideal
+        (["t0", "t1", "t2", "t3", "t4"], 5),
+        # the only zero is the last point (0:0:0:0:1)
+        (["t0", "t1", "t2", "t3", "%d*t4" % q], 5),
+        # zeros where t0^2 = -t1^2: none over F_3, (1:2:0:0:0) over F_5
+        (["t0^2 + t1^2", "t2", "t3", "t4"], 5),
+        # cubics through (1:0:0:0:0), and conics through (1:1:1)
+        (["t0*t1*t2 - t3^3", "t1^2*t4 + 2*t0*t3^2", "t2^3 - t4^3 + t0*t4^2"],
+         5),
+        (["t0^2 - t1*t2", "t1^2 - t0*t2"], 3),
+    ]
+    # dense random quadrics in P^3: one, two or three of them
+    quad = ["t%d*t%d" % (i, j) for i in range(4) for j in range(i, 4)]
+    for _ in range(8):
+        ideals.append(([" + ".join("%d*%s" % (rng.randint(-4, 4), m)
+                                   for m in quad)
+                        for _ in range(rng.randrange(1, 4))], 4))
+    for gens, nvars in ideals:
+        ideal = _ideal(gens, nvars)
+        want = first_common_zero_bruteforce(ideal.generators, nvars, q)
+        got = nullstellensatz._common_zero_mod(ideal.generators, nvars, q)
+        assert got == want, (gens, q)
+        # term values a few at a time give the same point
+        monkeypatch.setattr(nullstellensatz, "_GATHER_CELLS", 7)
+        assert nullstellensatz._common_zero_mod(ideal.generators, nvars,
+                                                q) == want
+        monkeypatch.undo()
+    assert nullstellensatz._common_zero_mod(
+        _ideal(["t0", "t1", "t2", "t3", "t4"]).generators, 5, q) is None
+
+
 def test_pivot_rows_of_macaulay_blocks_match_oracle(q3_pencil):
     # the row bases the all-primes test takes determinants of, against
     # the pure Python sparse elimination, at the screening primes and at

@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import poly_eval_fraction, sturm_variations_fraction
 from symmetroid.roots import (RatInterval, count_roots_halfopen, horner_sign,
-                              isolate_real_roots, poly_eval, poly_interpolate,
-                              poly_trim, refine_root, root_bound,
-                              squarefree_part, sturm_chain)
+                              isolate_real_roots, poly_eval, poly_eval_scaled,
+                              poly_interpolate, poly_trim, refine_root,
+                              root_bound, squarefree_part, sturm_chain,
+                              sturm_variations_at)
 
 
 def _refine_to_width(chain, iv, width):
@@ -159,3 +161,95 @@ def test_interval_polynomial_evaluation_sound():
     # certified sign on any interval
     assert horner_sign([0, 0, 0], RatInterval(-1, 2)) is None
     assert horner_sign([], RatInterval(1, 1)) is None
+
+
+def _sign(v):
+    return (v > 0) - (v < 0)
+
+
+def _rational_root_poly(rng):
+    """An integer polynomial with a few rational roots n/d, each a factor
+    d*x - n, times a random integer factor; with its rational roots."""
+    c = [rng.randint(-9, 9) or 1 for _ in range(rng.randrange(1, 4))]
+    roots = []
+    for _ in range(rng.randrange(1, 4)):
+        n, d = rng.randint(-12, 12), rng.randint(1, 7)
+        roots.append(Fraction(n, d))
+        c = [a - b for a, b in zip([0] + [d * x for x in c],
+                                   [n * x for x in c] + [0])]
+    return c, roots
+
+
+def test_scaled_evaluation_matches_fraction_horner():
+    rng = random.Random(41)
+    for _ in range(300):
+        c, roots = _rational_root_poly(rng)
+        points = roots + [Fraction(rng.randint(-40, 40), rng.randint(1, 50))
+                          for _ in range(6)] + [rng.randint(-5, 5)]
+        for x in points:
+            want = poly_eval_fraction(c, x)
+            got = poly_eval_scaled(c, x)
+            assert isinstance(got, int)
+            assert got == want * Fraction(x).denominator ** (len(c) - 1)
+            assert _sign(got) == _sign(want)
+            assert poly_eval(c, x) == want
+            assert type(poly_eval(c, x)) is type(x)
+        for r in roots:
+            assert poly_eval_scaled(c, r) == 0
+    assert poly_eval_scaled([], Fraction(1, 3)) == 0 == poly_eval([], 2)
+    assert poly_eval([5], Fraction(1, 3)) == Fraction(5)
+    # Fraction coefficients are allowed, as in poly_eval
+    assert poly_eval([Fraction(1, 2), 1], Fraction(1, 4)) == Fraction(3, 4)
+
+
+def test_sturm_counts_and_bisection_match_fraction_oracle():
+    rng = random.Random(43)
+    for _ in range(80):
+        c, roots = _rational_root_poly(rng)
+        chain = sturm_chain(c)
+        points = roots + [Fraction(rng.randint(-60, 60), rng.randint(1, 30))
+                          for _ in range(5)] + [-root_bound(chain[0])]
+        for x in points:
+            assert (sturm_variations_at(chain, x)
+                    == sturm_variations_fraction(chain, x))
+        for iv in isolate_real_roots(chain):
+            for _ in range(12):
+                lo, hi = iv.lo, iv.hi
+                iv = refine_root(chain, iv)
+                # the bisection rule spelled out in Fraction arithmetic
+                if lo == hi:
+                    want = (lo, hi)
+                else:
+                    mid = (lo + hi) / 2
+                    at_mid = poly_eval_fraction(chain[0], mid)
+                    if at_mid == 0:
+                        want = (mid, mid)
+                    elif (_sign(poly_eval_fraction(chain[0], lo))
+                          != _sign(at_mid)):
+                        want = (lo, mid)
+                    else:
+                        want = (mid, hi)
+                assert (iv.lo, iv.hi) == want
+        # one interval per root, meeting at most in a non-root endpoint:
+        # every rational root is found exactly or kept inside its interval
+        ivs = isolate_real_roots(chain)
+        assert all(a.hi <= b.lo for a, b in zip(ivs, ivs[1:]))
+        for r in roots:
+            assert any(iv.lo <= r <= iv.hi for iv in ivs)
+    # a point interval stays as it is
+    point = RatInterval(Fraction(1, 3), Fraction(1, 3))
+    assert refine_root(sturm_chain([-1, 3]), point) is point
+
+
+def test_isolation_keeps_a_root_left_of_an_exact_midpoint():
+    # -5x(3x + 7)(x^2 + 3x - 7): the first bisection of (-52/3, 52/3]
+    # lands on the root 0, and the one root left in (-13/3, 0) is -7/3,
+    # not 0 again
+    chain = sturm_chain([0, 245, 0, -80, -15])
+    ivs = isolate_real_roots(chain)
+    assert len(ivs) == 4
+    assert all(a.hi <= b.lo for a, b in zip(ivs, ivs[1:]))
+    assert [(iv.lo, iv.hi) for iv in ivs if iv.lo == iv.hi] == [(0, 0)]
+    third = ivs[1]
+    assert third.lo < Fraction(-7, 3) < third.hi
+    assert count_roots_halfopen(chain, third.lo, third.hi) == 1
