@@ -32,6 +32,9 @@ from .roots import (RatInterval, horner_sign, isolate_real_roots,
 # bisections of a root's isolating interval before certification gives up
 _REFINE_CAP = 80
 
+# primes tried in turn for the regularity certificate of a WA certificate
+_REGULARITY_PRIMES = (7, 3, 11, 5, 13)
+
 
 @dataclass
 class LocalYPoint:
@@ -188,7 +191,7 @@ def _padic_invariant(P, coords, p, N):
     return INV_ZERO if has_smooth_point_qp(part, p) else INV_HALF
 
 
-def evaluate_invariant(P, y, cross_check=True, alpha=None):
+def evaluate_invariant(P, y):
     """inv_v of the Brauer class at a local point of Y: 0 or 1/2.
 
     Authoritative path: 1/2 exactly when the member quadric has no smooth
@@ -212,25 +215,20 @@ def evaluate_invariant(P, y, cross_check=True, alpha=None):
         primary = INV_ZERO if has_smooth_point_real(Q) else INV_HALF
     else:
         primary = INV_ZERO if has_smooth_point_qp(Q, v) else INV_HALF
-    if cross_check:
-        other = _conic_invariant(P, t, v, alpha=alpha)
-        if other is not None and other != primary:
-            raise AssertionError(
-                "smooth-point and conic evaluations disagree at t=%s, v=%s"
-                % (t, v))
+    other = _conic_invariant(P, t, v)
+    if other is not None and other != primary:
+        raise AssertionError(
+            "smooth-point and conic evaluations disagree at t=%s, v=%s"
+            % (t, v))
     return primary
 
 
-def _conic_invariant(P, t, v, alpha=None):
+def _conic_invariant(P, t, v):
     """Invariant via the conic <M1, M2/M1, M3/M2> evaluated at t.
 
     Returns None when a minor vanishes at t (cross-check unavailable).
     """
-    if alpha is not None and alpha.basis_change is not None:
-        minors = [P.leading_minor_poly(k, alpha.basis_change)
-                  for k in (1, 2, 3)]
-    else:
-        minors = [P.leading_minor_poly(k) for k in (1, 2, 3)]
+    minors = [P.leading_minor_poly(k) for k in (1, 2, 3)]
     vals = [Fraction(m.evaluate([Fraction(x) for x in t])) for m in minors]
     if any(val == 0 for val in vals):
         return None
@@ -289,12 +287,12 @@ def find_real_point_with_invariant(P, target, seed=0, line_budget=200):
 
 
 def _scan_line(P, u, w, target, rng):
-    coeffs = P.line_minors(u, w)[4]
-    if not any(coeffs):
+    *minors, det = P.line_minors(u, w)
+    if not any(det):
         return None
-    chain = sturm_chain(coeffs)
+    chain = sturm_chain(det)
     for iv in isolate_real_roots(chain):
-        got = _certify_root(P, chain, u, w, iv, rng)
+        got = _certify_root(P, chain, minors, u, w, iv, rng)
         if got is None:
             continue
         signature, interval, minor_signs, basis_change = got
@@ -312,10 +310,11 @@ def _scan_line(P, u, w, target, rng):
     return None
 
 
-def _certify_root(P, chain, u, w, interval, rng):
+def _certify_root(P, chain, minors, u, w, interval, rng):
     """Certify rank 4 and the signature at the root of det on the line.
 
-    ``chain`` is the Sturm chain of det on the line and ``interval``
+    ``chain`` is the Sturm chain of det on the line, ``minors`` M1..M4 on
+    it (restricted again after each basis change) and ``interval``
     isolates the root.  Returns (signature, refined_interval, minor_signs,
     basis_change) or None when certification fails within the refinement
     budget (e.g. the root is a rank-3 point, where every 4x4 minor
@@ -324,10 +323,11 @@ def _certify_root(P, chain, u, w, interval, rng):
     # the bisection sequence depends on det and the root alone, so every
     # basis-change attempt walks the same one, built as far as needed
     ivs = [interval]
+    minor_coeffs, basis_change = minors, None
     for attempt in range(6):
-        basis_change = None if attempt == 0 else \
-            random_unimodular(5, rng, size=1)
-        minor_coeffs = P.line_minors(u, w, basis_change)[:4]
+        if attempt:
+            basis_change = random_unimodular(5, rng, size=1)
+            minor_coeffs = P.line_minors(u, w, basis_change)[:4]
         for k in range(_REFINE_CAP + 1):
             if k == len(ivs):
                 ivs.append(refine_root(chain, ivs[-1]))
@@ -409,8 +409,7 @@ def _rational_y_point(P):
     return None
 
 
-def certify_wa_failure(P, strategy, regularity=None, seed=0,
-                       regularity_primes=(7, 3, 11, 5, 13)):
+def certify_wa_failure(P, strategy, regularity=None, seed=0):
     """Certify that the Brauer class obstructs weak approximation on Y_P.
 
     ``strategy`` is "real" or a finite prime p.  The certificate packages
@@ -423,14 +422,14 @@ def certify_wa_failure(P, strategy, regularity=None, seed=0,
     from .pencil import regularity_certificate
 
     if regularity is None:
-        for p in regularity_primes:
+        for p in _REGULARITY_PRIMES:
             cert = regularity_certificate(P, p)
             if cert.certified:
                 regularity = cert
                 break
         else:
             raise RuntimeError("could not certify regularity at primes %s"
-                               % (regularity_primes,))
+                               % (_REGULARITY_PRIMES,))
     if not regularity.certified:
         raise ValueError("regularity certificate is not valid")
     if regularity.pencil_lines != P.to_lines():

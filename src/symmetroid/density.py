@@ -30,7 +30,7 @@ import numpy as np
 
 from .linalg import _echelon_mod_p, fp_rank, is_prime, laplace_minors
 from .quadform import COEFF_ORDER, QuadricForm, has_smooth_point_fq
-from .roots import poly_eval, poly_interpolate
+from .roots import poly_eval_scaled, poly_interpolate
 
 
 def primes_below(M):
@@ -96,10 +96,10 @@ def certify_p2b_decreasing():
     the values g(3), g(4), ..., one more than the degree bound of g.
     """
     def num(n):
-        return poly_eval(_F_NUM, n)
+        return poly_eval_scaled(_F_NUM, n)
 
     def den(n):
-        return poly_eval(_F_DEN, n)
+        return poly_eval_scaled(_F_DEN, n)
 
     # D(n) = num(n) den(n+1) - num(n+1) den(n) > 0 makes f decreasing;
     # E(n) = 2 num(n) - den(n) > 0 gives f(n) > 1/2
@@ -436,7 +436,7 @@ class SpScanResult:
                 "degenerate_frame": self.degenerate_frame}
 
 
-def sp_member(P, p, coeff_rows=None):
+def sp_member(P, p):
     """Is the pencil's reduction mod p in S_p?
 
     S_p holds the planes containing a member quadric with no smooth
@@ -446,19 +446,11 @@ def sp_member(P, p, coeff_rows=None):
     if not is_prime(p):
         raise ValueError("p must be prime")
     _check_prime(p)
-    if coeff_rows is None:
-        coeff_rows = np.array([Q.coeffs for Q in P.quadrics], dtype=np.int64)
-    A = np.mod(coeff_rows, p)
+    A = np.mod(np.array([Q.coeffs for Q in P.quadrics], dtype=np.int64), p)
     if fp_rank(A, p) < 5:
         return SpScanResult(member=False, degenerate_frame=True)
-    witness = _sp_member_rows(A, p)
+    witness = _bad_members(A[None], p)[0]
     return SpScanResult(member=witness is not None, witness=witness)
-
-
-def _sp_member_rows(A, p):
-    """S_p scan of one full-rank frame A (5 x 15 residues mod p): the
-    first member with no smooth F_p-point, or None."""
-    return _bad_members(A[None], p)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -774,18 +774,23 @@ def fp_pivot_rows(rows, ncols, p):
     return kept, len(kept)
 
 
+# the primes from 2^30 + 3 up in order, extended as far as needed and kept
+_CRT_PRIMES = [(1 << 30) + 3]
+
+
 def _primes_for_crt(bound):
-    """Enough ~30-bit primes whose product exceeds ``bound``."""
-    primes = []
-    prod = 1
-    q = (1 << 30) + 1
+    """The shortest prefix of ``_CRT_PRIMES`` whose product exceeds
+    ``bound``."""
+    prod, k = 1, 0
     while prod <= bound:
-        while not is_prime(q):
-            q += 2
-        primes.append(q)
-        prod *= q
-        q += 2
-    return primes
+        if k == len(_CRT_PRIMES):
+            q = _CRT_PRIMES[-1] + 2
+            while not is_prime(q):
+                q += 2
+            _CRT_PRIMES.append(q)
+        prod *= _CRT_PRIMES[k]
+        k += 1
+    return _CRT_PRIMES[:k]
 
 
 # residue matrices eliminated at once by ``det_exact_crt``: at most this

@@ -242,9 +242,11 @@ def empty_over_fpbar(ideal, d_max, p=None):
 
 
 _SCREEN_PRIMES = (1000003, 999983, 1000033)
+# at most this many rows and columns get an exact Smith normal form
+_SNF_LIMIT = (40, 16)
 
 
-def empty_all_primes(ideal, saturate_at_2=True, d_max=12, snf_limit=(40, 16)):
+def empty_all_primes(ideal, saturate_at_2=True, d_max=12):
     """Certify that the generators have no common projective zero over any
     algebraic closure F_pbar, simultaneously for all primes p.
 
@@ -272,7 +274,7 @@ def empty_all_primes(ideal, saturate_at_2=True, d_max=12, snf_limit=(40, 16)):
             continue
         try:
             result = _lattice_is_full_after_stripping(
-                block, ncols, saturate_at_2, snf_limit)
+                block, ncols, saturate_at_2)
         except _FactoringGaveUp:
             last_reason = ("factoring the index evidence ran out of its "
                            "Pollard-rho budget at degree %d" % d)
@@ -365,7 +367,7 @@ def _common_zero_mod(gens, nvars, q):
     return tuple(int(x) for x in pts[0])
 
 
-def _lattice_is_full_after_stripping(block, ncols, saturate_at_2, snf_limit):
+def _lattice_is_full_after_stripping(block, ncols, saturate_at_2):
     """None when the row lattice is provably/possibly not full; otherwise a
     (divisor_summary, method) pair constituting the certificate.  Raises
     _FactoringGaveUp when the evidence gcd cannot be factored, and
@@ -381,7 +383,7 @@ def _lattice_is_full_after_stripping(block, ncols, saturate_at_2, snf_limit):
     if rank < ncols and fp_pivot_rows(block, ncols,
                                       _SCREEN_PRIMES[1])[1] < ncols:
         return None
-    if len(block) <= snf_limit[0] and ncols <= snf_limit[1]:
+    if len(block) <= _SNF_LIMIT[0] and ncols <= _SNF_LIMIT[1]:
         divisors = smith_divisors(block.tolist(ncols))
         stripped = [_strip2(x) for x in divisors] if saturate_at_2 else divisors
         if len(stripped) < ncols or any(x != 1 for x in stripped):

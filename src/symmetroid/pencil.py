@@ -23,7 +23,7 @@ from .linalg import (_fp_dtype, det_bareiss, is_prime, kernel_rational,
                      random_unimodular, rank_rational, transpose)
 from .polys import MultiPoly, monomials_of_degree, poly_matrix_det
 from .quadform import QuadricForm, parse_quadric_line, quadric_to_line
-from .roots import poly_eval, poly_interpolate
+from .roots import poly_eval_scaled, poly_interpolate
 
 T_NAMES = tuple("t%d" % i for i in range(5))
 
@@ -210,8 +210,11 @@ def alpha_symbol(P, seed=0, max_tries=100):
                        "(%d attempts)" % max_tries)
 
 
-def _sample_h_point_with_minors(P, basis_change,
-                                primes=(10007, 10009, 10037)):
+# primes over which ``_sample_h_point_with_minors`` looks for an H-point
+_SAMPLE_PRIMES = (10007, 10009, 10037)
+
+
+def _sample_h_point_with_minors(P, basis_change):
     """Find t over F_p with det B(t) = 0 and the minors M1..M4 of B(t),
     after the x-basis change, all nonzero.
 
@@ -222,7 +225,7 @@ def _sample_h_point_with_minors(P, basis_change,
     The first s with det = 0 and t != 0 is the candidate: it is returned
     when no minor vanishes there, and otherwise the next line is tried.
     """
-    for p in primes:
+    for p in _SAMPLE_PRIMES:
         rng = random.Random(p)
         s = np.arange(p, dtype=np.int64)
         for _ in range(60):
@@ -237,7 +240,7 @@ def _sample_h_point_with_minors(P, basis_change,
             if not len(hits):
                 continue
             s0 = int(hits[0])
-            if all(poly_eval(m, s0) % p for m in line[:4]):
+            if all(poly_eval_scaled(m, s0) % p for m in line[:4]):
                 return tuple(int(x) for x in t[:, s0]), p
     return None
 

@@ -1,27 +1,28 @@
 """Univariate real-root isolation via Sturm sequences.
 
-Polynomials are coefficient lists in ascending degree order with int or
-Fraction entries.  Sturm chains are computed over Q and renormalised to
-primitive integer polynomials at every step (positive scaling only, which
-preserves signs) to keep coefficients small.  A chain is built once per
-polynomial and handed to every count and bisection; certified signs on an
-interval come from one interval-Horner enclosure.
+Polynomials are coefficient lists in ascending degree order with integer
+entries.  Sturm chains, gcds and squarefree parts are computed over Z as
+primitive polynomial remainder sequences: pseudo-division, then the
+content divided out (Collins, JACM 14, 1967; Knuth, TAOCP 2, 4.6.1), a
+positive scaling of the rational sequence with its signs and primitive
+parts.  A chain is built once per polynomial and handed to every count
+and bisection; certified signs on an interval come from one
+interval-Horner enclosure.
 
 Every evaluation at a rational x = n/d (d > 0) is one homogenized Horner
 loop, ``poly_eval_scaled``: it returns d^deg c(n/d), an integer for an
 integer polynomial, with the sign of c(x), so Sturm counts, bisections
 and root tests make no rational arithmetic (cf. Rouillier and
 Zimmermann, "Efficient isolation of polynomial's real roots", JCAM 162,
-2004).  ``poly_eval`` divides that value by d^deg, and ``horner_sign``
-runs its interval Horner on endpoints over one common denominator.
+2004), and at an integer it is c(x).  ``horner_sign`` runs its interval
+Horner on endpoints over one common denominator.  Fractions are left only
+for points: interval endpoints, midpoints and the root bound.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, lcm
-
-from .linalg import primitive_vector
+from math import factorial, gcd, lcm
 
 
 class RatInterval:
@@ -67,16 +68,6 @@ def poly_eval_scaled(c, x):
         total = total * n + a * dk
         dk *= d
     return total
-
-
-def poly_eval(c, x):
-    """Horner evaluation at an int or Fraction x: an int at an int, a
-    Fraction at a Fraction."""
-    c = poly_trim(c)
-    total = poly_eval_scaled(c, x)
-    if isinstance(x, int) or not c:
-        return total
-    return Fraction(total, x.denominator ** (len(c) - 1))
 
 
 def horner_sign(c, iv):
@@ -136,29 +127,35 @@ def poly_derivative(c):
 
 
 def poly_primitive(c, normalize_sign=True):
-    """Clear denominators and content (positive scaling; exact).
+    """The trimmed integer polynomial c divided by its content (positive
+    scaling; exact).
 
     With ``normalize_sign`` the leading coefficient is made positive, which
     changes signs and must NOT be used inside Sturm chains.
     """
-    ints = primitive_vector(poly_trim(c))
-    if normalize_sign and ints and ints[-1] < 0:
-        ints = [-a for a in ints]
-    return ints
+    c = poly_trim(c)
+    g = gcd(*c) or 1
+    if normalize_sign and c and c[-1] < 0:
+        g = -g
+    return [a // g for a in c]
 
 
-def _poly_divmod(f, g):
-    """Quotient and trimmed remainder of f by g over Q, as Fraction lists;
-    ZeroDivisionError when g is zero."""
-    f = [Fraction(a) for a in poly_trim(f)]
-    g = [Fraction(a) for a in poly_trim(g)]
+def _pseudo_divmod(f, g):
+    """Quotient q and trimmed remainder r of c*f by g over Z, c*f = q*g
+    + r with c = |lc g|^k > 0 after k steps, each of which multiplies the
+    running remainder and quotient by |lc g|; ZeroDivisionError when g is
+    zero.  So q and r are the rational ones times c > 0."""
+    f, g = poly_trim(f), poly_trim(g)
     if not g:
         raise ZeroDivisionError
-    q = [Fraction(0)] * max(len(f) - len(g) + 1, 0)
+    scale, sign = abs(g[-1]), 1 if g[-1] > 0 else -1
+    q = [0] * max(len(f) - len(g) + 1, 0)
     while len(f) >= len(g) and f:
-        coef = f[-1] / g[-1]
+        coef = sign * f[-1]
         shift = len(f) - len(g)
+        q = [scale * a for a in q]
         q[shift] = coef
+        f = [scale * a for a in f]
         for i, b in enumerate(g):
             f[i + shift] -= coef * b
         f = poly_trim(f)
@@ -166,10 +163,11 @@ def _poly_divmod(f, g):
 
 
 def poly_gcd(f, g):
-    """Primitive integer gcd of two polynomials over Q."""
+    """Primitive integer gcd, leading coefficient positive, of two integer
+    polynomials: Euclid on primitive pseudo-remainders."""
     a, b = poly_trim(f), poly_trim(g)
     while b:
-        a, b = b, _poly_divmod(a, b)[1]
+        a, b = b, poly_primitive(_pseudo_divmod(a, b)[1])
     return poly_primitive(a)
 
 
@@ -180,7 +178,7 @@ def squarefree_part(f):
     g = poly_gcd(f, poly_derivative(f))
     if poly_degree(g) < 1:
         return f
-    return poly_primitive(_poly_divmod(f, g)[0])
+    return poly_primitive(_pseudo_divmod(f, g)[0])
 
 
 def sturm_chain(f):
@@ -195,21 +193,16 @@ def sturm_chain(f):
     if poly_trim(d):
         chain.append(poly_primitive(d, normalize_sign=False))
     while poly_degree(chain[-1]) > 0:
-        r = _poly_divmod(chain[-2], chain[-1])[1]
+        r = _pseudo_divmod(chain[-2], chain[-1])[1]
         if not r:
             break
         chain.append(poly_primitive([-a for a in r], normalize_sign=False))
     return chain
 
 
-def _sign_variations(values):
-    signs = [1 if v > 0 else -1 for v in values if v != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
 def sturm_variations_at(chain, x):
-    x = Fraction(x)
-    return _sign_variations([poly_eval_scaled(c, x) for c in chain])
+    signs = [v > 0 for v in (poly_eval_scaled(c, x) for c in chain) if v]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
 def count_roots_halfopen(chain, a, b):

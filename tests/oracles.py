@@ -275,6 +275,81 @@ def poly_eval_fraction(c, x):
     return total
 
 
+def poly_divmod_fraction(f, g):
+    """Quotient and trimmed remainder of f by g over Q by long division,
+    as Fraction lists; ZeroDivisionError when g is zero."""
+    f = [Fraction(a) for a in _trim(f)]
+    g = [Fraction(a) for a in _trim(g)]
+    if not g:
+        raise ZeroDivisionError
+    q = [Fraction(0)] * max(len(f) - len(g) + 1, 0)
+    while len(f) >= len(g) and f:
+        coef = f[-1] / g[-1]
+        shift = len(f) - len(g)
+        q[shift] = coef
+        for i, b in enumerate(g):
+            f[i + shift] -= coef * b
+        f = _trim(f)
+    return q, f
+
+
+def _trim(c):
+    c = list(c)
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def _primitive(c, normalize_sign=True):
+    """The primitive integer polynomial on the ray of the rational c, with
+    a positive leading coefficient when ``normalize_sign``."""
+    from symmetroid.linalg import primitive_vector
+    out = primitive_vector(_trim(c))
+    if normalize_sign and out and out[-1] < 0:
+        out = [-a for a in out]
+    return out
+
+
+def _derivative(c):
+    return [i * a for i, a in enumerate(c)][1:]
+
+
+def poly_gcd_fraction(f, g):
+    """Primitive gcd of f and g, leading coefficient positive, by Euclid
+    on the rational remainders of ``poly_divmod_fraction``."""
+    a, b = _trim(f), _trim(g)
+    while b:
+        a, b = b, poly_divmod_fraction(a, b)[1]
+    return _primitive(a)
+
+
+def squarefree_part_fraction(f):
+    """Primitive squarefree part of f: f over gcd(f, f') in Fraction
+    arithmetic."""
+    f = _primitive(f)
+    if len(f) < 2:
+        return f
+    g = poly_gcd_fraction(f, _derivative(f))
+    if len(g) < 2:
+        return f
+    return _primitive(poly_divmod_fraction(f, g)[0])
+
+
+def sturm_chain_fraction(f):
+    """Sturm sequence of the squarefree part of f from rational
+    remainders, each element made primitive by a positive factor."""
+    chain = [squarefree_part_fraction(f)]
+    d = _derivative(chain[0])
+    if _trim(d):
+        chain.append(_primitive(d, normalize_sign=False))
+    while len(chain[-1]) > 1:
+        r = poly_divmod_fraction(chain[-2], chain[-1])[1]
+        if not r:
+            break
+        chain.append(_primitive([-a for a in r], normalize_sign=False))
+    return chain
+
+
 def sturm_variations_fraction(chain, x):
     """Sign variations of the Sturm chain at the rational x, each member
     evaluated by ``poly_eval_fraction`` and zeros dropped."""

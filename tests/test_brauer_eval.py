@@ -89,7 +89,7 @@ def test_path_agreement_200_points():
         for v in places:
             pts = lift_to_y(P, t, v)
             assert len(pts) == 2  # square disc lifts everywhere
-            inv = evaluate_invariant(P, pts[0], cross_check=True)
+            inv = evaluate_invariant(P, pts[0])
             other = _conic_invariant(P, list(t), v)
             assert other is None or other == inv
             checked += 1
@@ -157,10 +157,13 @@ def test_real_search_outputs_pinned(cor_pencil, q3_pencil):
 
 def test_real_search_builds_few_sturm_chains(q3_pencil, monkeypatch):
     # one chain per line isolates the roots of det on it and serves every
-    # bisection of every root, across all basis-change attempts
+    # bisection of every root, across all basis-change attempts; the line
+    # is restricted once for det and for attempt 0 of every root, and only
+    # a basis change restricts the minors again
     from symmetroid import brauer_eval, roots
+    from symmetroid.pencil import Pencil
 
-    calls = {"chain": 0, "line": 0}
+    calls = {"chain": 0, "line": 0, "plain": 0}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -168,15 +171,23 @@ def test_real_search_builds_few_sturm_chains(q3_pencil, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
+    line_minors = Pencil.line_minors
+
+    def counted_minors(self, u, w, basis_change=None):
+        calls["plain"] += basis_change is None
+        return line_minors(self, u, w, basis_change)
+
     chain = counted("chain", roots.sturm_chain)
     monkeypatch.setattr(roots, "sturm_chain", chain)
     monkeypatch.setattr(brauer_eval, "sturm_chain", chain, raising=False)
     monkeypatch.setattr(brauer_eval, "_scan_line",
                         counted("line", brauer_eval._scan_line))
+    monkeypatch.setattr(Pencil, "line_minors", counted_minors)
     with pytest.raises(LookupError):
         find_real_point_with_invariant(q3_pencil, HALF, line_budget=20)
     assert calls["line"] > 0
     assert calls["chain"] <= calls["line"]
+    assert calls["plain"] == calls["line"]
 
 
 def test_padic_lift_precision(q3_pencil):

@@ -261,7 +261,7 @@ def test_monte_carlo_determinism_and_edges():
 
 def test_monte_carlo_row_permutation_invariance():
     # permuting a frame's rows cannot change S_p membership of its span
-    from symmetroid.density import _sp_member_rows
+    from symmetroid.density import _bad_members
     rng = np.random.default_rng(3)
     perm_rng = random.Random(3)
     from symmetroid.linalg import fp_rank
@@ -271,7 +271,7 @@ def test_monte_carlo_row_permutation_invariance():
             A = np.mod(F, p)
             if fp_rank(A.copy(), p) < 5:
                 continue
-            base = _sp_member_rows(A, p) is not None
+            base = _bad_members(A[None], p)[0] is not None
             rows = list(range(5))
             perm_rng.shuffle(rows)
-            assert (_sp_member_rows(A[rows], p) is not None) == base
+            assert (_bad_members(A[None, rows], p)[0] is not None) == base

@@ -162,8 +162,7 @@ def test_v3_certificate_on_fixture(thm_pencil):
                                             _lattice_is_full_after_stripping)
     rows, ncols = _degree_block(
         rank_le2_minor_ideal(thm_pencil).generators, 4, 5)
-    assert _lattice_is_full_after_stripping(rows, ncols, True, (40, 16)) \
-        is not None
+    assert _lattice_is_full_after_stripping(rows, ncols, True) is not None
 
 
 def test_v3_verdict_of_prop_q3_pinned(q3_pencil):

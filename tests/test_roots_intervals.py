@@ -3,9 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import poly_eval_fraction, sturm_variations_fraction
-from symmetroid.roots import (RatInterval, count_roots_halfopen, horner_sign,
-                              isolate_real_roots, poly_eval, poly_eval_scaled,
+from oracles import (poly_divmod_fraction, poly_eval_fraction,
+                     poly_gcd_fraction, squarefree_part_fraction,
+                     sturm_chain_fraction, sturm_variations_fraction)
+from symmetroid.roots import (RatInterval, _pseudo_divmod,
+                              count_roots_halfopen, horner_sign,
+                              isolate_real_roots, poly_eval_scaled, poly_gcd,
                               poly_interpolate, poly_trim, refine_root,
                               root_bound, squarefree_part, sturm_chain,
                               sturm_variations_at)
@@ -33,7 +36,7 @@ def test_interpolation_recovers_integer_polynomials():
     for deg in range(7):
         for _ in range(20):
             c = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(deg + 1)]
-            values = [poly_eval(c, s) for s in range(deg + 1)]
+            values = [poly_eval_scaled(c, s) for s in range(deg + 1)]
             assert poly_interpolate(values) == poly_trim(c)
     assert poly_interpolate([0, 0, 0]) == []
     # s(s - 1)/2 is integer-valued without integer coefficients
@@ -43,13 +46,15 @@ def test_interpolation_recovers_integer_polynomials():
 
 def _sign_change_count_on_grid(c, lo, hi, steps=4000):
     """Independent oracle: count sign changes of f on a fine rational grid,
-    plus exact roots hit by grid points."""
+    plus exact roots hit by grid points.  Only signs are read, so each
+    point takes the scaled value of ``poly_eval_scaled``, checked against
+    Fraction Horner in ``test_scaled_evaluation_matches_fraction_horner``."""
     roots = 0
     prev = None
     prev_x = None
     for k in range(steps + 1):
         x = lo + Fraction(k * (hi - lo), steps)
-        v = poly_eval(c, x)
+        v = poly_eval_scaled(c, x)
         if v == 0:
             roots += 1
             prev = None
@@ -102,7 +107,7 @@ def test_refinement_never_loses_root():
             for _ in range(20):
                 r = refine_root(chain, r)
                 if r.lo == r.hi:
-                    assert poly_eval(chain[0], r.lo) == 0
+                    assert poly_eval_fraction(chain[0], r.lo) == 0
                     break
                 assert count_roots_halfopen(chain, r.lo, r.hi) == 1
 
@@ -125,7 +130,7 @@ def test_refine_stops_on_exact_dyadic_root():
     assert (r.lo, r.hi) == (0, Fraction(1, 2))
     r = refine_root(chain, r)
     assert r.lo == r.hi == Fraction(1, 4)
-    assert poly_eval(f, r.lo) == 0
+    assert poly_eval_fraction(f, r.lo) == 0
     again = refine_root(chain, r)
     assert (again.lo, again.hi) == (r.lo, r.hi)
 
@@ -151,7 +156,7 @@ def test_interval_polynomial_evaluation_sound():
         definite += 1
         for _ in range(25):
             x = box.lo + (box.hi - box.lo) * Fraction(rng.randint(0, 32), 32)
-            v = poly_eval(c, x)
+            v = poly_eval_fraction(c, x)
             assert elo <= v <= ehi and v * sign > 0
     assert definite > 50
     # a point interval gives the exact sign
@@ -192,14 +197,11 @@ def test_scaled_evaluation_matches_fraction_horner():
             assert isinstance(got, int)
             assert got == want * Fraction(x).denominator ** (len(c) - 1)
             assert _sign(got) == _sign(want)
-            assert poly_eval(c, x) == want
-            assert type(poly_eval(c, x)) is type(x)
         for r in roots:
             assert poly_eval_scaled(c, r) == 0
-    assert poly_eval_scaled([], Fraction(1, 3)) == 0 == poly_eval([], 2)
-    assert poly_eval([5], Fraction(1, 3)) == Fraction(5)
-    # Fraction coefficients are allowed, as in poly_eval
-    assert poly_eval([Fraction(1, 2), 1], Fraction(1, 4)) == Fraction(3, 4)
+    assert poly_eval_scaled([], Fraction(1, 3)) == 0 == poly_eval_scaled([], 2)
+    # at an integer the scaled value is the value itself
+    assert poly_eval_scaled([5, 0, -1], 3) == -4
 
 
 def test_sturm_counts_and_bisection_match_fraction_oracle():
@@ -253,3 +255,70 @@ def test_isolation_keeps_a_root_left_of_an_exact_midpoint():
     third = ivs[1]
     assert third.lo < Fraction(-7, 3) < third.hi
     assert count_roots_halfopen(chain, third.lo, third.hi) == 1
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _seeded_poly(rng):
+    """An integer polynomial of degree 1 to 8 with repeated factors as
+    often as not and a leading coefficient of either sign."""
+    c = [rng.randint(-9, 9) for _ in range(rng.randrange(1, 3))] + [
+        rng.choice([-1, 1]) * rng.randint(1, 5)]
+    while True:
+        factor = [rng.randint(-6, 6) for _ in range(rng.randrange(1, 3))]
+        factor.append(rng.choice([-3, -2, -1, 1, 2]))
+        k = rng.randrange(1, 4)
+        if len(c) - 1 + k * (len(factor) - 1) > 8:
+            return c
+        for _ in range(k):
+            c = _poly_mul(c, factor)
+
+
+def test_integer_chains_match_fraction_reference():
+    rng = random.Random(59)
+    repeated = negative = 0
+    for _ in range(150):
+        f, g = _seeded_poly(rng), _seeded_poly(rng)
+        sf = squarefree_part(f)
+        assert sf == squarefree_part_fraction(f)
+        assert sturm_chain(f) == sturm_chain_fraction(f)
+        assert poly_gcd(f, g) == poly_gcd_fraction(f, g)
+        # a common factor g, with multiplicity
+        h, gg = _poly_mul(f, g), _poly_mul(g, g)
+        assert poly_gcd(h, gg) == poly_gcd_fraction(h, gg)
+        repeated += len(sf) < len(f)
+        negative += f[-1] < 0
+    assert repeated > 50 and negative > 50
+    # the quartic (4x - 1)^2 (x^2 - 2) and a constant
+    assert sturm_chain([-2, 16, -31, -8, 16]) == \
+        sturm_chain_fraction([-2, 16, -31, -8, 16])
+    assert sturm_chain([-6]) == sturm_chain_fraction([-6]) == [[1]]
+
+
+def test_pseudo_division_identity():
+    rng = random.Random(61)
+    for _ in range(200):
+        f, g = _seeded_poly(rng), _seeded_poly(rng)
+        if rng.random() < 0.3:
+            f, g = g, g[1:] or [rng.choice([-4, 3])]
+        q, r = _pseudo_divmod(f, g)
+        assert len(r) < len(g)
+        qg = _poly_mul(q, g) if q else []
+        lhs = poly_trim([a + b for a, b in
+                         zip(qg + [0] * len(f), r + [0] * len(f))])
+        # c * f = q * g + r with c a power of |lc g|, so c > 0
+        c = Fraction(lhs[-1], f[-1])
+        assert c.denominator == 1 and c > 0
+        assert c in [abs(g[-1]) ** k for k in range(len(f) + 1)]
+        assert lhs == [c * a for a in f]
+        # the rational quotient and remainder, scaled by c
+        qf, rf = poly_divmod_fraction(f, g)
+        assert q == [c * a for a in qf] and r == [c * a for a in rf]
+    with pytest.raises(ZeroDivisionError):
+        _pseudo_divmod([1, 2], [0])
