@@ -74,13 +74,6 @@ def b_of_p(p):
     return Fraction(num, den)
 
 
-def b_of_p_counting(p):
-    """The same bound along the counting route; equality with the closed
-    form is a test invariant."""
-    return Fraction(gaussian_count(3, 13, p) * pointless_quadric_count(p),
-                    gaussian_count(4, 14, p))
-
-
 # p^2 b(p) as a rational function of p: numerator and denominator
 _F_NUM = [0, 0, 2, 1, 2, 1, 2, 0, 1, 0, 1]   # p^2 * (closed-form numerator)
 _F_DEN = [2, 0, 0, 0, 0, 2, 0, 0, 0, 0, 2]

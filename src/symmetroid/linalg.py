@@ -36,18 +36,25 @@ numpy backs the F_p kernels:
 
 ``fp_rank_sparse_dense`` takes a ``SparseRows`` block and chooses between
 them.  On the blocked path it keeps the basis found so far fully reduced,
-rows [I | W] over all its pivot columns.  Each batch of ``_BATCH_BLOCKED``
-new rows loses its part on those columns through one GEMM,
+rows [I | W] over all its pivot columns.  It starts from a triangular
+head: a Macaulay row is a monomial multiple of a generator, so many rows
+have their own trailing column, the largest one nonzero mod p.  The
+first row with each distinct trailing column joins the head, which is
+triangular on those columns and so independent with no pivot search;
+blocked forward substitution makes it [I | W] (Faugere and Lachartre,
+"Parallel Gaussian elimination for Groebner bases computations in finite
+fields", PASCO 2010).  Each batch of ``_BATCH_BLOCKED`` other rows then
+loses its part on the pivot columns through one GEMM,
 ``X[:, r:] -= X[:, :r] @ W`` (``_eliminate``, its inner dimension cut
 into chunks that fit the window), before ``_rank_blocked`` runs on the
 columns still free; the old basis then loses its part on the batch's new
-pivot columns the same way, so at most ncols + ``_BATCH_BLOCKED`` rows are
-ever dense.  The plain loop is fed ``_BATCH`` rows at a time under the
-basis found so far.  ``fp_pivot_rows`` feeds the same ``_BATCH`` batches
-to the plain loop on their transpose, whose pivot columns are the row rank
-profile: the rows that form a basis, each independent of the rows before
-it.  Its residues are stored in ``_fp_dtype``: int64, exact for p < 2^31,
-and Python ints above.
+pivot columns the same way, so at most min(m, ncols) + ``_BATCH_BLOCKED``
+rows are ever dense.  The plain loop is fed ``_BATCH`` rows at a time
+under the basis found so far.  ``fp_pivot_rows`` feeds the same
+``_BATCH`` batches to the plain loop on their transpose, whose pivot
+columns are the row rank profile: the rows that form a basis, each
+independent of the rows before it.  Its residues are stored in
+``_fp_dtype``: int64, exact for p < 2^31, and Python ints above.
 """
 
 from __future__ import annotations
@@ -454,8 +461,9 @@ _PANEL = 64           # pivots per Schur step: the inner dimension of its GEMMs
 _BATCH = 2600         # rows written under the basis found so far per pass
                       # of the plain loop
 _BATCH_BLOCKED = 512  # rows reduced against the stored basis per pass of the
-                      # blocked path, whose buffer holds (ncols + 512) * ncols
-                      # floats: 29 MB in float32 for 2450 columns
+                      # blocked path, whose buffer holds at most
+                      # (ncols + 512) * ncols floats: 29 MB in float32 for
+                      # 2450 columns
 _BLOCKED_MIN = 256    # blocks with fewer rows or columns keep the plain loop
                       # (dense mod 7, one core: 128^2 10 ms plain against
                       # 16 ms blocked, 256^2 56 ms against 34 ms)
@@ -624,10 +632,15 @@ def _rank_blocked(A, p, perm, panels):
         k = cols.size
         picked = np.flatnonzero(G[:k, w:].any(axis=0))
         inv = G[:k, w + picked]
-        # rows is ascending, so each pick stays put until its own swap
-        for i, src in enumerate((r + cand[picked]).tolist(), r):
-            if src != i:
-                A[[i, src]] = A[[src, i]]
+        # one gather: the picks (ascending, the i-th at row r + i or below)
+        # go to rows r..r+k-1, and the rows they displace fill the slots
+        # the picks left past r + k
+        picks = r + cand[picked]
+        freed = picks[picks >= r + k]
+        if freed.size:
+            top = np.arange(r, r + k)
+            A[np.concatenate([top, freed])] = A[np.concatenate(
+                [picks, np.setdiff1d(top, picks, assume_unique=True)])]
         _to_front(A, c, c + cols, perm)
         piv = A[r:r + k, c + k:]
         _reduce(piv, p)
@@ -674,20 +687,105 @@ def _eliminate(T, C, W, p):
                 _reduce(rows, p)
 
 
+def _trailing_columns(rows, p):
+    """The largest column of each row of the ``SparseRows`` block ``rows``
+    whose entry is nonzero mod p, -1 for a row that is zero mod p; the
+    entries are read ``_BATCH_BLOCKED`` rows at a time."""
+    m = len(rows)
+    out = np.empty(m, dtype=np.int64)
+    for start in range(0, m, _BATCH_BLOCKED):
+        stop = min(m, start + _BATCH_BLOCKED)
+        lo, hi = rows.indptr[start], rows.indptr[stop]
+        cols = np.where(rows.data[lo:hi] % p != 0, rows.indices[lo:hi], -1)
+        # the -1 closes the segment of an empty last row
+        out[start:stop] = np.maximum.reduceat(
+            np.append(cols, -1), rows.indptr[start:stop] - lo)
+    out[np.diff(rows.indptr) == 0] = -1
+    return out
+
+
+def _tri_inverse(L, p):
+    """inv(L) mod p, reduced, for the float k x k lower triangular L of
+    reduced residues with a diagonal nonzero mod p, k <= ``_PANEL``.
+
+    L = D(I + N) with D its diagonal and N strictly lower, so N^k = 0 and
+    inv(I + N) = (I - N)(I + N^2)(I + N^4)...(I + N^(k/2)): each step
+    squares the last power of N and multiplies it in, and a power that is
+    zero ends the product early.  Every product has inner dimension
+    k <= ``_PANEL`` over reduced residues and adds to a reduced entry at
+    most, so it stays inside ``_window`` and is reduced at once."""
+    k = L.shape[0]
+    _window(L.dtype, p)
+    d = np.array([pow(int(x), -1, p) for x in np.diag(L)], dtype=L.dtype)
+    N = L * d[:, None]            # |entries| <= (p-1)^2
+    _reduce(N, p)
+    np.fill_diagonal(N, 0)
+    inv = np.eye(k, dtype=L.dtype) - N
+    span = 2                      # inv holds the powers of N below span
+    while span < k:
+        N = N @ N
+        _reduce(N, p)
+        if not N.any():
+            break
+        inv += inv @ N
+        _reduce(inv, p)
+        span *= 2
+    inv *= d                      # inv(L) = inv(I + N) inv(D)
+    _reduce(inv, p)
+    return inv
+
+
 def _rank_incremental(rows, ncols, p, dtype):
     """Rank over F_p of the ``SparseRows`` block ``rows`` by the blocked
-    path of ``fp_rank_sparse_dense``, in a float buffer of ``dtype``."""
+    path of ``fp_rank_sparse_dense``, in a float buffer of ``dtype``.
+
+    The head start: the first row with each distinct trailing column
+    (``_trailing_columns``) joins the head, t rows.  With those columns
+    first, ascending, the head is [L | F], L lower triangular with a
+    nonzero diagonal, so its rows are independent with no search.  Block
+    by block of ``_PANEL`` rows, forward substitution makes it the reduced
+    basis [I | inv(L) F]: each block loses its part on the earlier
+    blocks' columns (``_eliminate``, where the earlier rows are zero on
+    the head columns past theirs) and is multiplied by the inverse of its
+    diagonal block (``_tri_inverse``).  The batches then start at rank t,
+    each skipping the head rows in its range."""
     m = len(rows)
-    buf = np.empty((min(m, ncols + _BATCH_BLOCKED), ncols), dtype=dtype)
-    perm = np.arange(ncols)       # the column order of buf
-    where = np.arange(ncols)      # its inverse
-    rank = 0                      # buf[:rank] = [I | W], reduced
+    head_cols, head = np.unique(_trailing_columns(rows, p),
+                                return_index=True)
+    head, head_cols = head[head_cols >= 0], head_cols[head_cols >= 0]
+    t = head.size
+    if t == ncols:
+        return t
+    # the column order of buf: the head's columns, then the others
+    perm = np.concatenate([head_cols, np.setdiff1d(
+        np.arange(ncols), head_cols, assume_unique=True)])
+    where = np.empty(ncols, dtype=np.int64)       # its inverse
+    where[perm] = np.arange(ncols)
+    # rank <= min(m, ncols) rows, and the head rows inside a batch's range
+    # are written before they are skipped
+    buf = np.empty((min(m, ncols) + _BATCH_BLOCKED, ncols), dtype=dtype)
+    rows.take(head).dense(0, t, p, buf[:t], where)
+    for b in range(0, t, _PANEL):
+        e = min(t, b + _PANEL)
+        X = buf[b:e]
+        _eliminate(X[:, t:], X[:, :b], buf[:b, t:], p)
+        # inner dimension <= _PANEL over reduced residues: inside _window
+        X[:, t:] = _tri_inverse(X[:, b:e], p) @ X[:, t:]
+        _reduce(X[:, t:], p)
+        X[:, :t] = 0
+        X[:, b:e] = np.eye(e - b, dtype=dtype)
+    is_head = np.zeros(m, dtype=bool)
+    is_head[head] = True
+    rank = t                      # buf[:rank] = [I | W], reduced
     for start in range(0, m, _BATCH_BLOCKED):
         if rank == ncols:
             break
         stop = min(m, start + _BATCH_BLOCKED)
         X = buf[rank:rank + stop - start]
         rows.dense(start, stop, p, X, where)
+        keep = np.flatnonzero(~is_head[start:stop])
+        X[:keep.size] = X[keep]
+        X = X[:keep.size]
         _eliminate(X[:, rank:], X[:, :rank], buf[:rank, rank:], p)
         local = np.arange(ncols - rank)
         new = []
@@ -715,17 +813,19 @@ def fp_rank_sparse_dense(rows, ncols, p):
     """Rank over F_p of ``rows``, a ``SparseRows`` block of integer rows.
 
     Blocks with at least ``_BLOCKED_MIN`` rows and columns over a prime
-    inside the float window of ``_float_dtype`` take the blocked path.
-    It keeps the basis found so far as rows [I | W], fully reduced, on its
-    pivot columns, which it keeps first.  Each batch of ``_BATCH_BLOCKED``
-    rows is written right under them and loses its part on those columns
-    (``_eliminate``), and ``_rank_blocked`` eliminates it on the columns
-    still free; one column permutation puts the batch's pivot columns
-    after the old ones, and the old rows lose their part on them.  Other
-    blocks are fed to ``_echelon_mod_p`` ``_BATCH`` rows at a time, each
-    batch written under the basis found so far.  So at most
-    ncols + ``_BATCH_BLOCKED`` or ncols + ``_BATCH`` rows are ever dense;
-    both stop at rank ncols.
+    inside the float window of ``_float_dtype`` take the blocked path
+    (``_rank_incremental``).  It keeps the basis found so far as rows
+    [I | W], fully reduced, on its pivot columns, which it keeps first,
+    and starts it from the triangular head of the block: one row for each
+    distinct trailing column, reduced by forward substitution.  Each batch
+    of ``_BATCH_BLOCKED`` rows is written right under the basis, drops its
+    head rows and loses its part on the pivot columns (``_eliminate``),
+    and ``_rank_blocked`` eliminates it on the columns still free; one
+    column permutation puts the batch's pivot columns after the old ones,
+    and the old rows lose their part on them.  Other blocks are fed to
+    ``_echelon_mod_p`` ``_BATCH`` rows at a time, each batch written under
+    the basis found so far.  So at most min(m, ncols) + ``_BATCH_BLOCKED``
+    or ncols + ``_BATCH`` rows are ever dense; both stop at rank ncols.
     """
     m = len(rows)
     dtype = _float_dtype(p)

@@ -371,3 +371,12 @@ def first_common_zero_bruteforce(gens, nvars, q):
             if all(g.evaluate(point) % q == 0 for g in gens):
                 return point
     return None
+
+
+def b_of_p_counting(p):
+    """``density.b_of_p`` along the counting route: the 3-planes of P^13
+    through each pointless quadric of ``pointless_quadric_count``, over
+    all 4-planes of P^14."""
+    from symmetroid.density import gaussian_count, pointless_quadric_count
+    return Fraction(gaussian_count(3, 13, p) * pointless_quadric_count(p),
+                    gaussian_count(4, 14, p))

@@ -5,8 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from symmetroid.density import (b_of_p, b_of_p_counting,
-                                certify_p2b_decreasing, census_bp,
+from oracles import b_of_p_counting
+from symmetroid.density import (b_of_p, certify_p2b_decreasing, census_bp,
                                 gaussian_count, monte_carlo_density,
                                 pointless_quadric_count, primes_below,
                                 product_lower_bound, sp_member)

@@ -1,5 +1,6 @@
 import random
 from itertools import combinations, product
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -369,6 +370,102 @@ def test_reduce_is_exact_at_the_window_edge():
             assert (X == r).all() and (np.abs(r) < p).all()
             assert ((r - x) % p == 0).all()
             assert ((r == 0) == (x % p == 0)).all()
+
+
+# the largest prime whose blocked ranks run in float64: its _eliminate
+# chunks every inner dimension past _PANEL, as P_F32's does in float32
+P_F64 = next(p for p in range(isqrt((1 << 53) // linalg._PANEL) + 2, 0, -1)
+             if linalg._float_dtype(p) is np.float64 and is_prime(p))
+
+
+def _head_block(rng, m, n, tails, p):
+    """An m x n integer matrix whose row i has the trailing column
+    ``tails[i]`` mod p (a zero row mod p for -1): random entries, a third
+    of them nonzero, left of it, and multiples of p right of it on the
+    odd rows.  A row of -1 is a nonzero multiple of p when its index is a
+    multiple of 4 and empty otherwise."""
+    A = rng.integers(0, p, size=(m, n)) * (rng.random((m, n)) < 1 / 3)
+    for i, c in enumerate(tails):
+        A[i, c + 1:] = p * rng.integers(-2, 3, size=n - c - 1) * (i % 2)
+        if c >= 0:
+            A[i, c] = rng.integers(1, p)
+        elif i % 4 == 0:
+            A[i] = p * rng.integers(1, 3, size=n)
+        else:
+            A[i] = 0
+    return A
+
+
+def test_trailing_columns_skip_entries_zero_mod_p(monkeypatch):
+    monkeypatch.setattr(linalg, "_BATCH_BLOCKED", 7)
+    rng = np.random.default_rng(11)
+    for p in (2, 7, P_F32):
+        tails = rng.integers(-1, 30, size=50)
+        tails[-3:] = -1           # empty rows close the last batch
+        A = _head_block(rng, 50, 30, tails, p)
+        nz = A % p != 0
+        want = np.where(nz.any(axis=1), 29 - nz[:, ::-1].argmax(axis=1), -1)
+        assert (want == tails).all()
+        assert (linalg._trailing_columns(_sparse(A), p) == tails).all()
+
+
+def test_head_start_matches_plain_loop(monkeypatch):
+    # Seeded sparse blocks whose rows share trailing columns, with rows
+    # zero mod p, empty or not, in batches of 96 rows: the head is some
+    # t rows, t not a multiple of _PANEL, and the batches past it find
+    # the rest of the rank.  At P_F32 and P_F64 the head's forward
+    # substitution runs _eliminate in chunks; the large case adds
+    # multiples of p * 2^64 to every entry, object coefficients.
+    seen = _watch_dense(monkeypatch)
+    monkeypatch.setattr(linalg, "_BATCH_BLOCKED", 96)
+    k = linalg._PANEL
+    for p in (P_F32, P_F64):
+        h = (linalg._limit(linalg._float_dtype(p), p) - p + 1) // (p - 1) ** 2
+        assert k <= h < 2 * k
+    rng = np.random.default_rng(12)
+    for p in (2, 7, P_F32, P_F64):
+        for m, n, ntails in ((400, 300, 150), (500, 290, 260)):
+            # the last 20 columns are zero mod p: rank < n
+            heads = np.sort(rng.choice(n - 20, ntails, replace=False))
+            tails = rng.choice(np.append(heads, -1), size=m)
+            A = _head_block(rng, m, n, tails, p)
+            t = np.unique(tails[tails >= 0]).size
+            assert t % k and t > k
+            want = _plain_rank(A % p, p)
+            assert want < n
+            big = A.astype(object) + (p << 64) * rng.integers(
+                -1, 2, size=A.shape).astype(object)
+            for M in (A, big):
+                seen.clear()
+                assert fp_rank_sparse_dense(_sparse(M), n, p) == want, (p, m)
+                assert max(rows for _, rows in seen) <= min(m, n) + 96
+                assert seen[0][0] == t and seen[-1][0] == m
+        # a head of every column is full rank by itself: no batch runs
+        tails = np.concatenate([rng.permutation(260), rng.integers(-1, 260,
+                                                                  size=40)])
+        A = _head_block(rng, 300, 260, rng.permutation(tails), p)
+        seen.clear()
+        assert fp_rank_sparse_dense(_sparse(A), 260, p) == 260
+        assert seen == []
+
+
+def test_triangular_inverse_at_the_window_edge():
+    # 64 x 64 blocks at P_F32 with a non-unit diagonal and, below it,
+    # every entry 1 or seeded residues: N, strictly lower, has N^32 != 0,
+    # so every doubling step counts, and one product on unreduced entries
+    # passes 2^24.  Only the seeded block needs D^-1 L reduced.
+    p = P_F32
+    k = linalg._PANEL
+    rng = np.random.default_rng(13)
+    for below in (np.ones((k, k)), rng.integers(1, p, size=(k, k))):
+        L = np.tril(below, -1).astype(np.int64)
+        L[np.diag_indices(k)] = np.arange(2, k + 2)
+        G = np.hstack([L, np.eye(k, dtype=np.int64)])
+        assert linalg._echelon_mod_p(G, p, reduced=True,
+                                     width=k) == list(range(k))
+        inv = linalg._tri_inverse(L.astype(np.float32), p)
+        assert (np.abs(inv) < p).all()
+        assert (inv.astype(np.int64) % p == G[:, k:]).all()
 
 
 def test_kernel_rational():
