@@ -10,12 +10,14 @@ All bound arithmetic is exact rational; numpy enters only for finite-field
 scans where every intermediate value is a small integer held exactly.
 For odd p the S_p scan never tabulates P^4(F_p): a member without a
 smooth point has Gram rank <= 2, and those members are read off the
-kernels of p^2 + p + 1 small matrices, one per point of a fixed plane
-(see "finite-field scans" below), so a frame costs O(p^2) and primes up
-to _MAX_PRIME = 1000 are scanned.  The Monte Carlo harness runs that scan
-prime by prime on every frame still alive, in batches.  Only p = 2 and
-the census (p = 2, 3) evaluate quadrics at every point of P^4(F_p), with
-a float32 GEMM.
+kernels of the singular ones among p^2 + p + 1 small matrices M(x), one
+per point x of a fixed plane.  det M(x) is a quintic in x, so for p >= 7
+M(x) is formed at 21 points, where the quintic is interpolated, and at
+its zeros only (see "finite-field scans" below).  A frame costs O(p^2)
+small integer operations, and primes up to _MAX_PRIME = 1000 are
+scanned.  The Monte Carlo harness runs that scan prime by prime on every
+frame still alive, in batches.  Only p = 2 and the census (p = 2, 3)
+evaluate quadrics at every point of P^4(F_p), with a float32 GEMM.
 """
 
 from __future__ import annotations
@@ -161,19 +163,31 @@ def product_lower_bound(M):
 # plane W = <e0, e1, e2>: B(t) x = 0 for some x in P(W)(F_p).  Since
 # B(t) x = M(x) t with M(x) = [B_0 x | ... | B_4 x], every such t lies in
 # the kernel of one of the p^2 + p + 1 matrices M(x), and the S_p scan
-# looks for members there instead of over all of P^4(F_p).
+# looks for members there instead of over all of P^4(F_p).  Only the x
+# with det M(x) = 0 matter, and det M(x) is a ternary quintic in x: for
+# p >= 7 its 21 coefficients come from its values at 21 points, and M(x)
+# is formed there and at its zeros only.
 #
 # Residues are int64, and ``laplace_minors`` forms minors of residue
 # matrices without reduction: for entries in [0, p) a k x k one stays
 # below k! (p - 1)^k in size, and a plane matrix entry below 3 (p - 1)^2,
 # so everything is exact while 5! (p - 1)^5 < 2^63, that is for
 # p <= 2381.  The scans stop lower, at _MAX_PRIME, a desk-scale cap: one
-# frame costs p^2 + p + 1 plane matrices, about a million at the cap and
-# a second of work.
+# frame costs p^2 + p + 1 quintic values, about a million at the cap.
 
 _MAX_PRIME = 1000
-_PAIRS = 1 << 15          # (frame, plane point) pairs per batch of M(x)
+_PAIRS = 1 << 15          # (frame, plane point) pairs per batch
 _BLOCK = 4096             # Monte Carlo frames drawn at once
+_PREFILTER = (0, 3, 4)    # rows and columns of the first rank <= 2 minor
+
+# the points (1, a, b) with a + b <= 5 where det M(x) is interpolated, and
+# the monomials a^i b^j of the quintic on the chart x0 = 1, in that order
+_QUINTIC = [(i, j) for i in range(6) for j in range(6 - i)]
+_VANDERMONDE_CACHE = {}
+
+# the quintic's float64 products take residues in [0, p) with inner
+# dimension at most 21: every sum stays below 21 (p - 1)^2 < 2^53
+assert 21 * (_MAX_PRIME - 1) ** 2 < 1 << 53
 
 
 def _check_prime(p):
@@ -188,13 +202,15 @@ def _block_starts(p, n):
     return np.cumsum([0] + [p ** (n - 1 - lead) for lead in range(n)])
 
 
-def _projective_points(p, n=5, start=0, stop=None):
+def _projective_points(p, n=5, start=0, stop=None, idx=None):
     """The points of P^(n-1)(F_p) at positions start..stop of the table
-    order (all of them by default), as int64 rows whose first nonzero
-    coordinate is 1.  Table order: by the position of that 1, then by the
-    coordinates after it read as base-p digits, the first one lowest."""
+    order (all of them by default), or at the positions ``idx``, as int64
+    rows whose first nonzero coordinate is 1.  Table order: by the
+    position of that 1, then by the coordinates after it read as base-p
+    digits, the first one lowest."""
     starts = _block_starts(p, n)
-    idx = np.arange(start, starts[-1] if stop is None else stop)
+    if idx is None:
+        idx = np.arange(start, starts[-1] if stop is None else stop)
     lead = np.searchsorted(starts, idx, side="right")[:, None] - 1
     digit = np.arange(n) - lead - 1         # coordinate c is digit c-lead-1
     r = (idx - starts[lead[:, 0]])[:, None]
@@ -253,9 +269,78 @@ def _rank_le2(B, p):
     entries, residues) of rank <= 2 mod p: every 3x3 minor vanishes."""
     keep = np.ones(B.shape[2], dtype=bool)
     for rows in combinations(range(5), 3):
+        if not keep.any():
+            break
         for m in laplace_minors(B, rows).values():
             keep &= m % p == 0
     return keep
+
+
+def _det_mod_p(M, p):
+    """Determinants mod p of a batch of 5x5 residue matrices M[r, c]."""
+    return laplace_minors(M, range(5))[tuple(range(5))] % p
+
+
+def _plane_matrices(G, X, p):
+    """M(x) = [B_0 x | ... | B_4 x] mod p for every frame of the Gram
+    stack G and every row x of X (points of the plane, three
+    coordinates): M[r, i, (f, x)], frame-major."""
+    M = G[:, :, :, :3].transpose(2, 1, 0, 3) @ X.T % p   # r, i, f, x
+    return M.reshape(5, 5, -1)
+
+
+def _vandermonde_inverse(p):
+    """The inverse mod p (float64) of V[k, m] = a^i b^j, (a, b) the k-th
+    and (i, j) the m-th entry of _QUINTIC: it takes the quintic's values
+    at the points (1, a, b) to its coefficients.  For p >= 7, where 0..5
+    are distinct mod p, those points are unisolvent for quintics."""
+    if p not in _VANDERMONDE_CACHE:
+        e = np.array(_QUINTIC)
+        V = np.prod(e[:, None, :] ** e[None, :, :], axis=2) % p
+        VI = np.concatenate([V, np.eye(len(e), dtype=np.int64)], axis=1)
+        pivots = _echelon_mod_p(VI, p, reduced=True, width=len(e))
+        assert len(pivots) == len(e), "points not unisolvent mod %d" % p
+        _VANDERMONDE_CACHE[p] = VI[:, len(e):].astype(np.float64)
+    return _VANDERMONDE_CACHE[p]
+
+
+def _plane_dets(G, p):
+    """det M(x) mod p for the frames of the Gram stack G at the plane
+    points of table positions s..e, as the function (s, e) -> array
+    (frames, e - s).
+
+    For p < 7 (13 and 31 points) M(x) is formed at each point.  For
+    p >= 7 the quintic is interpolated once from the 21 points (1, a, b),
+    a + b <= 5, and evaluated by float64 products: on the chart x0 = 1
+    the points form a p x p grid, x1 the fast coordinate, whose values
+    are (powers of x2) @ (coefficients in x1 evaluated at every x1); the
+    line x0 = 0 and the point e2 take the top-degree coefficients."""
+    if p < 7:
+        return lambda s, e: _det_mod_p(_plane_matrices(
+            G, _projective_points(p, 3, s, e), p), p).reshape(len(G), -1)
+    i, j = np.array(_QUINTIC).T
+    X = np.stack([np.ones_like(i), i, j], axis=1)
+    D = _det_mod_p(_plane_matrices(G, X, p), p).reshape(len(G), -1)
+    C = np.zeros((len(G), 6, 6))                # C[f, i, j]: of x1^i x2^j
+    C[:, i, j] = D @ _vandermonde_inverse(p).T % p
+    powers = (np.arange(p) ** np.arange(6)[:, None] % p).astype(np.float64)
+    H = C.transpose(0, 2, 1) @ powers % p       # H[f, j, x1]
+    top = np.arange(6)
+    ends = np.concatenate([C[:, 5 - top, top] @ powers, C[:, 0, 5:]],
+                          axis=1) % p           # at (0, 1, b), then e2
+
+    def values(s, e):
+        r0, r1 = s // p, min(p, -(-e // p))     # grid rows x2 = r0..r1-1
+        parts = []
+        if r0 < r1:
+            grid = powers[:, r0:r1].T @ H % p   # [f, x2, x1]
+            parts.append(grid.reshape(len(G), -1))
+        if e > p * p:
+            parts.append(ends)
+        base = min(r0, p) * p
+        return np.concatenate(parts, axis=1)[:, s - base:e - base]
+
+    return values
 
 
 def _rank_le2_members(A, p):
@@ -263,18 +348,25 @@ def _rank_le2_members(A, p):
     5 x 15 residues): (frames, t), sorted by frame and then by table
     order, t with first nonzero coordinate 1.
 
-    M(x) is formed for a batch of (frame, point) pairs at a time, and its
-    determinant from the cofactors along row 0.  When rank M(x) = 4 every
-    nonzero column of its adjugate spans the kernel, and the first one is
-    taken.  When rank M(x) <= 3 the adjugate vanishes; those M(x) get an
-    echelon form, and each distinct kernel, of dimension k, is enumerated:
+    det M(x) is taken at every plane point by ``_plane_dets``, a batch of
+    at most _PAIRS (frame, point) pairs at a time, and M(x) is formed
+    only where it vanishes.  When rank M(x) = 4 every nonzero column of
+    its adjugate spans the kernel, and the first one is taken.  When
+    rank M(x) <= 3 the adjugate vanishes; those M(x) get an echelon form,
+    and each distinct kernel, of dimension k, is enumerated:
     (p^k - 1)/(p - 1) candidates.  Random frames rarely need this; k = 5
     means that every generator is singular at x, and then the scan costs
-    p^4.  A candidate t is kept when B(t) has rank <= 2; candidates are
-    tested a batch at a time."""
+    p^4.  A candidate t is kept when B(t) has rank <= 2.  Candidates are
+    tested a batch at a time, first on the principal minor on _PREFILTER:
+    B(t) x = 0 with x in the plane, so columns 0, 1, 2 of B(t) are
+    dependent and a minor on them cannot fail, while one on columns 3 and
+    4 can.  Only the candidates it keeps get B(t) and all its 3x3
+    minors."""
     G = _gram_stack(A, p)
+    G_pre = G[:, :, _PREFILTER][:, :, :, _PREFILTER]
     n = p * p + p + 1
-    hits, pending, seen = [], [], set()
+    empty = np.zeros((0, 5), dtype=np.int64)
+    hits, pending, seen = [(empty[:, 0], empty)], [], set()
     held = 0
 
     def hold(f, t):
@@ -290,18 +382,27 @@ def _rank_le2_members(A, p):
         t = np.concatenate([t for _, t in pending])
         pending.clear()
         held = 0
+        pre = np.einsum("ci,cirs->rsc", t, G_pre[f]) % p
+        live = laplace_minors(pre, range(3))[(0, 1, 2)] % p == 0
+        f, t = f[live], t[live]
         keep = _rank_le2(np.einsum("ci,cirs->rsc", t, G[f]) % p, p)
         hits.append((f[keep], t[keep]))
 
     step = max(1, _PAIRS // n)
     for f0 in range(0, len(G), step):
-        Gc = G[f0:f0 + step, :, :, :3].transpose(2, 1, 0, 3)  # r, i, f, c
-        for x0 in range(0, n, _PAIRS):
-            X = _projective_points(p, 3, x0, min(n, x0 + _PAIRS))
-            M = (Gc @ X.T % p).reshape(5, 5, -1)   # M[r, i, (f, x)]
-            K = _adjugate_column(laplace_minors(M, (1, 2, 3, 4)), 0)
-            sing = np.flatnonzero((M[0] * K).sum(axis=0) % p == 0)
-            K, M = K[:, sing] % p, M[:, :, sing]
+        Gf = G[f0:f0 + step]
+        dets = _plane_dets(Gf, p)
+        width = max(1, _PAIRS // len(Gf))
+        for s in range(0, n, width):
+            e = min(n, s + width)
+            z = np.flatnonzero(dets(s, e) == 0)    # (frame, point), flat
+            if not z.size:
+                continue
+            f = z // (e - s)
+            X = _projective_points(p, 3, idx=s + z % (e - s))
+            M = np.einsum("zirc,zc->riz", Gf[f, :, :, :3], X) % p
+            f += f0
+            K = _adjugate_column(laplace_minors(M, (1, 2, 3, 4)), 0) % p
             for r in range(1, 5):
                 # where adjugate columns 0..r-1 vanish, try column r
                 todo = np.flatnonzero(~K.any(axis=0))
@@ -310,7 +411,6 @@ def _rank_le2_members(A, p):
                 rows = tuple(i for i in range(5) if i != r)
                 K[:, todo] = _adjugate_column(
                     laplace_minors(M[:, :, todo], rows), r) % p
-            f = f0 + sing // len(X)
             found = K.any(axis=0)
             hold(f[found], _normalize(K[:, found].T, p))
             for fr, Mx in zip(f[~found], M[:, :, ~found].transpose(2, 0, 1)):
@@ -319,9 +419,9 @@ def _rank_le2_members(A, p):
                     continue
                 seen.add((fr, basis.tobytes()))
                 total = _block_starts(p, len(basis))[-1]
-                for s in range(0, total, _PAIRS):
-                    c = _projective_points(p, len(basis), s,
-                                           min(total, s + _PAIRS))
+                for c0 in range(0, total, _PAIRS):
+                    c = _projective_points(p, len(basis), c0,
+                                           min(total, c0 + _PAIRS))
                     hold(np.full(len(c), fr), _normalize(c @ basis % p, p))
     if pending:
         check()

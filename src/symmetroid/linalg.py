@@ -619,7 +619,11 @@ def _rank_blocked(A, p, perm, panels):
             continue
         hit = np.flatnonzero(nz.any(axis=1))
         _, first = np.unique(nz[hit].argmax(axis=1), return_index=True)
-        cand = np.union1d(hit[first], hit[:_PANEL])
+        # hit is ascending, so the mask keeps the candidates sorted and
+        # unique (np.union1d would import numpy.ma on every call)
+        mask = np.zeros(hit.size, dtype=bool)
+        mask[first] = mask[:_PANEL] = True
+        cand = hit[mask]
         w = panel.shape[1]
         G = np.zeros((cand.size, w + cand.size), dtype=np.int64)
         G[:, :w] = panel[cand].astype(np.int64) % p

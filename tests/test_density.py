@@ -145,12 +145,21 @@ def _plane_kernel_dims(P, p):
     return dims
 
 
+def _brute_rank_le2(F, p):
+    """Table positions of the members of the frame F (5 x 15 integers)
+    whose Gram matrix has F_p-rank <= 2, one member at a time."""
+    from symmetroid.density import _projective_points
+    from symmetroid.linalg import fp_rank
+    grams = np.array([QuadricForm(row).gram() for row in F.tolist()])
+    return [n for n, t in enumerate(_projective_points(p))
+            if fp_rank(np.tensordot(t, grams, 1), p) <= 2]
+
+
 def test_rank_le2_screen_matches_fp_rank():
     # every member whose Gram matrix has F_p-rank <= 2, found one member at
     # a time, is exactly what the plane-kernel finder returns, in table order
     from symmetroid.density import (_projective_points, _rank_le2_members,
                                     _table_index)
-    from symmetroid.linalg import fp_rank
     rng = np.random.default_rng(11)
     frames = [rng.integers(-10, 11, size=(5, 15)) for _ in range(6)]
     # first generators: x0^2 (a double plane), x0^2 - 3 x1^2 (rank 2) and
@@ -170,8 +179,7 @@ def test_rank_le2_screen_matches_fp_rank():
     for F, p in cases:
         P = Pencil([QuadricForm(row) for row in F.tolist()])
         points = _projective_points(p).tolist()
-        brute = [n for n, t in enumerate(points)
-                 if fp_rank(P.gram_at(t), p) <= 2]
+        brute = _brute_rank_le2(F, p)
         frame_ids, t = _rank_le2_members(np.mod(F, p)[None], p)
         assert _table_index(t, p).tolist() == brute, p
         assert set(frame_ids.tolist()) <= {0}
@@ -186,6 +194,105 @@ def test_rank_le2_screen_matches_fp_rank():
             assert max(dims) >= 2 and len(brute) >= p + 1
         elif F is frames[5]:
             assert _plane_kernel_dims(P, p)[0] == 5
+
+
+def _frames_found(frames, p):
+    """Table positions, frame by frame, of the rank <= 2 members that
+    ``_rank_le2_members`` finds on the stack of frames."""
+    from symmetroid.density import _rank_le2_members, _table_index
+    f, t = _rank_le2_members(np.mod(np.array(frames), p), p)
+    index = _table_index(t, p)
+    return [index[f == k].tolist() for k in range(len(frames))]
+
+
+def test_quintic_values_match_direct_determinants(monkeypatch):
+    # det M(x) from the interpolated quintic equals the 5x5 determinant
+    # formed at every plane point, for chunks that cut grid rows and the
+    # grid's end; at p = 181 one frame's values pass _PAIRS
+    from symmetroid import density
+    from symmetroid.density import (_det_mod_p, _gram_stack, _plane_dets,
+                                    _plane_matrices, _projective_points)
+    from symmetroid.linalg import det_bareiss
+    rng = np.random.default_rng(18)
+    for p in (7, 11, 31, 181):
+        F = rng.integers(-10, 11, size=(3, 5, 15))
+        F[1, :, :5] = 0                  # no x0: M(e0) = 0
+        F[2, :, :12] = 0                 # x3 and x4 only: M(x) = 0 on W
+        G = _gram_stack(np.mod(F, p), p)
+        n = p * p + p + 1
+        direct = _det_mod_p(_plane_matrices(
+            G, _projective_points(p, 3), p), p).reshape(3, n)
+        assert direct[0].any() and not direct[2].any()
+        if p <= 11:
+            grams = [[QuadricForm(q).gram() for q in f] for f in F.tolist()]
+            for x, col in zip(_projective_points(p, 3).tolist(), direct.T):
+                assert [det_bareiss([[sum(B[r][c] * x[c] for c in range(3))
+                                      for B in f] for r in range(5)]) % p
+                        for f in grams] == col.tolist()
+        dets = _plane_dets(G, p)
+        assert (dets(0, n) == direct).all(), p
+        for width in (p + 1, 5 * p - 1):   # p + 1 starts a chunk at e2
+            chunks = [dets(s, min(n, s + width)) for s in range(0, n, width)]
+            assert (np.concatenate(chunks, axis=1) == direct).all(), p
+    assert p * p + p + 1 > density._PAIRS
+    # with _PAIRS = 50, frame batches hold three frames at p = 3 and one
+    # at p = 5 and 7, where the 57 points come in chunks of 50 and 7, and
+    # candidate batches end mid-frame: the members found do not move, and
+    # they are the brute-force ones, also where the quintic vanishes on
+    # all of W or every member has rank <= 2
+    frames = rng.integers(-10, 11, size=(4, 5, 15))
+    frames[1, :, :5] = 0
+    frames[2, :3, :12] = 0
+    frames[3, :, :12] = 0
+    for p in (3, 5, 7):
+        found = _frames_found(frames, p)
+        with monkeypatch.context() as m:
+            m.setattr(density, "_PAIRS", 50)
+            assert _frames_found(frames, p) == found, p
+        assert found == [_brute_rank_le2(F, p) for F in frames], p
+        assert len(found[3]) == (p ** 5 - 1) // (p - 1)
+
+
+def test_rank_le2_prefilter_is_only_a_prefilter():
+    # x1^2 + x2^2 + x3^2 has rank 3, e0 in its kernel and a zero
+    # principal minor on rows and columns 0, 3, 4, so e0 passes the first
+    # minor and must fail the full test; x1^2 + x3^2 has rank 2 and stays
+    from symmetroid.density import _PREFILTER
+    from symmetroid.linalg import det_bareiss, fp_rank
+    rng = np.random.default_rng(5)
+    rank3, rank2 = rng.integers(-10, 11, size=(2, 5, 15))
+    rank3[0] = rank2[0] = 0
+    rank3[0, [5, 9, 12]] = 1
+    rank2[0, [5, 12]] = 1
+    for p in (3, 7, 11):
+        for F, rank in ((rank3, 3), (rank2, 2)):
+            B = np.array(QuadricForm(F[0].tolist()).gram())    # B(e0)
+            assert fp_rank(B, p) == rank
+            assert det_bareiss(B[np.ix_(_PREFILTER, _PREFILTER)]) == 0
+            assert (B[:, 0] == 0).all()
+        found = _frames_found([rank3, rank2], p)
+        assert 0 not in found[0] and 0 in found[1], p
+        if p < 11:
+            assert found == [_brute_rank_le2(rank3, p),
+                             _brute_rank_le2(rank2, p)], p
+
+
+def test_sp_member_at_997_scans_in_chunks(thm_pencil):
+    # one frame at the cap has ~10^6 quintic values, taken _PAIRS at a
+    # time: seconds and a few MB, where a p^2 x 21 monomial table would
+    # take hundreds of MB
+    import time
+    import tracemalloc
+    tracemalloc.start()
+    t0 = time.monotonic()
+    try:
+        res = sp_member(thm_pencil, 997)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.monotonic() - t0 < 5
+    assert peak < 32 * 2 ** 20
+    assert not res.member and not res.degenerate_frame
 
 
 def test_sp_member_at_173_is_desk_scale(thm_pencil):

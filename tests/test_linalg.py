@@ -320,6 +320,28 @@ def test_float_kernels_refuse_primes_outside_their_window():
             linalg._eliminate(A, A, A, p)
 
 
+def test_blocked_rank_leaves_numpy_ma_unimported():
+    # the candidate rows of a pivot step are picked without np.union1d,
+    # which imports numpy.ma, ~10 ms, in every fresh process
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "from symmetroid import linalg\n"
+            "A = np.random.default_rng(0).integers(0, 7, size=(100, 80))\n"
+            "assert linalg._rank_blocked(A.astype(np.float32), 7,\n"
+            "                            np.arange(80), []) == 80\n"
+            "print('numpy.ma' in sys.modules)\n")
+    src = str(Path(linalg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["False"]
+
+
 def test_fp_rank_sparse_dense_paths(monkeypatch):
     rng = np.random.default_rng(7)
     seen = _watch_dense(monkeypatch)
