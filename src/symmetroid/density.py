@@ -18,6 +18,8 @@ small integer operations, and primes up to _MAX_PRIME = 1000 are
 scanned.  The Monte Carlo harness runs that scan prime by prime on every
 frame still alive, in batches.  Only p = 2 and the census (p = 2, 3)
 evaluate quadrics at every point of P^4(F_p), with a float32 GEMM.
+The rare M(x) of rank <= 3 take their kernels from ``linalg.nullspace``
+over GF(p).
 """
 
 from __future__ import annotations
@@ -30,7 +32,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .linalg import _echelon_mod_p, fp_rank, is_prime, laplace_minors
+from .gf import GF
+from .linalg import (_echelon_mod_p, fp_rank, is_prime, laplace_minors,
+                     nullspace)
 from .quadform import COEFF_ORDER, QuadricForm, has_smooth_point_fq
 from .roots import poly_eval_scaled, poly_interpolate
 
@@ -244,18 +248,6 @@ def _gram_stack(A, p):
     return G
 
 
-def _kernel_mod_p(M, p):
-    """A basis (rows) of the right kernel of the residue matrix M."""
-    R = M.astype(np.int64)
-    pivots = _echelon_mod_p(R, p, reduced=True)
-    free = [c for c in range(M.shape[1]) if c not in pivots]
-    K = np.zeros((len(free), M.shape[1]), dtype=np.int64)
-    for k, c in enumerate(free):
-        K[k, c] = 1
-        K[k, pivots] = -R[:len(pivots), c] % p
-    return K
-
-
 def _adjugate_column(minors, r):
     """Column r of the adjugate of a batch of 5x5 matrices, from their 4x4
     minors on the rows other than r."""
@@ -352,7 +344,7 @@ def _rank_le2_members(A, p):
     at most _PAIRS (frame, point) pairs at a time, and M(x) is formed
     only where it vanishes.  When rank M(x) = 4 every nonzero column of
     its adjugate spans the kernel, and the first one is taken.  When
-    rank M(x) <= 3 the adjugate vanishes; those M(x) get an echelon form,
+    rank M(x) <= 3 the adjugate vanishes; those M(x) get a GF(p) nullspace,
     and each distinct kernel, of dimension k, is enumerated:
     (p^k - 1)/(p - 1) candidates.  Random frames rarely need this; k = 5
     means that every generator is singular at x, and then the scan costs
@@ -364,6 +356,7 @@ def _rank_le2_members(A, p):
     minors."""
     G = _gram_stack(A, p)
     G_pre = G[:, :, _PREFILTER][:, :, :, _PREFILTER]
+    field = GF(p)
     n = p * p + p + 1
     empty = np.zeros((0, 5), dtype=np.int64)
     hits, pending, seen = [(empty[:, 0], empty)], [], set()
@@ -414,7 +407,8 @@ def _rank_le2_members(A, p):
             found = K.any(axis=0)
             hold(f[found], _normalize(K[:, found].T, p))
             for fr, Mx in zip(f[~found], M[:, :, ~found].transpose(2, 0, 1)):
-                basis = _kernel_mod_p(Mx, p)
+                basis = np.array(nullspace(Mx.tolist(), field),
+                                 dtype=np.int64)
                 if (fr, basis.tobytes()) in seen:
                     continue
                 seen.add((fr, basis.tobytes()))

@@ -49,12 +49,12 @@ loses its part on the pivot columns through one GEMM,
 into chunks that fit the window), before ``_rank_blocked`` runs on the
 columns still free; the old basis then loses its part on the batch's new
 pivot columns the same way, so at most min(m, ncols) + ``_BATCH_BLOCKED``
-rows are ever dense.  The plain loop is fed ``_BATCH`` rows at a time
-under the basis found so far.  ``fp_pivot_rows`` feeds the same
-``_BATCH`` batches to the plain loop on their transpose, whose pivot
-columns are the row rank profile: the rows that form a basis, each
-independent of the rows before it.  Its residues are stored in
-``_fp_dtype``: int64, exact for p < 2^31, and Python ints above.
+rows are ever dense.  Every other block goes to ``fp_pivot_rows``, which
+feeds the plain loop ``_BATCH`` rows at a time, under the rows kept so
+far, on their transpose: its pivot columns are the row rank profile,
+the rows that form a basis, each independent of the rows before it, and
+their count is the rank.  Its residues are stored in ``_fp_dtype``:
+int64, exact for p < 2^31, and Python ints above.
 """
 
 from __future__ import annotations
@@ -458,8 +458,8 @@ def fp_rank(M, p):
 
 
 _PANEL = 64           # pivots per Schur step: the inner dimension of its GEMMs
-_BATCH = 2600         # rows written under the basis found so far per pass
-                      # of the plain loop
+_BATCH = 2600         # rows written under the rows kept so far per pass
+                      # of fp_pivot_rows
 _BATCH_BLOCKED = 512  # rows reduced against the stored basis per pass of the
                       # blocked path, whose buffer holds at most
                       # (ncols + 512) * ncols floats: 29 MB in float32 for
@@ -826,26 +826,14 @@ def fp_rank_sparse_dense(rows, ncols, p):
     head rows and loses its part on the pivot columns (``_eliminate``),
     and ``_rank_blocked`` eliminates it on the columns still free; one
     column permutation puts the batch's pivot columns after the old ones,
-    and the old rows lose their part on them.  Other blocks are fed to
-    ``_echelon_mod_p`` ``_BATCH`` rows at a time, each batch written under
-    the basis found so far.  So at most min(m, ncols) + ``_BATCH_BLOCKED``
-    or ncols + ``_BATCH`` rows are ever dense; both stop at rank ncols.
+    and the old rows lose their part on them, so at most min(m, ncols) +
+    ``_BATCH_BLOCKED`` rows are ever dense.  Other blocks take the rank
+    that ``fp_pivot_rows`` finds.
     """
-    m = len(rows)
     dtype = _float_dtype(p)
-    if dtype is not None and min(m, ncols) >= _BLOCKED_MIN:
+    if dtype is not None and min(len(rows), ncols) >= _BLOCKED_MIN:
         return _rank_incremental(rows, ncols, p, dtype)
-    buf = np.empty((min(m, ncols + _BATCH), ncols), dtype=_fp_dtype(p))
-    where = np.arange(ncols)
-    rank = 0
-    for start in range(0, m, _BATCH):
-        if rank == ncols:
-            break
-        stop = min(m, start + _BATCH)
-        view = buf[:rank + stop - start]
-        rows.dense(start, stop, p, view[rank:], where)
-        rank = len(_echelon_mod_p(view, p))
-    return rank
+    return fp_pivot_rows(rows, ncols, p)[1]
 
 
 def fp_pivot_rows(rows, ncols, p):
@@ -855,10 +843,11 @@ def fp_pivot_rows(rows, ncols, p):
 
     The row rank profile of A is the column rank profile of its transpose,
     which the plain loop reveals.  The rows are fed ``_BATCH`` at a time,
-    as to the plain loop of ``fp_rank_sparse_dense``, each batch written
-    right under the rows kept so far; those are independent, so they pivot
-    first in the transpose, and the pivot columns past them are the
-    batch's new rows.  At most ncols + ``_BATCH`` rows are ever dense.
+    each batch written right under the rows kept so far; those are
+    independent, so they pivot first in the transpose, and the pivot
+    columns past them are the batch's new rows.  At most ncols + ``_BATCH``
+    rows are ever dense, and the loop stops at rank ncols.  This is also
+    the plain path of ``fp_rank_sparse_dense``.
     """
     m = len(rows)
     buf = np.empty((min(m, ncols + _BATCH), ncols), dtype=_fp_dtype(p))

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import comb, gcd, prod
+from operator import itemgetter
 
 import numpy as np
 
@@ -44,11 +45,26 @@ class HomIdealPresentation:
     ny: int = 5
 
     def __post_init__(self):
-        for g in self.generators:
+        bigraded = self.bidegrees is not None
+        if bigraded and len(self.bidegrees) != len(self.generators):
+            raise ValueError("one bidegree per generator")
+        if bigraded and self.nx + self.ny != self.nvars:
+            raise ValueError("nx + ny must be nvars")
+        first_block = itemgetter(slice(0, self.nx))
+        for i, g in enumerate(self.generators):
             if g.nvars != self.nvars:
                 raise ValueError("generator in wrong ring")
-            if not g.is_homogeneous():
-                raise ValueError("generators must be homogeneous")
+            if not bigraded:
+                if not g.is_homogeneous():
+                    raise ValueError("generators must be homogeneous")
+                continue
+            # each term of bidegree (a, b) has degree a + b, a of it in the
+            # first block; this also checks homogeneity
+            a, b = self.bidegrees[i]
+            if (set(map(sum, g.terms)) - {a + b}
+                    or set(map(sum, map(first_block, g.terms))) - {a}):
+                raise ValueError("generator %d is not of bidegree (%d, %d)"
+                                 % (i, a, b))
 
     @property
     def mod(self):
@@ -199,17 +215,41 @@ def _exponents(monomials, nvars):
     return np.array(monomials, dtype=np.int64).reshape(-1, nvars)
 
 
-def _degree_block(generators, d, nvars):
-    """Rows and column count of the degree-d Macaulay matrix, whose columns
-    are ``monomials_of_degree(nvars, d)``."""
-    return (_macaulay_rows([_term_arrays(g) for g in generators],
-                           [(g.total_degree(),) for g in generators],
-                           (nvars,), (d,)),
-            comb(d + nvars - 1, nvars - 1))
-
-
 # ---------------------------------------------------------------------------
-# single-prime test
+# single-prime tests
+
+
+def _full_span_mod(ideal, p, sizes, degrees, ladder, exhausted):
+    """The F_pbar certificate at the first multidegree of ``ladder`` where
+    the Macaulay rows mod p have full column rank, else ``exhausted``.
+
+    The variables fall into blocks of ``sizes``; generator g has the
+    multidegree ``degrees[g]``.  The generators are reduced mod p once and
+    those that vanish dropped; ``ladder`` gets the multidegrees of the
+    rest.  An ideal over F_q, q != p, raises ValueError: its residues say
+    nothing mod p."""
+    kept = []
+    for g, deg in zip(ideal.generators, degrees):
+        if g.mod not in (None, p):
+            raise ValueError("the ideal is presented over F_%d, not F_%d"
+                             % (g.mod, p))
+        if g.mod is None:
+            g = g.reduce_mod(p)
+        if not g.is_zero():
+            kept.append((_term_arrays(g), deg))
+    if not kept:
+        return Inconclusive("all generators vanish mod %d" % p,
+                            exhausted.degree_cap)
+    terms, degrees = zip(*kept)
+    for top in ladder(degrees):
+        rows = _macaulay_rows(terms, degrees, sizes, top)
+        ncols = prod(comb(d + s - 1, s - 1) for d, s in zip(top, sizes))
+        if len(rows) < ncols or fp_rank_sparse_dense(rows, ncols, p) < ncols:
+            continue
+        return EmptinessCertificate(
+            degree=top if len(top) > 1 else top[0], scope="F_pbar", prime=p,
+            details={"columns": ncols, "rows": len(rows)})
+    return exhausted
 
 
 def empty_over_fpbar(ideal, d_max, p=None):
@@ -220,21 +260,11 @@ def empty_over_fpbar(ideal, d_max, p=None):
         raise ValueError("ideal must be presented over F_p (or pass p)")
     if not is_prime(p):
         raise ValueError("p must be prime")
-    gens = [g if g.mod == p else g.reduce_mod(p) for g in ideal.generators]
-    gens = [g for g in gens if not g.is_zero()]
-    if not gens:
-        return Inconclusive("all generators vanish mod %d" % p, d_max)
-    d_lo = max(g.total_degree() for g in gens)
-    for d in range(d_lo, d_max + 1):
-        rows, ncols = _degree_block(gens, d, ideal.nvars)
-        if len(rows) < ncols:
-            continue
-        if fp_rank_sparse_dense(rows, ncols, p) == ncols:
-            return EmptinessCertificate(degree=d, scope="F_pbar", prime=p,
-                                        details={"columns": ncols,
-                                                 "rows": len(rows)})
-    return Inconclusive("no full-span degree <= %d mod %d" % (d_max, p),
-                        d_max)
+    return _full_span_mod(
+        ideal, p, (ideal.nvars,),
+        [(g.total_degree(),) for g in ideal.generators],
+        lambda degrees: [(d,) for d in range(max(degrees)[0], d_max + 1)],
+        Inconclusive("no full-span degree <= %d mod %d" % (d_max, p), d_max))
 
 
 # ---------------------------------------------------------------------------
@@ -261,14 +291,17 @@ def empty_all_primes(ideal, saturate_at_2=True, d_max=12):
     """
     if ideal.mod is not None:
         raise ValueError("empty_all_primes needs generators over Z")
+    nvars = ideal.nvars
     gens = [g for g in ideal.generators if not g.is_zero()]
     if not gens:
         return Inconclusive("zero ideal", d_max)
-    d_lo = max(g.total_degree() for g in gens)
+    terms = [_term_arrays(g) for g in gens]
+    degrees = [(g.total_degree(),) for g in gens]
     last_reason = "no certificate found"
     screened = set()
-    for d in range(d_lo, d_max + 1):
-        block, ncols = _degree_block(gens, d, ideal.nvars)
+    for d in range(max(degrees)[0], d_max + 1):
+        block = _macaulay_rows(terms, degrees, (nvars,), (d,))
+        ncols = comb(d + nvars - 1, nvars - 1)
         if len(block) < ncols:
             last_reason = "not enough rows at degree %d" % d
             continue
@@ -284,7 +317,7 @@ def empty_all_primes(ideal, saturate_at_2=True, d_max=12):
             # at d_max there is no later degree left to skip
             if d < d_max and q not in screened:
                 screened.add(q)
-                x = _common_zero_mod(gens, ideal.nvars, q)
+                x = _common_zero_mod(terms, nvars, q)
                 if x is not None:
                     return Inconclusive(
                         "the prime %d is not cleared at degree %d and the "
@@ -322,10 +355,10 @@ _POINT_CAP = 100_000
 _GATHER_CELLS = 1 << 20
 
 
-def _common_zero_mod(gens, nvars, q):
-    """The first common zero mod q of the generators in P^{nvars-1}(F_q),
-    as a tuple of residues, or None; None also when there are more than
-    ``_POINT_CAP`` points.
+def _common_zero_mod(terms, nvars, q):
+    """The first common zero mod q in P^{nvars-1}(F_q) of the generators
+    given by their ``_term_arrays``, as a tuple of residues, or None; None
+    also when there are more than ``_POINT_CAP`` points.
 
     Points have their first nonzero coordinate 1 and come leading 1 first
     (position 0 first), then in lexicographic order of the tail.  Each
@@ -343,7 +376,6 @@ def _common_zero_mod(gens, nvars, q):
         block[:, lead + 1:] = np.indices((q,) * k).reshape(k, q ** k).T
         pts.append(block)
     pts = np.concatenate(pts)
-    terms = [_term_arrays(g) for g in gens]
     # powers[e, r] = r^e mod q
     powers = np.ones((max(int(e.max()) for e, _ in terms) + 1, q),
                      dtype=np.int64)
@@ -548,29 +580,17 @@ def empty_bihomogeneous(ideal, d_max=(4, 4), p=None):
         p = ideal.mod
     if p is None or not is_prime(p):
         raise ValueError("bihomogeneous test needs a prime modulus")
-    nx, ny = ideal.nx, ideal.ny
-    gens = [g if g.mod == p else g.reduce_mod(p) for g in ideal.generators]
-    pairs = [(g, bd) for g, bd in zip(gens, ideal.bidegrees)
-             if not g.is_zero()]
-    terms = [_term_arrays(g) for g, _ in pairs]
-    if not pairs:
-        return Inconclusive("all generators vanish mod %d" % p, d_max)
+    if ideal.bidegrees is None:
+        raise ValueError("bihomogeneous test needs bidegrees")
     if not isinstance(d_max, tuple):
         d_max = (d_max, d_max)
+    nx, ny = ideal.nx, ideal.ny
     ladder = sorted(
         ((a, b) for a in range(1, d_max[0] + 1)
          for b in range(1, min(a, d_max[1]) + 1)),
         key=lambda ab: len(monomials_of_degree(nx, ab[0]))
         * len(monomials_of_degree(ny, ab[1])))
-    for (da, db) in ladder:
-        rows = _macaulay_rows(terms, [bd for _, bd in pairs], (nx, ny),
-                              (da, db))
-        ncols = comb(da + nx - 1, nx - 1) * comb(db + ny - 1, ny - 1)
-        if len(rows) < ncols:
-            continue
-        if fp_rank_sparse_dense(rows, ncols, p) == ncols:
-            return EmptinessCertificate(
-                degree=(da, db), scope="F_pbar", prime=p,
-                details={"columns": ncols, "rows": len(rows)})
-    return Inconclusive("no full bidegree span up to %s mod %d"
-                        % (d_max, p), d_max)
+    return _full_span_mod(
+        ideal, p, (nx, ny), ideal.bidegrees, lambda degrees: ladder,
+        Inconclusive("no full bidegree span up to %s mod %d" % (d_max, p),
+                     d_max))

@@ -22,6 +22,21 @@ def run_cli(args, tmp_path, name="report.json"):
     return code, report
 
 
+def test_reports_match_golden_files(tmp_path):
+    # tests/data holds the reports of the bundled pencils as written by
+    # `symmetroid <subcommand> <pencil> --out <file>`; they are compared
+    # byte for byte, so any change to a symbol, certificate, reason,
+    # witness or S_p verdict shows here
+    golden = os.path.join(os.path.dirname(__file__), "data")
+    for pencil in ("thm_example", "prop_q3", "cor_easy"):
+        for args in (["alpha-symbol"], ["v3-test"],
+                     ["sp-scan", "--cutoff", "31"]):
+            name = "%s.%s.json" % (pencil, args[0])
+            main(args + [pencil, "--out", str(tmp_path / name)])
+            with open(os.path.join(golden, name), "rb") as fh:
+                assert (tmp_path / name).read_bytes() == fh.read(), name
+
+
 def test_builtin_fixtures_roundtrip():
     for name in ("thm_example", "prop_q3", "cor_easy"):
         P, src = load_pencil(name)

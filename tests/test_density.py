@@ -136,12 +136,14 @@ def test_prime_window_refused_before_allocation(thm_pencil, monkeypatch):
 def _plane_kernel_dims(P, p):
     """dim ker M(x) mod p for every x in P(<e0, e1, e2>)(F_p), by brute
     force on the pencil's Gram matrices."""
-    from symmetroid.density import _kernel_mod_p, _projective_points
+    from symmetroid.density import _projective_points
+    from symmetroid.gf import GF
+    from symmetroid.linalg import nullspace
     dims = []
     for x in _projective_points(p, 3).tolist():
         M = [[sum(B[r][c] * x[c] for c in range(3)) % p for B in P.grams]
              for r in range(5)]
-        dims.append(len(_kernel_mod_p(np.array(M), p)))
+        dims.append(len(nullspace(M, GF(p))))
     return dims
 
 

@@ -98,6 +98,16 @@ def _same_rows(got, want):
         assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
+def _degree_rows(gens, d, nvars):
+    """The degree-d Macaulay rows of the generators and their column
+    count, the number of degree-d monomials."""
+    from symmetroid.nullstellensatz import _macaulay_rows, _term_arrays
+    return (_macaulay_rows([_term_arrays(g) for g in gens],
+                           [(g.total_degree(),) for g in gens], (nvars,),
+                           (d,)),
+            len(monomials_of_degree(nvars, d)))
+
+
 def test_degree_blocks_match_exponent_sums():
     # seeded homogeneous generators in 3-6 variables plus a quadric with a
     # coefficient past int64: the rows read from product tables equal the
@@ -106,7 +116,7 @@ def test_degree_blocks_match_exponent_sums():
     # multipliers
     from oracles import macaulay_rows_by_exponent_sums
 
-    from symmetroid.nullstellensatz import _degree_block, _term_arrays
+    from symmetroid.nullstellensatz import _macaulay_rows, _term_arrays
     rng = random.Random(23)
     big = 2 ** 64 + 3
     for nvars in range(3, 7):
@@ -118,12 +128,12 @@ def test_degree_blocks_match_exponent_sums():
                 for m in rng.sample(mons, min(len(mons), rng.randint(1, 6)))}))
         gens.append(MultiPoly(nvars, {(2,) + (0,) * (nvars - 1): big,
                                       (1,) + (0,) * (nvars - 2) + (1,): -5}))
+        terms = [_term_arrays(g) for g in gens]
+        degrees = [(g.total_degree(),) for g in gens]
         for d in range(1, 5):
-            rows, ncols = _degree_block(gens, d, nvars)
-            assert ncols == len(monomials_of_degree(nvars, d))
-            _same_rows(rows, macaulay_rows_by_exponent_sums(
-                [_term_arrays(g) for g in gens],
-                [(g.total_degree(),) for g in gens], (nvars,), (d,)))
+            args = (terms, degrees, (nvars,), (d,))
+            rows = _macaulay_rows(*args)
+            _same_rows(rows, macaulay_rows_by_exponent_sums(*args))
             assert rows.data.dtype == (object if d >= 2 else np.int64)
             assert (big in rows.data.tolist()) == (d >= 2)
 
@@ -158,9 +168,8 @@ def test_v3_certificate_on_fixture(thm_pencil):
                             "index_evidence_gcd": 1},
         "method": "minor-gcd", "details": {"columns": 35, "rows": 55}}
     # monotonicity: the span stays full one degree higher
-    from symmetroid.nullstellensatz import (_degree_block,
-                                            _lattice_is_full_after_stripping)
-    rows, ncols = _degree_block(
+    from symmetroid.nullstellensatz import _lattice_is_full_after_stripping
+    rows, ncols = _degree_rows(
         rank_le2_minor_ideal(thm_pencil).generators, 4, 5)
     assert _lattice_is_full_after_stripping(rows, ncols, True) is not None
 
@@ -199,9 +208,9 @@ def test_screen_needs_a_point_over_the_prime_field(monkeypatch):
     real = nullstellensatz._common_zero_mod
     calls = []
 
-    def spy(gens, nvars, q):
+    def spy(terms, nvars, q):
         calls.append(q)
-        return real(gens, nvars, q)
+        return real(terms, nvars, q)
     monkeypatch.setattr(nullstellensatz, "_common_zero_mod", spy)
     out = empty_all_primes(_ideal(["t0^2 + t1^2", "3*t0*t1", "t2^2",
                                    "t3^2", "t4^2"]), d_max=7)
@@ -212,7 +221,8 @@ def test_screen_needs_a_point_over_the_prime_field(monkeypatch):
 
 
 def test_screen_skips_primes_past_the_point_cap():
-    from symmetroid.nullstellensatz import _POINT_CAP, _common_zero_mod
+    from symmetroid.nullstellensatz import (_POINT_CAP, _common_zero_mod,
+                                            _term_arrays)
     # (0:0:0:0:1) is a common zero mod q; P^4(F_7) has 2,801 points
     out = empty_all_primes(_ideal(["t0", "t1", "t2", "t3", "7*t4"]),
                            d_max=4)
@@ -220,15 +230,16 @@ def test_screen_skips_primes_past_the_point_cap():
     # P^4(F_1009) has ~10^12 points: not screened, the ladder runs on
     assert (1009 ** 5 - 1) // 1008 > _POINT_CAP
     ideal = _ideal(["t0", "t1", "t2", "t3", "1009*t4"])
-    assert _common_zero_mod(ideal.generators, 5, 1009) is None
+    assert _common_zero_mod([_term_arrays(g) for g in ideal.generators], 5,
+                            1009) is None
     out = empty_all_primes(ideal, d_max=4)
     assert out.witness is None
     assert out.reason == "lattice not full (after stripping) at degree 4"
     # P^1(F_q) just under the cap is screened
     q = 99991
     assert q + 1 <= _POINT_CAP
-    assert _common_zero_mod(_ideal(["t0", "%d*t1" % q], 2).generators, 2,
-                            q) == (0, 1)
+    assert _common_zero_mod([_term_arrays(g) for g in _ideal(
+        ["t0", "%d*t1" % q], 2).generators], 2, q) == (0, 1)
 
 
 @pytest.mark.parametrize("q", [3, 5])
@@ -256,16 +267,17 @@ def test_common_zero_matches_bruteforce_enumeration(q, monkeypatch):
                         for _ in range(rng.randrange(1, 4))], 4))
     for gens, nvars in ideals:
         ideal = _ideal(gens, nvars)
+        terms = [nullstellensatz._term_arrays(g) for g in ideal.generators]
         want = first_common_zero_bruteforce(ideal.generators, nvars, q)
-        got = nullstellensatz._common_zero_mod(ideal.generators, nvars, q)
+        got = nullstellensatz._common_zero_mod(terms, nvars, q)
         assert got == want, (gens, q)
         # term values a few at a time give the same point
         monkeypatch.setattr(nullstellensatz, "_GATHER_CELLS", 7)
-        assert nullstellensatz._common_zero_mod(ideal.generators, nvars,
-                                                q) == want
+        assert nullstellensatz._common_zero_mod(terms, nvars, q) == want
         monkeypatch.undo()
     assert nullstellensatz._common_zero_mod(
-        _ideal(["t0", "t1", "t2", "t3", "t4"]).generators, 5, q) is None
+        [nullstellensatz._term_arrays(g) for g in _ideal(
+            ["t0", "t1", "t2", "t3", "t4"]).generators], 5, q) is None
 
 
 def test_pivot_rows_of_macaulay_blocks_match_oracle(q3_pencil):
@@ -275,10 +287,9 @@ def test_pivot_rows_of_macaulay_blocks_match_oracle(q3_pencil):
     from oracles import pivot_rows_by_dicts
 
     from symmetroid.linalg import fp_pivot_rows
-    from symmetroid.nullstellensatz import _degree_block
     gens = rank_le2_minor_ideal(q3_pencil).generators
     for d in (3, 4, 5):
-        block, ncols = _degree_block(gens, d, 5)
+        block, ncols = _degree_rows(gens, d, 5)
         bounds = block.indptr.tolist()
         dicts = [dict(zip(block.indices[lo:hi].tolist(),
                           block.data[lo:hi].tolist()))
@@ -379,6 +390,37 @@ def test_bihomogeneous_keeps_to_both_caps():
     out = empty_bihomogeneous(I, (2, 1), 5)
     assert isinstance(out, Inconclusive)
     assert "up to (2, 1)" in out.reason
+
+
+def test_bidegree_labels_are_checked():
+    # over F_3 in P^1 x P^1, ((0:1), (1:0)) is a common zero of x0 and
+    # x2*x3 + 2*x3^2; labelled (0, 1) and (0, 2) they once got a
+    # certificate at (2, 2)
+    gens = [parse_poly(s, ["x0", "x1", "x2", "x3"], 3)
+            for s in ("x0", "x2*x3 + 2*x3^2")]
+    with pytest.raises(ValueError, match="not of bidegree"):
+        HomIdealPresentation(4, gens, bidegrees=[(0, 1), (0, 2)], nx=2, ny=2)
+    I = HomIdealPresentation(4, gens, bidegrees=[(1, 0), (0, 2)], nx=2, ny=2)
+    assert isinstance(empty_bihomogeneous(I, (2, 2)), Inconclusive)
+    with pytest.raises(ValueError, match="one bidegree per generator"):
+        HomIdealPresentation(4, gens, bidegrees=[(1, 0)], nx=2, ny=2)
+    with pytest.raises(ValueError, match="nx \\+ ny"):
+        HomIdealPresentation(4, gens, bidegrees=[(1, 0), (0, 2)], nx=2, ny=3)
+    with pytest.raises(ValueError, match="needs bidegrees"):
+        empty_bihomogeneous(HomIdealPresentation(4, gens), (2, 2))
+
+
+def test_an_ideal_over_another_prime_is_refused():
+    # over F_5 the three forms vanish at (1:1:1); read again mod 7 they
+    # would be certified empty at degree 1
+    I = _ideal(["t0 + 4*t1", "t1 + 4*t2", "t0 + 4*t2"], 3, mod=5)
+    assert isinstance(empty_over_fpbar(I, 3), Inconclusive)
+    with pytest.raises(ValueError, match="over F_5, not F_7"):
+        empty_over_fpbar(I, 3, 7)
+    gens = [MultiPoly.variable(10, i, mod=5) for i in range(5)]
+    Ixy = HomIdealPresentation(10, gens, bidegrees=[(1, 0)] * 5, nx=5, ny=5)
+    with pytest.raises(ValueError, match="over F_5, not F_7"):
+        empty_bihomogeneous(Ixy, (2, 2), 7)
 
 
 def test_regularity_diagonal_failure_detected():
