@@ -39,21 +39,25 @@ them.  On the blocked path it keeps the basis found so far fully reduced,
 rows [I | W] over all its pivot columns.  It starts from a triangular
 head: a Macaulay row is a monomial multiple of a generator, so many rows
 have their own trailing column, the largest one nonzero mod p.  The
-first row with each distinct trailing column joins the head, which is
-triangular on those columns and so independent with no pivot search;
-blocked forward substitution makes it [I | W] (Faugere and Lachartre,
-"Parallel Gaussian elimination for Groebner bases computations in finite
-fields", PASCO 2010).  Each batch of ``_BATCH_BLOCKED`` other rows then
-loses its part on the pivot columns through one GEMM,
-``X[:, r:] -= X[:, :r] @ W`` (``_eliminate``, its inner dimension cut
-into chunks that fit the window), before ``_rank_blocked`` runs on the
-columns still free; the old basis then loses its part on the batch's new
-pivot columns the same way, so at most min(m, ncols) + ``_BATCH_BLOCKED``
-rows are ever dense.  Every other block goes to ``fp_pivot_rows``, which
-feeds the plain loop ``_BATCH`` rows at a time, under the rows kept so
-far, on their transpose: its pivot columns are the row rank profile,
-the rows that form a basis, each independent of the rows before it, and
-their count is the rank.  Its residues are stored in ``_fp_dtype``:
+first row with each distinct trailing column joins the head, the rows
+of a seed (rows known to lie in the span of the block) ahead of the
+block's own.  The head is triangular on those columns and so
+independent with no pivot search; blocked forward substitution makes it
+[I | W] (Faugere and Lachartre, "Parallel Gaussian elimination for
+Groebner bases computations in finite fields", PASCO 2010).  Each batch
+of ``_BATCH_BLOCKED`` other rows then loses its part on the pivot
+columns through one GEMM, ``X[:, r:] -= X[:, :r] @ W`` (``_eliminate``,
+its inner dimension cut into chunks that fit the window), before
+``_rank_blocked`` runs on the columns still free; the old basis then
+loses its part on the batch's new pivot columns the same way, so at most
+min(m, ncols) + ``_BATCH_BLOCKED`` rows are ever dense.  A block short
+of full rank can hand back its span in right-reduced form
+(``_right_reduced``), a basis whose rows end at distinct columns: the
+Macaulay ladder derives the seed of a later rung from it.  Every other
+block goes to ``fp_pivot_rows``, which feeds the plain loop ``_BATCH``
+rows at a time, under the rows kept so far, on their transpose: its
+pivot columns are the row rank profile, the rows that form a basis, each
+independent of the rows before it, and their count is the rank.  Its residues are stored in ``_fp_dtype``:
 int64, exact for p < 2^31, and Python ints above.
 """
 
@@ -528,6 +532,15 @@ class SparseRows:
                + np.arange(indptr[-1]))
         return SparseRows(indptr, self.indices[src], self.data[src])
 
+    @staticmethod
+    def concat(blocks):
+        """The rows of the blocks one after another; each block's arrays
+        hold its rows only, ``indptr`` running from 0 to their length."""
+        counts = np.concatenate([np.diff(b.indptr) for b in blocks])
+        return SparseRows(np.concatenate([[0], np.cumsum(counts)]),
+                          np.concatenate([b.indices for b in blocks]),
+                          np.concatenate([b.data for b in blocks]))
+
     def tolist(self, ncols):
         """The rows as dense lists of Python ints."""
         out = np.zeros((len(self), ncols), dtype=self.data.dtype)
@@ -739,36 +752,57 @@ def _tri_inverse(L, p):
     return inv
 
 
-def _rank_incremental(rows, ncols, p, dtype):
+def _rank_incremental(rows, ncols, p, dtype, seed=None):
     """Rank over F_p of the ``SparseRows`` block ``rows`` by the blocked
-    path of ``fp_rank_sparse_dense``, in a float buffer of ``dtype``.
+    path of ``fp_rank_sparse_dense``, in a float buffer of ``dtype``, as
+    (rank, W, perm): the rows [I | W] in the column order ``perm`` are the
+    reduced basis of the row space (W and perm are None when the head
+    alone has full rank).
 
     The head start: the first row with each distinct trailing column
-    (``_trailing_columns``) joins the head, t rows.  With those columns
-    first, ascending, the head is [L | F], L lower triangular with a
-    nonzero diagonal, so its rows are independent with no search.  Block
-    by block of ``_PANEL`` rows, forward substitution makes it the reduced
-    basis [I | inv(L) F]: each block loses its part on the earlier
-    blocks' columns (``_eliminate``, where the earlier rows are zero on
-    the head columns past theirs) and is multiplied by the inverse of its
-    diagonal block (``_tri_inverse``).  The batches then start at rank t,
-    each skipping the head rows in its range."""
+    (``_trailing_columns``) joins the head, t rows.  The rows of ``seed``,
+    a ``SparseRows`` block of rows in the row space of ``rows`` mod p, go
+    first: the first seed row with each trailing column, then the first
+    row of ``rows`` with each trailing column that no seed row has.  With
+    those columns first, ascending, the head is [L | F], L lower
+    triangular with a nonzero diagonal, so its rows are independent with
+    no search.  Block by block of ``_PANEL`` rows, forward substitution
+    makes it the reduced basis [I | inv(L) F]: each block loses its part
+    on the earlier blocks' columns (``_eliminate``, where the earlier rows
+    are zero on the head columns past theirs) and is multiplied by the
+    inverse of its diagonal block (``_tri_inverse``).  The batches of
+    ``rows`` then start at rank t, each skipping the head rows in its
+    range; the seed rows outside the head are dropped, as they add
+    nothing to the row space."""
     m = len(rows)
-    head_cols, head = np.unique(_trailing_columns(rows, p),
-                                return_index=True)
-    head, head_cols = head[head_cols >= 0], head_cols[head_cols >= 0]
-    t = head.size
+    if seed is None:
+        seed = rows.take([])
+    s = len(seed)
+    # the first row with each trailing column, seed rows first
+    cols, head = np.unique(np.concatenate([_trailing_columns(seed, p),
+                                           _trailing_columns(rows, p)]),
+                           return_index=True)
+    head, cols = head[cols >= 0], cols[cols >= 0]
+    t = cols.size
     if t == ncols:
-        return t
+        return t, None, None
     # the column order of buf: the head's columns, then the others
-    perm = np.concatenate([head_cols, np.setdiff1d(
-        np.arange(ncols), head_cols, assume_unique=True)])
+    perm = np.concatenate([cols, np.setdiff1d(np.arange(ncols), cols,
+                                              assume_unique=True)])
     where = np.empty(ncols, dtype=np.int64)       # its inverse
     where[perm] = np.arange(ncols)
     # rank <= min(m, ncols) rows, and the head rows inside a batch's range
     # are written before they are skipped
-    buf = np.empty((min(m, ncols) + _BATCH_BLOCKED, ncols), dtype=dtype)
-    rows.take(head).dense(0, t, p, buf[:t], where)
+    buf = np.empty((max(min(m, ncols), t) + _BATCH_BLOCKED, ncols),
+                   dtype=dtype)
+    own = head >= s
+    mine = head[own] - s
+    is_head = np.zeros(m, dtype=bool)
+    is_head[mine] = True
+    # the block's head rows follow the seed, in the order of their columns
+    head[own] = s + np.arange(mine.size)
+    SparseRows.concat([seed, rows.take(mine)]).take(head).dense(
+        0, t, p, buf[:t], where)
     for b in range(0, t, _PANEL):
         e = min(t, b + _PANEL)
         X = buf[b:e]
@@ -778,8 +812,6 @@ def _rank_incremental(rows, ncols, p, dtype):
         _reduce(X[:, t:], p)
         X[:, :t] = 0
         X[:, b:e] = np.eye(e - b, dtype=dtype)
-    is_head = np.zeros(m, dtype=bool)
-    is_head[head] = True
     rank = t                      # buf[:rank] = [I | W], reduced
     for start in range(0, m, _BATCH_BLOCKED):
         if rank == ncols:
@@ -810,17 +842,64 @@ def _rank_incremental(rows, ncols, p, dtype):
         perm[rank:] = perm[rank:][local[order]]
         where[perm] = np.arange(ncols)
         rank += k
-    return rank
+    return rank, buf[:rank, rank:], perm
 
 
-def fp_rank_sparse_dense(rows, ncols, p):
+def _right_reduced(W, perm, p):
+    """The row space of the reduced basis [I | W] (float residues,
+    |w| < p) in the column order ``perm``, as the ``SparseRows`` of its
+    right-reduced basis: one row u_c for each column c outside a set Q of
+    n - r columns, in ascending order of c, with an entry at each column
+    of Q, in its order, and last a 1 at c, its trailing column.
+
+    The kernel of the row space has the basis k_j = e_{perm[r+j]} -
+    sum_i W[i, j] e_{perm[i]}.  Q is the leftmost column rank profile of
+    the (n - r) x n matrix K^T of the k_j, and Z = inv(K^T_Q) K^T its
+    reduced echelon form.  Then u_c = e_c - sum_j Z[j, c] e_{Q[j]} is
+    orthogonal to every row of Z, so to the kernel: it lies in the row
+    space, and the r of them are independent.  Z[j, c] is nonzero only
+    where Q[j] < c, so c is u_c's trailing column.
+
+    Q is found on the first w columns, w doubling from 2(n - r) until
+    they hold all of it: [K^T_w | I] reduces to [E | inv(K^T_Q)], and
+    ``_eliminate`` forms the product with the other columns in the float
+    type of W."""
+    r, f = W.shape
+    n = r + f
+    K = np.zeros((f, n), dtype=np.int64)
+    K[:, perm[:r]] = -W.T.astype(np.int64) % p
+    K[np.arange(f), perm[r:]] = 1
+    w = 0
+    while True:
+        w = min(n, max(2 * w, 2 * f))
+        G = np.concatenate([K[:, :w], np.eye(f, dtype=np.int64)], axis=1)
+        q = np.array(_echelon_mod_p(G, p, reduced=True, width=w),
+                     dtype=np.int64)
+        if q.size == f:
+            break
+    free = np.setdiff1d(np.arange(n), q, assume_unique=True)
+    # U[j, i]: the entry of u_{free[i]} at q[j], -Z[j, free[i]]
+    U = np.zeros((f, r), dtype=W.dtype)
+    _eliminate(U, G[:, w:].astype(W.dtype), K[:, free].astype(W.dtype), p)
+    U = U.T.astype(np.int64) % p
+    # int32 holds every column and residue of the float window, at half
+    # the memory of the bases kept up the ladder
+    return SparseRows(np.arange(0, r * (f + 1) + 1, f + 1),
+                      np.column_stack([np.broadcast_to(q, (r, f)), free])
+                      .astype(np.int32).ravel(),
+                      np.column_stack([U, np.ones(r, dtype=np.int64)])
+                      .astype(np.int32).ravel())
+
+
+def fp_rank_sparse_dense(rows, ncols, p, seed=None, basis=False):
     """Rank over F_p of ``rows``, a ``SparseRows`` block of integer rows.
 
     Blocks with at least ``_BLOCKED_MIN`` rows and columns over a prime
     inside the float window of ``_float_dtype`` take the blocked path
     (``_rank_incremental``).  It keeps the basis found so far as rows
     [I | W], fully reduced, on its pivot columns, which it keeps first,
-    and starts it from the triangular head of the block: one row for each
+    and starts it from the triangular head of ``seed`` (rows known to lie
+    in the row space of ``rows`` mod p) and the block: one row for each
     distinct trailing column, reduced by forward substitution.  Each batch
     of ``_BATCH_BLOCKED`` rows is written right under the basis, drops its
     head rows and loses its part on the pivot columns (``_eliminate``),
@@ -828,12 +907,24 @@ def fp_rank_sparse_dense(rows, ncols, p):
     column permutation puts the batch's pivot columns after the old ones,
     and the old rows lose their part on them, so at most min(m, ncols) +
     ``_BATCH_BLOCKED`` rows are ever dense.  Other blocks take the rank
-    that ``fp_pivot_rows`` finds.
+    that ``fp_pivot_rows`` finds, and ignore ``seed``.
+
+    With ``basis``, returns (rank, B): B is the right-reduced basis of the
+    row space (``_right_reduced``) when the blocked path ran and the rank
+    is below ncols by at most ``_PANEL``, else None.  Its echelon takes
+    about (ncols - rank)^2 ncols int64 steps, one panel's pivots at most:
+    26 s for a kernel of 1251 at 4900 columns, far past the rank itself.
     """
     dtype = _float_dtype(p)
-    if dtype is not None and min(len(rows), ncols) >= _BLOCKED_MIN:
-        return _rank_incremental(rows, ncols, p, dtype)
-    return fp_pivot_rows(rows, ncols, p)[1]
+    if dtype is None or min(len(rows), ncols) < _BLOCKED_MIN:
+        rank = fp_pivot_rows(rows, ncols, p)[1]
+        return (rank, None) if basis else rank
+    rank, W, perm = _rank_incremental(rows, ncols, p, dtype, seed)
+    if not basis:
+        return rank
+    if rank < ncols <= rank + _PANEL:
+        return rank, _right_reduced(W, perm, p)
+    return rank, None
 
 
 def fp_pivot_rows(rows, ncols, p):

@@ -157,22 +157,3 @@ def hilbert_symbol(a, b, v):
 def quaternion_invariant(a, b, v):
     """Local invariant of the quaternion class (a, b) at v: 0 or 1/2."""
     return INV_ZERO if hilbert_symbol(a, b, v) == 1 else INV_HALF
-
-
-def relevant_places(a, b):
-    """Places where (a,b)_v can be nontrivial: inf, 2 and odd primes
-    dividing a numerator or denominator.  Used by product-formula tests."""
-    places = {REAL, 2}
-    for x in (Fraction(a), Fraction(b)):
-        for n in (x.numerator, x.denominator):
-            n = abs(n)
-            d = 2
-            while d * d <= n:
-                if n % d == 0:
-                    places.add(d)
-                    while n % d == 0:
-                        n //= d
-                d += 1
-            if n > 1:
-                places.add(n)
-    return sorted(places, key=lambda w: -1 if w == REAL else w)

@@ -58,10 +58,6 @@ class Pencil:
         return [[MultiPoly(5, {e: B[i][j] for e, B in zip(units, grams)})
                  for j in range(5)] for i in range(5)]
 
-    def det_poly(self):
-        """det B(t): the quintic cutting out H (cached)."""
-        return self.leading_minor_poly(5)
-
     def leading_minor_poly(self, k, basis_change=None):
         """Leading principal k x k minor of B(t) (after optional x-basis
         change T, which replaces every B_i by T^t B_i T), cached."""

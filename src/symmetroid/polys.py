@@ -55,12 +55,6 @@ class MultiPoly:
         return cls(nvars, {(0,) * nvars: c}, mod)
 
     @classmethod
-    def variable(cls, nvars, i, mod=None):
-        e = [0] * nvars
-        e[i] = 1
-        return cls(nvars, {tuple(e): 1}, mod)
-
-    @classmethod
     def monomial(cls, nvars, expvec, c=1, mod=None):
         return cls(nvars, {tuple(expvec): c}, mod)
 
@@ -78,9 +72,6 @@ class MultiPoly:
     def is_homogeneous(self):
         degs = {sum(e) for e in self.terms}
         return len(degs) <= 1
-
-    def coefficient(self, expvec):
-        return self.terms.get(tuple(expvec), 0)
 
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):

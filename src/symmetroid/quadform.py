@@ -52,20 +52,6 @@ class QuadricForm:
             coeffs[_COEFF_INDEX[ij]] = c
         return cls(coeffs)
 
-    @classmethod
-    def from_gram(cls, B):
-        coeffs = []
-        for i, j in COEFF_ORDER:
-            if i == j:
-                if B[i][i] % 2:
-                    raise ValueError("Gram matrix must have even diagonal")
-                coeffs.append(B[i][i] // 2)
-            else:
-                if B[i][j] != B[j][i]:
-                    raise ValueError("Gram matrix must be symmetric")
-                coeffs.append(B[i][j])
-        return cls(coeffs)
-
     def gram(self):
         B = [[0] * 5 for _ in range(5)]
         for (i, j), c in zip(COEFF_ORDER, self.coeffs):

@@ -380,3 +380,62 @@ def b_of_p_counting(p):
     from symmetroid.density import gaussian_count, pointless_quadric_count
     return Fraction(gaussian_count(3, 13, p) * pointless_quadric_count(p),
                     gaussian_count(4, 14, p))
+
+
+# ---------------------------------------------------------------------------
+# constructors and queries that only the tests use
+
+
+def det_poly(P):
+    """det B(t) of the pencil P: the quintic cutting out H."""
+    return P.leading_minor_poly(5)
+
+
+def quadric_from_gram(B):
+    """The ``QuadricForm`` whose Gram matrix is the symmetric integer
+    matrix B with even diagonal."""
+    from symmetroid.quadform import COEFF_ORDER, QuadricForm
+    coeffs = []
+    for i, j in COEFF_ORDER:
+        if i == j:
+            if B[i][i] % 2:
+                raise ValueError("Gram matrix must have even diagonal")
+            coeffs.append(B[i][i] // 2)
+        else:
+            if B[i][j] != B[j][i]:
+                raise ValueError("Gram matrix must be symmetric")
+            coeffs.append(B[i][j])
+    return QuadricForm(coeffs)
+
+
+def relevant_places(a, b):
+    """Places where (a,b)_v can be nontrivial: inf, 2 and odd primes
+    dividing a numerator or denominator.  Used by product-formula tests."""
+    from symmetroid.localfields import REAL
+    places = {REAL, 2}
+    for x in (Fraction(a), Fraction(b)):
+        for n in (x.numerator, x.denominator):
+            n = abs(n)
+            d = 2
+            while d * d <= n:
+                if n % d == 0:
+                    places.add(d)
+                    while n % d == 0:
+                        n //= d
+                d += 1
+            if n > 1:
+                places.add(n)
+    return sorted(places, key=lambda w: -1 if w == REAL else w)
+
+
+def variable(nvars, i, mod=None):
+    """The ``MultiPoly`` x_i in ``nvars`` variables."""
+    from symmetroid.polys import MultiPoly
+    e = [0] * nvars
+    e[i] = 1
+    return MultiPoly(nvars, {tuple(e): 1}, mod)
+
+
+def coefficient(poly, expvec):
+    """The coefficient of the monomial ``expvec`` in the ``MultiPoly``."""
+    return poly.terms.get(tuple(expvec), 0)

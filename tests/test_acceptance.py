@@ -16,15 +16,15 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import albert_lemma_counterexamples, conic_solvable_bruteforce
+from oracles import (albert_lemma_counterexamples, conic_solvable_bruteforce,
+                     relevant_places)
 from symmetroid.brauer_eval import (certify_wa_failure, evaluate_invariant,
                                     find_real_point_with_invariant,
                                     lift_to_y)
 from symmetroid.density import (b_of_p, census_bp, monte_carlo_density,
                                 pointless_quadric_count, primes_below,
                                 product_lower_bound)
-from symmetroid.localfields import (INV_HALF, INV_ZERO, REAL, hilbert_symbol,
-                                    relevant_places)
+from symmetroid.localfields import INV_HALF, INV_ZERO, REAL, hilbert_symbol
 from symmetroid.nullstellensatz import empty_all_primes
 from symmetroid.pencil import (alpha_symbol, rank_le2_minor_ideal,
                                x_point_from_singular_member)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import quadric_from_gram
 from symmetroid.brauer_eval import (PrecisionError, _conic_invariant,
                                     certify_wa_failure, evaluate_invariant,
                                     find_real_point_with_invariant,
@@ -65,7 +66,7 @@ def _random_pencil_with_square_disc_member(rng):
             D[i][i] = 2 * di
         T = random_unimodular(5, rng, size=1)
         B0 = mat_mul(mat_mul(transpose(T), D), T)
-        Q0 = QuadricForm.from_gram(B0)
+        Q0 = quadric_from_gram(B0)
         others = [QuadricForm([rng.randint(-3, 3) for _ in range(15)])
                   for _ in range(4)]
         try:

@@ -471,6 +471,77 @@ def test_head_start_matches_plain_loop(monkeypatch):
         assert seen == []
 
 
+def _kernel_mod_p(A, p):
+    """A basis of the right kernel of A mod p, from its reduced form."""
+    R = (A % p).astype(np.int64)
+    pivots = linalg._echelon_mod_p(R, p, reduced=True)
+    free = np.setdiff1d(np.arange(A.shape[1]), pivots)
+    K = np.zeros((free.size, A.shape[1]), dtype=np.int64)
+    K[np.arange(free.size), free] = 1
+    K[:, pivots] = -R[:len(pivots), free].T % p
+    return K
+
+
+def test_right_reduced_basis_ends_at_its_columns(monkeypatch):
+    # rank-deficient blocks on the blocked path, in batches of 80 rows:
+    # the basis returned with the rank has one row u_c for each column c
+    # outside a set of n - rank columns, ascending; u_c ends at c, is
+    # orthogonal to the kernel of the block, and the rows span the block
+    monkeypatch.setattr(linalg, "_BATCH_BLOCKED", 80)
+    rng = np.random.default_rng(21)
+    for p in (2, 7, P_F32):
+        for m, n, rank in ((400, 260, 210), (300, 280, 250), (300, 260, 260)):
+            A = _test_matrix(rng, m, n, rank, p)
+            want = _plain_rank(A, p)
+            got, B = fp_rank_sparse_dense(_sparse(A), n, p, basis=True)
+            assert got == want < n
+            assert fp_rank_sparse_dense(_sparse(A), n, p) == want
+            U = np.array(B.tolist(n), dtype=np.int64) % p
+            ends = linalg._trailing_columns(B, p)
+            assert len(U) == want
+            assert (ends == B.indices[B.indptr[1:] - 1]).all()
+            assert (np.diff(ends) > 0).all() and (U[np.arange(want),
+                                                    ends] == 1).all()
+            assert not (U @ _kernel_mod_p(A, p).T % p).any()
+            assert _plain_rank(np.vstack([U, A]), p) == want
+    # with a kernel wider than one panel, at full rank, and on the plain
+    # path, there is no basis
+    A = _test_matrix(rng, 400, 260, 170, 7)
+    got, B = fp_rank_sparse_dense(_sparse(A), 260, 7, basis=True)
+    assert got == _plain_rank(A, 7) < 260 - linalg._PANEL and B is None
+    A = rng.integers(0, 7, size=(300, 260))
+    assert fp_rank_sparse_dense(_sparse(A), 260, 7, basis=True) == (260, None)
+    assert fp_rank_sparse_dense(_sparse(A[:100, :90]), 90, 7,
+                                basis=True)[1] is None
+
+
+def test_seed_rows_lead_the_head(monkeypatch):
+    # the right-reduced basis of a block, whole or half of it, as the seed
+    # of the same block: the head covers the trailing columns of the seed
+    # and the block, the whole basis is a head of the full rank, and the
+    # rank is the block's
+    seen = _watch_dense(monkeypatch)
+    monkeypatch.setattr(linalg, "_BATCH_BLOCKED", 96)
+    rng = np.random.default_rng(22)
+    for p in (2, 7, P_F32):
+        m, n = 400, 300
+        heads = np.sort(rng.choice(n - 20, 120, replace=False))
+        A = _head_block(rng, m, n, rng.choice(heads, size=m), p)
+        want, B = fp_rank_sparse_dense(_sparse(A), n, p, basis=True)
+        assert want == _plain_rank(A % p, p)
+        half = B.take(np.sort(rng.choice(want, want // 2, replace=False)))
+        for seed in (B, half):
+            tails = np.unique(np.concatenate([linalg._trailing_columns(
+                rows, p) for rows in (seed, _sparse(A))]))
+            seen.clear()
+            assert fp_rank_sparse_dense(_sparse(A), n, p, seed=seed) == want
+            assert seen[0][0] == np.count_nonzero(tails >= 0)
+        assert seen[0][0] < want and len(seen) > 1
+        seen.clear()
+        assert fp_rank_sparse_dense(_sparse(A), n, p, seed=B) == want
+        assert seen[0][0] == want
+
+
 def test_triangular_inverse_at_the_window_edge():
     # 64 x 64 blocks at P_F32 with a non-unit diagonal and, below it,
     # every entry 1 or seeded residues: N, strictly lower, has N^32 != 0,

@@ -3,11 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import conic_solvable_bruteforce
+from oracles import conic_solvable_bruteforce, relevant_places
 from symmetroid.localfields import (INV_HALF, INV_ZERO, REAL, hilbert_symbol,
                                     is_square_at, normalize_place,
-                                    quaternion_invariant, relevant_places,
-                                    square_class)
+                                    quaternion_invariant, square_class)
 
 PLACES = [REAL, 2, 3, 5, 7, 11, 13]
 

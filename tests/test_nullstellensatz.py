@@ -1,10 +1,14 @@
+import itertools
 import random
 import time
+from math import comb, prod
 
 import numpy as np
 import pytest
 
+from oracles import variable
 from symmetroid.gf import GF, projective_points
+from symmetroid.linalg import _echelon_mod_p, fp_pivot_rows, fp_rank
 from symmetroid.nullstellensatz import (HomIdealPresentation, Inconclusive,
                                         empty_all_primes,
                                         empty_bihomogeneous,
@@ -366,7 +370,7 @@ def test_z_vs_fp_compatibility_random():
 
 def test_bihomogeneous_trivial_cases(thm_pencil):
     # (x0..x4) in the x-block: empty at once
-    gens = [MultiPoly.variable(10, i, mod=5) for i in range(5)]
+    gens = [variable(10, i, mod=5) for i in range(5)]
     I = HomIdealPresentation(10, gens, bidegrees=[(1, 0)] * 5, nx=5, ny=5)
     cert = empty_bihomogeneous(I, (2, 2), 5)
     assert cert
@@ -417,7 +421,7 @@ def test_an_ideal_over_another_prime_is_refused():
     assert isinstance(empty_over_fpbar(I, 3), Inconclusive)
     with pytest.raises(ValueError, match="over F_5, not F_7"):
         empty_over_fpbar(I, 3, 7)
-    gens = [MultiPoly.variable(10, i, mod=5) for i in range(5)]
+    gens = [variable(10, i, mod=5) for i in range(5)]
     Ixy = HomIdealPresentation(10, gens, bidegrees=[(1, 0)] * 5, nx=5, ny=5)
     with pytest.raises(ValueError, match="over F_5, not F_7"):
         empty_bihomogeneous(Ixy, (2, 2), 7)
@@ -432,3 +436,153 @@ def test_regularity_diagonal_failure_detected():
     cert = regularity_certificate(P, 7)
     assert not cert.certified
     assert isinstance(cert.diagonal_avoidance, Inconclusive)
+
+
+# ---------------------------------------------------------------------------
+# the ladder's seeds: rows derived from the failed rungs below
+
+
+def _random_form(rng, blocks, p):
+    """A random form over F_p whose monomials are the products of one
+    monomial from each list of ``blocks``, about half of them present."""
+    terms = {}
+    for parts in itertools.product(*blocks):
+        if rng.random() < 0.5:
+            terms[sum(parts, ())] = rng.randrange(1, p)
+    if not terms:
+        terms[sum((b[0] for b in blocks), ())] = 1
+    return MultiPoly(sum(len(b[0]) for b in blocks), terms, p)
+
+
+def _seeded_ladders():
+    """Seeded ideals over F_3, F_5 and F_7 with the call that runs their
+    ladder: four or three forms in P^3, quadrics and at most one cubic (up
+    to degree 6), and six or four forms of bidegree (1, 1), (2, 1) or
+    (1, 2) in P^2 x P^2 (up to (4, 3)); the fewer forms have a common
+    zero."""
+    rng = random.Random(2024)
+    out = []
+    for p in (3, 5, 7):
+        for k in range(4):
+            degrees = ([2, 2, 2, 2], [2, 2, 2], [2, 2, 2, 3], [2, 2, 3])[k]
+            gens = [_random_form(rng, [monomials_of_degree(4, d)], p)
+                    for d in degrees]
+            out.append((HomIdealPresentation(4, gens), p,
+                        lambda I, p: empty_over_fpbar(I, 6, p)))
+        for k in range(4):
+            bidegrees = [rng.choice(((1, 1), (2, 1), (1, 2)))
+                         for _ in range(6 - 2 * (k % 2))]
+            gens = [_random_form(rng, [monomials_of_degree(3, a),
+                                       monomials_of_degree(3, b)], p)
+                    for a, b in bidegrees]
+            out.append((HomIdealPresentation(6, gens, bidegrees=bidegrees,
+                                             nx=3, ny=3), p,
+                        lambda I, p: empty_bihomogeneous(I, (4, 3), p)))
+    return out
+
+
+def _reference_ladder(I, p):
+    """The first rung of the ideal's ladder whose Macaulay block alone has
+    full rank mod p by ``fp_pivot_rows``, as (multidegree, columns, rows),
+    or None."""
+    from symmetroid.nullstellensatz import _macaulay_rows, _term_arrays
+    terms = [_term_arrays(g) for g in I.generators]
+    if I.bidegrees is None:
+        sizes, degrees = (I.nvars,), [(g.total_degree(),)
+                                      for g in I.generators]
+        ladder = [(d,) for d in range(max(degrees)[0], 7)]
+    else:
+        sizes, degrees = (I.nx, I.ny), I.bidegrees
+        ladder = sorted(((a, b) for a in range(1, 5)
+                         for b in range(1, min(a, 3) + 1)),
+                        key=lambda ab: comb(I.nx + ab[0] - 1, ab[0])
+                        * comb(I.ny + ab[1] - 1, ab[1]))
+    for top in ladder:
+        rows = _macaulay_rows(terms, degrees, sizes, top)
+        ncols = prod(comb(d + s - 1, s - 1) for d, s in zip(top, sizes))
+        if len(rows) >= ncols and fp_pivot_rows(rows, ncols, p)[1] == ncols:
+            return top, ncols, len(rows)
+    return None
+
+
+def _spy_seeds(monkeypatch):
+    """Put every rung on the blocked path and record (sizes, top, seed)
+    for every seed the ladder derives."""
+    from symmetroid import linalg, nullstellensatz
+    monkeypatch.setattr(linalg, "_BLOCKED_MIN", 4)
+    seen = []
+    derive = nullstellensatz._derived_rows
+
+    def spy(failed, sizes, top):
+        seed = derive(failed, sizes, top)
+        if seed is not None:
+            seen.append((sizes, top, seed))
+        return seed
+
+    monkeypatch.setattr(nullstellensatz, "_derived_rows", spy)
+    return seen
+
+
+def test_seeded_ladder_matches_blockwise_ranks(monkeypatch):
+    # the seeded ladder stops at the rung where the Macaulay block alone
+    # has full rank, or gives up where it never does
+    seen = _spy_seeds(monkeypatch)
+    verdicts = set()
+    for I, p, run in _seeded_ladders():
+        seen.clear()
+        got = run(I, p)
+        want = _reference_ladder(I, p)
+        if want is None:
+            assert isinstance(got, Inconclusive), (p, got.as_json())
+        else:
+            top, ncols, nrows = want
+            assert got.degree == (top if len(top) > 1 else top[0])
+            assert got.details == {"columns": ncols, "rows": nrows}
+        verdicts.add((want is None, len(seen) > 0))
+    # certificates and failures both come after seeded rungs
+    assert verdicts >= {(True, True), (False, True)}
+
+
+def _dense_block(I, sizes, top, p):
+    from symmetroid.nullstellensatz import _macaulay_rows, _term_arrays
+    degrees = (I.bidegrees if I.bidegrees is not None
+               else [(g.total_degree(),) for g in I.generators])
+    rows = _macaulay_rows([_term_arrays(g) for g in I.generators], degrees,
+                          sizes, top)
+    ncols = prod(comb(d + s - 1, s - 1) for d, s in zip(top, sizes))
+    return np.array(rows.tolist(ncols), dtype=np.int64) % p
+
+
+def _in_span(A, rows, p):
+    return fp_rank(np.vstack([A, rows]), p) == fp_rank(A, p)
+
+
+def test_derived_rows_lie_in_the_span_of_their_rung(monkeypatch):
+    # every derived row leaves the rank of its rung's Macaulay block mod p
+    # unchanged, and ends at the column it was derived for; changing one
+    # residue of one derived row, at a column whose unit vector is outside
+    # the span, is caught
+    seen = _spy_seeds(monkeypatch)
+    mutated = 0
+    for I, p, run in _seeded_ladders():
+        seen.clear()
+        run(I, p)
+        for sizes, top, seed in seen:
+            A = _dense_block(I, sizes, top, p)
+            ncols = A.shape[1]
+            D = np.array(seed.tolist(ncols), dtype=np.int64) % p
+            tails = ncols - 1 - (D[:, ::-1] != 0).argmax(axis=1)
+            assert (D.any(axis=1)).all()
+            assert len(set(tails.tolist())) == len(D)
+            assert _in_span(A, D, p)
+            # a unit vector is outside the span where a kernel vector of
+            # the block is nonzero: the free columns of its reduced form
+            R = A.copy()
+            pivots = _echelon_mod_p(R, p, reduced=True)
+            free = np.setdiff1d(np.arange(ncols), pivots)
+            if free.size:
+                i = mutated % len(D)
+                D[i, free[0]] = (D[i, free[0]] + 1) % p
+                assert not _in_span(A, D, p)
+                mutated += 1
+    assert mutated >= 5

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import cofactor_det, restrict_to_line
+from oracles import cofactor_det, det_poly, restrict_to_line
 from symmetroid.linalg import det_bareiss, mat_vec, random_unimodular
 from symmetroid.pencil import (Pencil, alpha_symbol, parse_pencil_text,
                                rank_le2_minor_ideal, singular_locus_ideal,
@@ -20,7 +20,7 @@ def test_universal_gram_examples(thm_pencil):
     m1 = thm_pencil.leading_minor_poly(1)
     assert m1 == parse_poly("2*t1 + 2*t2 + 8*t3 + 2*t4", T_NAMES)
     Pd = universal_gram(DIAG)
-    det = Pd.det_poly()
+    det = det_poly(Pd)
     assert det == parse_poly("32*t0*t1*t2*t3*t4", T_NAMES)
     with pytest.raises(ValueError):
         universal_gram(DIAG[:4] + [DIAG[0]])
@@ -31,7 +31,7 @@ def test_universal_gram_examples(thm_pencil):
 
 
 def test_det_homogeneous_and_matches_matrix_det(thm_pencil):
-    det = thm_pencil.det_poly()
+    det = det_poly(thm_pencil)
     assert det.is_homogeneous() and det.total_degree() == 5
     rng = random.Random(2)
     for _ in range(100):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import diagonal_isotropic_bruteforce
+from oracles import diagonal_isotropic_bruteforce, quadric_from_gram
 from symmetroid.gf import GF, projective_points
 from symmetroid.linalg import mat_mul, random_unimodular, transpose
 from symmetroid.localfields import REAL, is_square_at
@@ -75,7 +75,7 @@ def test_congruence_invariance():
         Q = rand_form(rng)
         T = random_unimodular(5, rng)
         B2 = mat_mul(mat_mul(transpose(T), Q.gram()), T)
-        Q2 = QuadricForm.from_gram(B2)
+        Q2 = quadric_from_gram(B2)
         c1, c2 = classify(Q, "R"), classify(Q2, "R")
         assert c1.rank == c2.rank
         assert c1.signature == c2.signature
@@ -128,7 +128,7 @@ def test_classify_f9_vs_enumeration():
             for i in range(5):
                 for j in range(5):
                     B[i][j] += 2 * a * L[i] * L[j]
-        Q = QuadricForm.from_gram(B)
+        Q = quadric_from_gram(B)
         cls = classify(Q, 9)
         if cls.rank == 0:
             continue
