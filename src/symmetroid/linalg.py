@@ -57,8 +57,9 @@ Macaulay ladder derives the seed of a later rung from it.  Every other
 block goes to ``fp_pivot_rows``, which feeds the plain loop ``_BATCH``
 rows at a time, under the rows kept so far, on their transpose: its
 pivot columns are the row rank profile, the rows that form a basis, each
-independent of the rows before it, and their count is the rank.  Its residues are stored in ``_fp_dtype``:
-int64, exact for p < 2^31, and Python ints above.
+independent of the rows before it, and their count is the rank.  Its
+residues are stored in ``_fp_dtype``: int64, exact for p < 2^31, and
+Python ints above.
 """
 
 from __future__ import annotations
@@ -912,8 +913,12 @@ def fp_rank_sparse_dense(rows, ncols, p, seed=None, basis=False):
     With ``basis``, returns (rank, B): B is the right-reduced basis of the
     row space (``_right_reduced``) when the blocked path ran and the rank
     is below ncols by at most ``_PANEL``, else None.  Its echelon takes
-    about (ncols - rank)^2 ncols int64 steps, one panel's pivots at most:
-    26 s for a kernel of 1251 at 4900 columns, far past the rank itself.
+    about (ncols - rank)^2 ncols int64 steps: 26 s for a kernel of 1251
+    at 4900 columns, far past the rank itself.  ``_PANEL`` is reused on
+    purpose as that cutoff, though it is tuned as the GEMM inner
+    dimension: kernels of 45 to 56 columns were measured to pay off as
+    seeds, kernels of 325 and more to cost more than they save, so a new
+    panel width that leaves that bracket needs a cutoff of its own.
     """
     dtype = _float_dtype(p)
     if dtype is None or min(len(rows), ncols) < _BLOCKED_MIN:

@@ -307,12 +307,12 @@ def _full_span_mod(ideal, p, sizes, degrees, ladder, exhausted):
     nothing mod p.
 
     A rung with fewer rows than columns (``_row_count``) is skipped before
-    its rows are built.  Each rung with a later rung above it that falls
-    short on the blocked path keeps the right-reduced basis of its span
-    (when ``fp_rank_sparse_dense`` gives one), and the rows that
-    ``_derived_rows`` makes of the kept bases below a rung lead its
-    triangular head.  They only speed the rank up: the certificate, and
-    its count of Macaulay rows, are those of the block alone."""
+    its rows are built.  Each rung that falls short keeps the
+    right-reduced basis of its span when ``fp_rank_sparse_dense`` gives
+    one, and the rows that ``_derived_rows`` makes of the kept bases below
+    a rung lead its triangular head.  They only speed the rank up: the
+    certificate, and its count of Macaulay rows, are those of the block
+    alone."""
     kept = []
     for g, deg in zip(ideal.generators, degrees):
         if g.mod not in (None, p):
@@ -328,21 +328,16 @@ def _full_span_mod(ideal, p, sizes, degrees, ladder, exhausted):
         return Inconclusive("all generators vanish mod %d" % p,
                             exhausted.degree_cap)
     terms, degrees = zip(*kept)
-    rungs = list(ladder(degrees))
     failed = []
-    for i, top in enumerate(rungs):
+    for top in ladder(degrees):
         ncols = _monomial_count(top, sizes)
         if _row_count(degrees, sizes, top) < ncols:
             continue
         rows = _macaulay_rows(terms, degrees, sizes, top)
         seed = _derived_rows(failed, sizes, top)
-        if not any(all(a <= d for a, d in zip(top, later))
-                   for later in rungs[i + 1:]):
-            rank = fp_rank_sparse_dense(rows, ncols, p, seed)
-        else:
-            rank, basis = fp_rank_sparse_dense(rows, ncols, p, seed, True)
-            if basis is not None:
-                failed.append((top, basis))
+        rank, basis = fp_rank_sparse_dense(rows, ncols, p, seed, True)
+        if basis is not None:
+            failed.append((top, basis))
         if rank < ncols:
             continue
         return EmptinessCertificate(
