@@ -39,7 +39,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb, gcd, prod
-from operator import itemgetter
 
 import numpy as np
 
@@ -50,11 +49,19 @@ from .polys import monomial_ranks, monomials_of_degree
 
 @dataclass
 class HomIdealPresentation:
+    """A homogeneous ideal in ``nvars`` variables over Z (``mod`` None) or
+    F_mod, bigraded in the first ``nx`` and last ``ny`` variables when
+    ``bidegrees`` labels the generators.  Each generator is a pair of term
+    arrays: the exponents, an (N, nvars) int64 array, and the coefficients,
+    int64, or Python ints in an object array when one does not fit in
+    int64.  The checks record each generator's multidegree."""
     nvars: int
-    generators: list                    # MultiPoly, homogeneous
+    generators: list                    # (exponents, coefficients) pairs
+    mod: int | None = None
     bidegrees: list | None = None       # per-generator (a, b) when bigraded
     nx: int = 5                         # bigraded: first block size
     ny: int = 5
+    degrees: list = field(init=False)   # (d,), (-1,) if no terms; or (a, b)
 
     def __post_init__(self):
         bigraded = self.bidegrees is not None
@@ -62,25 +69,40 @@ class HomIdealPresentation:
             raise ValueError("one bidegree per generator")
         if bigraded and self.nx + self.ny != self.nvars:
             raise ValueError("nx + ny must be nvars")
-        first_block = itemgetter(slice(0, self.nx))
-        for i, g in enumerate(self.generators):
-            if g.nvars != self.nvars:
+        self.degrees = []
+        for i, (e, c) in enumerate(self.generators):
+            if e.shape != (len(c), self.nvars):
                 raise ValueError("generator in wrong ring")
+            total = e.sum(axis=1)
             if not bigraded:
-                if not g.is_homogeneous():
+                if (total != total[:1]).any():
                     raise ValueError("generators must be homogeneous")
+                self.degrees.append((int(total[0]) if len(c) else -1,))
                 continue
             # each term of bidegree (a, b) has degree a + b, a of it in the
             # first block; this also checks homogeneity
             a, b = self.bidegrees[i]
-            if (set(map(sum, g.terms)) - {a + b}
-                    or set(map(sum, map(first_block, g.terms))) - {a}):
+            if ((total != a + b).any()
+                    or (e[:, :self.nx].sum(axis=1) != a).any()):
                 raise ValueError("generator %d is not of bidegree (%d, %d)"
                                  % (i, a, b))
+            self.degrees.append((a, b))
 
-    @property
-    def mod(self):
-        return self.generators[0].mod if self.generators else None
+    @classmethod
+    def from_polys(cls, nvars, polys, bidegrees=None, nx=5, ny=5):
+        """The presentation of ``MultiPoly`` generators, all over the ring
+        of the first."""
+        mod = polys[0].mod if polys else None
+        generators = []
+        for g in polys:
+            if g.mod != mod:
+                raise ValueError("generator in wrong ring")
+            coeffs = list(g.terms.values())
+            fits = all(-(1 << 63) <= c < 1 << 63 for c in coeffs)
+            generators.append((
+                np.array(list(g.terms), dtype=np.int64).reshape(-1, g.nvars),
+                np.array(coeffs, dtype=np.int64 if fits else object)))
+        return cls(nvars, generators, mod, bidegrees, nx, ny)
 
 
 @dataclass
@@ -154,16 +176,6 @@ class Inconclusive:
 # Macaulay rows
 
 
-def _term_arrays(g):
-    """The exponents (an (N, nvars) array) and coefficients of g.  The
-    coefficients are int64 when they all fit, else Python ints in an
-    object array, so they stay exact at any size."""
-    coeffs = list(g.terms.values())
-    fits = all(-(1 << 63) <= c < 1 << 63 for c in coeffs)
-    return (np.array(list(g.terms), dtype=np.int64),
-            np.array(coeffs, dtype=np.int64 if fits else object))
-
-
 @lru_cache(maxsize=None)
 def _product_table(nvars, dt, dm):
     """table[i, j]: the rank in ``monomials_of_degree(nvars, dt + dm)`` of
@@ -212,7 +224,8 @@ def _macaulay_rows(terms, degrees, sizes, top):
 
     The variables fall into blocks of ``sizes`` (one block: the usual
     grading; two: the bigrading); generator g has the multidegree
-    ``degrees[g]`` and the ``_term_arrays`` ``terms[g]``.  Generator by
+    ``degrees[g]`` and the term arrays ``terms[g]`` (exponents and
+    coefficients, as in ``HomIdealPresentation``).  Generator by
     generator, there is one row for each multiplier m of multidegree
     top - deg g, in the order of ``_product_columns``, with entries in the
     generator's term order.  The columns are the monomials of multidegree
@@ -296,13 +309,14 @@ def _exponents(monomials, nvars):
 # single-prime tests
 
 
-def _full_span_mod(ideal, p, sizes, degrees, ladder, exhausted):
+def _full_span_mod(ideal, p, sizes, ladder, exhausted):
     """The F_pbar certificate at the first multidegree of ``ladder`` where
     the Macaulay rows mod p have full column rank, else ``exhausted``.
 
-    The variables fall into blocks of ``sizes``; generator g has the
-    multidegree ``degrees[g]``.  The generators are reduced mod p once and
-    those that vanish dropped; ``ladder`` gets the multidegrees of the
+    The variables fall into blocks of ``sizes``, and ``ideal.degrees``
+    are the generators' multidegrees in them.  The coefficients are
+    reduced mod p once, the terms that vanish dropped and then the
+    generators left with none; ``ladder`` gets the multidegrees of the
     rest.  An ideal over F_q, q != p, raises ValueError: its residues say
     nothing mod p.
 
@@ -313,15 +327,15 @@ def _full_span_mod(ideal, p, sizes, degrees, ladder, exhausted):
     a rung lead its triangular head.  They only speed the rank up: the
     certificate, and its count of Macaulay rows, are those of the block
     alone."""
+    if ideal.mod not in (None, p):
+        raise ValueError("the ideal is presented over F_%d, not F_%d"
+                         % (ideal.mod, p))
     kept = []
-    for g, deg in zip(ideal.generators, degrees):
-        if g.mod not in (None, p):
-            raise ValueError("the ideal is presented over F_%d, not F_%d"
-                             % (g.mod, p))
-        if g.mod is None:
-            g = g.reduce_mod(p)
-        if not g.is_zero():
-            e, c = _term_arrays(g)
+    for (e, c), deg in zip(ideal.generators, ideal.degrees):
+        c = c % p
+        if not c.all():
+            e, c = e[c != 0], c[c != 0]
+        if len(c):
             # residues mod p < 2^31 fit int32: half the memory of the rows
             kept.append(((e, c.astype(np.int32) if p < 1 << 31 else c), deg))
     if not kept:
@@ -356,7 +370,6 @@ def empty_over_fpbar(ideal, d_max, p=None):
         raise ValueError("p must be prime")
     return _full_span_mod(
         ideal, p, (ideal.nvars,),
-        [(g.total_degree(),) for g in ideal.generators],
         lambda degrees: [(d,) for d in range(max(degrees)[0], d_max + 1)],
         Inconclusive("no full-span degree <= %d mod %d" % (d_max, p), d_max))
 
@@ -386,15 +399,15 @@ def empty_all_primes(ideal, saturate_at_2=True, d_max=12):
     if ideal.mod is not None:
         raise ValueError("empty_all_primes needs generators over Z")
     nvars = ideal.nvars
-    gens = [g for g in ideal.generators if not g.is_zero()]
-    if not gens:
+    kept = [(t, deg) for t, deg in zip(ideal.generators, ideal.degrees)
+            if len(t[1])]
+    if not kept:
         return Inconclusive("zero ideal", d_max)
-    terms = [_term_arrays(g) for g in gens]
-    degrees = [(g.total_degree(),) for g in gens]
+    terms, degrees = zip(*kept)
     last_reason = "no certificate found"
     screened = set()
     for d in range(max(degrees)[0], d_max + 1):
-        ncols = comb(d + nvars - 1, nvars - 1)
+        ncols = _monomial_count((d,), (nvars,))
         if _row_count(degrees, (nvars,), (d,)) < ncols:
             last_reason = "not enough rows at degree %d" % d
             continue
@@ -451,8 +464,9 @@ _GATHER_CELLS = 1 << 20
 
 def _common_zero_mod(terms, nvars, q):
     """The first common zero mod q in P^{nvars-1}(F_q) of the generators
-    given by their ``_term_arrays``, as a tuple of residues, or None; None
-    also when there are more than ``_POINT_CAP`` points.
+    with the term arrays ``terms`` (as in ``HomIdealPresentation``), as a
+    tuple of residues, or None; None also when there are more than
+    ``_POINT_CAP`` points.
 
     Points have their first nonzero coordinate 1 and come leading 1 first
     (position 0 first), then in lexicographic order of the tail.  Each
@@ -682,9 +696,8 @@ def empty_bihomogeneous(ideal, d_max=(4, 4), p=None):
     ladder = sorted(
         ((a, b) for a in range(1, d_max[0] + 1)
          for b in range(1, min(a, d_max[1]) + 1)),
-        key=lambda ab: len(monomials_of_degree(nx, ab[0]))
-        * len(monomials_of_degree(ny, ab[1])))
+        key=lambda ab: _monomial_count(ab, (nx, ny)))
     return _full_span_mod(
-        ideal, p, (nx, ny), ideal.bidegrees, lambda degrees: ladder,
+        ideal, p, (nx, ny), lambda degrees: ladder,
         Inconclusive("no full bidegree span up to %s mod %d" % (d_max, p),
                      d_max))

@@ -308,7 +308,7 @@ def rank_le2_minor_ideal(P):
     for I in combinations(range(5), 3):
         gens += [m for J, m in laplace_minors(mat, I).items()
                  if J >= I and not m.is_zero()]
-    return HomIdealPresentation(nvars=5, generators=gens)
+    return HomIdealPresentation.from_polys(5, gens)
 
 
 def diagonal_avoidance_ideal(P, p):
@@ -316,8 +316,8 @@ def diagonal_avoidance_ideal(P, p):
     means the pencil is base-point free on the diagonal."""
     from .nullstellensatz import HomIdealPresentation
 
-    gens = [Q.to_poly(mod=p) for Q in P.quadrics]
-    return HomIdealPresentation(nvars=5, generators=gens)
+    return HomIdealPresentation.from_polys(
+        5, [Q.to_poly(mod=p) for Q in P.quadrics])
 
 
 def singular_locus_ideal(P, p):
@@ -335,25 +335,29 @@ def singular_locus_ideal(P, p):
     of L(z) are formed once, as coefficient vectors over the monomials of
     z, and serve both x and y; each term is the outer product of an
     x-vector and a y-vector, x-major, and the minor has bidegree
-    (5 - k, k).
+    (5 - k, k).  The nonzero cells of each such table, and of each B_i,
+    index a table of exponents: the generators' term arrays.
     """
     from .nullstellensatz import HomIdealPresentation
 
+    mons = [monomials_of_degree(5, j) for j in range(6)]
+
+    def pairs(a, b):
+        """The exponents of the products of the monomials of degree a in x
+        and b in y, x-major."""
+        x, y = (np.array(mons[d], dtype=np.int64) for d in (a, b))
+        return np.hstack([np.repeat(x, len(y), axis=0),
+                          np.tile(y, (len(x), 1))])
+
     gens = []
     for B in P.grams:
-        terms = {}
-        for i in range(5):
-            for j in range(5):
-                e = [0] * 10
-                e[i] += 1
-                e[5 + j] += 1
-                terms[tuple(e)] = B[i][j]
-        gens.append(MultiPoly(10, terms, p))
+        flat = np.array([c % p for row in B for c in row],
+                        dtype=_fp_dtype(p))
+        gens.append((pairs(1, 1)[flat != 0], flat[flat != 0]))
     bidegrees = [(1, 1)] * len(gens)
     units = [tuple(int(m == k) for m in range(5)) for k in range(5)]
     L = [[MultiPoly(5, dict(zip(units, B[j])), p) for j in range(5)]
          for B in P.grams]
-    mons = [monomials_of_degree(5, j) for j in range(6)]
     sets = [list(combinations(range(5), j)) for j in range(6)]
     at = {S: i for j in range(6) for i, S in enumerate(sets[j])}
     # minors[R][at[S]]: det L(z)[R, S] over the monomials mons[|R|], as
@@ -378,9 +382,7 @@ def singular_locus_ideal(P, p):
             acc = (acc - term if (sum(R) + k * (k - 1) // 2) % 2
                    else acc + term) % p
         block.append(acc)
-    # the exponent tuple of each cell of a bidegree-(5 - k, k) minor
-    keys = [[ex + ey for ex in mons[5 - k] for ey in mons[k]]
-            for k in range(6)]
+    keys = [pairs(5 - k, k) for k in range(6)]
     for cols in combinations(range(10), 5):
         S = tuple(c for c in cols if c < 5)
         T = tuple(c - 5 for c in cols if c >= 5)
@@ -388,11 +390,9 @@ def singular_locus_ideal(P, p):
         flat = block[k][at[T], :, at[S], :].ravel()
         nz = np.flatnonzero(flat)
         if nz.size:
-            gens.append(MultiPoly(10, dict(zip(
-                map(keys[k].__getitem__, nz.tolist()), flat[nz].tolist())), p))
+            gens.append((keys[k][nz], flat[nz]))
             bidegrees.append((5 - k, k))
-    return HomIdealPresentation(nvars=10, generators=gens,
-                                bidegrees=bidegrees, nx=5, ny=5)
+    return HomIdealPresentation(10, gens, p, bidegrees, 5, 5)
 
 
 @dataclass

@@ -63,16 +63,6 @@ class MultiPoly:
     def is_zero(self):
         return not self.terms
 
-    def total_degree(self):
-        """Degree of the zero polynomial is -1 by convention."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
-    def is_homogeneous(self):
-        degs = {sum(e) for e in self.terms}
-        return len(degs) <= 1
-
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):
             return NotImplemented
@@ -177,11 +167,6 @@ class MultiPoly:
             base = base * base if n > 1 else base
             n >>= 1
         return result
-
-    # -- change of coefficients / variables ----------------------------
-
-    def reduce_mod(self, p):
-        return MultiPoly(self.nvars, self.terms, mod=p)
 
     def evaluate(self, values):
         """Evaluate at a point of ints or Fractions."""

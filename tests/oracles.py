@@ -209,7 +209,7 @@ def restrict_to_line(poly, u, w):
         for f, k in zip(forms, e):
             term = term * f ** k
         uni = uni + term
-    coeffs = [0] * (uni.total_degree() + 1)
+    coeffs = [0] * (max(uni.terms, default=(-1,))[0] + 1)
     for (d,), c in uni.terms.items():
         coeffs[d] = c
     return coeffs
@@ -434,6 +434,15 @@ def variable(nvars, i, mod=None):
     e = [0] * nvars
     e[i] = 1
     return MultiPoly(nvars, {tuple(e): 1}, mod)
+
+
+def polys_of(ideal):
+    """The generators of a ``HomIdealPresentation``, rebuilt from their
+    term arrays as ``MultiPoly`` over the ideal's ring."""
+    from symmetroid.polys import MultiPoly
+    return [MultiPoly(ideal.nvars, dict(zip(map(tuple, e.tolist()),
+                                            c.tolist())), ideal.mod)
+            for e, c in ideal.generators]
 
 
 def coefficient(poly, expvec):

@@ -28,13 +28,19 @@ def test_reports_match_golden_files(tmp_path):
     # byte for byte, so any change to a symbol, certificate, reason,
     # witness or S_p verdict shows here
     golden = os.path.join(os.path.dirname(__file__), "data")
-    for pencil in ("thm_example", "prop_q3", "cor_easy"):
-        for args in (["alpha-symbol"], ["v3-test"],
-                     ["sp-scan", "--cutoff", "31"]):
-            name = "%s.%s.json" % (pencil, args[0])
-            main(args + [pencil, "--out", str(tmp_path / name)])
-            with open(os.path.join(golden, name), "rb") as fh:
-                assert (tmp_path / name).read_bytes() == fh.read(), name
+    runs = [(pencil, args) for pencil in ("thm_example", "prop_q3", "cor_easy")
+            for args in (["alpha-symbol"], ["v3-test"],
+                         ["sp-scan", "--cutoff", "31"])]
+    # the weak-approximation certificates, regularity proof included
+    runs += [("prop_q3", ["certify-wa", "--strategy", "finite",
+                          "--prime", "3"]),
+             ("thm_example", ["certify-wa", "--strategy", "real"]),
+             ("cor_easy", ["certify-wa", "--strategy", "real"])]
+    for pencil, args in runs:
+        name = "%s.%s.json" % (pencil, args[0])
+        main(args + [pencil, "--out", str(tmp_path / name)])
+        with open(os.path.join(golden, name), "rb") as fh:
+            assert (tmp_path / name).read_bytes() == fh.read(), name
 
 
 def test_builtin_fixtures_roundtrip():

@@ -6,7 +6,7 @@ from math import comb, prod
 import numpy as np
 import pytest
 
-from oracles import variable
+from oracles import polys_of, variable
 from symmetroid.gf import GF, projective_points
 from symmetroid.linalg import _echelon_mod_p, fp_pivot_rows, fp_rank
 from symmetroid.nullstellensatz import (HomIdealPresentation, Inconclusive,
@@ -21,7 +21,7 @@ from symmetroid.quadform import QuadricForm
 
 def _ideal(strings, nvars=5, mod=None):
     names = ["t%d" % i for i in range(nvars)]
-    return HomIdealPresentation(
+    return HomIdealPresentation.from_polys(
         nvars, [parse_poly(s, names, mod) for s in strings])
 
 
@@ -102,14 +102,13 @@ def _same_rows(got, want):
         assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
-def _degree_rows(gens, d, nvars):
-    """The degree-d Macaulay rows of the generators and their column
-    count, the number of degree-d monomials."""
-    from symmetroid.nullstellensatz import _macaulay_rows, _term_arrays
-    return (_macaulay_rows([_term_arrays(g) for g in gens],
-                           [(g.total_degree(),) for g in gens], (nvars,),
+def _degree_rows(ideal, d):
+    """The degree-d Macaulay rows of the ideal's generators and their
+    column count, the number of degree-d monomials."""
+    from symmetroid.nullstellensatz import _macaulay_rows
+    return (_macaulay_rows(ideal.generators, ideal.degrees, (ideal.nvars,),
                            (d,)),
-            len(monomials_of_degree(nvars, d)))
+            len(monomials_of_degree(ideal.nvars, d)))
 
 
 def test_degree_blocks_match_exponent_sums():
@@ -120,7 +119,7 @@ def test_degree_blocks_match_exponent_sums():
     # multipliers
     from oracles import macaulay_rows_by_exponent_sums
 
-    from symmetroid.nullstellensatz import _macaulay_rows, _term_arrays
+    from symmetroid.nullstellensatz import _macaulay_rows
     rng = random.Random(23)
     big = 2 ** 64 + 3
     for nvars in range(3, 7):
@@ -132,10 +131,9 @@ def test_degree_blocks_match_exponent_sums():
                 for m in rng.sample(mons, min(len(mons), rng.randint(1, 6)))}))
         gens.append(MultiPoly(nvars, {(2,) + (0,) * (nvars - 1): big,
                                       (1,) + (0,) * (nvars - 2) + (1,): -5}))
-        terms = [_term_arrays(g) for g in gens]
-        degrees = [(g.total_degree(),) for g in gens]
+        ideal = HomIdealPresentation.from_polys(nvars, gens)
         for d in range(1, 5):
-            args = (terms, degrees, (nvars,), (d,))
+            args = (ideal.generators, ideal.degrees, (nvars,), (d,))
             rows = _macaulay_rows(*args)
             _same_rows(rows, macaulay_rows_by_exponent_sums(*args))
             assert rows.data.dtype == (object if d >= 2 else np.int64)
@@ -147,12 +145,11 @@ def test_bidegree_blocks_match_exponent_sums(q3_pencil):
     # an x-table and a y-table
     from oracles import macaulay_rows_by_exponent_sums
 
-    from symmetroid.nullstellensatz import _macaulay_rows, _term_arrays
+    from symmetroid.nullstellensatz import _macaulay_rows
     ideal = singular_locus_ideal(q3_pencil, 7)
-    terms = [_term_arrays(g) for g in ideal.generators]
     for a in range(1, 5):
         for b in range(1, 5):
-            args = (terms, ideal.bidegrees, (5, 5), (a, b))
+            args = (ideal.generators, ideal.bidegrees, (5, 5), (a, b))
             _same_rows(_macaulay_rows(*args),
                        macaulay_rows_by_exponent_sums(*args))
 
@@ -173,8 +170,7 @@ def test_v3_certificate_on_fixture(thm_pencil):
         "method": "minor-gcd", "details": {"columns": 35, "rows": 55}}
     # monotonicity: the span stays full one degree higher
     from symmetroid.nullstellensatz import _lattice_is_full_after_stripping
-    rows, ncols = _degree_rows(
-        rank_le2_minor_ideal(thm_pencil).generators, 4, 5)
+    rows, ncols = _degree_rows(rank_le2_minor_ideal(thm_pencil), 4)
     assert _lattice_is_full_after_stripping(rows, ncols, True) is not None
 
 
@@ -200,7 +196,7 @@ def test_v3_screen_ends_the_ladder_at_default_dmax(fixture, point, request):
     assert isinstance(out, Inconclusive) and out.degree_cap == 12
     assert out.witness == {"prime": 3, "point": point}
     # the witness is a common zero, checked by plain polynomial evaluation
-    assert all(g.evaluate(point) % 3 == 0 for g in ideal.generators)
+    assert all(g.evaluate(point) % 3 == 0 for g in polys_of(ideal))
 
 
 def test_screen_needs_a_point_over_the_prime_field(monkeypatch):
@@ -225,8 +221,7 @@ def test_screen_needs_a_point_over_the_prime_field(monkeypatch):
 
 
 def test_screen_skips_primes_past_the_point_cap():
-    from symmetroid.nullstellensatz import (_POINT_CAP, _common_zero_mod,
-                                            _term_arrays)
+    from symmetroid.nullstellensatz import _POINT_CAP, _common_zero_mod
     # (0:0:0:0:1) is a common zero mod q; P^4(F_7) has 2,801 points
     out = empty_all_primes(_ideal(["t0", "t1", "t2", "t3", "7*t4"]),
                            d_max=4)
@@ -234,16 +229,15 @@ def test_screen_skips_primes_past_the_point_cap():
     # P^4(F_1009) has ~10^12 points: not screened, the ladder runs on
     assert (1009 ** 5 - 1) // 1008 > _POINT_CAP
     ideal = _ideal(["t0", "t1", "t2", "t3", "1009*t4"])
-    assert _common_zero_mod([_term_arrays(g) for g in ideal.generators], 5,
-                            1009) is None
+    assert _common_zero_mod(ideal.generators, 5, 1009) is None
     out = empty_all_primes(ideal, d_max=4)
     assert out.witness is None
     assert out.reason == "lattice not full (after stripping) at degree 4"
     # P^1(F_q) just under the cap is screened
     q = 99991
     assert q + 1 <= _POINT_CAP
-    assert _common_zero_mod([_term_arrays(g) for g in _ideal(
-        ["t0", "%d*t1" % q], 2).generators], 2, q) == (0, 1)
+    assert _common_zero_mod(_ideal(["t0", "%d*t1" % q], 2).generators, 2,
+                            q) == (0, 1)
 
 
 @pytest.mark.parametrize("q", [3, 5])
@@ -271,17 +265,16 @@ def test_common_zero_matches_bruteforce_enumeration(q, monkeypatch):
                         for _ in range(rng.randrange(1, 4))], 4))
     for gens, nvars in ideals:
         ideal = _ideal(gens, nvars)
-        terms = [nullstellensatz._term_arrays(g) for g in ideal.generators]
-        want = first_common_zero_bruteforce(ideal.generators, nvars, q)
+        terms = ideal.generators
+        want = first_common_zero_bruteforce(polys_of(ideal), nvars, q)
         got = nullstellensatz._common_zero_mod(terms, nvars, q)
         assert got == want, (gens, q)
         # term values a few at a time give the same point
         monkeypatch.setattr(nullstellensatz, "_GATHER_CELLS", 7)
         assert nullstellensatz._common_zero_mod(terms, nvars, q) == want
         monkeypatch.undo()
-    assert nullstellensatz._common_zero_mod(
-        [nullstellensatz._term_arrays(g) for g in _ideal(
-            ["t0", "t1", "t2", "t3", "t4"]).generators], 5, q) is None
+    assert nullstellensatz._common_zero_mod(_ideal(
+        ["t0", "t1", "t2", "t3", "t4"]).generators, 5, q) is None
 
 
 def test_pivot_rows_of_macaulay_blocks_match_oracle(q3_pencil):
@@ -291,9 +284,9 @@ def test_pivot_rows_of_macaulay_blocks_match_oracle(q3_pencil):
     from oracles import pivot_rows_by_dicts
 
     from symmetroid.linalg import fp_pivot_rows
-    gens = rank_le2_minor_ideal(q3_pencil).generators
+    ideal = rank_le2_minor_ideal(q3_pencil)
     for d in (3, 4, 5):
-        block, ncols = _degree_rows(gens, d, 5)
+        block, ncols = _degree_rows(ideal, d)
         bounds = block.indptr.tolist()
         dicts = [dict(zip(block.indices[lo:hi].tolist(),
                           block.data[lo:hi].tolist()))
@@ -356,12 +349,13 @@ def test_z_vs_fp_compatibility_random():
         gens = [g for g in gens if not g.is_zero()]
         if not gens:
             continue
-        I = HomIdealPresentation(3, gens)
+        I = HomIdealPresentation.from_polys(3, gens)
         cert = empty_all_primes(I, saturate_at_2=True, d_max=6)
         if isinstance(cert, Inconclusive):
             continue
         for p in (3, 5, 7):
-            Ip = HomIdealPresentation(3, [g.reduce_mod(p) for g in gens])
+            Ip = HomIdealPresentation.from_polys(
+                3, [MultiPoly(3, g.terms, p) for g in gens])
             certp = empty_over_fpbar(Ip, 8, p)
             assert certp, (p, [g.to_string() for g in gens])
         agree += 1
@@ -371,13 +365,14 @@ def test_z_vs_fp_compatibility_random():
 def test_bihomogeneous_trivial_cases(thm_pencil):
     # (x0..x4) in the x-block: empty at once
     gens = [variable(10, i, mod=5) for i in range(5)]
-    I = HomIdealPresentation(10, gens, bidegrees=[(1, 0)] * 5, nx=5, ny=5)
+    I = HomIdealPresentation.from_polys(10, gens, bidegrees=[(1, 0)] * 5,
+                                        nx=5, ny=5)
     cert = empty_bihomogeneous(I, (2, 2), 5)
     assert cert
     # the five bilinear forms alone cut out a nonempty threefold
     full = singular_locus_ideal(thm_pencil, 5)
     forms_only = HomIdealPresentation(
-        10, full.generators[:5], bidegrees=full.bidegrees[:5], nx=5, ny=5)
+        10, full.generators[:5], 5, full.bidegrees[:5], 5, 5)
     out = empty_bihomogeneous(forms_only, (2, 2), 5)
     assert isinstance(out, Inconclusive)
 
@@ -386,9 +381,9 @@ def test_bihomogeneous_keeps_to_both_caps():
     # every bidegree-(2, 2) monomial in (x0, x1; y0, y1): the first full
     # span is at (2, 2), which a cap of (2, 1) must not try
     mons = [(a, 2 - a, b, 2 - b) for a in range(3) for b in range(3)]
-    I = HomIdealPresentation(4, [MultiPoly.monomial(4, e, mod=5)
-                                 for e in mons],
-                             bidegrees=[(2, 2)] * len(mons), nx=2, ny=2)
+    I = HomIdealPresentation.from_polys(
+        4, [MultiPoly.monomial(4, e, mod=5) for e in mons],
+        bidegrees=[(2, 2)] * len(mons), nx=2, ny=2)
     cert = empty_bihomogeneous(I, (2, 2), 5)
     assert cert and cert.degree == (2, 2)
     out = empty_bihomogeneous(I, (2, 1), 5)
@@ -396,22 +391,29 @@ def test_bihomogeneous_keeps_to_both_caps():
     assert "up to (2, 1)" in out.reason
 
 
+NAMES4 = ["x0", "x1", "x2", "x3"]
+
+
 def test_bidegree_labels_are_checked():
     # over F_3 in P^1 x P^1, ((0:1), (1:0)) is a common zero of x0 and
     # x2*x3 + 2*x3^2; labelled (0, 1) and (0, 2) they once got a
     # certificate at (2, 2)
-    gens = [parse_poly(s, ["x0", "x1", "x2", "x3"], 3)
-            for s in ("x0", "x2*x3 + 2*x3^2")]
+    gens = [parse_poly(s, NAMES4, 3) for s in ("x0", "x2*x3 + 2*x3^2")]
+    present = HomIdealPresentation.from_polys
     with pytest.raises(ValueError, match="not of bidegree"):
-        HomIdealPresentation(4, gens, bidegrees=[(0, 1), (0, 2)], nx=2, ny=2)
-    I = HomIdealPresentation(4, gens, bidegrees=[(1, 0), (0, 2)], nx=2, ny=2)
+        present(4, gens, bidegrees=[(0, 1), (0, 2)], nx=2, ny=2)
+    I = present(4, gens, bidegrees=[(1, 0), (0, 2)], nx=2, ny=2)
     assert isinstance(empty_bihomogeneous(I, (2, 2)), Inconclusive)
     with pytest.raises(ValueError, match="one bidegree per generator"):
-        HomIdealPresentation(4, gens, bidegrees=[(1, 0)], nx=2, ny=2)
+        present(4, gens, bidegrees=[(1, 0)], nx=2, ny=2)
     with pytest.raises(ValueError, match="nx \\+ ny"):
-        HomIdealPresentation(4, gens, bidegrees=[(1, 0), (0, 2)], nx=2, ny=3)
+        present(4, gens, bidegrees=[(1, 0), (0, 2)], nx=2, ny=3)
     with pytest.raises(ValueError, match="needs bidegrees"):
-        empty_bihomogeneous(HomIdealPresentation(4, gens), (2, 2))
+        empty_bihomogeneous(present(4, gens), (2, 2))
+    with pytest.raises(ValueError, match="must be homogeneous"):
+        present(4, gens + [parse_poly("x0 + x1^2", NAMES4, 3)])
+    with pytest.raises(ValueError, match="wrong ring"):
+        present(5, gens)
 
 
 def test_an_ideal_over_another_prime_is_refused():
@@ -422,9 +424,20 @@ def test_an_ideal_over_another_prime_is_refused():
     with pytest.raises(ValueError, match="over F_5, not F_7"):
         empty_over_fpbar(I, 3, 7)
     gens = [variable(10, i, mod=5) for i in range(5)]
-    Ixy = HomIdealPresentation(10, gens, bidegrees=[(1, 0)] * 5, nx=5, ny=5)
+    Ixy = HomIdealPresentation.from_polys(10, gens, bidegrees=[(1, 0)] * 5,
+                                          nx=5, ny=5)
     with pytest.raises(ValueError, match="over F_5, not F_7"):
         empty_bihomogeneous(Ixy, (2, 2), 7)
+
+
+def test_generators_over_two_rings_are_refused():
+    # t0 over Z and t1..t4 over F_7: read as over Z, the presentation got
+    # an all-primes certificate that says nothing about the prime 7
+    names = ["t%d" % i for i in range(5)]
+    gens = [parse_poly("t0", names)] + [parse_poly("t%d" % i, names, 7)
+                                         for i in range(1, 5)]
+    with pytest.raises(ValueError, match="wrong ring"):
+        HomIdealPresentation.from_polys(5, gens)
 
 
 def test_regularity_diagonal_failure_detected():
@@ -467,7 +480,7 @@ def _seeded_ladders():
             degrees = ([2, 2, 2, 2], [2, 2, 2], [2, 2, 2, 3], [2, 2, 3])[k]
             gens = [_random_form(rng, [monomials_of_degree(4, d)], p)
                     for d in degrees]
-            out.append((HomIdealPresentation(4, gens), p,
+            out.append((HomIdealPresentation.from_polys(4, gens), p,
                         lambda I, p: empty_over_fpbar(I, 6, p)))
         for k in range(4):
             bidegrees = [rng.choice(((1, 1), (2, 1), (1, 2)))
@@ -475,8 +488,8 @@ def _seeded_ladders():
             gens = [_random_form(rng, [monomials_of_degree(3, a),
                                        monomials_of_degree(3, b)], p)
                     for a, b in bidegrees]
-            out.append((HomIdealPresentation(6, gens, bidegrees=bidegrees,
-                                             nx=3, ny=3), p,
+            out.append((HomIdealPresentation.from_polys(
+                6, gens, bidegrees=bidegrees, nx=3, ny=3), p,
                         lambda I, p: empty_bihomogeneous(I, (4, 3), p)))
     return out
 
@@ -485,20 +498,18 @@ def _reference_ladder(I, p):
     """The first rung of the ideal's ladder whose Macaulay block alone has
     full rank mod p by ``fp_pivot_rows``, as (multidegree, columns, rows),
     or None."""
-    from symmetroid.nullstellensatz import _macaulay_rows, _term_arrays
-    terms = [_term_arrays(g) for g in I.generators]
+    from symmetroid.nullstellensatz import _macaulay_rows
     if I.bidegrees is None:
-        sizes, degrees = (I.nvars,), [(g.total_degree(),)
-                                      for g in I.generators]
-        ladder = [(d,) for d in range(max(degrees)[0], 7)]
+        sizes = (I.nvars,)
+        ladder = [(d,) for d in range(max(I.degrees)[0], 7)]
     else:
-        sizes, degrees = (I.nx, I.ny), I.bidegrees
+        sizes = (I.nx, I.ny)
         ladder = sorted(((a, b) for a in range(1, 5)
                          for b in range(1, min(a, 3) + 1)),
                         key=lambda ab: comb(I.nx + ab[0] - 1, ab[0])
                         * comb(I.ny + ab[1] - 1, ab[1]))
     for top in ladder:
-        rows = _macaulay_rows(terms, degrees, sizes, top)
+        rows = _macaulay_rows(I.generators, I.degrees, sizes, top)
         ncols = prod(comb(d + s - 1, s - 1) for d, s in zip(top, sizes))
         if len(rows) >= ncols and fp_pivot_rows(rows, ncols, p)[1] == ncols:
             return top, ncols, len(rows)
@@ -544,11 +555,8 @@ def test_seeded_ladder_matches_blockwise_ranks(monkeypatch):
 
 
 def _dense_block(I, sizes, top, p):
-    from symmetroid.nullstellensatz import _macaulay_rows, _term_arrays
-    degrees = (I.bidegrees if I.bidegrees is not None
-               else [(g.total_degree(),) for g in I.generators])
-    rows = _macaulay_rows([_term_arrays(g) for g in I.generators], degrees,
-                          sizes, top)
+    from symmetroid.nullstellensatz import _macaulay_rows
+    rows = _macaulay_rows(I.generators, I.degrees, sizes, top)
     ncols = prod(comb(d + s - 1, s - 1) for d, s in zip(top, sizes))
     return np.array(rows.tolist(ncols), dtype=np.int64) % p
 
