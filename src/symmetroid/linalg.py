@@ -6,8 +6,8 @@ is arbitrary precision.  Two loops serve every ring or field they meet:
 - ``laplace_minors``, the generalized Laplace expansion, gives all
   minors on a set of rows.  It reads entries as ``M[r][c]`` and uses
   only *, + and -, so it runs on integers, on ``MultiPoly`` entries
-  (leading minors of B(t), the rank <= 2 and singular-locus ideals) and
-  on numpy batches of residue matrices (the S_p scans).
+  (leading minors of B(t), the rank <= 2 ideal) and on numpy batches of
+  residue matrices (the S_p scans).
 - ``nullspace``, Gauss-Jordan over a field given by its add, mul, neg
   and inv: Q (``_RATIONALS``, behind ``kernel_rational``) or a ``GF``
   table field (the char-2 vertex in ``quadform``).
@@ -36,30 +36,34 @@ numpy backs the F_p kernels:
 
 ``fp_rank_sparse_dense`` takes a ``SparseRows`` block and chooses between
 them.  On the blocked path it keeps the basis found so far fully reduced,
-rows [I | W] over all its pivot columns.  It starts from a triangular
+rows [I | W] over all its pivot columns, and stores W alone: rank x
+(ncols - rank) entries, at most ncols^2 / 4.  It starts from a triangular
 head: a Macaulay row is a monomial multiple of a generator, so many rows
 have their own trailing column, the largest one nonzero mod p.  The
 first row with each distinct trailing column joins the head, the rows
 of a seed (rows known to lie in the span of the block) ahead of the
 block's own.  The head is triangular on those columns and so
-independent with no pivot search; blocked forward substitution makes it
-[I | W] (Faugere and Lachartre, "Parallel Gaussian elimination for
-Groebner bases computations in finite fields", PASCO 2010).  Each batch
-of ``_BATCH_BLOCKED`` other rows then loses its part on the pivot
-columns through one GEMM, ``X[:, r:] -= X[:, :r] @ W`` (``_eliminate``,
-its inner dimension cut into chunks that fit the window), before
-``_rank_blocked`` runs on the columns still free; the old basis then
-loses its part on the batch's new pivot columns the same way, so at most
-min(m, ncols) + ``_BATCH_BLOCKED`` rows are ever dense.  A block short
-of full rank can hand back its span in right-reduced form
-(``_right_reduced``), a basis whose rows end at distinct columns: the
-Macaulay ladder derives the seed of a later rung from it.  Every other
-block goes to ``fp_pivot_rows``, which feeds the plain loop ``_BATCH``
-rows at a time, under the rows kept so far, on their transpose: its
-pivot columns are the row rank profile, the rows that form a basis, each
-independent of the rows before it, and their count is the rank.  Its
-residues are stored in ``_fp_dtype``: int64, exact for p < 2^31, and
-Python ints above.
+independent with no pivot search; blocked forward substitution, one
+panel of ``_PANEL`` head rows at a time, makes it [I | W] (Faugere and
+Lachartre, "Parallel Gaussian elimination for Groebner bases
+computations in finite fields", PASCO 2010, who also store only the
+non-pivot part of the reduced rows).  Each batch of ``_BATCH_BLOCKED``
+other rows then loses its part on the pivot columns through one GEMM,
+``X[:, r:] -= X[:, :r] @ W`` (``_eliminate``, its inner dimension cut
+into chunks that fit the window), before ``_rank_blocked`` runs on the
+columns still free; W is then rebuilt in one copy that loses its part on
+the batch's new pivot columns the same way and gains the batch's new
+rows.  Only the rows being reduced are dense over every column, one head
+panel or one batch at a time, so the dense footprint is W and
+max(``_PANEL``, ``_BATCH_BLOCKED``) rows.  A block short of full rank can
+hand back its span in right-reduced form (``_right_reduced``), a basis
+whose rows end at distinct columns: the Macaulay ladder derives the seed
+of a later rung from it.  Every other block goes to ``fp_pivot_rows``,
+which feeds the plain loop ``_BATCH`` rows at a time, under the rows kept
+so far, on their transpose: its pivot columns are the row rank profile,
+the rows that form a basis, each independent of the rows before it, and
+their count is the rank.  Its residues are stored in ``_fp_dtype``:
+int64, exact for p < 2^31, and Python ints above.
 """
 
 from __future__ import annotations
@@ -466,9 +470,9 @@ _PANEL = 64           # pivots per Schur step: the inner dimension of its GEMMs
 _BATCH = 2600         # rows written under the rows kept so far per pass
                       # of fp_pivot_rows
 _BATCH_BLOCKED = 512  # rows reduced against the stored basis per pass of the
-                      # blocked path, whose buffer holds at most
-                      # (ncols + 512) * ncols floats: 29 MB in float32 for
-                      # 2450 columns
+                      # blocked path, whose buffer holds 512 * ncols floats:
+                      # 5 MB in float32 for 2450 columns, next to the
+                      # basis's rank * (ncols - rank) floats
 _BLOCKED_MIN = 256    # blocks with fewer rows or columns keep the plain loop
                       # (dense mod 7, one core: 128^2 10 ms plain against
                       # 16 ms blocked, 256^2 56 ms against 34 ms)
@@ -549,15 +553,21 @@ class SparseRows:
             self.indices] = self.data
         return out.tolist()
 
-    def dense(self, start, stop, p, out, where):
+    def dense(self, start, stop, p, out, where, keep=None):
         """Write rows ``start:stop`` into ``out`` as residues in [0, p),
-        column j to column ``where[j]`` of ``out``."""
+        column j to column ``where[j]`` of ``out``.  With ``keep``, a
+        boolean mask of those rows, only the rows it marks are written,
+        one after another."""
         out[...] = 0
         lo, hi = self.indptr[start], self.indptr[stop]
         which = np.repeat(np.arange(stop - start),
                           np.diff(self.indptr[start:stop + 1]))
         cols = self.indices[lo:hi]
         data = self.data[lo:hi]
+        if keep is not None:
+            on = keep[which]
+            which = (np.cumsum(keep) - 1)[which[on]]
+            cols, data = cols[on], data[on]
         if p >= 1 << 63:      # past int64: reduce as Python ints
             data = data.astype(object)
         out[which, where[cols]] = data % p
@@ -755,10 +765,12 @@ def _tri_inverse(L, p):
 
 def _rank_incremental(rows, ncols, p, dtype, seed=None):
     """Rank over F_p of the ``SparseRows`` block ``rows`` by the blocked
-    path of ``fp_rank_sparse_dense``, in a float buffer of ``dtype``, as
-    (rank, W, perm): the rows [I | W] in the column order ``perm`` are the
-    reduced basis of the row space (W and perm are None when the head
-    alone has full rank).
+    path of ``fp_rank_sparse_dense``, in floats of ``dtype``, as (rank, W,
+    perm): the rows [I | W] in the column order ``perm`` are the reduced
+    basis of the row space, and W, rank x (ncols - rank), is all of it
+    that is stored (W and perm are None when the head alone has full
+    rank).  Rows are dense over every column only while they are reduced,
+    in one buffer of max(``_PANEL``, ``_BATCH_BLOCKED``) rows at most.
 
     The head start: the first row with each distinct trailing column
     (``_trailing_columns``) joins the head, t rows.  The rows of ``seed``,
@@ -771,10 +783,13 @@ def _rank_incremental(rows, ncols, p, dtype, seed=None):
     makes it the reduced basis [I | inv(L) F]: each block loses its part
     on the earlier blocks' columns (``_eliminate``, where the earlier rows
     are zero on the head columns past theirs) and is multiplied by the
-    inverse of its diagonal block (``_tri_inverse``).  The batches of
-    ``rows`` then start at rank t, each skipping the head rows in its
-    range; the seed rows outside the head are dropped, as they add
-    nothing to the row space."""
+    inverse of its diagonal block (``_tri_inverse``); its part off the
+    head columns becomes its rows of W.  The batches of ``rows`` then
+    start at rank t, each skipping the head rows in its range; the seed
+    rows outside the head are dropped, as they add nothing to the row
+    space.  After a batch adds k pivots, one copy rebuilds W: the old rows
+    on the columns still free, in the batch's column order, lose their
+    part on the k new pivot columns, and the k new rows follow."""
     m = len(rows)
     if seed is None:
         seed = rows.take([])
@@ -787,63 +802,65 @@ def _rank_incremental(rows, ncols, p, dtype, seed=None):
     t = cols.size
     if t == ncols:
         return t, None, None
-    # the column order of buf: the head's columns, then the others
+    # the column order of W: the head's columns, then the others
     perm = np.concatenate([cols, np.setdiff1d(np.arange(ncols), cols,
                                               assume_unique=True)])
     where = np.empty(ncols, dtype=np.int64)       # its inverse
     where[perm] = np.arange(ncols)
-    # rank <= min(m, ncols) rows, and the head rows inside a batch's range
-    # are written before they are skipped
-    buf = np.empty((max(min(m, ncols), t) + _BATCH_BLOCKED, ncols),
-                   dtype=dtype)
     own = head >= s
     mine = head[own] - s
     is_head = np.zeros(m, dtype=bool)
     is_head[mine] = True
     # the block's head rows follow the seed, in the order of their columns
     head[own] = s + np.arange(mine.size)
-    SparseRows.concat([seed, rows.take(mine)]).take(head).dense(
-        0, t, p, buf[:t], where)
+    H = SparseRows.concat([seed, rows.take(mine)]).take(head)
+    # the rows being reduced, one head panel or one batch at a time
+    buf = np.empty((max(min(t, _PANEL), min(m, _BATCH_BLOCKED)), ncols),
+                   dtype=dtype)
+    W = np.empty((t, ncols - t), dtype=dtype)
     for b in range(0, t, _PANEL):
         e = min(t, b + _PANEL)
-        X = buf[b:e]
-        _eliminate(X[:, t:], X[:, :b], buf[:b, t:], p)
+        X = buf[:e - b]
+        H.dense(b, e, p, X, where)
+        # the earlier head rows are [I | 0 | W[:b]] on their columns, the
+        # head columns past theirs and the rest
+        _eliminate(X[:, t:], X[:, :b], W[:b], p)
         # inner dimension <= _PANEL over reduced residues: inside _window
-        X[:, t:] = _tri_inverse(X[:, b:e], p) @ X[:, t:]
-        _reduce(X[:, t:], p)
-        X[:, :t] = 0
-        X[:, b:e] = np.eye(e - b, dtype=dtype)
-    rank = t                      # buf[:rank] = [I | W], reduced
+        W[b:e] = _tri_inverse(X[:, b:e], p) @ X[:, t:]
+        _reduce(W[b:e], p)
+    rank = t                      # [I | W] on the columns perm, reduced
     for start in range(0, m, _BATCH_BLOCKED):
         if rank == ncols:
             break
         stop = min(m, start + _BATCH_BLOCKED)
-        X = buf[rank:rank + stop - start]
-        rows.dense(start, stop, p, X, where)
-        keep = np.flatnonzero(~is_head[start:stop])
-        X[:keep.size] = X[keep]
-        X = X[:keep.size]
-        _eliminate(X[:, rank:], X[:, :rank], buf[:rank, rank:], p)
+        keep = ~is_head[start:stop]
+        X = buf[:np.count_nonzero(keep)]
+        rows.dense(start, stop, p, X, where, keep)
+        _eliminate(X[:, rank:], X[:, :rank], W, p)
         local = np.arange(ncols - rank)
         new = []
         k = _rank_blocked(X[:, rank:], p, local, new)
+        if not k:                 # the batch is zero mod p on W's columns
+            continue
         # the batch's pivot columns, in panel order, then the free ones
         free = np.ones(ncols - rank, dtype=bool)
         for c, w in new:
             free[c:c + w] = False
         order = np.concatenate([np.arange(c, c + w) for c, w in new]
                                + [np.flatnonzero(free)])
-        buf[:rank, rank:] = buf[:rank, rank:][:, local[order]]
-        X[:k, rank:] = X[:k, rank:][:, order]
-        X[:k, :rank] = 0
-        # the old rows lose their part on the new pivot columns
-        _eliminate(buf[:rank, rank + k:], buf[:rank, rank:rank + k],
-                   X[:k, rank + k:], p)
-        buf[:rank, rank:rank + k] = 0
-        perm[rank:] = perm[rank:][local[order]]
+        # the new W in one copy: the old rows on the columns still free,
+        # which lose their part on the new pivot columns, then the new
+        # rows there (on the new pivot columns they are the identity)
+        moved = local[order]
+        grown = np.empty((rank + k, ncols - rank - k), dtype=dtype)
+        np.take(W, moved[k:], axis=1, out=grown[:rank], mode="clip")
+        grown[rank:] = X[:k, rank:][:, order[k:]]
+        _eliminate(grown[:rank], W[:, moved[:k]], grown[rank:], p)
+        W = grown
+        perm[rank:] = perm[rank:][moved]
         where[perm] = np.arange(ncols)
         rank += k
-    return rank, buf[:rank, rank:], perm
+    return rank, W, perm
 
 
 def _right_reduced(W, perm, p):
@@ -899,16 +916,19 @@ def fp_rank_sparse_dense(rows, ncols, p, seed=None, basis=False):
     inside the float window of ``_float_dtype`` take the blocked path
     (``_rank_incremental``).  It keeps the basis found so far as rows
     [I | W], fully reduced, on its pivot columns, which it keeps first,
-    and starts it from the triangular head of ``seed`` (rows known to lie
-    in the row space of ``rows`` mod p) and the block: one row for each
-    distinct trailing column, reduced by forward substitution.  Each batch
-    of ``_BATCH_BLOCKED`` rows is written right under the basis, drops its
-    head rows and loses its part on the pivot columns (``_eliminate``),
-    and ``_rank_blocked`` eliminates it on the columns still free; one
-    column permutation puts the batch's pivot columns after the old ones,
-    and the old rows lose their part on them, so at most min(m, ncols) +
-    ``_BATCH_BLOCKED`` rows are ever dense.  Other blocks take the rank
-    that ``fp_pivot_rows`` finds, and ignore ``seed``.
+    and stores W alone, and starts it from the triangular head of ``seed``
+    (rows known to lie in the row space of ``rows`` mod p) and the block:
+    one row for each distinct trailing column, reduced by forward
+    substitution one panel of ``_PANEL`` rows at a time.  Each batch of
+    ``_BATCH_BLOCKED`` rows is written without its head rows into one
+    buffer, loses its part on the pivot columns (``_eliminate``), and
+    ``_rank_blocked`` eliminates it on the columns still free; one copy
+    of W puts the batch's pivot columns after the old ones, clears the old
+    rows on them and appends the new rows.  So no more than
+    max(``_PANEL``, ``_BATCH_BLOCKED``) rows are ever dense over every
+    column, next to W's rank x (ncols - rank) <= ncols^2 / 4 entries.
+    Other blocks take the rank that ``fp_pivot_rows`` finds, and ignore
+    ``seed``.
 
     With ``basis``, returns (rank, B): B is the right-reduced basis of the
     row space (``_right_reduced``) when the blocked path ran and the rank

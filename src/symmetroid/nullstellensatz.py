@@ -232,9 +232,9 @@ def _macaulay_rows(terms, degrees, sizes, top):
     ``top`` in the same order.
 
     Each generator's rows are written straight into arrays allocated
-    once; ``data`` takes the widest type of the contributing generators'
-    coefficients (int64 when there are none), an object array when one
-    of them is."""
+    once; ``indices`` are int32 (int64 past 2^31 columns), and ``data``
+    takes the widest type of the contributing generators' coefficients
+    (int64 when there are none), an object array when one of them is."""
     used = [(e, c, deg) for (e, c), deg in zip(terms, degrees)
             if all(0 <= a <= d for a, d in zip(deg, top))]
     cut = np.cumsum((0,) + tuple(sizes))
@@ -246,7 +246,9 @@ def _macaulay_rows(terms, degrees, sizes, top):
     nrows = np.array([_row_count([deg], sizes, top) for _, _, deg in used],
                      dtype=np.int64)
     indptr = np.concatenate([[0], np.cumsum(np.repeat(length, nrows))])
-    indices = np.empty(indptr[-1], dtype=np.int64)
+    # int32 holds every column of a block of ncols < 2**31 columns
+    indices = np.empty(indptr[-1], dtype=np.int32 if _monomial_count(
+        top, sizes) < 1 << 31 else np.int64)
     data = np.empty(indptr[-1], dtype=np.result_type(
         *[c.dtype for _, c, _ in used] or [np.int64]))
     lo = at = 0

@@ -333,10 +333,12 @@ def singular_locus_ideal(P, p):
     det = sum over k-sets R of rows, 0-based, of
     (-1)^(sum R + k(k-1)/2) det L(y)[R, S] det L(x)[R^c, T].  The minors
     of L(z) are formed once, as coefficient vectors over the monomials of
-    z, and serve both x and y; each term is the outer product of an
-    x-vector and a y-vector, x-major, and the minor has bidegree
-    (5 - k, k).  The nonzero cells of each such table, and of each B_i,
-    index a table of exponents: the generators' term arrays.
+    z, each from the minors one row smaller by Laplace expansion along its
+    first row, a linear form times a coefficient vector through a table of
+    monomial products; they serve both x and y.  Each term is the outer
+    product of an x-vector and a y-vector, x-major, and the minor has
+    bidegree (5 - k, k).  The nonzero cells of each such table, and of
+    each B_i, index a table of exponents: the generators' term arrays.
     """
     from .nullstellensatz import HomIdealPresentation
 
@@ -355,23 +357,36 @@ def singular_locus_ideal(P, p):
                         dtype=_fp_dtype(p))
         gens.append((pairs(1, 1)[flat != 0], flat[flat != 0]))
     bidegrees = [(1, 1)] * len(gens)
-    units = [tuple(int(m == k) for m in range(5)) for k in range(5)]
-    L = [[MultiPoly(5, dict(zip(units, B[j])), p) for j in range(5)]
-         for B in P.grams]
+    dtype = _fp_dtype(p)
+    # lin[i, j, k]: the coefficient of z_k in L(z)[i][j]
+    lin = np.array([[[c % p for c in row] for row in B] for B in P.grams],
+                   dtype=dtype)
     sets = [list(combinations(range(5), j)) for j in range(6)]
     at = {S: i for j in range(6) for i, S in enumerate(sets[j])}
     # minors[R][at[S]]: det L(z)[R, S] over the monomials mons[|R|], as
-    # residues in _fp_dtype(p), where a product of two residues and a
-    # residue added to it stay exact
-    minors = {}
-    for j, mon in enumerate(mons):
-        index = {e: i for i, e in enumerate(mon)}
+    # residues in _fp_dtype(p), where a product of two residues and a sum
+    # of 25 residues stay exact
+    minors = {(): np.ones((1, 1), dtype=dtype)}
+    for j in range(1, 6):
+        index = {e: i for i, e in enumerate(mons[j])}
+        # up[k, a, b] = 1 where z_k times the monomial mons[j-1][a] is
+        # mons[j][b]
+        up = np.zeros((5, len(mons[j - 1]), len(mons[j])), dtype=dtype)
+        for a, e in enumerate(mons[j - 1]):
+            for k in range(5):
+                up[k, a, index[e[:k] + (e[k] + 1,) + e[k + 1:]]] = 1
+        up = up.reshape(-1, len(mons[j]))
+        # det L[R, S] expands along its first row R[0]: the q-th term is
+        # (-1)^q L[R[0]][S[q]] det L[R[1:], S without S[q]]
+        cols = np.array(sets[j])
+        rest = np.array([[at[S[:q] + S[q + 1:]] for q in range(j)]
+                         for S in sets[j]])
+        sign = np.array([(-1) ** q for q in range(j)])[:, None, None]
         for R in sets[j]:
-            table = np.zeros((len(sets[j]), len(mon)), dtype=_fp_dtype(p))
-            for S, m in laplace_minors(L, R).items():
-                for e, c in (m.terms if j else {mon[0]: 1}).items():
-                    table[at[S], index[e]] = c
-            minors[R] = table
+            term = (lin[R[0]][cols][..., None]
+                    * minors[R[1:]][rest][..., None, :] % p)
+            minors[R] = ((term * sign).sum(axis=1).reshape(len(cols), -1)
+                         @ up % p)
     # block[k][at[T], :, at[S], :]: the minor on (S, T), |S| = k, x-major
     block = []
     for k in range(6):

@@ -243,3 +243,22 @@ def test_ramification_counts(thm_pencil):
     # rank-4 lifts come in pairs (or none); both rulings carried
     pts = lift_to_y(thm_pencil, (1, 0, 0, 0, 0), REAL)
     assert {p.ruling for p in pts} == {"first", "second"}
+
+
+def test_finite_certificate_stays_within_its_memory_budget(q3_pencil):
+    # certify_wa_failure(prop_q3, 3) with its own regularity proof, whose
+    # largest piece is the F_7 rank of the 7000 x 2450 bidegree-(4, 3)
+    # block: a budget next to the acceptance suite's wall-clock gates, its
+    # margin to be widened, never relaxed.  The rank stores W of its
+    # reduced basis [I | W] alone and makes dense only the rows it is
+    # reducing, so the peak is near 21 MB; a dense (ncols + 512) x ncols
+    # basis buffer would bring it near 50 MB.
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        cert = certify_wa_failure(q3_pencil, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.validate(q3_pencil)
+    assert peak < 35 * 10 ** 6

@@ -272,17 +272,32 @@ def test_reduced_basis_update_stays_exact_as_the_window_fills(monkeypatch):
 
 
 def _watch_dense(monkeypatch):
-    """Record (stop, rows of the dense buffer) for every batch that
-    ``SparseRows.dense`` writes."""
+    """Record (rows, start, stop, rows of the array written into) for
+    every run of rows that ``SparseRows.dense`` writes: ``rows`` is the
+    block written from, the array the buffer that holds the output."""
     seen = []
     dense = SparseRows.dense
 
-    def run(self, start, stop, p, out, where):
-        seen.append((stop, out.base.shape[0]))
-        return dense(self, start, stop, p, out, where)
+    def run(self, start, stop, p, out, where, keep=None):
+        held = out if out.base is None else out.base
+        seen.append((self, start, stop, held.shape[0]))
+        return dense(self, start, stop, p, out, where, keep)
 
     monkeypatch.setattr(SparseRows, "dense", run)
     return seen
+
+
+def _head_writes(seen, block):
+    """The (start, stop) of the writes in ``seen`` from rows other than
+    ``block``: the head panels of ``_rank_incremental``."""
+    return [(start, stop) for rows, start, stop, _ in seen
+            if rows is not block]
+
+
+def _panels(t):
+    """The (start, stop) of the head panels of a head of t rows."""
+    k = linalg._PANEL
+    return [(b, min(t, b + k)) for b in range(0, t, k)]
 
 
 def test_blocked_path_matches_plain_loop_across_batches(monkeypatch):
@@ -304,11 +319,11 @@ def test_blocked_path_matches_plain_loop_across_batches(monkeypatch):
             seen.clear()
             assert fp_rank_sparse_dense(_sparse(A), n, p) == want, \
                 (p, m, n)
-            assert max(rows for _, rows in seen) <= n + 96
+            assert max(held for *_, held in seen) <= n + 96
             if rank == n:
-                assert want == n and seen[-1][0] < m
+                assert want == n and seen[-1][2] < m
             else:
-                assert seen[-1][0] == m
+                assert seen[-1][2] == m
 
 
 def test_float_kernels_refuse_primes_outside_their_window():
@@ -359,9 +374,9 @@ def test_fp_rank_sparse_dense_paths(monkeypatch):
             want = _plain_rank(A, p)
             seen.clear()
             assert fp_rank_sparse_dense(_sparse(A), n, p) == want, (p, m, n)
-            assert max(rows for _, rows in seen) <= n + 100
+            assert max(held for *_, held in seen) <= n + 100
             if rank == n:
-                assert want == n and seen[-1][0] < m
+                assert want == n and seen[-1][2] < m
     # the float windows: float32 up to P_F32, then float64, then the
     # exact integer loop, which must not reach the float kernel
     assert linalg._float_dtype(521) is np.float64      # the next prime
@@ -459,9 +474,11 @@ def test_head_start_matches_plain_loop(monkeypatch):
                 -1, 2, size=A.shape).astype(object)
             for M in (A, big):
                 seen.clear()
-                assert fp_rank_sparse_dense(_sparse(M), n, p) == want, (p, m)
-                assert max(rows for _, rows in seen) <= min(m, n) + 96
-                assert seen[0][0] == t and seen[-1][0] == m
+                S = _sparse(M)
+                assert fp_rank_sparse_dense(S, n, p) == want, (p, m)
+                assert max(held for *_, held in seen) <= min(m, n) + 96
+                assert _head_writes(seen, S) == _panels(t)
+                assert seen[-1][2] == m
         # a head of every column is full rank by itself: no batch runs
         tails = np.concatenate([rng.permutation(260), rng.integers(-1, 260,
                                                                   size=40)])
@@ -530,16 +547,84 @@ def test_seed_rows_lead_the_head(monkeypatch):
         want, B = fp_rank_sparse_dense(_sparse(A), n, p, basis=True)
         assert want == _plain_rank(A % p, p)
         half = B.take(np.sort(rng.choice(want, want // 2, replace=False)))
+        S = _sparse(A)
         for seed in (B, half):
             tails = np.unique(np.concatenate([linalg._trailing_columns(
-                rows, p) for rows in (seed, _sparse(A))]))
+                rows, p) for rows in (seed, S)]))
             seen.clear()
-            assert fp_rank_sparse_dense(_sparse(A), n, p, seed=seed) == want
-            assert seen[0][0] == np.count_nonzero(tails >= 0)
-        assert seen[0][0] < want and len(seen) > 1
+            assert fp_rank_sparse_dense(S, n, p, seed=seed) == want
+            head = _head_writes(seen, S)
+            assert head == _panels(np.count_nonzero(tails >= 0))
+        assert head[-1][1] < want and len(seen) > len(head)
         seen.clear()
-        assert fp_rank_sparse_dense(_sparse(A), n, p, seed=B) == want
-        assert seen[0][0] == want
+        assert fp_rank_sparse_dense(S, n, p, seed=B) == want
+        assert _head_writes(seen, S) == _panels(want)
+
+
+def test_stored_basis_is_the_reduced_echelon_form(monkeypatch):
+    # (rank, W, perm) of the blocked path on blocks whose batches of 96
+    # rows add pivots past the head, unseeded and seeded with half of the
+    # block's right-reduced basis, and on a full-rank block: the block in
+    # the column order perm reduces mod p to pivots on its first rank
+    # columns and rows [I | W], W reduced and an array of its own
+    monkeypatch.setattr(linalg, "_BATCH_BLOCKED", 96)
+    rng = np.random.default_rng(23)
+    m, n = 400, 300
+    for p in (2, 7, P_F32, P_F64):
+        dtype = linalg._float_dtype(p)
+        heads = np.sort(rng.choice(n - 20, 150, replace=False))
+        A = _head_block(rng, m, n, rng.choice(np.append(heads, -1), size=m),
+                        p)
+        _, B = fp_rank_sparse_dense(_sparse(A), n, p, basis=True)
+        half = B.take(np.arange(0, len(B), 2))
+        F = rng.integers(0, p, size=(m, n))
+        for M, seed in ((A, None), (A, half), (F, None)):
+            S = _sparse(M)
+            tails = np.unique(np.concatenate([linalg._trailing_columns(
+                rows, p) for rows in (S if seed is None else seed, S)]))
+            t = np.count_nonzero(tails >= 0)
+            rank, W, perm = linalg._rank_incremental(S, n, p, dtype, seed)
+            assert t < rank == _plain_rank(M % p, p), (p, t, rank)
+            assert W.base is None and W.shape == (rank, n - rank)
+            assert (np.abs(W) < p).all()
+            R = (M[:, perm] % p).astype(np.int64)
+            assert linalg._echelon_mod_p(R, p, reduced=True) == list(
+                range(rank))
+            assert (R[:rank, rank:] == W.astype(np.int64) % p).all()
+
+
+def test_only_the_rows_being_reduced_are_dense(monkeypatch):
+    # a seeded head of several panels, then batches of 96 rows: every
+    # dense write of the blocked path is one head panel, at most _PANEL
+    # rows, the panels covering the t head rows once and in order, or one
+    # batch of at most _BATCH_BLOCKED rows, and the buffer written into
+    # holds no more rows than the larger of the two
+    seen = _watch_dense(monkeypatch)
+    monkeypatch.setattr(linalg, "_BATCH_BLOCKED", 96)
+    rng = np.random.default_rng(24)
+    m, n = 600, 400
+    for p in (7, P_F32):
+        heads = np.sort(rng.choice(n - 20, 250, replace=False))
+        A = _head_block(rng, m, n, rng.choice(np.append(heads, -1), size=m),
+                        p)
+        want, B = fp_rank_sparse_dense(_sparse(A), n, p, basis=True)
+        seed = B.take(np.arange(0, len(B), 3))
+        S = _sparse(A)
+        tails = np.unique(np.concatenate([linalg._trailing_columns(rows, p)
+                                          for rows in (seed, S)]))
+        t = np.count_nonzero(tails >= 0)
+        seen.clear()
+        assert fp_rank_sparse_dense(S, n, p, seed=seed) == want > t > 96
+        head = _head_writes(seen, S)
+        assert all(stop - start <= linalg._PANEL for start, stop in head)
+        assert sum(stop - start for start, stop in head) == t
+        assert head == _panels(t)
+        batches = [(start, stop) for rows, start, stop, _ in seen
+                   if rows is S]
+        assert len(head) + len(batches) == len(seen)
+        assert all(stop - start <= 96 for start, stop in batches)
+        assert batches[-1][1] == m
+        assert max(held for *_, held in seen) <= 96
 
 
 def test_triangular_inverse_at_the_window_edge():
