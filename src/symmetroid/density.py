@@ -29,6 +29,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from math import factorial
 
 import numpy as np
 
@@ -170,14 +171,18 @@ def product_lower_bound(M):
 # looks for members there instead of over all of P^4(F_p).  Only the x
 # with det M(x) = 0 matter, and det M(x) is a ternary quintic in x: for
 # p >= 7 its 21 coefficients come from its values at 21 points, and M(x)
-# is formed there and at its zeros only.
+# is formed there and at its zeros only.  Each candidate t carries the
+# leading index l of its x (x_l = 1).  Since B(t) x = 0 and B(t) is
+# symmetric, row and column l of B(t) are combinations of the others, so
+# B(t) has the rank of its 4 x 4 principal block off l, and the 16 3x3
+# minors of that block decide rank <= 2.
 #
 # Residues are int64, and ``laplace_minors`` forms minors of residue
-# matrices without reduction: for entries in [0, p) a k x k one stays
-# below k! (p - 1)^k in size, and a plane matrix entry below 3 (p - 1)^2,
-# so everything is exact while 5! (p - 1)^5 < 2^63, that is for
-# p <= 2381.  The scans stop lower, at _MAX_PRIME, a desk-scale cap: one
-# frame costs p^2 + p + 1 quintic values, about a million at the cap.
+# matrices without reduction: for entries in [0, p) a k x k one and every
+# partial sum of its terms stay below k! (p - 1)^k in size, so everything
+# is exact while 5! (p - 1)^5 < 2^63, that is for p <= 2381.  The scans
+# stop lower, at _MAX_PRIME, a desk-scale cap: one frame costs
+# p^2 + p + 1 quintic values, about a million at the cap.
 
 _MAX_PRIME = 1000
 _PAIRS = 1 << 15          # (frame, plane point) pairs per batch
@@ -192,6 +197,8 @@ _VANDERMONDE_CACHE = {}
 # the quintic's float64 products take residues in [0, p) with inner
 # dimension at most 21: every sum stays below 21 (p - 1)^2 < 2^53
 assert 21 * (_MAX_PRIME - 1) ** 2 < 1 << 53
+# and the int64 minors of residues stay below 5! (p - 1)^5 < 2^63
+assert factorial(5) * (_MAX_PRIME - 1) ** 5 < 1 << 63
 
 
 def _check_prime(p):
@@ -256,11 +263,18 @@ def _adjugate_column(minors, r):
                      for j in range(5)])
 
 
-def _rank_le2(B, p):
+def _rank_le2(B, lead, p):
     """Mask of the matrices of the batch B (``B[r, c]`` the array of (r, c)
-    entries, residues) of rank <= 2 mod p: every 3x3 minor vanishes."""
-    keep = np.ones(B.shape[2], dtype=bool)
-    for rows in combinations(range(5), 3):
+    entries, residues) of rank <= 2 mod p.  Each B(t) of the batch has a
+    kernel vector x with x_l = 1, l = ``lead`` of its column: then row
+    and column l are combinations of the others, so B(t) has the rank of
+    its 4 x 4 principal block off l, and its 16 3x3 minors decide."""
+    i = np.arange(B.shape[2])
+    off = np.arange(4)[:, None]
+    off = off + (off >= lead)                   # the indices other than l
+    B = B[off[:, None], off[None, :], i]
+    keep = np.ones(len(i), dtype=bool)
+    for rows in combinations(range(4), 3):
         if not keep.any():
             break
         for m in laplace_minors(B, rows).values():
@@ -348,12 +362,13 @@ def _rank_le2_members(A, p):
     and each distinct kernel, of dimension k, is enumerated:
     (p^k - 1)/(p - 1) candidates.  Random frames rarely need this; k = 5
     means that every generator is singular at x, and then the scan costs
-    p^4.  A candidate t is kept when B(t) has rank <= 2.  Candidates are
-    tested a batch at a time, first on the principal minor on _PREFILTER:
-    B(t) x = 0 with x in the plane, so columns 0, 1, 2 of B(t) are
-    dependent and a minor on them cannot fail, while one on columns 3 and
-    4 can.  Only the candidates it keeps get B(t) and all its 3x3
-    minors."""
+    p^4.  A candidate t, which carries the leading index l of its x, is
+    kept when B(t) has rank <= 2.  Candidates are tested a batch at a
+    time, first on the principal minor on _PREFILTER: B(t) x = 0 with x
+    in the plane, so columns 0, 1, 2 of B(t) are dependent and a minor on
+    them cannot fail, while one on columns 3 and 4 can.  Only the
+    candidates it keeps get B(t) and the 16 3x3 minors of its principal
+    block off l (``_rank_le2``)."""
     G = _gram_stack(A, p)
     G_pre = G[:, :, _PREFILTER][:, :, :, _PREFILTER]
     field = GF(p)
@@ -362,23 +377,22 @@ def _rank_le2_members(A, p):
     hits, pending, seen = [(empty[:, 0], empty)], [], set()
     held = 0
 
-    def hold(f, t):
+    def hold(f, t, lead):
         nonlocal held
-        pending.append((f, t))
+        pending.append((f, t, lead))
         held += len(t)
         if held >= _PAIRS:
             check()
 
     def check():
         nonlocal held
-        f = np.concatenate([f for f, _ in pending])
-        t = np.concatenate([t for _, t in pending])
+        f, t, lead = (np.concatenate(a) for a in zip(*pending))
         pending.clear()
         held = 0
         pre = np.einsum("ci,cirs->rsc", t, G_pre[f]) % p
         live = laplace_minors(pre, range(3))[(0, 1, 2)] % p == 0
-        f, t = f[live], t[live]
-        keep = _rank_le2(np.einsum("ci,cirs->rsc", t, G[f]) % p, p)
+        f, t, lead = f[live], t[live], lead[live]
+        keep = _rank_le2(np.einsum("ci,cirs->rsc", t, G[f]) % p, lead, p)
         hits.append((f[keep], t[keep]))
 
     step = max(1, _PAIRS // n)
@@ -393,6 +407,7 @@ def _rank_le2_members(A, p):
                 continue
             f = z // (e - s)
             X = _projective_points(p, 3, idx=s + z % (e - s))
+            lead = np.argmax(X != 0, axis=1)
             M = np.einsum("zirc,zc->riz", Gf[f, :, :, :3], X) % p
             f += f0
             K = _adjugate_column(laplace_minors(M, (1, 2, 3, 4)), 0) % p
@@ -405,8 +420,9 @@ def _rank_le2_members(A, p):
                 K[:, todo] = _adjugate_column(
                     laplace_minors(M[:, :, todo], rows), r) % p
             found = K.any(axis=0)
-            hold(f[found], _normalize(K[:, found].T, p))
-            for fr, Mx in zip(f[~found], M[:, :, ~found].transpose(2, 0, 1)):
+            hold(f[found], _normalize(K[:, found].T, p), lead[found])
+            for fr, l, Mx in zip(f[~found], lead[~found],
+                                 M[:, :, ~found].transpose(2, 0, 1)):
                 basis = np.array(nullspace(Mx.tolist(), field),
                                  dtype=np.int64)
                 if (fr, basis.tobytes()) in seen:
@@ -416,7 +432,8 @@ def _rank_le2_members(A, p):
                 for c0 in range(0, total, _PAIRS):
                     c = _projective_points(p, len(basis), c0,
                                            min(total, c0 + _PAIRS))
-                    hold(np.full(len(c), fr), _normalize(c @ basis % p, p))
+                    hold(np.full(len(c), fr), _normalize(c @ basis % p, p),
+                         np.full(len(c), l))
     if pending:
         check()
     f = np.concatenate([f for f, _ in hits])

@@ -4,10 +4,11 @@ Integer matrices are plain lists of lists of Python ints, so all arithmetic
 is arbitrary precision.  Two loops serve every ring or field they meet:
 
 - ``laplace_minors``, the generalized Laplace expansion, gives all
-  minors on a set of rows.  It reads entries as ``M[r][c]`` and uses
-  only *, + and -, so it runs on integers, on ``MultiPoly`` entries
-  (leading minors of B(t), the rank <= 2 ideal) and on numpy batches of
-  residue matrices (the S_p scans).
+  minors on a set of rows, one gather, multiply and sum per level.  It
+  uses only *, + and - on numpy arrays: numpy batches of residue
+  matrices (the S_p scans) as they are, and integers or ``MultiPoly``
+  entries (leading minors of B(t), the rank <= 2 ideal) as object
+  arrays, so their arithmetic stays exact.
 - ``nullspace``, Gauss-Jordan over a field given by its add, mul, neg
   and inv: Q (``_RATIONALS``, behind ``kernel_rational``) or a ``GF``
   table field (the char-2 vertex in ``quadform``).
@@ -70,6 +71,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm
 from types import SimpleNamespace
@@ -154,29 +156,51 @@ def det_bareiss(M):
     return sign * a[n - 1][n - 1]
 
 
+@lru_cache(maxsize=None)
+def _laplace_tables(n, k):
+    """Level k of ``laplace_minors`` on n columns: the k-subsets of
+    range(n) in ``combinations`` order, and for the i-th one and its
+    pos-th column c, ``take[i, pos]`` is where the signed row of
+    ``laplace_minors`` holds (-1)^pos M[r][c] and ``rest[i, pos]`` the
+    position of the subset without c among the (k - 1)-subsets."""
+    sets = list(combinations(range(n), k))
+    index = {s: i for i, s in enumerate(combinations(range(n), k - 1))}
+    take = (np.array(sets, dtype=np.intp).reshape(-1, k)
+            + n * (np.arange(k) % 2))
+    rest = np.array([[index[s[:pos] + s[pos + 1:]] for pos in range(k)]
+                     for s in sets], dtype=np.intp).reshape(-1, k)
+    take.flags.writeable = rest.flags.writeable = False
+    return sets, take, rest
+
+
 def laplace_minors(M, rows):
     """Minors of M on ``rows`` (a sequence, taken in its order) for every
     set of as many columns: {column tuple: minor}, the tuples in
     ``itertools.combinations`` order.
 
     Generalized Laplace expansion (Muir): a minor on the last k of the
-    rows expands along its first row into minors on the last k - 1, which
-    are all built first and shared, so each of the sum_k k * C(n, k)
-    products (n columns) is formed once.  Entries are read as ``M[r][c]``
-    and need only *, + and -: lists of ints or of ``MultiPoly``, and
-    numpy batches whose ``M[r][c]`` is an array of entries, all work.
-    Nothing is reduced and no entry is skipped."""
-    n = len(M[0])
-    out = {(): 1}
+    rows expands along its first row r into minors on the last k - 1,
+    which are all built first and shared, so each of the sum_k k * C(n, k)
+    products (n columns) is formed once.  Each level is one gather, one
+    multiply and one sum over all its column sets, through index tables
+    built once per (n, k) (``_laplace_tables``).  M is an ndarray whose
+    ``M[r][c]`` is an entry or an array of entries (a batch, its axes
+    last); anything else, such as lists of Python ints or of
+    ``MultiPoly``, becomes an object array, so integer and polynomial
+    arithmetic stays exact.  Nothing is reduced and no entry is skipped.
+    On residues in [0, p) each of the k terms of a k x k minor is at most
+    (p - 1) (k - 1)! (p - 1)^(k - 1) in size, so every partial sum of the
+    one sum over them, in whatever order it adds them, stays within
+    their total k! (p - 1)^k."""
+    if not isinstance(M, np.ndarray):
+        M = np.array(M, dtype=object)
+    n = M.shape[1]
+    sets, level = [()], np.ones((1,) + M.shape[2:], dtype=M.dtype)
     for k, r in enumerate(reversed(rows), 1):
-        prev, out = out, {}
-        for cols in combinations(range(n), k):
-            acc = 0
-            for pos, c in enumerate(cols):
-                term = M[r][c] * prev[cols[:pos] + cols[pos + 1:]]
-                acc = acc - term if pos % 2 else acc + term
-            out[cols] = acc
-    return out
+        sets, take, rest = _laplace_tables(n, k)
+        signed = np.concatenate([M[r], -M[r]])
+        level = (signed[take] * level[rest]).sum(axis=1)
+    return dict(zip(sets, level))
 
 
 def primitive_vector(v):

@@ -147,21 +147,50 @@ def _plane_kernel_dims(P, p):
     return dims
 
 
-def _brute_rank_le2(F, p):
-    """Table positions of the members of the frame F (5 x 15 integers)
-    whose Gram matrix has F_p-rank <= 2, one member at a time."""
+def _stacked_ranks(B, p):
+    """Ranks mod p of a stack of square integer matrices B (N x n x n), by
+    one row-echelon loop over the whole stack: at column j each matrix
+    takes its first nonzero entry on or below its rank row as the pivot,
+    swaps that row up, scales it to 1 and clears the column below it."""
+    B = np.array(B, dtype=np.int64) % p
+    n = B.shape[-1]
+    inv = np.array([0] + [pow(a, -1, p) for a in range(1, p)])
+    ranks = np.zeros(len(B), dtype=np.int64)
+    rows = np.arange(n)
+    for j in range(n):
+        live = (B[:, :, j] != 0) & (rows >= ranks[:, None])
+        m = np.flatnonzero(live.any(axis=1))
+        top, piv = ranks[m], np.argmax(live[m], axis=1)
+        B[m, top], B[m, piv] = B[m, piv], B[m, top]
+        pivot = B[m, top] * inv[B[m, top, j]][:, None] % p
+        below = (rows > top[:, None]) * B[m, :, j]
+        B[m] = (B[m] - below[:, :, None] * pivot[:, None, :]) % p
+        ranks[m] += 1
+    return ranks
+
+
+def _member_grams(F, p):
+    """Gram matrices of the members of the frame F (5 x 15 integers) at
+    every point of P^4(F_p), in table order."""
     from symmetroid.density import _projective_points
-    from symmetroid.linalg import fp_rank
     grams = np.array([QuadricForm(row).gram() for row in F.tolist()])
-    return [n for n, t in enumerate(_projective_points(p))
-            if fp_rank(np.tensordot(t, grams, 1), p) <= 2]
+    return np.tensordot(_projective_points(p), grams, 1)
+
+
+def _brute_rank_le2(F, p):
+    """Table positions of the members of the frame F whose Gram matrix has
+    F_p-rank <= 2, all members at once."""
+    return np.flatnonzero(_stacked_ranks(_member_grams(F, p), p) <= 2
+                          ).tolist()
 
 
 def test_rank_le2_screen_matches_fp_rank():
-    # every member whose Gram matrix has F_p-rank <= 2, found one member at
-    # a time, is exactly what the plane-kernel finder returns, in table order
+    # every member whose Gram matrix has F_p-rank <= 2, found by brute force
+    # over P^4(F_p), is exactly what the plane-kernel finder returns, in
+    # table order
     from symmetroid.density import (_projective_points, _rank_le2_members,
                                     _table_index)
+    from symmetroid.linalg import fp_rank
     rng = np.random.default_rng(11)
     frames = [rng.integers(-10, 11, size=(5, 15)) for _ in range(6)]
     # first generators: x0^2 (a double plane), x0^2 - 3 x1^2 (rank 2) and
@@ -182,6 +211,11 @@ def test_rank_le2_screen_matches_fp_rank():
         P = Pencil([QuadricForm(row) for row in F.tolist()])
         points = _projective_points(p).tolist()
         brute = _brute_rank_le2(F, p)
+        if p <= 5:
+            # the stacked elimination against one fp_rank per member
+            B = _member_grams(F, p)
+            assert (_stacked_ranks(B, p).tolist()
+                    == [fp_rank(b, p) for b in B]), p
         frame_ids, t = _rank_le2_members(np.mod(F, p)[None], p)
         assert _table_index(t, p).tolist() == brute, p
         assert set(frame_ids.tolist()) <= {0}
@@ -277,6 +311,41 @@ def test_rank_le2_prefilter_is_only_a_prefilter():
         if p < 11:
             assert found == [_brute_rank_le2(rank3, p),
                              _brute_rank_le2(rank2, p)], p
+
+
+def test_rank_le2_test_reads_the_block_off_the_lead():
+    # B(t) x = 0 with x_l = 1 makes row and column l of B(t) combinations
+    # of the others, so the rank test reads the 4 x 4 block off l.  Member
+    # e0 of each frame is its planted first generator: (x0 + x3)(x1 + x4)
+    # and (x0 + x3)(x1 - x2 + x4) have rank 2 and kernels meeting the plane
+    # <e0, e1, e2> only at e2 and at e1 + e2; x0^2 + x1^2 + x3^2 and
+    # x0^2 + x2^2 + x3^2 have rank 3, kernels meeting it only at e2 and at
+    # e1, rank 2 off index 0 and a zero minor on the prefilter's block
+    from symmetroid.density import _PREFILTER, _projective_points
+    from symmetroid.linalg import det_bareiss, fp_rank
+    from symmetroid.quadform import COEFF_ORDER
+    planted = [({(0, 1): 1, (0, 4): 1, (1, 3): 1, (3, 4): 1}, 2, [0, 0, 1]),
+               ({(0, 1): 1, (0, 2): -1, (0, 4): 1, (1, 3): 1, (2, 3): -1,
+                 (3, 4): 1}, 2, [0, 1, 1]),
+               ({(0, 0): 1, (1, 1): 1, (3, 3): 1}, 3, [0, 0, 1]),
+               ({(0, 0): 1, (2, 2): 1, (3, 3): 1}, 3, [0, 1, 0])]
+    frames = np.random.default_rng(24).integers(-10, 11,
+                                                size=(len(planted), 5, 15))
+    for F, (terms, _, _) in zip(frames, planted):
+        F[0] = [terms.get(ij, 0) for ij in COEFF_ORDER]
+    for p in (3, 5, 7, 11, 13):
+        for F, (_, rank, x) in zip(frames, planted):
+            B = np.array(QuadricForm(F[0].tolist()).gram())      # B(e0)
+            assert fp_rank(B, p) == rank
+            plane = _projective_points(p, 3)
+            assert plane[~(B[:, :3] @ plane.T % p).any(axis=0)
+                         ].tolist() == [x]
+            if rank == 3:
+                assert fp_rank(B[1:, 1:], p) == 2
+                assert det_bareiss(B[np.ix_(_PREFILTER, _PREFILTER)]) == 0
+        found = _frames_found(frames, p)
+        assert found == [_brute_rank_le2(F, p) for F in frames], p
+        assert [0 in f for f in found] == [True, True, False, False], p
 
 
 def test_sp_member_at_997_scans_in_chunks(thm_pencil):

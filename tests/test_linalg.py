@@ -712,6 +712,32 @@ def test_laplace_minors_match_bareiss():
                 [[mat[i][j].evaluate(pt) for j in cols] for i in rows])
 
 
+def test_laplace_minors_stacked_levels():
+    rng = random.Random(24)
+    # Python ints past int64: 5 x 5 minors near 5! 10^60 stay exact
+    M = [[rng.randint(10 ** 12 - 10 ** 6, 10 ** 12) * rng.choice((1, -1))
+          for _ in range(5)] for _ in range(5)]
+    det = det_bareiss(M)
+    assert abs(det) >= 1 << 63
+    minors = laplace_minors(M, range(5))
+    assert list(minors) == [(0, 1, 2, 3, 4)]
+    assert type(minors[(0, 1, 2, 3, 4)]) is int
+    assert minors[(0, 1, 2, 3, 4)] == det
+    # an int64 batch with two trailing batch axes, on rows out of order
+    # and fewer than the columns: keys in combinations order
+    B = np.random.default_rng(24).integers(0, 31, size=(4, 6, 3, 7))
+    rows = (2, 0, 3)
+    minors = laplace_minors(B, rows)
+    assert list(minors) == list(combinations(range(6), 3))
+    for cols, m in minors.items():
+        assert m.shape == (3, 7) and m.dtype == np.int64
+        assert m.tolist() == [[det_bareiss(B[np.ix_(rows, cols)][:, :, a, b]
+                                           .tolist()) for b in range(7)]
+                              for a in range(3)]
+    # no rows: the empty minor
+    assert laplace_minors(M, ()) == {(): 1}
+
+
 def test_det_exact_crt_matches_bareiss():
     rng = random.Random(12)
     for _ in range(40):
