@@ -16,10 +16,13 @@ is arbitrary precision.  Two loops serve every ring or field they meet:
 numpy backs the F_p kernels:
 
 - ``_echelon_mod_p``, the plain in-place echelon loop, one pivot at a
-  time.  It stores residues as int64 and forms each product there,
-  exact for p < 2^31; larger primes run the same loop on a numpy object
-  array of Python ints.  ``fp_rank`` (the sieve's 5 x 15 blocks) and
-  small or large-prime Macaulay blocks use it.
+  time.  On int64 residues it forms each product there, exact for
+  p < 2^31, and larger primes run it on a numpy object array of Python
+  ints: ``fp_rank`` (the sieve's 5 x 15 blocks) and small or large-prime
+  Macaulay blocks use it.  On float residues inside the window below it
+  reduces only the pivot column and row of each step and the whole block
+  when a tracked bound would pass it: the pivot searches of the blocked
+  path run there, on the block's own floats.
 - ``_dets_mod_primes``, the determinants of one stack of residue
   matrices, each modulo its own prime near 2^30, in one pivot loop over
   the whole stack (``det_exact_crt``'s residues).
@@ -33,7 +36,7 @@ numpy backs the F_p kernels:
   2^53 for float64 with k the GEMM's inner dimension (``_float_dtype``,
   ``_limit``); reductions mod p are delayed until that bound would be
   passed, and a prime outside the window is refused (``_window``).
-  Outside both windows the plain loop runs.
+  Outside both windows the plain loop runs on integers.
 
 ``fp_rank_sparse_dense`` takes a ``SparseRows`` block and chooses between
 them.  On the blocked path it keeps the basis found so far fully reduced,
@@ -48,23 +51,30 @@ independent with no pivot search; blocked forward substitution, one
 panel of ``_PANEL`` head rows at a time, makes it [I | W] (Faugere and
 Lachartre, "Parallel Gaussian elimination for Groebner bases
 computations in finite fields", PASCO 2010, who also store only the
-non-pivot part of the reduced rows).  Each batch of ``_BATCH_BLOCKED``
-other rows then loses its part on the pivot columns through one GEMM,
-``X[:, r:] -= X[:, :r] @ W`` (``_eliminate``, its inner dimension cut
-into chunks that fit the window), before ``_rank_blocked`` runs on the
-columns still free; W is then rebuilt in one copy that loses its part on
-the batch's new pivot columns the same way and gains the batch's new
-rows.  Only the rows being reduced are dense over every column, one head
-panel or one batch at a time, so the dense footprint is W and
-max(``_PANEL``, ``_BATCH_BLOCKED``) rows.  A block short of full rank can
-hand back its span in right-reduced form (``_right_reduced``), a basis
-whose rows end at distinct columns: the Macaulay ladder derives the seed
-of a later rung from it.  Every other block goes to ``fp_pivot_rows``,
-which feeds the plain loop ``_BATCH`` rows at a time, under the rows kept
-so far, on their transpose: its pivot columns are the row rank profile,
-the rows that form a basis, each independent of the rows before it, and
-their count is the rank.  Its residues are stored in ``_fp_dtype``:
-int64, exact for p < 2^31, and Python ints above.
+non-pivot part of the reduced rows, and keep only the rest of a block
+dense).  Each batch of ``_BATCH_BLOCKED`` other rows is dense on the
+ncols - r columns still free only; its part on the r pivot columns comes
+in chunks of ``_BATCH_BLOCKED`` columns, all cut from one pass over its
+entries, and each chunk C_j leaves its product through a GEMM,
+``X -= C_j @ W_j`` (``_eliminate``, its inner dimension cut further where
+the window needs it).  ``_rank_blocked`` then runs on X; W is rebuilt in
+one copy that loses its part on the batch's new pivot columns the same
+way and gains the batch's new rows.  So the dense footprint is W, one
+batch on its free columns and one head chunk, ``_BATCH_BLOCKED`` square,
+or one head panel of ``_PANEL`` rows over every column: for the 7000 x
+2450 (4, 3) block of the regularity proof mod 7, 0.4 MB of W (2405 x
+45), 0.1 MB of batch and 1 MB of chunk in float32.  A block short of
+full rank can hand back its span in right-reduced form
+(``_right_reduced``), a basis whose rows end at distinct columns: the
+Macaulay ladder derives the seed of a later rung from it.  Every other
+block goes to ``fp_pivot_rows``, which feeds the plain loop ``_BATCH``
+rows at a time, under the rows kept so far, on their transpose: its
+pivot columns are the row rank profile, the rows that form a basis, each
+independent of the rows before it, and their count is the rank.  Its
+residues are stored in ``_fp_dtype``: int64, exact for p < 2^31, and
+Python ints above.  The sparse rows that are kept, Macaulay rows and
+right-reduced bases, store residues and column indices in the narrowest
+type that holds them (``_int_dtype``).
 """
 
 from __future__ import annotations
@@ -431,25 +441,53 @@ def _fp_dtype(p):
     return np.int64 if p < 1 << 31 else object
 
 
+def _int_dtype(top):
+    """The narrowest signed integer type that holds 0..top: int8 up to
+    127, int16 up to 2^15 - 1, int32 up to 2^31 - 1, int64 up to 2^63 - 1,
+    and Python ints in an object array past that.  Residues mod p are
+    stored in ``_int_dtype(p - 1)`` and the column indices of a block of
+    n columns in ``_int_dtype(n - 1)``."""
+    for dtype in (np.int8, np.int16, np.int32, np.int64):
+        if top <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    return np.dtype(object)
+
+
 def _echelon_mod_p(A, p, reduced=False, width=None):
     """Row-reduce ``A`` to row echelon form over F_p, in place.
 
-    ``A`` holds residues in [0, p) with dtype ``_fp_dtype(p)``.
+    ``A`` holds residues in [0, p) with dtype ``_fp_dtype(p)``, or reduced
+    residues (|a| < p) in a float type whose window holds p (``_window``).
     Returns ``pivot_cols``: row i of the result has its pivot (a 1) in
     column ``pivot_cols[i]``, and the rows past ``len(pivot_cols)`` are
     zero.  With ``reduced`` the pivot columns are cleared
     above the pivots too (reduced row echelon form).  With ``width``,
     pivots are sought in the first ``width`` columns only (the row
     operations still span every column), and the rows past the pivots are
-    zero there.
+    zero there.  Integer entries end in [0, p), float entries reduced.
+
+    An integer array is reduced mod p in every row that a step changes.
+    A float array is reduced with ``_reduce`` in the pivot column and the
+    pivot row of each step, so a step adds at most (p-1)^2 to an entry;
+    the whole block is reduced only when that would take the tracked bound
+    on its entries past ``_limit``, and once at the end (delayed
+    reduction: Dumas, Giorgi and Pernet, "Dense linear algebra over
+    word-size prime fields: the FFLAS and FFPACK packages", ACM TOMS 35,
+    2008).
     """
     m, n = A.shape
+    floats = A.dtype.kind == "f"
+    if floats:
+        limit = _window(A.dtype, p)[1]
+        bound = p - 1             # |entries| right of the pivot column
     pivot_cols = []
     r = 0
     for c in range(n if width is None else width):
         if r == m:
             break
-        nz = np.flatnonzero(A[r:, c])
+        if floats:
+            _reduce(A[:, c], p)
+        nz = A[r:, c].nonzero()[0]
         if nz.size == 0:
             continue
         pr = r + int(nz[0])
@@ -457,20 +495,36 @@ def _echelon_mod_p(A, p, reduced=False, width=None):
             # every row from r down is zero left of column c
             A[[r, pr], c:] = A[[pr, r], c:]
         piv = int(A[r, c])
-        if piv != 1:
+        if floats:
+            # scaled first, the row stays exact while bound (p-1) does
+            if bound * (p - 1) > limit:
+                _reduce(A[r, c + 1:], p)
+            if piv != 1:
+                A[r, c:] *= pow(piv, -1, p)
+            _reduce(A[r, c:], p)
+            A[r, c] = 1
+        elif piv != 1:
             A[r, c:] = A[r, c:] * pow(piv, -1, p) % p
         # the rows below r that reach column c; the swap moved a row that
         # is zero there
         hit = r + nz[1:]
         if reduced:
-            hit = np.concatenate([np.flatnonzero(A[:r, c]), hit])
-        if hit.size:
+            hit = np.concatenate([A[:r, c].nonzero()[0], hit])
+        if hit.size and floats:
+            if bound + (p - 1) ** 2 > limit:
+                _reduce(A[:, c + 1:], p)
+                bound = p - 1
+            bound += (p - 1) ** 2
+            A[hit, c:] -= A[hit, c, None] * A[r, c:]
+        elif hit.size:
             U = np.outer(A[hit, c], A[r, c:])
             np.subtract(A[hit, c:], U, out=U)
             U %= p
             A[hit, c:] = U
         pivot_cols.append(c)
         r += 1
+    if floats:
+        _reduce(A, p)
     return pivot_cols
 
 
@@ -494,9 +548,10 @@ _PANEL = 64           # pivots per Schur step: the inner dimension of its GEMMs
 _BATCH = 2600         # rows written under the rows kept so far per pass
                       # of fp_pivot_rows
 _BATCH_BLOCKED = 512  # rows reduced against the stored basis per pass of the
-                      # blocked path, whose buffer holds 512 * ncols floats:
-                      # 5 MB in float32 for 2450 columns, next to the
-                      # basis's rank * (ncols - rank) floats
+                      # blocked path, dense on the ncols - rank free columns,
+                      # and the width of the chunks their part on the pivot
+                      # columns comes in: 512 x 512 floats, 1 MB in float32,
+                      # next to the basis's rank * (ncols - rank) floats
 _BLOCKED_MIN = 256    # blocks with fewer rows or columns keep the plain loop
                       # (dense mod 7, one core: 128^2 10 ms plain against
                       # 16 ms blocked, 256^2 56 ms against 34 ms)
@@ -542,7 +597,7 @@ class SparseRows:
     """Integer rows in compressed sparse row form: row i has the entries
     ``data[indptr[i]:indptr[i+1]]`` at columns ``indices[...]``.
 
-    ``dense`` writes a run of rows mod p into a dense array, ``tolist``
+    ``dense`` writes a run of rows mod p into dense arrays, ``tolist``
     reads the rows as lists of Python ints and ``take`` reorders them."""
 
     def __init__(self, indptr, indices, data):
@@ -577,24 +632,51 @@ class SparseRows:
             self.indices] = self.data
         return out.tolist()
 
-    def dense(self, start, stop, p, out, where, keep=None):
-        """Write rows ``start:stop`` into ``out`` as residues in [0, p),
-        column j to column ``where[j]`` of ``out``.  With ``keep``, a
-        boolean mask of those rows, only the rows it marks are written,
-        one after another."""
-        out[...] = 0
+    def dense(self, start, stop, p, out, where, keep=None, chunk=None):
+        """Write rows ``start:stop`` as residues in [0, p), the entry at
+        column j to position ``where[j]`` of a row; ``out`` holds the last
+        ``out.shape[1]`` positions, from cut = len(where) - out.shape[1]
+        on.  With ``keep``, a boolean mask of those rows, only the rows it
+        marks are written, one after another.
+
+        Returns an iterator over the positions below cut, in chunks of the
+        width h of ``chunk``, a buffer with the rows of ``out``: (lo, C),
+        C a view of ``chunk`` that holds the rows on positions lo..lo+h-1,
+        written as it is reached.  All of it comes from one pass over the
+        rows' entries, which sorts the entries below cut by chunk."""
         lo, hi = self.indptr[start], self.indptr[stop]
-        which = np.repeat(np.arange(stop - start),
-                          np.diff(self.indptr[start:stop + 1]))
-        cols = self.indices[lo:hi]
-        data = self.data[lo:hi]
+        counts = np.diff(self.indptr[start:stop + 1])
+        cols, data = self.indices[lo:hi], self.data[lo:hi]
         if keep is not None:
-            on = keep[which]
-            which = (np.cumsum(keep) - 1)[which[on]]
-            cols, data = cols[on], data[on]
+            on = np.repeat(keep, counts)
+            counts, cols, data = counts[keep], cols[on], data[on]
+        which = np.repeat(np.arange(len(counts), dtype=_int_dtype(
+            len(counts) - 1)), counts)
+        at = where[cols]
         if p >= 1 << 63:      # past int64: reduce as Python ints
             data = data.astype(object)
-        out[which, where[cols]] = data % p
+        data = data % p
+        cut = len(where) - out.shape[1]
+        out[...] = 0
+        if not cut:
+            out[which, at] = data
+            return iter(())
+        mine = at >= cut
+        out[which[mine], at[mine] - cut] = data[mine]
+        h = chunk.shape[1]
+        held = np.flatnonzero(~mine)
+        held = held[np.argsort(at[held] // h)]
+        which, at, data = which[held], at[held], data[held]
+        ends = np.searchsorted(at // h, np.arange(-(-cut // h) + 1))
+
+        def chunks():
+            for i, lo in enumerate(range(0, cut, h)):
+                C = chunk[:, :min(h, cut - lo)]
+                C[...] = 0
+                part = slice(ends[i], ends[i + 1])
+                C[which[part], at[part] - lo] = data[part]
+                yield lo, C
+        return chunks()
 
 
 def _to_front(A, first, picks, perm):
@@ -673,9 +755,9 @@ def _rank_blocked(A, p, perm, panels):
         mask[first] = mask[:_PANEL] = True
         cand = hit[mask]
         w = panel.shape[1]
-        G = np.zeros((cand.size, w + cand.size), dtype=np.int64)
-        G[:, :w] = panel[cand].astype(np.int64) % p
-        G[:, w:] = np.eye(cand.size, dtype=np.int64)
+        G = np.zeros((cand.size, w + cand.size), dtype=A.dtype)
+        G[:, :w] = panel[cand]
+        G[:, w:] = np.eye(cand.size, dtype=A.dtype)
         # [P | I] reduces to [E | T] with T @ P = E, E = I on the ascending
         # pivot columns cols; each pivot row of T combines only the k
         # candidates that pivoted, so T[:k] there is inv(S) for the
@@ -696,7 +778,7 @@ def _rank_blocked(A, p, perm, panels):
         _to_front(A, c, c + cols, perm)
         piv = A[r:r + k, c + k:]
         _reduce(piv, p)
-        W = inv.astype(A.dtype) @ piv
+        W = inv @ piv
         _reduce(W, p)
         # what is stored left of the panel is left over from earlier steps
         A[r:r + k, :c] = 0
@@ -793,8 +875,10 @@ def _rank_incremental(rows, ncols, p, dtype, seed=None):
     perm): the rows [I | W] in the column order ``perm`` are the reduced
     basis of the row space, and W, rank x (ncols - rank), is all of it
     that is stored (W and perm are None when the head alone has full
-    rank).  Rows are dense over every column only while they are reduced,
-    in one buffer of max(``_PANEL``, ``_BATCH_BLOCKED``) rows at most.
+    rank).  Rows are dense only while they are reduced: a head panel of
+    ``_PANEL`` rows over every column, or a batch of ``_BATCH_BLOCKED``
+    rows on the ncols - rank free columns, next to one chunk of its part
+    on the pivot columns, ``_BATCH_BLOCKED`` wide.
 
     The head start: the first row with each distinct trailing column
     (``_trailing_columns``) joins the head, t rows.  The rows of ``seed``,
@@ -811,9 +895,13 @@ def _rank_incremental(rows, ncols, p, dtype, seed=None):
     head columns becomes its rows of W.  The batches of ``rows`` then
     start at rank t, each skipping the head rows in its range; the seed
     rows outside the head are dropped, as they add nothing to the row
-    space.  After a batch adds k pivots, one copy rebuilds W: the old rows
-    on the columns still free, in the batch's column order, lose their
-    part on the k new pivot columns, and the k new rows follow."""
+    space.  A batch is written dense on the free columns, and its part on
+    the pivot columns streams through ``_eliminate`` in chunks of
+    ``_BATCH_BLOCKED`` columns, all cut from one pass over its entries
+    (``SparseRows.dense``); ``_rank_blocked`` then runs on the free part.
+    After a batch adds k pivots, one copy rebuilds W: the old rows on the
+    columns still free, in the batch's column order, lose their part on
+    the k new pivot columns, and the k new rows follow."""
     m = len(rows)
     if seed is None:
         seed = rows.take([])
@@ -829,7 +917,7 @@ def _rank_incremental(rows, ncols, p, dtype, seed=None):
     # the column order of W: the head's columns, then the others
     perm = np.concatenate([cols, np.setdiff1d(np.arange(ncols), cols,
                                               assume_unique=True)])
-    where = np.empty(ncols, dtype=np.int64)       # its inverse
+    where = np.empty(ncols, dtype=_int_dtype(ncols - 1))     # its inverse
     where[perm] = np.arange(ncols)
     own = head >= s
     mine = head[own] - s
@@ -838,9 +926,8 @@ def _rank_incremental(rows, ncols, p, dtype, seed=None):
     # the block's head rows follow the seed, in the order of their columns
     head[own] = s + np.arange(mine.size)
     H = SparseRows.concat([seed, rows.take(mine)]).take(head)
-    # the rows being reduced, one head panel or one batch at a time
-    buf = np.empty((max(min(t, _PANEL), min(m, _BATCH_BLOCKED)), ncols),
-                   dtype=dtype)
+    # the head panel being reduced, dense over every column
+    buf = np.empty((min(t, _PANEL), ncols), dtype=dtype)
     W = np.empty((t, ncols - t), dtype=dtype)
     for b in range(0, t, _PANEL):
         e = min(t, b + _PANEL)
@@ -852,18 +939,25 @@ def _rank_incremental(rows, ncols, p, dtype, seed=None):
         # inner dimension <= _PANEL over reduced residues: inside _window
         W[b:e] = _tri_inverse(X[:, b:e], p) @ X[:, t:]
         _reduce(W[b:e], p)
+    del buf, H
     rank = t                      # [I | W] on the columns perm, reduced
+    # the batch being reduced, dense on the ncols - rank free columns, and
+    # one chunk of its part on the rank pivot columns
+    most = min(m, _BATCH_BLOCKED)
+    buf = np.empty(most * (ncols - t), dtype=dtype)
+    chunk = np.empty((most, min(ncols, _BATCH_BLOCKED)), dtype=dtype)
     for start in range(0, m, _BATCH_BLOCKED):
         if rank == ncols:
             break
         stop = min(m, start + _BATCH_BLOCKED)
         keep = ~is_head[start:stop]
-        X = buf[:np.count_nonzero(keep)]
-        rows.dense(start, stop, p, X, where, keep)
-        _eliminate(X[:, rank:], X[:, :rank], W, p)
+        nb = np.count_nonzero(keep)
+        X = buf[:nb * (ncols - rank)].reshape(nb, ncols - rank)
+        for lo, C in rows.dense(start, stop, p, X, where, keep, chunk[:nb]):
+            _eliminate(X, C, W[lo:lo + C.shape[1]], p)
         local = np.arange(ncols - rank)
         new = []
-        k = _rank_blocked(X[:, rank:], p, local, new)
+        k = _rank_blocked(X, p, local, new)
         if not k:                 # the batch is zero mod p on W's columns
             continue
         # the batch's pivot columns, in panel order, then the free ones
@@ -878,7 +972,7 @@ def _rank_incremental(rows, ncols, p, dtype, seed=None):
         moved = local[order]
         grown = np.empty((rank + k, ncols - rank - k), dtype=dtype)
         np.take(W, moved[k:], axis=1, out=grown[:rank], mode="clip")
-        grown[rank:] = X[:k, rank:][:, order[k:]]
+        grown[rank:] = X[:k, order[k:]]
         _eliminate(grown[:rank], W[:, moved[:k]], grown[rank:], p)
         W = grown
         perm[rank:] = perm[rank:][moved]
@@ -903,18 +997,18 @@ def _right_reduced(W, perm, p):
     where Q[j] < c, so c is u_c's trailing column.
 
     Q is found on the first w columns, w doubling from 2(n - r) until
-    they hold all of it: [K^T_w | I] reduces to [E | inv(K^T_Q)], and
-    ``_eliminate`` forms the product with the other columns in the float
-    type of W."""
+    they hold all of it: [K^T_w | I], in the float type of W, reduces to
+    [E | inv(K^T_Q)], and ``_eliminate`` forms the product with the other
+    columns.  The basis stores residues and columns in ``_int_dtype``."""
     r, f = W.shape
     n = r + f
-    K = np.zeros((f, n), dtype=np.int64)
-    K[:, perm[:r]] = -W.T.astype(np.int64) % p
+    K = np.zeros((f, n), dtype=W.dtype)
+    K[:, perm[:r]] = -W.T
     K[np.arange(f), perm[r:]] = 1
     w = 0
     while True:
         w = min(n, max(2 * w, 2 * f))
-        G = np.concatenate([K[:, :w], np.eye(f, dtype=np.int64)], axis=1)
+        G = np.concatenate([K[:, :w], np.eye(f, dtype=W.dtype)], axis=1)
         q = np.array(_echelon_mod_p(G, p, reduced=True, width=w),
                      dtype=np.int64)
         if q.size == f:
@@ -922,15 +1016,13 @@ def _right_reduced(W, perm, p):
     free = np.setdiff1d(np.arange(n), q, assume_unique=True)
     # U[j, i]: the entry of u_{free[i]} at q[j], -Z[j, free[i]]
     U = np.zeros((f, r), dtype=W.dtype)
-    _eliminate(U, G[:, w:].astype(W.dtype), K[:, free].astype(W.dtype), p)
+    _eliminate(U, G[:, w:], K[:, free], p)
     U = U.T.astype(np.int64) % p
-    # int32 holds every column and residue of the float window, at half
-    # the memory of the bases kept up the ladder
     return SparseRows(np.arange(0, r * (f + 1) + 1, f + 1),
                       np.column_stack([np.broadcast_to(q, (r, f)), free])
-                      .astype(np.int32).ravel(),
+                      .astype(_int_dtype(n - 1)).ravel(),
                       np.column_stack([U, np.ones(r, dtype=np.int64)])
-                      .astype(np.int32).ravel())
+                      .astype(_int_dtype(p - 1)).ravel())
 
 
 def fp_rank_sparse_dense(rows, ncols, p, seed=None, basis=False):
@@ -944,21 +1036,23 @@ def fp_rank_sparse_dense(rows, ncols, p, seed=None, basis=False):
     (rows known to lie in the row space of ``rows`` mod p) and the block:
     one row for each distinct trailing column, reduced by forward
     substitution one panel of ``_PANEL`` rows at a time.  Each batch of
-    ``_BATCH_BLOCKED`` rows is written without its head rows into one
-    buffer, loses its part on the pivot columns (``_eliminate``), and
-    ``_rank_blocked`` eliminates it on the columns still free; one copy
-    of W puts the batch's pivot columns after the old ones, clears the old
-    rows on them and appends the new rows.  So no more than
-    max(``_PANEL``, ``_BATCH_BLOCKED``) rows are ever dense over every
-    column, next to W's rank x (ncols - rank) <= ncols^2 / 4 entries.
+    ``_BATCH_BLOCKED`` rows is written without its head rows, dense on
+    the ncols - rank free columns only, loses its part on the pivot
+    columns one chunk of ``_BATCH_BLOCKED`` columns at a time
+    (``_eliminate``), and ``_rank_blocked`` eliminates it on the free
+    columns; one copy of W puts the batch's pivot columns after the old
+    ones, clears the old rows on them and appends the new rows.  So the
+    dense footprint is W's rank x (ncols - rank) <= ncols^2 / 4 entries,
+    one batch on its free columns and one ``_BATCH_BLOCKED`` square
+    chunk, or one head panel of ``_PANEL`` rows over every column.
     Other blocks take the rank that ``fp_pivot_rows`` finds, and ignore
     ``seed``.
 
     With ``basis``, returns (rank, B): B is the right-reduced basis of the
     row space (``_right_reduced``) when the blocked path ran and the rank
     is below ncols by at most ``_PANEL``, else None.  Its echelon takes
-    about (ncols - rank)^2 ncols int64 steps: 26 s for a kernel of 1251
-    at 4900 columns, far past the rank itself.  ``_PANEL`` is reused on
+    about (ncols - rank)^2 ncols steps: 26 s for a kernel of 1251 at 4900
+    columns in int64, far past the rank itself.  ``_PANEL`` is reused on
     purpose as that cutoff, though it is tuned as the GEMM inner
     dimension: kernels of 45 to 56 columns were measured to pay off as
     seeds, kernels of 325 and more to cost more than they save, so a new

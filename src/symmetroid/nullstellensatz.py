@@ -42,7 +42,7 @@ from math import comb, gcd, prod
 
 import numpy as np
 
-from .linalg import (SparseRows, det_exact_crt, fp_pivot_rows,
+from .linalg import (SparseRows, _int_dtype, det_exact_crt, fp_pivot_rows,
                      fp_rank_sparse_dense, is_prime, smith_divisors)
 from .polys import monomial_ranks, monomials_of_degree
 
@@ -52,9 +52,10 @@ class HomIdealPresentation:
     """A homogeneous ideal in ``nvars`` variables over Z (``mod`` None) or
     F_mod, bigraded in the first ``nx`` and last ``ny`` variables when
     ``bidegrees`` labels the generators.  Each generator is a pair of term
-    arrays: the exponents, an (N, nvars) int64 array, and the coefficients,
-    int64, or Python ints in an object array when one does not fit in
-    int64.  The checks record each generator's multidegree."""
+    arrays: the exponents, an (N, nvars) integer array (int64 from
+    ``from_polys``), and the coefficients, integers, or Python ints in an
+    object array when one does not fit in int64.  The checks record each
+    generator's multidegree."""
     nvars: int
     generators: list                    # (exponents, coefficients) pairs
     mod: int | None = None
@@ -232,23 +233,24 @@ def _macaulay_rows(terms, degrees, sizes, top):
     ``top`` in the same order.
 
     Each generator's rows are written straight into arrays allocated
-    once; ``indices`` are int32 (int64 past 2^31 columns), and ``data``
-    takes the widest type of the contributing generators' coefficients
-    (int64 when there are none), an object array when one of them is."""
+    once; ``indices`` take the narrowest type that holds every column
+    (``_int_dtype``: int16 up to 2^15 columns), and ``data`` the widest
+    type of the contributing generators' coefficients (int64 when there
+    are none), an object array when one of them is.  The exponents keep
+    the generators' type."""
     used = [(e, c, deg) for (e, c), deg in zip(terms, degrees)
             if all(0 <= a <= d for a, d in zip(deg, top))]
     cut = np.cumsum((0,) + tuple(sizes))
-    e = np.concatenate([np.zeros((0, cut[-1]), dtype=np.int64)]
-                       + [e for e, _, _ in used])
+    e = np.concatenate([e for e, _, _ in used]
+                       or [np.zeros((0, cut[-1]), dtype=np.int64)])
     # the rank of every term in each block, all generators at once
     ranks = [monomial_ranks(e[:, lo:hi]) for lo, hi in zip(cut, cut[1:])]
     length = np.array([len(c) for _, c, _ in used], dtype=np.int64)
     nrows = np.array([_row_count([deg], sizes, top) for _, _, deg in used],
                      dtype=np.int64)
     indptr = np.concatenate([[0], np.cumsum(np.repeat(length, nrows))])
-    # int32 holds every column of a block of ncols < 2**31 columns
-    indices = np.empty(indptr[-1], dtype=np.int32 if _monomial_count(
-        top, sizes) < 1 << 31 else np.int64)
+    indices = np.empty(indptr[-1],
+                       dtype=_int_dtype(_monomial_count(top, sizes) - 1))
     data = np.empty(indptr[-1], dtype=np.result_type(
         *[c.dtype for _, c, _ in used] or [np.int64]))
     lo = at = 0
@@ -291,6 +293,7 @@ def _derived_rows(failed, sizes, top):
         return None
     _, first = np.unique(np.concatenate([t.ravel() for _, _, t in parts]),
                          return_index=True)
+    index = _int_dtype(_monomial_count(top, sizes) - 1)
     out = []
     for basis, image, tails in parts:
         mine = first[first < tails.size]
@@ -298,7 +301,7 @@ def _derived_rows(failed, sizes, top):
         row, k = np.divmod(mine, tails.shape[1])
         rows = basis.take(row)
         rows.indices = image[rows.indices, np.repeat(
-            k, np.diff(rows.indptr))].astype(basis.indices.dtype)
+            k, np.diff(rows.indptr))].astype(index)
         out.append(rows)
     return SparseRows.concat(out)
 
@@ -319,8 +322,10 @@ def _full_span_mod(ideal, p, sizes, ladder, exhausted):
     are the generators' multidegrees in them.  The coefficients are
     reduced mod p once, the terms that vanish dropped and then the
     generators left with none; ``ladder`` gets the multidegrees of the
-    rest.  An ideal over F_q, q != p, raises ValueError: its residues say
-    nothing mod p.
+    rest.  The residues are kept in the narrowest type that holds them
+    (``_int_dtype``: int8 for p < 128), which the Macaulay rows inherit.
+    An ideal over F_q, q != p, raises ValueError: its residues say nothing
+    mod p.
 
     A rung with fewer rows than columns (``_row_count``) is skipped before
     its rows are built.  Each rung that falls short keeps the
@@ -328,7 +333,8 @@ def _full_span_mod(ideal, p, sizes, ladder, exhausted):
     one, and the rows that ``_derived_rows`` makes of the kept bases below
     a rung lead its triangular head.  They only speed the rank up: the
     certificate, and its count of Macaulay rows, are those of the block
-    alone."""
+    alone.  A rung's rows and seed are dropped before the next rung is
+    built."""
     if ideal.mod not in (None, p):
         raise ValueError("the ideal is presented over F_%d, not F_%d"
                          % (ideal.mod, p))
@@ -338,8 +344,7 @@ def _full_span_mod(ideal, p, sizes, ladder, exhausted):
         if not c.all():
             e, c = e[c != 0], c[c != 0]
         if len(c):
-            # residues mod p < 2^31 fit int32: half the memory of the rows
-            kept.append(((e, c.astype(np.int32) if p < 1 << 31 else c), deg))
+            kept.append(((e, c.astype(_int_dtype(p - 1))), deg))
     if not kept:
         return Inconclusive("all generators vanish mod %d" % p,
                             exhausted.degree_cap)
@@ -352,13 +357,15 @@ def _full_span_mod(ideal, p, sizes, ladder, exhausted):
         rows = _macaulay_rows(terms, degrees, sizes, top)
         seed = _derived_rows(failed, sizes, top)
         rank, basis = fp_rank_sparse_dense(rows, ncols, p, seed, True)
+        nrows = len(rows)
+        del rows, seed
         if basis is not None:
             failed.append((top, basis))
         if rank < ncols:
             continue
         return EmptinessCertificate(
             degree=top if len(top) > 1 else top[0], scope="F_pbar", prime=p,
-            details={"columns": ncols, "rows": len(rows)})
+            details={"columns": ncols, "rows": nrows})
     return exhausted
 
 

@@ -346,8 +346,8 @@ def singular_locus_ideal(P, p):
 
     def pairs(a, b):
         """The exponents of the products of the monomials of degree a in x
-        and b in y, x-major."""
-        x, y = (np.array(mons[d], dtype=np.int64) for d in (a, b))
+        and b in y, x-major, in int8: no exponent passes 5."""
+        x, y = (np.array(mons[d], dtype=np.int8) for d in (a, b))
         return np.hstack([np.repeat(x, len(y), axis=0),
                           np.tile(y, (len(x), 1))])
 

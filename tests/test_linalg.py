@@ -272,16 +272,24 @@ def test_reduced_basis_update_stays_exact_as_the_window_fills(monkeypatch):
 
 
 def _watch_dense(monkeypatch):
-    """Record (rows, start, stop, rows of the array written into) for
-    every run of rows that ``SparseRows.dense`` writes: ``rows`` is the
-    block written from, the array the buffer that holds the output."""
+    """Record (rows, start, stop, cells, shape, widths) for every run of
+    rows that ``SparseRows.dense`` writes: ``rows`` is the block written
+    from, ``cells`` the size of the buffer behind ``out``, ``shape`` the
+    shape of ``out``, and ``widths`` the widths of the chunks of the
+    positions left of ``out``, recorded as they are read."""
     seen = []
     dense = SparseRows.dense
 
-    def run(self, start, stop, p, out, where, keep=None):
+    def run(self, start, stop, p, out, *rest):
         held = out if out.base is None else out.base
-        seen.append((self, start, stop, held.shape[0]))
-        return dense(self, start, stop, p, out, where, keep)
+        widths = []
+        seen.append((self, start, stop, held.size, out.shape, widths))
+
+        def read(chunks):
+            for lo, C in chunks:
+                widths.append(C.shape[1])
+                yield lo, C
+        return read(dense(self, start, stop, p, out, *rest))
 
     monkeypatch.setattr(SparseRows, "dense", run)
     return seen
@@ -290,8 +298,13 @@ def _watch_dense(monkeypatch):
 def _head_writes(seen, block):
     """The (start, stop) of the writes in ``seen`` from rows other than
     ``block``: the head panels of ``_rank_incremental``."""
-    return [(start, stop) for rows, start, stop, _ in seen
+    return [(start, stop) for rows, start, stop, *_ in seen
             if rows is not block]
+
+
+def _cells(seen):
+    """The largest buffer behind a write in ``seen``, in cells."""
+    return max(cells for _, _, _, cells, *_ in seen)
 
 
 def _panels(t):
@@ -319,7 +332,7 @@ def test_blocked_path_matches_plain_loop_across_batches(monkeypatch):
             seen.clear()
             assert fp_rank_sparse_dense(_sparse(A), n, p) == want, \
                 (p, m, n)
-            assert max(held for *_, held in seen) <= n + 96
+            assert _cells(seen) <= (n + 96) * n
             if rank == n:
                 assert want == n and seen[-1][2] < m
             else:
@@ -374,7 +387,7 @@ def test_fp_rank_sparse_dense_paths(monkeypatch):
             want = _plain_rank(A, p)
             seen.clear()
             assert fp_rank_sparse_dense(_sparse(A), n, p) == want, (p, m, n)
-            assert max(held for *_, held in seen) <= n + 100
+            assert _cells(seen) <= (n + 100) * n
             if rank == n:
                 assert want == n and seen[-1][2] < m
     # the float windows: float32 up to P_F32, then float64, then the
@@ -413,6 +426,78 @@ def test_reduce_is_exact_at_the_window_edge():
 # chunks every inner dimension past _PANEL, as P_F32's does in float32
 P_F64 = next(p for p in range(isqrt((1 << 53) // linalg._PANEL) + 2, 0, -1)
              if linalg._float_dtype(p) is np.float64 and is_prime(p))
+
+
+def _growth_block(rng, p, k, below):
+    """k pivot rows e_i - h on 20 columns past the first k, h = (p-1)//2,
+    then ``below`` rows h on the first k columns and seeded odd residues
+    past them.  Step i of the elimination keeps its multipliers h and its
+    pivot row -h, so it adds h^2 to every entry of the rows below past
+    column k: k h^2 plus an odd residue passes 2^24 in float32 at P_F32
+    and 2^53 in float64 at P_F64 for k = 300."""
+    h = (p - 1) // 2
+    A = np.zeros((k + below, k + 20), dtype=np.int64)
+    A[np.arange(k), np.arange(k)] = 1
+    A[:k, k:] = -h
+    A[k:, :k] = h
+    A[k:, k:] = 2 * rng.integers(0, max(h, 1), size=(below, 20)) + 1
+    return A
+
+
+@pytest.mark.parametrize("p", (2, 7, P_F32, P_F64))
+def test_float_echelon_matches_the_integer_loop(p):
+    # the same loop on float blocks of reduced residues and on int64: the
+    # same pivot columns and the same rows mod p, with and without
+    # reduced and width.  The blocks have more than _PANEL pivots, so at
+    # P_F32 and P_F64 the tracked bound reduces the whole block; the
+    # growth block would pass the float mantissa without that
+    dtype = linalg._float_dtype(p)
+    rng = np.random.default_rng(31)
+    blocks = [_growth_block(rng, p, 300, 5)]
+    for m, n, rank in ((150, 220, 130), (90, 200, 90)):
+        A = rng.integers(0, p, size=(m, rank)) @ rng.integers(
+            0, p, size=(rank, n)) % p
+        A[:, rng.choice(n, 10, replace=False)] = 0
+        blocks.append(A)
+    assert min(_plain_rank(A, p) for A in blocks) > linalg._PANEL
+    for A in blocks:
+        for reduced, width in product((False, True), (None, 120)):
+            want = (A % p).astype(np.int64)
+            got = np.where(2 * want > p, want - p, want).astype(dtype)
+            cols = linalg._echelon_mod_p(want, p, reduced, width)
+            assert linalg._echelon_mod_p(got, p, reduced, width) == cols
+            assert (np.abs(got) < p).all()
+            assert (got.astype(np.int64) % p == want).all(), (reduced, width)
+
+
+def test_narrow_int_types_switch_where_their_range_ends():
+    # residues mod p in _int_dtype(p - 1), column indices of n columns in
+    # _int_dtype(n - 1), each at the last value its type holds and past it
+    for p, dtype in ((127, np.int8), (131, np.int16), (32749, np.int16),
+                     (32771, np.int32), ((1 << 31) - 1, np.int32),
+                     ((1 << 31) + 11, np.int64)):
+        assert is_prime(p) and linalg._int_dtype(p - 1) == dtype
+    for ncols, dtype in (((1 << 15) - 1, np.int16), (1 << 15, np.int16),
+                         ((1 << 15) + 1, np.int32)):
+        assert linalg._int_dtype(ncols - 1) == dtype
+    assert linalg._int_dtype(1 << 63) == object
+
+
+def test_concat_keeps_every_value_of_narrow_rows():
+    # int8 block rows next to the right-reduced basis of a block mod 131,
+    # whose int16 residues reach past 127, in either order
+    p = 131
+    rng = np.random.default_rng(32)
+    A = _test_matrix(rng, 300, 280, 240, p)
+    rank, B = fp_rank_sparse_dense(_sparse(A), 280, p, basis=True)
+    assert B is not None and len(B) == rank
+    assert B.data.dtype == np.int16 and B.data.max() > 127
+    assert B.indices.dtype == np.int16
+    S = _sparse(rng.integers(0, 128, size=(40, 280)))
+    S.indices, S.data = S.indices.astype(np.int16), S.data.astype(np.int8)
+    for parts in ((S, B), (B, S)):
+        got = SparseRows.concat(parts)
+        assert got.tolist(280) == parts[0].tolist(280) + parts[1].tolist(280)
 
 
 def _head_block(rng, m, n, tails, p):
@@ -476,7 +561,7 @@ def test_head_start_matches_plain_loop(monkeypatch):
                 seen.clear()
                 S = _sparse(M)
                 assert fp_rank_sparse_dense(S, n, p) == want, (p, m)
-                assert max(held for *_, held in seen) <= min(m, n) + 96
+                assert _cells(seen) <= (min(m, n) + 96) * n
                 assert _head_writes(seen, S) == _panels(t)
                 assert seen[-1][2] == m
         # a head of every column is full rank by itself: no batch runs
@@ -597,8 +682,10 @@ def test_only_the_rows_being_reduced_are_dense(monkeypatch):
     # a seeded head of several panels, then batches of 96 rows: every
     # dense write of the blocked path is one head panel, at most _PANEL
     # rows, the panels covering the t head rows once and in order, or one
-    # batch of at most _BATCH_BLOCKED rows, and the buffer written into
-    # holds no more rows than the larger of the two
+    # batch of at most _BATCH_BLOCKED rows.  A batch is dense on the
+    # ncols - rank free columns only, in a buffer of at most
+    # _BATCH_BLOCKED x (ncols - t) cells, and its part on the rank pivot
+    # columns comes in chunks _BATCH_BLOCKED wide, the last one narrower
     seen = _watch_dense(monkeypatch)
     monkeypatch.setattr(linalg, "_BATCH_BLOCKED", 96)
     rng = np.random.default_rng(24)
@@ -619,12 +706,19 @@ def test_only_the_rows_being_reduced_are_dense(monkeypatch):
         assert all(stop - start <= linalg._PANEL for start, stop in head)
         assert sum(stop - start for start, stop in head) == t
         assert head == _panels(t)
-        batches = [(start, stop) for rows, start, stop, _ in seen
-                   if rows is S]
+        batches = [w for w in seen if w[0] is S]
         assert len(head) + len(batches) == len(seen)
-        assert all(stop - start <= 96 for start, stop in batches)
-        assert batches[-1][1] == m
-        assert max(held for *_, held in seen) <= 96
+        assert batches[-1][2] == m
+        free = n - t
+        for _, start, stop, cells, (nrows, cols), widths in batches:
+            assert nrows <= stop - start <= 96
+            assert cols <= free and cells <= 96 * (n - t)
+            assert widths == [min(96, n - cols - lo)
+                              for lo in range(0, n - cols, 96)]
+            free = cols
+        assert free < n - t
+        assert all(cells <= linalg._PANEL * n and shape[1] == n
+                   for rows, *_, cells, shape, _ in seen if rows is not S)
 
 
 def test_triangular_inverse_at_the_window_edge():

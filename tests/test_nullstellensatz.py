@@ -8,7 +8,8 @@ import pytest
 
 from oracles import polys_of, variable
 from symmetroid.gf import GF, projective_points
-from symmetroid.linalg import _echelon_mod_p, fp_pivot_rows, fp_rank
+from symmetroid.linalg import (_echelon_mod_p, _int_dtype, fp_pivot_rows,
+                               fp_rank)
 from symmetroid.nullstellensatz import (HomIdealPresentation, Inconclusive,
                                         empty_all_primes,
                                         empty_bihomogeneous,
@@ -96,10 +97,10 @@ def test_coefficients_past_int64_stay_exact():
     assert cert.divisor_summary["two_valuations"] == [0, 0, 0, 0, 63]
 
 
-def _same_rows(got, want):
-    # the column indices are int32, which holds every column of a block
-    # of fewer than 2^31 columns
-    assert got.indices.dtype == np.int32
+def _same_rows(got, want, ncols):
+    # the column indices take the narrowest type that holds every column
+    # of the block, and their values are the oracle's int64 ones
+    assert got.indices.dtype == _int_dtype(ncols - 1)
     for name in ("indptr", "indices", "data"):
         a, b = getattr(got, name), getattr(want, name)
         assert np.array_equal(a, b), name
@@ -139,7 +140,8 @@ def test_degree_blocks_match_exponent_sums():
         for d in range(1, 5):
             args = (ideal.generators, ideal.degrees, (nvars,), (d,))
             rows = _macaulay_rows(*args)
-            _same_rows(rows, macaulay_rows_by_exponent_sums(*args))
+            _same_rows(rows, macaulay_rows_by_exponent_sums(*args),
+                       len(monomials_of_degree(nvars, d)))
             assert rows.data.dtype == (object if d >= 2 else np.int64)
             assert (big in rows.data.tolist()) == (d >= 2)
 
@@ -149,13 +151,14 @@ def test_bidegree_blocks_match_exponent_sums(q3_pencil):
     # an x-table and a y-table
     from oracles import macaulay_rows_by_exponent_sums
 
-    from symmetroid.nullstellensatz import _macaulay_rows
+    from symmetroid.nullstellensatz import _macaulay_rows, _monomial_count
     ideal = singular_locus_ideal(q3_pencil, 7)
     for a in range(1, 5):
         for b in range(1, 5):
             args = (ideal.generators, ideal.bidegrees, (5, 5), (a, b))
             _same_rows(_macaulay_rows(*args),
-                       macaulay_rows_by_exponent_sums(*args))
+                       macaulay_rows_by_exponent_sums(*args),
+                       _monomial_count((a, b), (5, 5)))
 
 
 def test_v3_certificate_on_fixture(thm_pencil):
