@@ -17,7 +17,8 @@ its zeros only (see "finite-field scans" below).  A frame costs O(p^2)
 small integer operations, and primes up to _MAX_PRIME = 1000 are
 scanned.  The Monte Carlo harness runs that scan prime by prime on every
 frame still alive, in batches.  Only p = 2 and the census (p = 2, 3)
-evaluate quadrics at every point of P^4(F_p), with a float32 GEMM.
+evaluate quadrics at every point of P^4(F_p), with float32 GEMMs whose
+slices are reduced in place, one bounded slice at a time.
 The rare M(x) of rank <= 3 take their kernels from ``linalg.nullspace``
 over GF(p).
 """
@@ -34,8 +35,8 @@ from math import factorial
 import numpy as np
 
 from .gf import GF
-from .linalg import (_echelon_mod_p, fp_rank, is_prime, laplace_minors,
-                     nullspace)
+from .linalg import (_echelon_mod_p, _limit, _reduce, fp_rank, is_prime,
+                     laplace_minors, nullspace)
 from .quadform import COEFF_ORDER, QuadricForm, has_smooth_point_fq
 from .roots import poly_eval_scaled, poly_interpolate
 
@@ -482,48 +483,62 @@ def _full_rank(A, p):
 
 
 _EVAL_CACHE = {}
+_EVAL_CELLS = 1 << 18    # float32 cells of one GEMM slice of the smooth-point
+                         # scan (1 MB), reduced in place before the next
 
 
 def _cached_eval(p):
-    """Evaluation table over F_p for quadrics given by 15 coefficients:
-    a (15, 6 * #P^4(F_p)) float32 matrix W such that C @ W gives, per
-    point, the quadric value followed by the five partials."""
+    """Evaluation tables over F_p for quadrics given by 15 coefficients,
+    one for the first 16 points of P^4(F_p) and one for the rest.  The
+    table of a block of n points is a (6n, 15) float32 matrix W such that
+    W @ c gives the quadric c's n values, then the n values of each of its
+    five partials."""
     if p not in _EVAL_CACHE:
         pts = _projective_points(p)
-        W = np.zeros((15, len(pts), 6), dtype=np.float32)
+        W = np.zeros((6, len(pts), 15), dtype=np.float32)
         for m, (i, j) in enumerate(COEFF_ORDER):
-            W[m, :, 0] = pts[:, i] * pts[:, j] % p
+            W[0, :, m] = pts[:, i] * pts[:, j] % p
             if i != j:
-                W[m, :, i + 1] = pts[:, j]
-                W[m, :, j + 1] = pts[:, i]
+                W[i + 1, :, m] = pts[:, j]
+                W[j + 1, :, m] = pts[:, i]
             elif p != 2:
-                W[m, :, i + 1] = 2 * pts[:, i] % p
+                W[i + 1, :, m] = 2 * pts[:, i] % p
             # char 2: the square terms drop out of every partial
-        _EVAL_CACHE[p] = W.reshape(15, -1)
+        _EVAL_CACHE[p] = [W[:, :16].reshape(-1, 15),
+                          W[:, 16:].reshape(-1, 15)]
     return _EVAL_CACHE[p]
 
 
 def _no_smooth_point_mask(C, p):
     """Boolean mask over quadric coefficient rows C (residues): True when
     the quadric has no smooth F_p-point.  Direct evaluation over all
-    points of P^4 with a float32 GEMM, exact while every sum of 15
-    products below p^2 is an integer float32 holds; the sums are reduced
-    through an int32 cast, about 2^22 of them at a time.  Most quadrics
-    show a smooth point among the first 16 points, so the other points
-    are tried only on the rows left."""
-    if 15 * (p - 1) ** 2 >= 1 << 24:
+    points of P^4 with float32 GEMMs, ``_EVAL_CELLS`` cells at a time,
+    each slice reduced in place with ``_reduce``.  Exact while a sum of
+    15 products of residues, below 15 (p - 1)^2, stays within ``_limit``
+    for float32; a point is smooth where the value is 0 and the sum of
+    the squared partial residues, below 5 (p - 1)^2, is not.  Most
+    quadrics show a smooth point among the first 16 points, so the other
+    points are tried only on the rows left."""
+    if 15 * (p - 1) ** 2 > _limit(np.float32, p):
         raise ValueError("p = %d is past the float32 evaluation window" % p)
-    W = _cached_eval(p)
     bad = np.ones(len(C), dtype=bool)
-    for Wc in (W[:, :6 * 16], W[:, 6 * 16:]):
+    for W in _cached_eval(p):
         rows = np.flatnonzero(bad)
-        step = max(1, (1 << 22) // Wc.shape[1])
+        step = max(1, _EVAL_CELLS // len(W))
+        buf = np.empty(len(W) * min(step, len(rows)), dtype=np.float32)
         for s in range(0, len(rows), step):
             r = rows[s:s + step]
-            v = C[r].astype(np.float32) @ Wc
-            zero = (v.astype(np.int32) % p == 0).reshape(len(r), -1, 6)
-            smooth = zero[:, :, 0] & ~zero[:, :, 1:].all(axis=2)
-            bad[r[smooth.any(axis=1)]] = False
+            # while every row is left, a slice of C and not a gather
+            Cs = C[s:s + step] if len(rows) == len(C) else C[r]
+            v = buf[:len(W) * len(r)].reshape(len(W), len(r))
+            np.matmul(W, Cs.T.astype(np.float32, copy=False), out=v)
+            _reduce(v, p)
+            v = v.reshape(6, -1, len(r))    # (value or partial, point, row)
+            v[1:] *= v[1:]
+            for k in range(2, 6):
+                v[1] += v[k]                # the sum of the squared partials
+            smooth = (v[0] == 0) & (v[1] > 0)
+            bad[r[smooth.any(axis=0)]] = False
     return bad
 
 
@@ -588,21 +603,25 @@ def census_bp(p, progress=None, workers=None):
 
 def _census_block(args):
     """Count pointless quadrics whose first nonzero coefficient sits at
-    ``lead`` (canonical projective representatives, coefficient = 1)."""
+    ``lead`` (canonical projective representatives, coefficient = 1).
+
+    The rows are written straight into float32, their digits below p:
+    one buffer holds every value of the first ``low`` free coefficients,
+    about ``_EVAL_CELLS`` cells, and each pass sets the rest."""
     lead, p = args
     free = 14 - lead
-    total = p ** free
+    low = 0
+    while low < free and 15 * p ** (low + 1) <= _EVAL_CELLS:
+        low += 1
+    C = np.zeros((p ** low, 15), dtype=np.float32)
+    C[:, lead] = 1
+    r = np.arange(p ** low)
+    for k in range(low):
+        C[:, lead + 1 + k] = r // p ** k % p
     count = 0
-    chunk = 1 << 16
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        n = stop - start
-        C = np.zeros((n, 15), dtype=np.int64)
-        C[:, lead] = 1
-        r = np.arange(start, stop)
-        for k in range(free):
-            C[:, lead + 1 + k] = r % p
-            r = r // p
+    for high in range(p ** (free - low)):
+        C[:, lead + 1 + low:] = [high // p ** k % p
+                                 for k in range(free - low)]
         count += int(_no_smooth_point_mask(C, p).sum())
     return count
 

@@ -83,7 +83,7 @@ import operator
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from types import SimpleNamespace
 
 import numpy as np
@@ -1132,10 +1132,13 @@ def _dets_mod_primes(R, primes):
     One Gaussian elimination for the whole stack: at column c every prime
     takes its first row from c down that is nonzero there, swaps it into
     row c and clears the column below with one broadcast rank-1 update,
-    then the stack is reduced mod its primes.  A prime without a pivot
-    finds the zero pivot in row c, so its det becomes 0 and its column,
-    already clear, is left as it is.  Exact in int64: a residue is
-    < p < 2^31, so r - a*b stays above -2^62."""
+    then the stack is reduced mod its primes.  The update touches only
+    the rows that some prime has nonzero in column c, as the plain loop
+    would, since subset matrices of Macaulay blocks are sparse; it works
+    on the trailing block in place when every row is hit.  A prime
+    without a pivot finds the zero pivot in row c, so its det becomes 0
+    and its column, already clear, is left as it is.  Exact in int64: a
+    residue is < p < 2^31, so r - a*b stays above -2^62."""
     n = R.shape[1]
     mods = np.array(primes, dtype=np.int64)
     det = np.ones(len(primes), dtype=np.int64)
@@ -1152,10 +1155,15 @@ def _dets_mod_primes(R, primes):
         inv = np.array([pow(a, -1, q) if a else 0
                         for a, q in zip(piv.tolist(), primes)],
                        dtype=np.int64)
-        f = R[:, c + 1:, c] * inv[:, None] % mods[:, None]
-        below = R[:, c + 1:, c + 1:]
+        hit = np.flatnonzero(R[:, c + 1:, c].any(axis=0))
+        dense = len(hit) == n - c - 1
+        rows = slice(c + 1, n) if dense else c + 1 + hit
+        f = R[:, rows, c] * inv[:, None] % mods[:, None]
+        below = R[:, rows, c + 1:]      # a view when dense, else a copy
         below -= f[:, :, None] * R[:, c, None, c + 1:]
         below %= mods[:, None, None]
+        if not dense:
+            R[:, rows, c + 1:] = below
     return det.tolist()
 
 
@@ -1170,19 +1178,18 @@ def det_exact_crt(M):
     n = len(M)
     if n == 0:
         return 1
-    from math import isqrt
-    bound = 1
-    for row in M:
-        s = sum(x * x for x in row)
-        bound *= isqrt(s) + 1
-    bound *= 2  # symmetric range needs |det| * 2 < product of moduli
-    if bound < 4:
-        bound = 4
-    primes = _primes_for_crt(bound)
     try:
         A = np.array(M, dtype=np.int64)
     except OverflowError:     # past int64: reduce as Python ints
         A = np.array(M, dtype=object)
+    # Hadamard: |det| <= prod of the row norms; the row sums of squares
+    # in int64 while n * max|a|^2 < 2^63, else in Python ints
+    top = max(int(A.max()), -int(A.min()))
+    S = A if n * top * top < 1 << 63 else A.astype(object)
+    bound = 2  # symmetric range needs |det| * 2 < product of moduli
+    for s in (S * S).sum(axis=1).tolist():
+        bound *= isqrt(s) + 1
+    primes = _primes_for_crt(max(bound, 4))
     step = max(1, _CRT_STACK_CELLS // (n * n))
     residue = 0
     modulus = 1

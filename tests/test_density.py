@@ -88,6 +88,56 @@ def test_census_p2():
         census_bp(5)
 
 
+def test_census_stays_within_its_memory_budget():
+    # the scan holds one slice of float32 values (_EVAL_CELLS, 1 MB) and
+    # one buffer of coefficient rows, not an int64 chunk and its copies
+    import tracemalloc
+    census_bp(2, workers=1)              # point tables built outside
+    tracemalloc.start()
+    try:
+        assert census_bp(2, workers=1) == 186
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+
+
+# planted quadrics without a smooth point: cones whose points are all
+# singular, double planes and char-2 squares
+_POINTLESS = {2: ["x0^2 + x0*x1 + x1^2", "x0^2 + x1^2 + x2^2", "x3^2"],
+              3: ["x0^2 + x1^2", "x0^2 + 2*x0*x2 + x2^2", "x4^2",
+                  "x1^2 + x3^2"]}
+# and with one: cones, and at p = 3 a quadric whose smooth points all come
+# after the first 16 points (the last one)
+_POINTED = {2: ["x0*x1 + x2^2", "x2*x3", "x1^2 + x1*x4 + x4^2 + x2^2",
+                "x0*x1 + x2*x3 + x4^2"],
+            3: ["x0^2 - x1^2", "x0*x1 + x2^2", "x2*x4 + x3^2",
+                "x0^2 + x0*x4 + x2*x4"]}
+
+
+def test_no_smooth_point_mask_matches_enumeration(monkeypatch):
+    from symmetroid import density
+    from symmetroid.gf import GF, projective_points
+    from symmetroid.quadform import _smooth_point_enumerate
+    # a few rows per slice: both point tables run in several slices
+    monkeypatch.setattr(density, "_EVAL_CELLS", 200)
+    for p in (2, 3):
+        gf = GF(p)
+        rng = np.random.default_rng(p)
+        C = rng.integers(0, p, size=(80, 15))
+        C[40:] *= rng.random((40, 15)) < 0.25       # sparse ones too
+        planted = _POINTLESS[p] + _POINTED[p]
+        C = np.vstack([C] + [np.mod(QuadricForm.from_string(s).coeffs, p)
+                             for s in planted])
+        first = [_smooth_point_enumerate(QuadricForm(c), gf) for c in C]
+        want = [x is None for x in first]
+        assert density._no_smooth_point_mask(C, p).tolist() == want, p
+        assert want[-len(planted):] == ([True] * len(_POINTLESS[p])
+                                        + [False] * len(_POINTED[p])), p
+        if p == 3:          # the late one: no smooth point among the first 16
+            assert projective_points(gf).index(first[-1]) >= 16
+
+
 def test_sp_member_cases(thm_pencil):
     for p in (2, 3, 5, 7, 11, 13):
         res = sp_member(thm_pencil, p)

@@ -923,6 +923,89 @@ def test_det_exact_crt_in_several_prime_groups(monkeypatch):
     assert set(groups) == {1}
 
 
+def test_hadamard_bound_takes_the_primes_of_the_row_norms(monkeypatch):
+    # the bound comes from numpy row sums, in int64 up to n max|a|^2 <
+    # 2^63 and in Python ints past it: the same primes as the exact norms
+    rng = random.Random(23)
+    edge = isqrt(((1 << 63) - 1) // 3)      # 3 max|a|^2 just below 2^63
+    cases = [[[edge, -edge, 1], [2, edge, 0], [-edge, 5, edge]],
+             [[edge + 1, 0, 0], [0, 1, 0], [0, 0, -(edge + 1)]],
+             [[(1 << 63) - 1, 2], [-(1 << 63), 3]],
+             [[(1 << 70) + 3, 5], [-(1 << 64), 1]]]
+    for n in (1, 2, 5, 17, 40):
+        cases.append([[rng.randint(-10 ** 12, 10 ** 12) for _ in range(n)]
+                      for _ in range(n)])
+        cases.append([[rng.randint(-9, 9) for _ in range(n)]
+                      for _ in range(n)])
+    taken = []
+    real = linalg._dets_mod_primes
+
+    def spy(R, primes):
+        taken.extend(primes)
+        return real(R, primes)
+    monkeypatch.setattr(linalg, "_dets_mod_primes", spy)
+    for M in cases:
+        taken.clear()
+        assert det_exact_crt(M) == det_bareiss(M)
+        assert taken == _crt_primes(M), M
+
+
+class _RowCounter(np.ndarray):
+    """An int64 stack that counts the rows of each subtraction on it: the
+    rows a rank-1 update of ``_dets_mod_primes`` rewrites."""
+    rows = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        def plain(xs):
+            return tuple(x.view(np.ndarray) if isinstance(x, _RowCounter)
+                         else x for x in xs)
+        if out is not None:
+            kwargs["out"] = plain(out)
+        result = getattr(ufunc, method)(*plain(inputs), **kwargs)
+        if ufunc is np.subtract and np.ndim(result) == 3:
+            _RowCounter.rows += result.shape[1]
+        return result if out is None else out[0]
+
+
+def _plain_loop_rows(M, q):
+    """Per column c, the rows below c that the plain elimination mod q
+    updates: those nonzero in column c once its pivot is in row c."""
+    A = [[x % q for x in row] for row in M]
+    n = len(A)
+    hit = []
+    for c in range(n):
+        pr = next((r for r in range(c, n) if A[r][c]), c)
+        A[c], A[pr] = A[pr], A[c]
+        hit.append({r for r in range(c + 1, n) if A[r][c]})
+        for r in hit[-1]:
+            f = A[r][c] * pow(A[c][c], -1, q) % q
+            A[r] = [(a - f * b) % q for a, b in zip(A[r], A[c])]
+    return hit
+
+
+def test_crt_elimination_updates_only_the_rows_it_must():
+    # a rank-1 update rewrites the rows that some prime of the stack has
+    # nonzero in the pivot column, as the plain loop would: on a sparse
+    # block a small part of the whole trailing block
+    rng = random.Random(41)
+    n = 40
+    primes = linalg._primes_for_crt(1 << 80)
+    sparse = [[rng.randint(-5, 5) if i == j or rng.random() < 0.05 else 0
+               for j in range(n)] for i in range(n)]
+    dense = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+    for M in (sparse, dense):
+        R = np.array([np.mod(M, q) for q in primes]).view(_RowCounter)
+        _RowCounter.rows = 0
+        dets = linalg._dets_mod_primes(R, primes)
+        assert dets == [det_bareiss(M) % q for q in primes]
+        hits = [_plain_loop_rows(M, q) for q in primes]
+        want = sum(len(set().union(*(h[c] for h in hits)))
+                   for c in range(n))
+        assert _RowCounter.rows == want
+    work = sum(len(h) for h in _plain_loop_rows(sparse, primes[0]))
+    assert work < n * (n - 1) // 8
+
+
 def test_smith_divisors_and_crt_determinants_match_sympy():
     # an independent implementation, where it is installed: no declared
     # dependency
