@@ -24,6 +24,7 @@ from math import isqrt
 from .linalg import det_bareiss, primitive_vector, random_unimodular
 from .localfields import (INV_HALF, INV_ZERO, REAL, hilbert_symbol,
                           normalize_place, square_class)
+from .pencil import regularity_certificate
 from .quadform import (COEFF_ORDER, QuadricForm, classify, has_smooth_point_qp,
                        has_smooth_point_real, ruling_disc)
 from .roots import (RatInterval, horner_sign, isolate_real_roots,
@@ -419,8 +420,6 @@ def certify_wa_failure(P, strategy, regularity=None, seed=0):
     at the critical set would be required, and failing that the
     certificate is refused).
     """
-    from .pencil import regularity_certificate
-
     if regularity is None:
         for p in _REGULARITY_PRIMES:
             cert = regularity_certificate(P, p)

@@ -9,23 +9,32 @@ honest "inconclusive", 1 for errors.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from fractions import Fraction
 from importlib import resources
 
-from . import reports
+from . import density
+from .brauer_eval import certify_wa_failure, evaluate_invariant, lift_to_y
+from .localfields import normalize_place
+from .nullstellensatz import Inconclusive, empty_all_primes
+from .pencil import (alpha_symbol, parse_pencil_file, parse_pencil_text,
+                     rank_le2_minor_ideal, regularity_certificate,
+                     x_point_from_singular_member)
+from .quadform import classify
 
 BUILTIN_PENCILS = ("thm_example", "prop_q3", "cor_easy")
+SCHEMA_VERSION = "symmetroid-report/1"
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_INCONCLUSIVE = 2
+# the report's status ("ok" | "inconclusive" | "error") and its exit code
+_EXIT = {"ok": EXIT_OK, "inconclusive": EXIT_INCONCLUSIVE, "error": EXIT_ERROR}
 
 
 def load_pencil(spec):
-    from .pencil import parse_pencil_file, parse_pencil_text
-
     if os.path.exists(spec):
         return parse_pencil_file(spec), spec
     name = spec[len("builtin:"):] if spec.startswith("builtin:") else spec
@@ -135,67 +144,58 @@ def main(argv=None):
         raise SystemExit(EXIT_ERROR if exc.code not in (0, None)
                          else exc.code)
     try:
-        return _dispatch(args)
+        inputs, result, status, line = _dispatch(args)
     except BrokenPipeError:
         raise
     except Exception as exc:  # engine errors -> exit 1 with context
-        report = reports.make_report(args.subcommand, {}, str(exc),
-                                     status="error")
-        reports.emit(report, getattr(args, "out", None),
-                     getattr(args, "pretty", False))
-        reports.summary("error: %s" % exc)
-        return EXIT_ERROR
+        inputs, result, status, line = {}, str(exc), "error", "error: %s" % exc
+    report = {"schema": SCHEMA_VERSION, "subcommand": args.subcommand,
+              "status": status, "inputs": inputs, "result": result}
+    text = json.dumps(report, indent=2 if args.pretty else None,
+                      sort_keys=True) + "\n"
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    sys.stderr.write(line.rstrip() + "\n")
+    return _EXIT[status]
 
 
 def _dispatch(args):
-    from .nullstellensatz import Inconclusive
-
+    """Run the subcommand of ``args``: its report's (inputs, result,
+    status) and the summary line."""
     name = args.subcommand
     if name == "density-bound":
-        from .density import product_lower_bound
-        rep = product_lower_bound(args.cutoff)
-        report = reports.make_report(name, {"cutoff": args.cutoff},
-                                     rep.as_json())
-        reports.emit(report, args.out, args.pretty)
-        reports.summary("density lower bound: %.6f (cutoff %d)"
-                        % (float(rep.final_bound), args.cutoff))
-        return EXIT_OK
+        rep = density.product_lower_bound(args.cutoff)
+        return ({"cutoff": args.cutoff}, rep.as_json(), "ok",
+                "density lower bound: %.6f (cutoff %d)"
+                % (float(rep.final_bound), args.cutoff))
 
     if name == "monte-carlo":
-        from .density import monte_carlo_density
-        rep = monte_carlo_density(args.height, args.cutoff, args.samples,
-                                  seed=args.seed)
-        report = reports.make_report(
-            name, {"height": args.height, "cutoff": args.cutoff,
-                   "samples": args.samples, "seed": args.seed},
-            rep.as_json())
-        reports.emit(report, args.out, args.pretty)
-        if rep.estimate is not None:
-            reports.summary("pass fraction %.4f vs product %.4f"
-                            % (float(rep.estimate),
-                               float(rep.reference_product)))
-        else:
-            reports.summary("empty report (0 samples)")
-        return EXIT_OK
+        rep = density.monte_carlo_density(args.height, args.cutoff,
+                                          args.samples, seed=args.seed)
+        return ({"height": args.height, "cutoff": args.cutoff,
+                 "samples": args.samples, "seed": args.seed},
+                rep.as_json(), "ok",
+                "empty report (0 samples)" if rep.estimate is None else
+                "pass fraction %.4f vs product %.4f"
+                % (float(rep.estimate), float(rep.reference_product)))
 
     if name == "census":
-        from .density import census_bp, pointless_quadric_count
-        count = census_bp(args.p, progress=sys.stderr, workers=args.workers)
-        formula = pointless_quadric_count(args.p)
-        report = reports.make_report(
-            name, {"p": args.p},
-            {"census": count, "formula": formula,
-             "agree": count == formula})
-        reports.emit(report, args.out, args.pretty)
-        reports.summary("census #B_%d = %d (formula %d)"
-                        % (args.p, count, formula))
-        return EXIT_OK if count == formula else EXIT_ERROR
+        count = density.census_bp(args.p, progress=sys.stderr,
+                                  workers=args.workers)
+        formula = density.pointless_quadric_count(args.p)
+        return ({"p": args.p},
+                {"census": count, "formula": formula,
+                 "agree": count == formula},
+                "ok" if count == formula else "error",
+                "census #B_%d = %d (formula %d)" % (args.p, count, formula))
 
     P, source = load_pencil(args.pencil)
     inputs = {"pencil": source, "lines": P.to_lines()}
 
     if name == "classify":
-        from .quadform import classify
         field = args.field
         if field not in ("Q", "R"):
             field = int(field)
@@ -211,24 +211,16 @@ def _dispatch(args):
                 {"quadric": Q.to_string(),
                  "classification": classify(Q, field).as_json()}
                 for Q in P.quadrics]}
-        report = reports.make_report(name, {**inputs, "field": str(field)},
-                                     result)
-        reports.emit(report, args.out, args.pretty)
-        reports.summary("classified over %s" % field)
-        return EXIT_OK
+        return ({**inputs, "field": str(field)}, result, "ok",
+                "classified over %s" % field)
 
     if name == "alpha-symbol":
-        from .pencil import alpha_symbol
         sym = alpha_symbol(P, seed=args.seed)
-        report = reports.make_report(name, inputs, sym.as_json())
-        reports.emit(report, args.out, args.pretty)
-        reports.summary("alpha symbol computed; basis change: %s"
-                        % ("none" if sym.basis_change is None else "yes"))
-        return EXIT_OK
+        return (inputs, sym.as_json(), "ok",
+                "alpha symbol computed; basis change: %s"
+                % ("none" if sym.basis_change is None else "yes"))
 
     if name == "evaluate":
-        from .brauer_eval import evaluate_invariant, lift_to_y
-        from .localfields import normalize_place
         t = _parse_point(args.t)
         v = normalize_place(args.place)
         points = lift_to_y(P, t, v)
@@ -241,18 +233,13 @@ def _dispatch(args):
             d = y.as_json()
             d["invariant"] = str(inv)
             result["points"].append(d)
-        report = reports.make_report(name, inputs, result)
-        reports.emit(report, args.out, args.pretty)
-        reports.summary("lifts: %d%s" % (
+        return (inputs, result, "ok", "lifts: %d%s" % (
             len(points),
             "; invariants " + ", ".join(p["invariant"]
                                         for p in result["points"])
             if points else " (discriminant not a square at the place)"))
-        return EXIT_OK
 
     if name == "certify-wa":
-        from .brauer_eval import certify_wa_failure
-        from .pencil import regularity_certificate
         if args.strategy == "finite":
             if not args.prime:
                 raise ValueError("--strategy finite needs --prime")
@@ -264,42 +251,27 @@ def _dispatch(args):
             reg = regularity_certificate(P, args.reg_prime)
         cert = certify_wa_failure(P, strategy, regularity=reg,
                                   seed=args.seed)
-        report = reports.make_report(
-            name, {**inputs, "strategy": args.strategy,
-                   "prime": args.prime}, cert.as_json())
-        reports.emit(report, args.out, args.pretty)
-        reports.summary(
-            "weak approximation obstructed at %s (invariants 0 and 1/2)"
-            % ("the real place" if cert.place == "inf" else
-               "p=%s" % cert.place))
-        return EXIT_OK
+        return ({**inputs, "strategy": args.strategy, "prime": args.prime},
+                cert.as_json(), "ok",
+                "weak approximation obstructed at %s (invariants 0 and 1/2)"
+                % ("the real place" if cert.place == "inf" else
+                   "p=%s" % cert.place))
 
     if name == "regularity":
-        from .pencil import regularity_certificate
         cert = regularity_certificate(P, args.prime,
                                       d_max_diag=args.dmax,
                                       d_max_bi=(args.dmax_bi, args.dmax_bi))
-        report = reports.make_report(
-            name, {**inputs, "prime": args.prime}, cert.as_json(),
-            status="ok" if cert.certified else "inconclusive")
-        reports.emit(report, args.out, args.pretty)
-        reports.summary("regularity at p=%d: %s" % (
-            args.prime, "certified" if cert.certified else "inconclusive"))
-        return EXIT_OK if cert.certified else EXIT_INCONCLUSIVE
+        status = "ok" if cert.certified else "inconclusive"
+        return ({**inputs, "prime": args.prime}, cert.as_json(), status,
+                "regularity at p=%d: %s" % (
+                    args.prime, "certified" if cert.certified else status))
 
     if name == "v3-test":
-        from .nullstellensatz import empty_all_primes
-        from .pencil import rank_le2_minor_ideal
         ideal = rank_le2_minor_ideal(P)
         cert = empty_all_primes(ideal,
                                 saturate_at_2=not args.no_saturate,
                                 d_max=args.dmax)
         ok = not isinstance(cert, Inconclusive)
-        report = reports.make_report(
-            name, {**inputs, "dmax": args.dmax,
-                   "saturate_at_2": not args.no_saturate},
-            cert.as_json(), status="ok" if ok else "inconclusive")
-        reports.emit(report, args.out, args.pretty)
         if ok:
             verdict = "certified for all primes (degree %s)" % cert.degree
         elif cert.witness:
@@ -307,34 +279,28 @@ def _dispatch(args):
                        % (cert.witness["point"], cert.witness["prime"]))
         else:
             verdict = "inconclusive"
-        reports.summary("V3 avoidance: %s" % verdict)
-        return EXIT_OK if ok else EXIT_INCONCLUSIVE
+        return ({**inputs, "dmax": args.dmax,
+                 "saturate_at_2": not args.no_saturate},
+                cert.as_json(), "ok" if ok else "inconclusive",
+                "V3 avoidance: %s" % verdict)
 
     if name == "sp-scan":
-        from .density import _check_prime, primes_below, sp_member
         if args.prime:
             ps = [args.prime]
         elif args.cutoff:
-            ps = primes_below(args.cutoff + 1)
+            ps = density.primes_below(args.cutoff + 1)
             if ps:
-                _check_prime(ps[-1])
+                density._check_prime(ps[-1])
         else:
             raise ValueError("sp-scan needs --prime or --cutoff")
-        result = {}
-        any_member = False
-        for p in ps:
-            res = sp_member(P, p)
-            result[str(p)] = res.as_json()
-            any_member = any_member or res.member
-        report = reports.make_report(name, {**inputs, "primes": ps}, result)
-        reports.emit(report, args.out, args.pretty)
-        reports.summary("S_p membership: %s" % (
-            "none of the scanned primes" if not any_member else "member at "
-            + ", ".join(p for p, r in result.items() if r["member"])))
-        return EXIT_OK
+        result = {str(p): density.sp_member(P, p).as_json() for p in ps}
+        members = [p for p, r in result.items() if r["member"]]
+        return ({**inputs, "primes": ps}, result, "ok",
+                "S_p membership: %s" % (
+                    "member at " + ", ".join(members) if members
+                    else "none of the scanned primes"))
 
     if name == "x-point":
-        from .pencil import x_point_from_singular_member
         t = _parse_point(args.t)
         v = _parse_point(args.v) if args.v else None
         xp = x_point_from_singular_member(P, t, v=v)
@@ -342,10 +308,8 @@ def _dispatch(args):
                   "v": [int(x) for x in xp["v"]],
                   "w": [int(x) for x in xp["w"]],
                   "degenerate": xp["degenerate"]}
-        report = reports.make_report(name, inputs, result)
-        reports.emit(report, args.out, args.pretty)
-        reports.summary("X-point pair v=%s w=%s" % (result["v"], result["w"]))
-        return EXIT_OK
+        return (inputs, result, "ok",
+                "X-point pair v=%s w=%s" % (result["v"], result["w"]))
 
     raise ValueError("unknown subcommand %r" % name)
 

@@ -30,13 +30,13 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
+from math import comb, factorial, perm
 
 import numpy as np
 
 from .gf import GF
-from .linalg import (_echelon_mod_p, _limit, _reduce, fp_rank, is_prime,
-                     laplace_minors, nullspace)
+from .linalg import (_limit, _reduce, fp_rank, is_prime, laplace_minors,
+                     nullspace)
 from .quadform import COEFF_ORDER, QuadricForm, has_smooth_point_fq
 from .roots import poly_eval_scaled, poly_interpolate
 
@@ -193,7 +193,14 @@ _PREFILTER = (0, 3, 4)    # rows and columns of the first rank <= 2 minor
 # the points (1, a, b) with a + b <= 5 where det M(x) is interpolated, and
 # the monomials a^i b^j of the quintic on the chart x0 = 1, in that order
 _QUINTIC = [(i, j) for i in range(6) for j in range(6 - i)]
-_VANDERMONDE_CACHE = {}
+# Newton's formula on them: N takes a quintic's values to its differences
+# at (0, 0), S the falling factorials (x)_u (y)_v to the monomials
+_FALLING = [poly_interpolate([perm(k, u) for k in range(6)]) + [0] * (5 - u)
+            for u in range(6)]
+_NEWTON_S = np.array([[_FALLING[u][i] * _FALLING[v][j] for u, v in _QUINTIC]
+                      for i, j in _QUINTIC])
+_NEWTON_N = np.array([[(-1) ** (u + v + s + t) * comb(u, s) * comb(v, t)
+                       for s, t in _QUINTIC] for u, v in _QUINTIC])
 
 # the quintic's float64 products take residues in [0, p) with inner
 # dimension at most 21: every sum stays below 21 (p - 1)^2 < 2^53
@@ -297,18 +304,11 @@ def _plane_matrices(G, X, p):
 
 
 def _vandermonde_inverse(p):
-    """The inverse mod p (float64) of V[k, m] = a^i b^j, (a, b) the k-th
-    and (i, j) the m-th entry of _QUINTIC: it takes the quintic's values
-    at the points (1, a, b) to its coefficients.  For p >= 7, where 0..5
-    are distinct mod p, those points are unisolvent for quintics."""
-    if p not in _VANDERMONDE_CACHE:
-        e = np.array(_QUINTIC)
-        V = np.prod(e[:, None, :] ** e[None, :, :], axis=2) % p
-        VI = np.concatenate([V, np.eye(len(e), dtype=np.int64)], axis=1)
-        pivots = _echelon_mod_p(VI, p, reduced=True, width=len(e))
-        assert len(pivots) == len(e), "points not unisolvent mod %d" % p
-        _VANDERMONDE_CACHE[p] = VI[:, len(e):].astype(np.float64)
-    return _VANDERMONDE_CACHE[p]
+    """The inverse mod p (float64), p >= 7, of V[k, m] = a^i b^j, (a, b)
+    the k-th and (i, j) the m-th entry of _QUINTIC, which takes the values
+    at the points (1, a, b) to the coefficients: S diag(1/(u! v!)) N."""
+    w = [pow(factorial(u) * factorial(v), -1, p) for u, v in _QUINTIC]
+    return (_NEWTON_S * w % p @ _NEWTON_N % p).astype(np.float64)
 
 
 def _plane_dets(G, p):

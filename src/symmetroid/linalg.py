@@ -1,7 +1,9 @@
 """Exact linear algebra over Z, Q and F_p.
 
-Integer matrices are plain lists of lists of Python ints, so all arithmetic
-is arbitrary precision.  Two loops serve every ring or field they meet:
+Integer matrices are lists of lists of Python ints or, for the Smith form
+and the CRT determinant, integer arrays too (object arrays of Python ints
+past int64), so all arithmetic is exact.  Two loops serve every ring or
+field they meet:
 
 - ``laplace_minors``, the generalized Laplace expansion, gives all
   minors on a set of rows, one gather, multiply and sum per level.  It
@@ -39,42 +41,43 @@ numpy backs the F_p kernels:
   Outside both windows the plain loop runs on integers.
 
 ``fp_rank_sparse_dense`` takes a ``SparseRows`` block and chooses between
-them.  On the blocked path it keeps the basis found so far fully reduced,
-rows [I | W] over all its pivot columns, and stores W alone: rank x
-(ncols - rank) entries, at most ncols^2 / 4.  It starts from a triangular
-head: a Macaulay row is a monomial multiple of a generator, so many rows
-have their own trailing column, the largest one nonzero mod p.  The
-first row with each distinct trailing column joins the head, the rows
-of a seed (rows known to lie in the span of the block) ahead of the
-block's own.  The head is triangular on those columns and so
-independent with no pivot search; blocked forward substitution, one
-panel of ``_PANEL`` head rows at a time, makes it [I | W] (Faugere and
-Lachartre, "Parallel Gaussian elimination for Groebner bases
-computations in finite fields", PASCO 2010, who also store only the
-non-pivot part of the reduced rows, and keep only the rest of a block
-dense).  Each batch of ``_BATCH_BLOCKED`` other rows is dense on the
-ncols - r columns still free only; its part on the r pivot columns comes
-in chunks of ``_BATCH_BLOCKED`` columns, all cut from one pass over its
-entries, and each chunk C_j leaves its product through a GEMM,
-``X -= C_j @ W_j`` (``_eliminate``, its inner dimension cut further where
-the window needs it).  ``_rank_blocked`` then runs on X; W is rebuilt in
-one copy that loses its part on the batch's new pivot columns the same
+them.  On the blocked path (``_rank_incremental``) it keeps the basis
+found so far fully reduced, rows [I | W] over all its pivot columns, and
+stores W alone: rank x (ncols - rank) entries, at most ncols^2 / 4.  It
+starts from a triangular head: a Macaulay row is a monomial multiple of a
+generator, so many rows have their own trailing column, the largest one
+nonzero mod p.  The first row with each distinct trailing column joins the
+head, the rows of a seed (rows known to lie in the span of the block)
+ahead of the block's own; the other seed rows add nothing and are dropped.
+The head is triangular on those columns and so independent with no pivot
+search; blocked forward substitution, one panel of ``_PANEL`` head rows at
+a time (``_eliminate`` against the panels before it, then ``_tri_inverse``
+of its diagonal block), makes it [I | W] (Faugere and Lachartre, "Parallel
+Gaussian elimination for Groebner bases computations in finite fields",
+PASCO 2010, who also store only the non-pivot part of the reduced rows,
+and keep only the rest of a block dense).  Each batch of
+``_BATCH_BLOCKED`` rows, its head rows left out, is dense on the ncols - r
+columns still free only; its part on the r pivot columns comes in chunks
+of ``_BATCH_BLOCKED`` columns, all cut from one pass over its entries
+(``SparseRows.dense``), and each chunk C_j leaves its product through a
+GEMM, ``X -= C_j @ W_j`` (``_eliminate``, its inner dimension cut further
+where the window needs it).  ``_rank_blocked`` then runs on X; W is rebuilt
+in one copy that loses its part on the batch's new pivot columns the same
 way and gains the batch's new rows.  So the dense footprint is W, one
 batch on its free columns and one head chunk, ``_BATCH_BLOCKED`` square,
 or one head panel of ``_PANEL`` rows over every column: for the 7000 x
-2450 (4, 3) block of the regularity proof mod 7, 0.4 MB of W (2405 x
-45), 0.1 MB of batch and 1 MB of chunk in float32.  A block short of
-full rank can hand back its span in right-reduced form
-(``_right_reduced``), a basis whose rows end at distinct columns: the
-Macaulay ladder derives the seed of a later rung from it.  Every other
-block goes to ``fp_pivot_rows``, which feeds the plain loop ``_BATCH``
-rows at a time, under the rows kept so far, on their transpose: its
-pivot columns are the row rank profile, the rows that form a basis, each
-independent of the rows before it, and their count is the rank.  Its
-residues are stored in ``_fp_dtype``: int64, exact for p < 2^31, and
-Python ints above.  The sparse rows that are kept, Macaulay rows and
-right-reduced bases, store residues and column indices in the narrowest
-type that holds them (``_int_dtype``).
+2450 (4, 3) block of the regularity proof mod 7, 0.4 MB of W (2405 x 45),
+0.1 MB of batch and 1 MB of chunk in float32.  A block short of full rank
+can hand back its span in right-reduced form (``_right_reduced``), a basis
+whose rows end at distinct columns: the Macaulay ladder derives the seed
+of a later rung from it.  Every other block goes to ``fp_pivot_rows``,
+which feeds the plain loop ``_BATCH`` rows at a time, under the rows kept
+so far, on their transpose: its pivot columns are the row rank profile,
+the rows that form a basis, each independent of the rows before it, and
+their count is the rank.  Its residues are stored in ``_fp_dtype``: int64,
+exact for p < 2^31, and Python ints above.  The sparse rows that are kept,
+Macaulay rows and right-reduced bases, store residues and column indices
+in the narrowest type that holds them (``_int_dtype``).
 """
 
 from __future__ import annotations
@@ -121,10 +124,6 @@ def is_prime(n):
 
 # ---------------------------------------------------------------------------
 # basic integer matrix helpers
-
-
-def identity_matrix(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def mat_mul(A, B):
@@ -289,50 +288,27 @@ def rank_rational(M):
 # Smith normal form
 
 
-def smith_normal_form(M, transforms=True):
-    """Smith normal form of an integer matrix.
-
-    Returns ``(U, S, V)`` with ``U @ M @ V == S``, U and V unimodular, S
-    diagonal with nonnegative entries satisfying d1 | d2 | ...  When
-    ``transforms`` is false, U and V are returned as None (faster).
+def smith_divisors(M):
+    """The diagonal of the Smith normal form of the integer matrix M, an
+    array or a list of rows: min(m, n) nonnegative entries, d1 | d2 | ...
 
     Pivoting picks the entry of minimal nonzero absolute value, which keeps
     coefficient growth tolerable at the sizes this package meets.
     """
-    m = len(M)
-    n = len(M[0]) if m else 0
-    S = [row[:] for row in M]
-    U = identity_matrix(m) if transforms else None
-    V = identity_matrix(n) if transforms else None
-
-    def swap_rows(i, j):
-        S[i], S[j] = S[j], S[i]
-        if U is not None:
-            U[i], U[j] = U[j], U[i]
+    S = np.array(M, dtype=object).tolist()    # rows of Python ints
+    m = len(S)
+    n = len(S[0]) if m else 0
 
     def swap_cols(i, j):
         for row in S:
             row[i], row[j] = row[j], row[i]
-        if V is not None:
-            for row in V:
-                row[i], row[j] = row[j], row[i]
 
     def addmul_row(dst, src, f):
         S[dst] = [a + f * b for a, b in zip(S[dst], S[src])]
-        if U is not None:
-            U[dst] = [a + f * b for a, b in zip(U[dst], U[src])]
 
     def addmul_col(dst, src, f):
         for row in S:
             row[dst] += f * row[src]
-        if V is not None:
-            for row in V:
-                row[dst] += f * row[src]
-
-    def negate_row(i):
-        S[i] = [-a for a in S[i]]
-        if U is not None:
-            U[i] = [-a for a in U[i]]
 
     def clear_pivot(k):
         """Euclidean clearing of row and column k (pivot already at k,k).
@@ -340,7 +316,7 @@ def smith_normal_form(M, transforms=True):
         One reduction pass leaves only remainders below the pivot; the
         smallest surviving remainder is then swapped into the pivot spot
         and the pass repeats.  The pivot magnitude strictly decreases per
-        round, so the loop is short and the transforms stay small."""
+        round, so the loop is short."""
         while True:
             for i in range(k + 1, m):
                 if S[i][k]:
@@ -362,7 +338,7 @@ def smith_normal_form(M, transforms=True):
             if best is None:
                 return
             if best[1] == "row":
-                swap_rows(k, best[2])
+                S[k], S[best[2]] = S[best[2]], S[k]
             else:
                 swap_cols(k, best[2])
 
@@ -385,8 +361,7 @@ def smith_normal_form(M, transforms=True):
         if best is None:
             break
         _, bi, bj = best
-        if bi != k:
-            swap_rows(k, bi)
+        S[k], S[bi] = S[bi], S[k]
         if bj != k:
             swap_cols(k, bj)
         clear_pivot(k)
@@ -403,7 +378,7 @@ def smith_normal_form(M, transforms=True):
             while S[j][i]:
                 q = S[i][i] // S[j][i]
                 addmul_row(i, j, -q)
-                swap_rows(i, j)
+                S[i], S[j] = S[j], S[i]
             # row i now holds the gcd at (i,i) with (i,j) possibly dirty
             while S[i][j]:
                 q = S[i][j] // S[i][i]
@@ -414,17 +389,8 @@ def smith_normal_form(M, transforms=True):
                 q = S[j][i] // S[i][i]
                 addmul_row(j, i, -q)
                 if S[j][i]:
-                    swap_rows(j, i)
-    for k in range(rank):
-        if S[k][k] < 0:
-            negate_row(k)
-    return U, S, V
-
-
-def smith_divisors(M):
-    """The diagonal of the Smith form (nonnegative, divisibility chain)."""
-    _, S, _ = smith_normal_form(M, transforms=False)
-    return [S[i][i] for i in range(min(len(S), len(S[0]) if S else 0))]
+                    S[i], S[j] = S[j], S[i]
+    return [abs(S[k][k]) for k in range(min(m, n))]
 
 
 # ---------------------------------------------------------------------------
@@ -597,8 +563,8 @@ class SparseRows:
     """Integer rows in compressed sparse row form: row i has the entries
     ``data[indptr[i]:indptr[i+1]]`` at columns ``indices[...]``.
 
-    ``dense`` writes a run of rows mod p into dense arrays, ``tolist``
-    reads the rows as lists of Python ints and ``take`` reorders them."""
+    ``dense`` writes a run of rows mod p into dense arrays, ``toarray``
+    writes the rows as they are and ``take`` reorders them."""
 
     def __init__(self, indptr, indices, data):
         self.indptr = indptr
@@ -625,12 +591,13 @@ class SparseRows:
                           np.concatenate([b.indices for b in blocks]),
                           np.concatenate([b.data for b in blocks]))
 
-    def tolist(self, ncols):
-        """The rows as dense lists of Python ints."""
+    def toarray(self, ncols):
+        """The rows as a dense array of ``ncols`` columns, in the dtype of
+        ``data``."""
         out = np.zeros((len(self), ncols), dtype=self.data.dtype)
         out[np.repeat(np.arange(len(self)), np.diff(self.indptr)),
             self.indices] = self.data
-        return out.tolist()
+        return out
 
     def dense(self, start, stop, p, out, where, keep=None, chunk=None):
         """Write rows ``start:stop`` as residues in [0, p), the entry at
@@ -870,38 +837,14 @@ def _tri_inverse(L, p):
 
 
 def _rank_incremental(rows, ncols, p, dtype, seed=None):
-    """Rank over F_p of the ``SparseRows`` block ``rows`` by the blocked
-    path of ``fp_rank_sparse_dense``, in floats of ``dtype``, as (rank, W,
+    """Rank over F_p of the ``SparseRows`` block ``rows`` of ``ncols``
+    columns by the blocked path (module docstring), in floats of
+    ``dtype``, whose window must hold p (``_window``), as (rank, W,
     perm): the rows [I | W] in the column order ``perm`` are the reduced
-    basis of the row space, and W, rank x (ncols - rank), is all of it
-    that is stored (W and perm are None when the head alone has full
-    rank).  Rows are dense only while they are reduced: a head panel of
-    ``_PANEL`` rows over every column, or a batch of ``_BATCH_BLOCKED``
-    rows on the ncols - rank free columns, next to one chunk of its part
-    on the pivot columns, ``_BATCH_BLOCKED`` wide.
-
-    The head start: the first row with each distinct trailing column
-    (``_trailing_columns``) joins the head, t rows.  The rows of ``seed``,
-    a ``SparseRows`` block of rows in the row space of ``rows`` mod p, go
-    first: the first seed row with each trailing column, then the first
-    row of ``rows`` with each trailing column that no seed row has.  With
-    those columns first, ascending, the head is [L | F], L lower
-    triangular with a nonzero diagonal, so its rows are independent with
-    no search.  Block by block of ``_PANEL`` rows, forward substitution
-    makes it the reduced basis [I | inv(L) F]: each block loses its part
-    on the earlier blocks' columns (``_eliminate``, where the earlier rows
-    are zero on the head columns past theirs) and is multiplied by the
-    inverse of its diagonal block (``_tri_inverse``); its part off the
-    head columns becomes its rows of W.  The batches of ``rows`` then
-    start at rank t, each skipping the head rows in its range; the seed
-    rows outside the head are dropped, as they add nothing to the row
-    space.  A batch is written dense on the free columns, and its part on
-    the pivot columns streams through ``_eliminate`` in chunks of
-    ``_BATCH_BLOCKED`` columns, all cut from one pass over its entries
-    (``SparseRows.dense``); ``_rank_blocked`` then runs on the free part.
-    After a batch adds k pivots, one copy rebuilds W: the old rows on the
-    columns still free, in the batch's column order, lose their part on
-    the k new pivot columns, and the k new rows follow."""
+    basis of the row space, W rank x (ncols - rank) of reduced residues
+    (W and perm are None when the head alone has full rank).  ``seed``,
+    a ``SparseRows`` block of rows in the row space of ``rows`` mod p,
+    leads the head."""
     m = len(rows)
     if seed is None:
         seed = rows.take([])
@@ -1026,37 +969,23 @@ def _right_reduced(W, perm, p):
 
 
 def fp_rank_sparse_dense(rows, ncols, p, seed=None, basis=False):
-    """Rank over F_p of ``rows``, a ``SparseRows`` block of integer rows.
+    """Rank over F_p of ``rows``, a ``SparseRows`` block of integer rows
+    over ``ncols`` columns.
 
     Blocks with at least ``_BLOCKED_MIN`` rows and columns over a prime
-    inside the float window of ``_float_dtype`` take the blocked path
-    (``_rank_incremental``).  It keeps the basis found so far as rows
-    [I | W], fully reduced, on its pivot columns, which it keeps first,
-    and stores W alone, and starts it from the triangular head of ``seed``
-    (rows known to lie in the row space of ``rows`` mod p) and the block:
-    one row for each distinct trailing column, reduced by forward
-    substitution one panel of ``_PANEL`` rows at a time.  Each batch of
-    ``_BATCH_BLOCKED`` rows is written without its head rows, dense on
-    the ncols - rank free columns only, loses its part on the pivot
-    columns one chunk of ``_BATCH_BLOCKED`` columns at a time
-    (``_eliminate``), and ``_rank_blocked`` eliminates it on the free
-    columns; one copy of W puts the batch's pivot columns after the old
-    ones, clears the old rows on them and appends the new rows.  So the
-    dense footprint is W's rank x (ncols - rank) <= ncols^2 / 4 entries,
-    one batch on its free columns and one ``_BATCH_BLOCKED`` square
-    chunk, or one head panel of ``_PANEL`` rows over every column.
+    for which ``_float_dtype`` finds a window take the blocked path
+    (module docstring), exact there, from the head of ``seed``, rows
+    known to lie in the row space of ``rows`` mod p, and the block.
     Other blocks take the rank that ``fp_pivot_rows`` finds, and ignore
     ``seed``.
 
     With ``basis``, returns (rank, B): B is the right-reduced basis of the
     row space (``_right_reduced``) when the blocked path ran and the rank
     is below ncols by at most ``_PANEL``, else None.  Its echelon takes
-    about (ncols - rank)^2 ncols steps: 26 s for a kernel of 1251 at 4900
-    columns in int64, far past the rank itself.  ``_PANEL`` is reused on
-    purpose as that cutoff, though it is tuned as the GEMM inner
-    dimension: kernels of 45 to 56 columns were measured to pay off as
-    seeds, kernels of 325 and more to cost more than they save, so a new
-    panel width that leaves that bracket needs a cutoff of its own.
+    about (ncols - rank)^2 ncols steps: kernels of 45 to 56 columns were
+    measured to pay off as seeds, kernels of 325 and more to cost more
+    than they save, so a panel width that leaves that bracket needs a
+    cutoff of its own.
     """
     dtype = _float_dtype(p)
     if dtype is None or min(len(rows), ncols) < _BLOCKED_MIN:
@@ -1168,7 +1097,8 @@ def _dets_mod_primes(R, primes):
 
 
 def det_exact_crt(M):
-    """Exact determinant of a square integer matrix by CRT.
+    """Exact determinant of a square integer matrix by CRT: an integer
+    array (an object array of Python ints past int64) or a list of rows.
 
     Determinants modulo primes near 2^30 (``_dets_mod_primes``, as many
     primes at once as ``_CRT_STACK_CELLS`` entries allow) are combined
@@ -1178,10 +1108,11 @@ def det_exact_crt(M):
     n = len(M)
     if n == 0:
         return 1
+    A = M if isinstance(M, np.ndarray) else np.array(M, dtype=object)
     try:
-        A = np.array(M, dtype=np.int64)
+        A = A.astype(np.int64, copy=False)
     except OverflowError:     # past int64: reduce as Python ints
-        A = np.array(M, dtype=object)
+        pass
     # Hadamard: |det| <= prod of the row norms; the row sums of squares
     # in int64 while n * max|a|^2 < 2^63, else in Python ints
     top = max(int(A.max()), -int(A.min()))
@@ -1212,12 +1143,10 @@ def det_exact_crt(M):
 # random unimodular matrices (for basis changes in tests and genericity fixes)
 
 
-def random_unimodular(n, rng, size=2, steps=None):
-    """Random unimodular integer matrix built from elementary operations."""
-    A = identity_matrix(n)
-    if steps is None:
-        steps = 3 * n
-    for _ in range(steps):
+def random_unimodular(n, rng, size=2):
+    """Random unimodular integer matrix from 3n elementary row operations."""
+    A = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n):
         i = rng.randrange(n)
         j = rng.randrange(n)
         if i == j:

@@ -36,6 +36,7 @@ On the bidegree-(4, 3) block of the regularity proof that head covers
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb, gcd, prod
@@ -533,7 +534,7 @@ def _lattice_is_full_after_stripping(block, ncols, saturate_at_2):
                                       _SCREEN_PRIMES[1])[1] < ncols:
         return None
     if len(block) <= _SNF_LIMIT[0] and ncols <= _SNF_LIMIT[1]:
-        divisors = smith_divisors(block.tolist(ncols))
+        divisors = smith_divisors(block.toarray(ncols))
         stripped = [_strip2(x) for x in divisors] if saturate_at_2 else divisors
         if len(stripped) < ncols or any(x != 1 for x in stripped):
             return None
@@ -545,8 +546,7 @@ def _lattice_is_full_after_stripping(block, ncols, saturate_at_2):
     # different subsets, and the gcd of their (stripped) odd parts drops
     # to 1 almost immediately in practice.  Attempt 0 keeps the block's
     # order and the first screening prime: that is the screen above.
-    import random as _random
-    rng = _random.Random(0xD1E5)
+    rng = random.Random(0xD1E5)
     dets = []
     g = 0
     order = list(range(len(block)))
@@ -558,7 +558,7 @@ def _lattice_is_full_after_stripping(block, ncols, saturate_at_2):
         if rank < ncols:
             continue
         D = det_exact_crt(block.take([order[i] for i in pivots])
-                          .tolist(ncols))
+                          .toarray(ncols))
         if not D:
             continue
         dets.append(D)
@@ -645,10 +645,9 @@ def _factorize(n):
 def _pollard_rho(n):
     """A nontrivial factor of composite odd n (Brent's cycle variant), or
     None after ``_RHO_STEPS`` iterations without one."""
-    import random as _random
     if n % 2 == 0:
         return 2
-    rng = _random.Random(n)
+    rng = random.Random(n)
     steps = 0
     while True:
         y = rng.randrange(1, n)

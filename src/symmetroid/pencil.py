@@ -21,6 +21,8 @@ import numpy as np
 from .linalg import (_fp_dtype, det_bareiss, is_prime, kernel_rational,
                      laplace_minors, mat_mul, mat_vec, primitive_vector,
                      random_unimodular, rank_rational, transpose)
+from .nullstellensatz import (HomIdealPresentation, Inconclusive,
+                              empty_bihomogeneous, empty_over_fpbar)
 from .polys import MultiPoly, monomials_of_degree, poly_matrix_det
 from .quadform import QuadricForm, parse_quadric_line, quadric_to_line
 from .roots import poly_eval_scaled, poly_interpolate
@@ -301,8 +303,6 @@ def rank_le2_minor_ideal(P):
     (rows, cols), so only the 55 distinct ones are listed: rows I and
     columns J >= I, in ``combinations`` order.
     """
-    from .nullstellensatz import HomIdealPresentation
-
     mat = P.gram_matrix_poly()
     gens = []
     for I in combinations(range(5), 3):
@@ -314,8 +314,6 @@ def rank_le2_minor_ideal(P):
 def diagonal_avoidance_ideal(P, p):
     """The five quadrics as an ideal over F_p in the x-variables; emptiness
     means the pencil is base-point free on the diagonal."""
-    from .nullstellensatz import HomIdealPresentation
-
     return HomIdealPresentation.from_polys(
         5, [Q.to_poly(mod=p) for Q in P.quadrics])
 
@@ -340,8 +338,6 @@ def singular_locus_ideal(P, p):
     bidegree (5 - k, k).  The nonzero cells of each such table, and of
     each B_i, index a table of exponents: the generators' term arrays.
     """
-    from .nullstellensatz import HomIdealPresentation
-
     mons = [monomials_of_degree(5, j) for j in range(6)]
 
     def pairs(a, b):
@@ -441,9 +437,6 @@ def regularity_certificate(P, p, d_max_diag=8, d_max_bi=(4, 4)):
     Either check exhausting its degree cap yields "inconclusive", never a
     false positive.
     """
-    from .nullstellensatz import Inconclusive, empty_bihomogeneous, \
-        empty_over_fpbar
-
     if not is_prime(p):
         raise ValueError("witness prime required")
     diag = empty_over_fpbar(diagonal_avoidance_ideal(P, p), d_max_diag, p)

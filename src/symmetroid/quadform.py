@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .gf import GF, projective_points
-from .linalg import _RATIONALS, is_prime, nullspace, primitive_vector
+from .linalg import (_RATIONALS, det_bareiss, is_prime, nullspace,
+                     primitive_vector)
 from .localfields import hilbert_symbol, is_square_at
 from .polys import MultiPoly, parse_poly
 
@@ -412,7 +413,6 @@ def ruling_disc(Q):
         raise ValueError("ruling discriminant needs a rank-4 form "
                          "(got rank %d)" % cls.rank)
     B = Q.gram()
-    from .linalg import det_bareiss
     for i in range(5):
         sub = [[B[r][c] for c in range(5) if c != i]
                for r in range(5) if r != i]

@@ -5,6 +5,8 @@ never by the case formulas under test.
 """
 
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 import numpy as np
 
@@ -216,7 +218,8 @@ def restrict_to_line(poly, u, w):
 
 
 def cofactor_det(rows):
-    """Determinant of a square matrix of MultiPoly entries by the textbook
+    """Determinant of a square matrix of integer or MultiPoly entries by the
+    textbook
     recursive cofactor expansion along the first row, one minor at a
     time, independent of the shared Laplace recursion."""
     n = len(rows)
@@ -228,6 +231,24 @@ def cofactor_det(rows):
         term = rows[0][j] * cofactor_det(sub)
         det = det - term if j % 2 else det + term
     return det
+
+
+def smith_diagonal_by_minors(M):
+    """The diagonal of the Smith normal form of the integer matrix M from
+    its determinantal divisors: with d_k the gcd of all k x k minors
+    (``cofactor_det``) and d_0 = 1, the k-th entry is d_k / d_(k-1), and
+    0 once d_k is 0."""
+    m, n = len(M), len(M[0])
+    out, prev = [], 1
+    for k in range(1, min(m, n) + 1):
+        d = 0
+        for rows in combinations(range(m), k):
+            for cols in combinations(range(n), k):
+                d = gcd(d, cofactor_det([[M[r][c] for c in cols]
+                                         for r in rows]))
+        out.append(d // prev if d else 0)
+        prev = d
+    return out
 
 
 def macaulay_rows_by_exponent_sums(terms, degrees, sizes, top):

@@ -291,6 +291,18 @@ def _frames_found(frames, p):
     return [index[f == k].tolist() for k in range(len(frames))]
 
 
+def test_vandermonde_inverse_at_every_scanned_prime():
+    # the closed form from Newton's differences inverts V[k, m] = a^i b^j
+    # on the 21 interpolation points (1, a, b) mod every prime it serves
+    from symmetroid.density import _QUINTIC, _vandermonde_inverse
+    e = np.array(_QUINTIC)
+    V = np.prod(e[:, None, :] ** e[None, :, :], axis=2)
+    for p in primes_below(1000)[3:]:
+        VI = _vandermonde_inverse(p)
+        assert VI.dtype == np.float64 and 0 <= VI.min() <= VI.max() < p
+        assert (V @ VI.astype(np.int64) % p == np.eye(21)).all(), p
+
+
 def test_quintic_values_match_direct_determinants(monkeypatch):
     # det M(x) from the interpolated quintic equals the 5x5 determinant
     # formed at every plane point, for chunks that cut grid rows and the

@@ -5,13 +5,13 @@ from math import isqrt
 import numpy as np
 import pytest
 
-from oracles import pivot_rows_by_dicts
+from oracles import pivot_rows_by_dicts, smith_diagonal_by_minors
 from symmetroid import linalg
 from symmetroid.linalg import (SparseRows, det_bareiss, det_exact_crt,
                                fp_pivot_rows, fp_rank, fp_rank_sparse_dense,
                                is_prime, kernel_rational, laplace_minors,
                                mat_mul, mat_vec, nullspace, random_unimodular,
-                               smith_divisors, smith_normal_form)
+                               smith_divisors)
 from symmetroid.gf import GF
 from symmetroid.polys import MultiPoly
 
@@ -27,40 +27,37 @@ def _sparse(M):
 
 
 def test_smith_spec_examples():
-    U, S, V = smith_normal_form([[2, 0], [0, 3]])
-    assert [S[0][0], S[1][1]] == [1, 6]
-    assert mat_mul(mat_mul(U, [[2, 0], [0, 3]]), V) == S
-
-    U, S, V = smith_normal_form([[1, 0], [0, 1]])
-    assert [S[0][0], S[1][1]] == [1, 1]
-
-    M = [[0, 0], [0, 0]]
-    U, S, V = smith_normal_form(M)
-    assert S == [[0, 0], [0, 0]]
-    assert U == [[1, 0], [0, 1]] and V == [[1, 0], [0, 1]]
+    assert smith_divisors([[2, 0], [0, 3]]) == [1, 6]
+    assert smith_divisors([[1, 0], [0, 1]]) == [1, 1]
+    assert smith_divisors([[0, 0], [0, 0]]) == [0, 0]
+    assert smith_divisors([[0, 0, 0]]) == [0]
+    assert smith_divisors([[-4], [6]]) == [2]
+    # the divisibility chain fixed on a diagonal pair: 6, 4 -> 2, 12
+    assert smith_divisors([[6, 0], [0, 4]]) == [2, 12]
+    assert smith_divisors([[2, 4, 4], [-6, 6, 12], [10, -4, -16]]) \
+        == [2, 6, 12]
 
 
 def test_smith_random_500():
+    # against the determinantal divisors: the k-th entry is d_k / d_(k-1),
+    # d_k the gcd of the k x k minors; arrays as well as lists, entries
+    # past int64 as Python ints in an object array
     rng = random.Random(17)
-    for _ in range(500):
+    for trial in range(500):
         m = rng.randrange(1, 6)
         n = rng.randrange(1, 6)
         M = [[rng.randint(-50, 50) for _ in range(n)] for _ in range(m)]
-        U, S, V = smith_normal_form(M)
-        assert mat_mul(mat_mul(U, M), V) == S
-        assert abs(det_bareiss(U)) == 1
-        assert abs(det_bareiss(V)) == 1
-        d = [S[i][i] for i in range(min(m, n))]
-        for i in range(min(m, n)):
-            for j in range(min(m, n)):
-                if i != j:
-                    assert S[i][j] == 0 if i < len(S) else True
-        for x, y in zip(d, d[1:]):
-            if x == 0:
-                assert y == 0
-            else:
-                assert y % x == 0
-        assert all(x >= 0 for x in d)
+        if trial % 5 == 1 and m > 1:     # a dependent row
+            M[-1] = [2 * a - 3 * b for a, b in zip(M[0], M[1 % m])]
+        if trial % 5 == 2:
+            M = mat_mul(mat_mul(random_unimodular(m, rng),
+                                [[(1 << 70) * x for x in row] for row in M]),
+                        random_unimodular(n, rng))
+        d = smith_diagonal_by_minors(M)
+        assert smith_divisors(M) == d, M
+        A = np.array(M, dtype=object if trial % 5 == 2 else np.int64)
+        assert smith_divisors(A) == d, M
+        assert all(y % x == 0 if x else y == 0 for x, y in zip(d, d[1:]))
 
 
 def test_fp_rank_spec_examples():
@@ -497,7 +494,8 @@ def test_concat_keeps_every_value_of_narrow_rows():
     S.indices, S.data = S.indices.astype(np.int16), S.data.astype(np.int8)
     for parts in ((S, B), (B, S)):
         got = SparseRows.concat(parts)
-        assert got.tolist(280) == parts[0].tolist(280) + parts[1].tolist(280)
+        assert (got.toarray(280) == np.vstack([parts[0].toarray(280),
+                                               parts[1].toarray(280)])).all()
 
 
 def _head_block(rng, m, n, tails, p):
@@ -598,7 +596,7 @@ def test_right_reduced_basis_ends_at_its_columns(monkeypatch):
             got, B = fp_rank_sparse_dense(_sparse(A), n, p, basis=True)
             assert got == want < n
             assert fp_rank_sparse_dense(_sparse(A), n, p) == want
-            U = np.array(B.tolist(n), dtype=np.int64) % p
+            U = B.toarray(n).astype(np.int64) % p
             ends = linalg._trailing_columns(B, p)
             assert len(U) == want
             assert (ends == B.indices[B.indptr[1:] - 1]).all()
@@ -833,11 +831,23 @@ def test_laplace_minors_stacked_levels():
 
 
 def test_det_exact_crt_matches_bareiss():
+    # on lists, on int64 arrays and on the dense rows of ``SparseRows``
+    # as they come: int8 entries, and Python ints in an object array
+    # past int64
     rng = random.Random(12)
     for _ in range(40):
         n = rng.randrange(1, 7)
         M = [[rng.randint(-30, 30) for _ in range(n)] for _ in range(n)]
-        assert det_exact_crt(M) == det_bareiss(M)
+        want = det_bareiss(M)
+        rows = _sparse(M)
+        narrow = SparseRows(rows.indptr, rows.indices,
+                            rows.data.astype(np.int8))
+        big = [[x << 64 for x in row] for row in M]
+        assert _sparse(big).data.dtype == object
+        assert det_exact_crt(M) == want
+        assert det_exact_crt(np.array(M, dtype=np.int64)) == want
+        assert det_exact_crt(narrow.toarray(n)) == want
+        assert det_exact_crt(_sparse(big).toarray(n)) == want << 64 * n
     # a big structured one: Hilbert-like integer matrix
     n = 12
     M = [[(i + 1) ** j % 97 for j in range(n)] for i in range(n)]

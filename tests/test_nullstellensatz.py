@@ -565,7 +565,7 @@ def _dense_block(I, sizes, top, p):
     from symmetroid.nullstellensatz import _macaulay_rows
     rows = _macaulay_rows(I.generators, I.degrees, sizes, top)
     ncols = prod(comb(d + s - 1, s - 1) for d, s in zip(top, sizes))
-    return np.array(rows.tolist(ncols), dtype=np.int64) % p
+    return rows.toarray(ncols).astype(np.int64) % p
 
 
 def _in_span(A, rows, p):
@@ -585,7 +585,7 @@ def test_derived_rows_lie_in_the_span_of_their_rung(monkeypatch):
         for sizes, top, seed in seen:
             A = _dense_block(I, sizes, top, p)
             ncols = A.shape[1]
-            D = np.array(seed.tolist(ncols), dtype=np.int64) % p
+            D = seed.toarray(ncols).astype(np.int64) % p
             tails = ncols - 1 - (D[:, ::-1] != 0).argmax(axis=1)
             assert (D.any(axis=1)).all()
             assert len(set(tails.tolist())) == len(D)
