@@ -842,12 +842,12 @@ def test_det_exact_crt_matches_bareiss():
         rows = _sparse(M)
         narrow = SparseRows(rows.indptr, rows.indices,
                             rows.data.astype(np.int8))
-        big = [[x << 64 for x in row] for row in M]
-        assert _sparse(big).data.dtype == object
+        big = _sparse([[x << 64 for x in row] for row in M])
+        assert big.data.dtype == object
         assert det_exact_crt(M) == want
         assert det_exact_crt(np.array(M, dtype=np.int64)) == want
         assert det_exact_crt(narrow.toarray(n)) == want
-        assert det_exact_crt(_sparse(big).toarray(n)) == want << 64 * n
+        assert det_exact_crt(big.toarray(n)) == want << 64 * n
     # a big structured one: Hilbert-like integer matrix
     n = 12
     M = [[(i + 1) ** j % 97 for j in range(n)] for i in range(n)]
