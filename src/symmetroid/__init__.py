@@ -19,10 +19,8 @@ from .nullstellensatz import (EmptinessCertificate, HomIdealPresentation,
                               empty_bihomogeneous, empty_over_fpbar)
 from .pencil import (AlphaSymbol, Pencil, alpha_symbol, parse_pencil_file,
                      parse_pencil_text, rank_le2_minor_ideal,
-                     regularity_certificate, universal_gram,
-                     x_point_from_singular_member)
-from .quadform import (FormClassification, QuadricForm, classify,
-                       has_smooth_point, ruling_disc)
+                     regularity_certificate, x_point_from_singular_member)
+from .quadform import FormClassification, QuadricForm, classify, ruling_disc
 
 __all__ = [
     "AlphaSymbol", "DensityReport", "EmptinessCertificate",
@@ -31,9 +29,8 @@ __all__ = [
     "alpha_symbol", "b_of_p", "census_bp", "certify_wa_failure", "classify",
     "empty_all_primes", "empty_bihomogeneous", "empty_over_fpbar",
     "evaluate_invariant", "find_real_point_with_invariant",
-    "gaussian_count", "has_smooth_point", "hilbert_symbol", "lift_to_y",
-    "monte_carlo_density", "parse_pencil_file", "parse_pencil_text",
-    "product_lower_bound", "quaternion_invariant", "rank_le2_minor_ideal",
-    "regularity_certificate", "ruling_disc", "sp_member", "square_class",
-    "universal_gram", "x_point_from_singular_member",
+    "gaussian_count", "hilbert_symbol", "lift_to_y", "monte_carlo_density",
+    "parse_pencil_file", "parse_pencil_text", "product_lower_bound",
+    "quaternion_invariant", "rank_le2_minor_ideal", "regularity_certificate",
+    "ruling_disc", "sp_member", "square_class", "x_point_from_singular_member",
 ]

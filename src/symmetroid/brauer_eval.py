@@ -22,8 +22,8 @@ from fractions import Fraction
 from math import isqrt
 
 from .linalg import det_bareiss, primitive_vector, random_unimodular
-from .localfields import (INV_HALF, INV_ZERO, REAL, hilbert_symbol,
-                          normalize_place, square_class)
+from .localfields import (INV_HALF, INV_ZERO, REAL, normalize_place,
+                          quaternion_invariant, square_class)
 from .pencil import regularity_certificate
 from .quadform import (COEFF_ORDER, QuadricForm, classify, has_smooth_point_qp,
                        has_smooth_point_real, ruling_disc)
@@ -225,7 +225,8 @@ def evaluate_invariant(P, y):
 
 
 def _conic_invariant(P, t, v):
-    """Invariant via the conic <M1, M2/M1, M3/M2> evaluated at t.
+    """Invariant via the conic <M1, M2/M1, M3/M2> evaluated at t: the
+    conic <d1, d2, d3> is isotropic exactly where (-d1 d3, -d2 d3) splits.
 
     Returns None when a minor vanishes at t (cross-check unavailable).
     """
@@ -236,12 +237,7 @@ def _conic_invariant(P, t, v):
     d1 = vals[0]
     d2 = vals[1] / vals[0]
     d3 = vals[2] / vals[1]
-    if v == REAL:
-        isotropic = not (d1 > 0 and d2 > 0 and d3 > 0
-                         or d1 < 0 and d2 < 0 and d3 < 0)
-    else:
-        isotropic = hilbert_symbol(-d1 * d3, -d2 * d3, v) == 1
-    return INV_ZERO if isotropic else INV_HALF
+    return quaternion_invariant(-d1 * d3, -d2 * d3, v)
 
 
 # ---------------------------------------------------------------------------

@@ -61,8 +61,8 @@ def build_parser():
         description="Exact arithmetic for pencils of quadrics in P^4: "
                     "Brauer symbols, local invariants, emptiness "
                     "certificates, sieve densities.")
-    ap.add_argument("--workers", type=int, default=None,
-                    help="worker count (default: SYMMETROID_WORKERS or 1)")
+    ap.add_argument("--workers", type=int, default=1,
+                    help="worker count (default: 1)")
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
     def add(name, help_, pencil=True):

@@ -25,7 +25,6 @@ over GF(p).
 
 from __future__ import annotations
 
-import os
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -576,13 +575,11 @@ def sp_member(P, p):
 # census of pointless quadrics over F_2 and F_3
 
 
-def census_bp(p, progress=None, workers=None):
+def census_bp(p, progress=None, workers=1):
     """Count quadrics in P^14(F_p) with no smooth F_p-point by exhaustive
     enumeration (p in {2, 3}).  Must reproduce the #B_p formula."""
     if p not in (2, 3):
         raise ValueError("census is desk-scale only: p in {2, 3}")
-    if workers is None:
-        workers = default_workers()
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         pool = ProcessPoolExecutor(max_workers=workers)
@@ -707,9 +704,3 @@ def monte_carlo_density(height, cutoff, samples, seed=0):
                             reference_product=reference,
                             per_prime_failures=per_prime)
 
-
-def default_workers():
-    try:
-        return max(1, int(os.environ.get("SYMMETROID_WORKERS", "1")))
-    except ValueError:
-        return 1

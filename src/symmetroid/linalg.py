@@ -494,14 +494,28 @@ def _echelon_mod_p(A, p, reduced=False, width=None):
     return pivot_cols
 
 
+def _int_array(M):
+    """An integer matrix as an array: a 64-bit integer array as it is (a
+    uint64 one is never wrapped), a narrower one widened to int64, and a
+    list of rows (``np.asarray`` reads some past int64 as float64) or an
+    object array as int64 where every entry fits, else as Python ints."""
+    if isinstance(M, np.ndarray) and M.dtype.kind in "iu":
+        return M if M.dtype.itemsize == 8 else M.astype(np.int64)
+    A = np.array(M, dtype=object)
+    try:
+        return A.astype(np.int64)
+    except OverflowError:
+        return A
+
+
 def fp_rank(M, p):
     """Rank over F_p of an integer matrix (list of rows or numpy array)."""
     if not is_prime(p):
         raise ValueError("p = %d is not prime" % p)
     if not len(M) or not len(M[0]):
         return 0
-    A = np.asarray(M)
-    if A.dtype.kind not in "iu" or p >= 1 << 63:
+    A = _int_array(M)
+    if p >= 1 << 63:
         A = A.astype(object)      # reduce as Python ints
     return len(_echelon_mod_p((A % p).astype(_fp_dtype(p), copy=False), p))
 
@@ -1108,11 +1122,7 @@ def det_exact_crt(M):
     n = len(M)
     if n == 0:
         return 1
-    A = M if isinstance(M, np.ndarray) else np.array(M, dtype=object)
-    try:
-        A = A.astype(np.int64, copy=False)
-    except OverflowError:     # past int64: reduce as Python ints
-        pass
+    A = _int_array(M)
     # Hadamard: |det| <= prod of the row norms; the row sums of squares
     # in int64 while n * max|a|^2 < 2^63, else in Python ints
     top = max(int(A.max()), -int(A.min()))

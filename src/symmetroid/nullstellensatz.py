@@ -55,8 +55,9 @@ class HomIdealPresentation:
     ``bidegrees`` labels the generators.  Each generator is a pair of term
     arrays: the exponents, an (N, nvars) integer array (int64 from
     ``from_polys``), and the coefficients, integers, or Python ints in an
-    object array when one does not fit in int64.  The checks record each
-    generator's multidegree."""
+    object array when one does not fit in int64.  Only term arrays built
+    mod p, such as ``singular_locus_ideal``'s, are presented over F_p.
+    The checks record each generator's multidegree."""
     nvars: int
     generators: list                    # (exponents, coefficients) pairs
     mod: int | None = None
@@ -92,19 +93,17 @@ class HomIdealPresentation:
 
     @classmethod
     def from_polys(cls, nvars, polys, bidegrees=None, nx=5, ny=5):
-        """The presentation of ``MultiPoly`` generators, all over the ring
-        of the first."""
-        mod = polys[0].mod if polys else None
+        """The presentation over Z of ``MultiPoly`` generators.  A check
+        over F_p reduces the coefficients where it builds its Macaulay
+        rows (``_full_span_mod``)."""
         generators = []
         for g in polys:
-            if g.mod != mod:
-                raise ValueError("generator in wrong ring")
             coeffs = list(g.terms.values())
             fits = all(-(1 << 63) <= c < 1 << 63 for c in coeffs)
             generators.append((
                 np.array(list(g.terms), dtype=np.int64).reshape(-1, g.nvars),
                 np.array(coeffs, dtype=np.int64 if fits else object)))
-        return cls(nvars, generators, mod, bidegrees, nx, ny)
+        return cls(nvars, generators, None, bidegrees, nx, ny)
 
 
 @dataclass

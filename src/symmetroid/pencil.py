@@ -119,11 +119,6 @@ class Pencil:
                                           for Q in self.quadrics)
 
 
-def universal_gram(quadrics):
-    """Assemble a Pencil; raises on linear dependence."""
-    return Pencil(quadrics)
-
-
 def _combine(grams, t):
     """sum_i t_i * grams[i], entry by entry."""
     t = list(t)
@@ -311,11 +306,11 @@ def rank_le2_minor_ideal(P):
     return HomIdealPresentation.from_polys(5, gens)
 
 
-def diagonal_avoidance_ideal(P, p):
-    """The five quadrics as an ideal over F_p in the x-variables; emptiness
-    means the pencil is base-point free on the diagonal."""
+def diagonal_avoidance_ideal(P):
+    """The five quadrics as an ideal over Z in the x-variables; emptiness
+    over F_pbar means the pencil is base-point free on the diagonal."""
     return HomIdealPresentation.from_polys(
-        5, [Q.to_poly(mod=p) for Q in P.quadrics])
+        5, [Q.to_poly() for Q in P.quadrics])
 
 
 def singular_locus_ideal(P, p):
@@ -439,7 +434,7 @@ def regularity_certificate(P, p, d_max_diag=8, d_max_bi=(4, 4)):
     """
     if not is_prime(p):
         raise ValueError("witness prime required")
-    diag = empty_over_fpbar(diagonal_avoidance_ideal(P, p), d_max_diag, p)
+    diag = empty_over_fpbar(diagonal_avoidance_ideal(P), d_max_diag, p)
     if isinstance(diag, Inconclusive):
         return RegularityCertificate(prime=p, diagonal_avoidance=diag,
                                      smoothness=Inconclusive(

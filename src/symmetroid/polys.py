@@ -1,4 +1,4 @@
-"""Sparse multivariate polynomials with exact integer or F_p coefficients.
+"""Sparse multivariate polynomials with exact integer coefficients.
 
 Monomials are exponent tuples; the canonical term order is graded
 lexicographic with the first variable strongest (x0 > x1 > ... within a
@@ -24,39 +24,34 @@ def grlex_key(expvec):
 
 
 class MultiPoly:
-    """A polynomial in ``nvars`` variables over Z (mod=None) or F_p (mod=p).
+    """A polynomial in ``nvars`` variables over Z.
 
     ``terms`` maps exponent tuples to nonzero coefficients.  Instances are
     treated as immutable; every operation returns a fresh polynomial.
     """
 
-    __slots__ = ("nvars", "mod", "terms")
+    __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars, terms=None, mod=None):
+    def __init__(self, nvars, terms=None):
         self.nvars = nvars
-        self.mod = mod
-        clean = {}
-        if terms:
-            for e, c in terms.items():
-                if mod is not None:
-                    c %= mod
-                if c:
-                    clean[tuple(e)] = c
-        self.terms = clean
+        self.terms = {tuple(e): c for e, c in (terms or {}).items() if c}
+
+    def _with(self, terms):
+        """A polynomial in the same variables whose ``terms``, nonzero
+        coefficients only, are taken as they are."""
+        out = MultiPoly.__new__(MultiPoly)
+        out.nvars, out.terms = self.nvars, terms
+        return out
 
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls, nvars, mod=None):
-        return cls(nvars, {}, mod)
+    def constant(cls, nvars, c):
+        return cls(nvars, {(0,) * nvars: c})
 
     @classmethod
-    def constant(cls, nvars, c, mod=None):
-        return cls(nvars, {(0,) * nvars: c}, mod)
-
-    @classmethod
-    def monomial(cls, nvars, expvec, c=1, mod=None):
-        return cls(nvars, {tuple(expvec): c}, mod)
+    def monomial(cls, nvars, expvec, c=1):
+        return cls(nvars, {tuple(expvec): c})
 
     # -- basic queries -------------------------------------------------
 
@@ -66,11 +61,10 @@ class MultiPoly:
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return (self.nvars == other.nvars and self.mod == other.mod
-                and self.terms == other.terms)
+        return self.nvars == other.nvars and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.nvars, self.mod, frozenset(self.terms.items())))
+        return hash((self.nvars, frozenset(self.terms.items())))
 
     def __bool__(self):
         return bool(self.terms)
@@ -78,42 +72,30 @@ class MultiPoly:
     # -- ring operations ----------------------------------------------
 
     def _check(self, other):
-        if self.nvars != other.nvars or self.mod != other.mod:
+        if self.nvars != other.nvars:
             raise ValueError("polynomial ring mismatch")
 
     def __add__(self, other):
         if isinstance(other, int):
-            other = MultiPoly.constant(self.nvars, other, self.mod)
+            other = MultiPoly.constant(self.nvars, other)
         self._check(other)
         terms = dict(self.terms)
-        mod = self.mod
         for e, c in other.terms.items():
             v = terms.get(e, 0) + c
-            if mod is not None:
-                v %= mod
             if v:
                 terms[e] = v
             else:
-                terms.pop(e, None)
-        out = MultiPoly.__new__(MultiPoly)
-        out.nvars, out.mod, out.terms = self.nvars, mod, terms
-        return out
+                del terms[e]
+        return self._with(terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        mod = self.mod
-        if mod is None:
-            terms = {e: -c for e, c in self.terms.items()}
-        else:
-            terms = {e: (mod - c) % mod for e, c in self.terms.items()}
-        out = MultiPoly.__new__(MultiPoly)
-        out.nvars, out.mod, out.terms = self.nvars, mod, terms
-        return out
+        return self._with({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, int):
-            other = MultiPoly.constant(self.nvars, other, self.mod)
+            other = MultiPoly.constant(self.nvars, other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -121,52 +103,19 @@ class MultiPoly:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return self.scale(other)
+            if not other:
+                return MultiPoly(self.nvars)
+            return self._with({e: other * c for e, c in self.terms.items()})
         self._check(other)
-        mod = self.mod
         terms = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(map(add, e1, e2))
                 terms[e] = terms.get(e, 0) + c1 * c2
-        if mod is not None:
-            terms = {e: v % mod for e, v in terms.items()}
-        terms = {e: v for e, v in terms.items() if v}
-        out = MultiPoly.__new__(MultiPoly)
-        out.nvars, out.mod, out.terms = self.nvars, mod, terms
-        return out
+        return self._with({e: v for e, v in terms.items() if v})
 
     def __rmul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
-        return NotImplemented
-
-    def scale(self, c):
-        mod = self.mod
-        if mod is not None:
-            c %= mod
-        if c == 0:
-            return MultiPoly.zero(self.nvars, mod)
-        if mod is None:
-            terms = {e: c * v for e, v in self.terms.items()}
-        else:
-            terms = {e: (c * v) % mod for e, v in self.terms.items()}
-            terms = {e: v for e, v in terms.items() if v}
-        out = MultiPoly.__new__(MultiPoly)
-        out.nvars, out.mod, out.terms = self.nvars, mod, terms
-        return out
-
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative power")
-        result = MultiPoly.constant(self.nvars, 1, self.mod)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return self * other if isinstance(other, int) else NotImplemented
 
     def evaluate(self, values):
         """Evaluate at a point of ints or Fractions."""
@@ -179,8 +128,6 @@ class MultiPoly:
                 for _ in range(k):
                     term = term * v
             total = total + term
-        if self.mod is not None and isinstance(total, int):
-            total %= self.mod
         return total
 
     # -- canonical presentation -----------------------------------------
@@ -224,7 +171,7 @@ class MultiPoly:
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z]\d*)|(\^|\*\*)|(\*)|(\+)|(-)|(\())|(\))")
 
 
-def parse_poly(s, names, mod=None):
+def parse_poly(s, names):
     """Parse an integer-coefficient polynomial in the given variables.
 
     Accepts forms like ``x0*x1 + 3*x2^2 - x3**2`` and juxtaposed products
@@ -261,7 +208,7 @@ def parse_poly(s, names, mod=None):
         else:
             raise ValueError("parentheses not supported in quadric strings")
     # split into terms on +/- separators
-    poly = MultiPoly.zero(nvars, mod)
+    poly = MultiPoly(nvars)
     sign = 1
     term_coeff = None
     term_exp = [0] * nvars
@@ -272,7 +219,7 @@ def parse_poly(s, names, mod=None):
         if not started:
             raise ValueError("empty term in polynomial string")
         c = sign * (1 if term_coeff is None else term_coeff)
-        poly = poly + MultiPoly.monomial(nvars, term_exp, c, mod)
+        poly = poly + MultiPoly.monomial(nvars, term_exp, c)
         term_coeff = None
         term_exp = [0] * nvars
         started = False

@@ -62,14 +62,14 @@ class QuadricForm:
                 B[i][j] = B[j][i] = c
         return B
 
-    def to_poly(self, mod=None):
+    def to_poly(self):
         terms = {}
         for (i, j), c in zip(COEFF_ORDER, self.coeffs):
             e = [0] * 5
             e[i] += 1
             e[j] += 1
             terms[tuple(e)] = c
-        return MultiPoly(5, terms, mod)
+        return MultiPoly(5, terms)
 
     def to_string(self):
         return self.to_poly().to_string(X_NAMES)
@@ -115,18 +115,14 @@ class FormClassification:
         return out
 
 
-def diagonalize_symmetric(B, p=None):
-    """Congruence diagonalisation of a symmetric matrix.
+def diagonalize_symmetric(B):
+    """Congruence diagonalisation of a symmetric integer matrix over Q.
 
-    Over Q when p is None (entries become Fractions), over F_p for odd p.
-    Returns (diagonal, T) with T invertible and T^t B T diagonal.
+    Returns (diagonal, T), Fraction entries, with T invertible and T^t B T
+    diagonal.
     """
-    if p is None:
-        return _diagonalize([[Fraction(x) for x in row] for row in B],
-                            _RATIONALS, Fraction(1))
-    if p == 2:
-        raise ValueError("no congruence diagonalisation in char 2")
-    return _diagonalize([[x % p for x in row] for row in B], GF(p), 1)
+    return _diagonalize([[Fraction(x) for x in row] for row in B],
+                        _RATIONALS, Fraction(1))
 
 
 def _diagonalize(A, F, one):
@@ -299,28 +295,6 @@ def _gf_row_basis(vectors, gf):
 
 # ---------------------------------------------------------------------------
 # smooth points
-
-
-def has_smooth_point(Q, field):
-    """Does the projective quadric Q = 0 have a smooth point over ``field``?
-
-    ``field`` is "R"/"inf" for the reals, an int q for F_q, or a pair
-    ("Qp", p) / a string like "Q3" for the p-adics.
-    """
-    if isinstance(field, str):
-        if field in ("R", "inf", "real"):
-            return has_smooth_point_real(Q)
-        if field.startswith("F"):
-            return has_smooth_point_fq(Q, int(field[1:]))
-        if field.startswith("Q"):
-            return has_smooth_point_qp(Q, int(field[1:]))
-        raise ValueError("unrecognised field %r" % field)
-    if isinstance(field, tuple):
-        tag, p = field
-        if tag == "Qp":
-            return has_smooth_point_qp(Q, p)
-        raise ValueError("unrecognised field %r" % (field,))
-    return has_smooth_point_fq(Q, int(field))
 
 
 def has_smooth_point_real(Q):

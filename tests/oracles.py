@@ -205,11 +205,12 @@ def restrict_to_line(poly, u, w):
     u_i + s*w_i in one variable."""
     from symmetroid.polys import MultiPoly
     forms = [MultiPoly(1, {(0,): ui, (1,): wi}) for ui, wi in zip(u, w)]
-    uni = MultiPoly.zero(1)
+    uni = MultiPoly(1)
     for e, c in poly.terms.items():
         term = MultiPoly.constant(1, c)
         for f, k in zip(forms, e):
-            term = term * f ** k
+            for _ in range(k):
+                term = term * f
         uni = uni + term
     coeffs = [0] * (max(uni.terms, default=(-1,))[0] + 1)
     for (d,), c in uni.terms.items():
@@ -449,21 +450,28 @@ def relevant_places(a, b):
     return sorted(places, key=lambda w: -1 if w == REAL else w)
 
 
-def variable(nvars, i, mod=None):
+def variable(nvars, i):
     """The ``MultiPoly`` x_i in ``nvars`` variables."""
     from symmetroid.polys import MultiPoly
     e = [0] * nvars
     e[i] = 1
-    return MultiPoly(nvars, {tuple(e): 1}, mod)
+    return MultiPoly(nvars, {tuple(e): 1})
 
 
 def polys_of(ideal):
     """The generators of a ``HomIdealPresentation``, rebuilt from their
-    term arrays as ``MultiPoly`` over the ideal's ring."""
+    term arrays as ``MultiPoly`` over Z (residues stay residues)."""
     from symmetroid.polys import MultiPoly
     return [MultiPoly(ideal.nvars, dict(zip(map(tuple, e.tolist()),
-                                            c.tolist())), ideal.mod)
+                                            c.tolist())))
             for e, c in ideal.generators]
+
+
+def reduce_mod(f, p):
+    """The ``MultiPoly`` f with its coefficients reduced into [0, p), the
+    terms that vanish mod p dropped."""
+    from symmetroid.polys import MultiPoly
+    return MultiPoly(f.nvars, {e: c % p for e, c in f.terms.items()})
 
 
 def coefficient(poly, expvec):

@@ -72,6 +72,20 @@ def test_fp_rank_spec_examples():
         fp_rank(eye5, 6)
 
 
+def test_integer_matrices_are_read_exactly():
+    # a list mixing a negative entry with one in [2^63, 2^64) was read as
+    # float64: 2^63 + 1 and -3 are both 0 mod 3
+    assert fp_rank([[2 ** 63 + 1, -3]], 3) == 0
+    assert fp_rank([[2 ** 63 + 1, -3]], 5) == 1
+    # a uint64 array is not wrapped into int64 (2^64 - 1 is 0 mod 3, -1
+    # is not), and a narrow one takes residues mod primes past its range
+    top = np.array([[2 ** 64 - 1, 0], [0, 1]], dtype=np.uint64)
+    assert fp_rank(top, 3) == 1
+    assert det_exact_crt(top) == 2 ** 64 - 1
+    assert fp_rank(np.array([[100, 27]], dtype=np.int8), 211) == 1
+    assert det_exact_crt([[2 ** 63 + 1, -3], [1, 1]]) == 2 ** 63 + 4
+
+
 def _dicts(M):
     return [{j: x for j, x in enumerate(row) if x} for row in M]
 

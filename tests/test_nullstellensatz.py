@@ -20,10 +20,10 @@ from symmetroid.polys import MultiPoly, monomials_of_degree, parse_poly
 from symmetroid.quadform import QuadricForm
 
 
-def _ideal(strings, nvars=5, mod=None):
+def _ideal(strings, nvars=5):
     names = ["t%d" % i for i in range(nvars)]
     return HomIdealPresentation.from_polys(
-        nvars, [parse_poly(s, names, mod) for s in strings])
+        nvars, [parse_poly(s, names) for s in strings])
 
 
 def test_irrelevant_ideal_certificates():
@@ -31,16 +31,14 @@ def test_irrelevant_ideal_certificates():
     cert = empty_all_primes(I, d_max=3)
     assert cert and cert.degree == 1
     assert cert.holds_at(2) and cert.holds_at(97)
-    Ip = _ideal(["t0", "t1", "t2", "t3", "t4"], mod=5)
-    certp = empty_over_fpbar(Ip, 3)
+    certp = empty_over_fpbar(I, 3, 5)
     assert certp and certp.degree == 1 and certp.prime == 5
 
 
 def test_nonempty_loci_stay_inconclusive():
     I = _ideal(["t0*t1"])
     assert isinstance(empty_all_primes(I, d_max=6), Inconclusive)
-    Ip = _ideal(["t0*t1"], mod=7)
-    assert isinstance(empty_over_fpbar(Ip, 6), Inconclusive)
+    assert isinstance(empty_over_fpbar(I, 6, 7), Inconclusive)
 
 
 def test_saturation_strips_only_two_content():
@@ -318,7 +316,7 @@ def test_soundness_against_search():
           "x4^2 + x1*x3"]
     P = Pencil([QuadricForm.from_string(s) for s in qs])
     for p, q2 in ((2, 4), (3, 9)):
-        I = diagonal_avoidance_ideal(P, p)
+        I = diagonal_avoidance_ideal(P)
         cert = empty_over_fpbar(I, 8, p)
         if not cert:
             continue
@@ -361,9 +359,7 @@ def test_z_vs_fp_compatibility_random():
         if isinstance(cert, Inconclusive):
             continue
         for p in (3, 5, 7):
-            Ip = HomIdealPresentation.from_polys(
-                3, [MultiPoly(3, g.terms, p) for g in gens])
-            certp = empty_over_fpbar(Ip, 8, p)
+            certp = empty_over_fpbar(I, 8, p)
             assert certp, (p, [g.to_string() for g in gens])
         agree += 1
     assert agree >= 5
@@ -371,7 +367,7 @@ def test_z_vs_fp_compatibility_random():
 
 def test_bihomogeneous_trivial_cases(thm_pencil):
     # (x0..x4) in the x-block: empty at once
-    gens = [variable(10, i, mod=5) for i in range(5)]
+    gens = [variable(10, i) for i in range(5)]
     I = HomIdealPresentation.from_polys(10, gens, bidegrees=[(1, 0)] * 5,
                                         nx=5, ny=5)
     cert = empty_bihomogeneous(I, (2, 2), 5)
@@ -389,7 +385,7 @@ def test_bihomogeneous_keeps_to_both_caps():
     # span is at (2, 2), which a cap of (2, 1) must not try
     mons = [(a, 2 - a, b, 2 - b) for a in range(3) for b in range(3)]
     I = HomIdealPresentation.from_polys(
-        4, [MultiPoly.monomial(4, e, mod=5) for e in mons],
+        4, [MultiPoly.monomial(4, e) for e in mons],
         bidegrees=[(2, 2)] * len(mons), nx=2, ny=2)
     cert = empty_bihomogeneous(I, (2, 2), 5)
     assert cert and cert.degree == (2, 2)
@@ -405,46 +401,39 @@ def test_bidegree_labels_are_checked():
     # over F_3 in P^1 x P^1, ((0:1), (1:0)) is a common zero of x0 and
     # x2*x3 + 2*x3^2; labelled (0, 1) and (0, 2) they once got a
     # certificate at (2, 2)
-    gens = [parse_poly(s, NAMES4, 3) for s in ("x0", "x2*x3 + 2*x3^2")]
+    gens = [parse_poly(s, NAMES4) for s in ("x0", "x2*x3 + 2*x3^2")]
     present = HomIdealPresentation.from_polys
     with pytest.raises(ValueError, match="not of bidegree"):
         present(4, gens, bidegrees=[(0, 1), (0, 2)], nx=2, ny=2)
     I = present(4, gens, bidegrees=[(1, 0), (0, 2)], nx=2, ny=2)
-    assert isinstance(empty_bihomogeneous(I, (2, 2)), Inconclusive)
+    assert isinstance(empty_bihomogeneous(I, (2, 2), 3), Inconclusive)
     with pytest.raises(ValueError, match="one bidegree per generator"):
         present(4, gens, bidegrees=[(1, 0)], nx=2, ny=2)
     with pytest.raises(ValueError, match="nx \\+ ny"):
         present(4, gens, bidegrees=[(1, 0), (0, 2)], nx=2, ny=3)
     with pytest.raises(ValueError, match="needs bidegrees"):
-        empty_bihomogeneous(present(4, gens), (2, 2))
+        empty_bihomogeneous(present(4, gens), (2, 2), 3)
     with pytest.raises(ValueError, match="must be homogeneous"):
-        present(4, gens + [parse_poly("x0 + x1^2", NAMES4, 3)])
+        present(4, gens + [parse_poly("x0 + x1^2", NAMES4)])
     with pytest.raises(ValueError, match="wrong ring"):
         present(5, gens)
 
 
 def test_an_ideal_over_another_prime_is_refused():
-    # over F_5 the three forms vanish at (1:1:1); read again mod 7 they
-    # would be certified empty at degree 1
-    I = _ideal(["t0 + 4*t1", "t1 + 4*t2", "t0 + 4*t2"], 3, mod=5)
+    # term arrays of residues mod 5: over F_5 the three forms vanish at
+    # (1:1:1); read again mod 7 they would be certified empty at degree 1
+    Z = _ideal(["t0 + 4*t1", "t1 + 4*t2", "t0 + 4*t2"], 3)
+    I = HomIdealPresentation(3, Z.generators, 5)
     assert isinstance(empty_over_fpbar(I, 3), Inconclusive)
     with pytest.raises(ValueError, match="over F_5, not F_7"):
         empty_over_fpbar(I, 3, 7)
-    gens = [variable(10, i, mod=5) for i in range(5)]
-    Ixy = HomIdealPresentation.from_polys(10, gens, bidegrees=[(1, 0)] * 5,
-                                          nx=5, ny=5)
+    with pytest.raises(ValueError, match="needs generators over Z"):
+        empty_all_primes(I)
+    Zxy = HomIdealPresentation.from_polys(
+        10, [variable(10, i) for i in range(5)])
+    Ixy = HomIdealPresentation(10, Zxy.generators, 5, [(1, 0)] * 5, 5, 5)
     with pytest.raises(ValueError, match="over F_5, not F_7"):
         empty_bihomogeneous(Ixy, (2, 2), 7)
-
-
-def test_generators_over_two_rings_are_refused():
-    # t0 over Z and t1..t4 over F_7: read as over Z, the presentation got
-    # an all-primes certificate that says nothing about the prime 7
-    names = ["t%d" % i for i in range(5)]
-    gens = [parse_poly("t0", names)] + [parse_poly("t%d" % i, names, 7)
-                                         for i in range(1, 5)]
-    with pytest.raises(ValueError, match="wrong ring"):
-        HomIdealPresentation.from_polys(5, gens)
 
 
 def test_regularity_diagonal_failure_detected():
@@ -471,7 +460,7 @@ def _random_form(rng, blocks, p):
             terms[sum(parts, ())] = rng.randrange(1, p)
     if not terms:
         terms[sum((b[0] for b in blocks), ())] = 1
-    return MultiPoly(sum(len(b[0]) for b in blocks), terms, p)
+    return MultiPoly(sum(len(b[0]) for b in blocks), terms)
 
 
 def _seeded_ladders():

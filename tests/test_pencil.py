@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import cofactor_det, det_poly, polys_of, restrict_to_line
+from oracles import (cofactor_det, det_poly, polys_of, reduce_mod,
+                     restrict_to_line)
 from symmetroid.linalg import det_bareiss, mat_vec, random_unimodular
 from symmetroid.pencil import (Pencil, alpha_symbol, parse_pencil_text,
                                rank_le2_minor_ideal, singular_locus_ideal,
-                               universal_gram, x_point_from_singular_member)
+                               x_point_from_singular_member)
 from symmetroid.polys import MultiPoly, parse_poly, poly_matrix_det
 from symmetroid.quadform import QuadricForm, diagonalize_symmetric
 
@@ -19,15 +20,15 @@ DIAG = [QuadricForm.from_string("x%d^2" % i) for i in range(5)]
 def test_universal_gram_examples(thm_pencil):
     m1 = thm_pencil.leading_minor_poly(1)
     assert m1 == parse_poly("2*t1 + 2*t2 + 8*t3 + 2*t4", T_NAMES)
-    Pd = universal_gram(DIAG)
+    Pd = Pencil(DIAG)
     det = det_poly(Pd)
     assert det == parse_poly("32*t0*t1*t2*t3*t4", T_NAMES)
     with pytest.raises(ValueError):
-        universal_gram(DIAG[:4] + [DIAG[0]])
+        Pencil(DIAG[:4] + [DIAG[0]])
     # Q4 = Q0 + Q1 dependence
     dep = DIAG[:4] + [QuadricForm.from_string("x0^2 + x1^2")]
     with pytest.raises(ValueError):
-        universal_gram(dep)
+        Pencil(dep)
 
 
 def test_det_homogeneous_and_matches_matrix_det(thm_pencil):
@@ -42,7 +43,7 @@ def test_det_homogeneous_and_matches_matrix_det(thm_pencil):
 
 
 def test_alpha_symbol_diagonal_pencil():
-    Pd = universal_gram(DIAG)
+    Pd = Pencil(DIAG)
     sym = alpha_symbol(Pd)
     a_num, a_den = sym.first
     b_num, b_den = sym.second
@@ -122,7 +123,7 @@ def test_cramer_kernel_vector_on_H(thm_pencil):
     minors = []
     for j in range(5):
         sub = [[mat[r][c] for c in range(5) if c != j] for r in range(4)]
-        minors.append(MultiPoly(5, poly_matrix_det(sub).terms, p))
+        minors.append(poly_matrix_det(sub))
     found = 0
     while found < 50:
         a = [rng.randrange(p) for _ in range(5)]
@@ -182,14 +183,14 @@ def test_minor_ideal_shape(thm_pencil):
 
 
 def _partial(f, j):
-    """d f / d v_j of a polynomial over F_p."""
+    """d f / d v_j of a polynomial over Z."""
     terms = {}
     for e, c in f.terms.items():
         if e[j]:
             d = list(e)
             d[j] -= 1
             terms[tuple(d)] = c * e[j]
-    return MultiPoly(f.nvars, terms, f.mod)
+    return MultiPoly(f.nvars, terms)
 
 
 @pytest.fixture
@@ -216,7 +217,8 @@ def test_singular_locus_minors_match_cofactor_expansion(name, p, request):
     jac = [[_partial(f, j) for j in range(10)] for f in forms]
     want, bidegrees = [], []
     for cols in combinations(range(10), 5):
-        m = cofactor_det([[row[c] for c in cols] for row in jac])
+        m = reduce_mod(cofactor_det([[row[c] for c in cols] for row in jac]),
+                       p)
         if not m.is_zero():
             want.append(m)
             k = sum(1 for c in cols if c < 5)

@@ -11,12 +11,12 @@ from symmetroid.polys import (MultiPoly, monomial_ranks, monomials_of_degree,
 NAMES = ["t%d" % i for i in range(5)]
 
 
-def rand_poly(rng, nvars=3, terms=4, deg=3, mod=None):
+def rand_poly(rng, nvars=3, terms=4, deg=3):
     d = {}
     for _ in range(terms):
         e = tuple(rng.randrange(deg + 1) for _ in range(nvars))
         d[e] = rng.randint(-9, 9)
-    return MultiPoly(nvars, d, mod)
+    return MultiPoly(nvars, d)
 
 
 def test_parse_and_canonical_string():
@@ -54,20 +54,19 @@ def test_ring_laws(sa, sb, sc):
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
     assert a + b == b + a
-    assert a - a == MultiPoly.zero(3)
+    assert a - a == MultiPoly(3)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10**6))
-def test_mod_p_compatibility(seed):
-    rng = random.Random(seed)
-    p = rng.choice([2, 3, 5, 7, 13])
-    a, b = rand_poly(rng), rand_poly(rng)
-
-    def mod(f):
-        return MultiPoly(f.nvars, f.terms, p)
-    assert mod(a * b) == mod(a) * mod(b)
-    assert mod(a + b) == mod(a) + mod(b)
+def test_polynomials_are_over_z_only():
+    # no modulus is accepted; an int factor scales, 0 gives the zero
+    # polynomial
+    with pytest.raises(TypeError):
+        MultiPoly(5, {}, 7)
+    with pytest.raises(TypeError):
+        parse_poly("t0", NAMES, 7)
+    a = parse_poly("2*t0 - 3*t1^2", NAMES)
+    assert 3 * a == a * 3 == parse_poly("6*t0 - 9*t1^2", NAMES)
+    assert (a * 0).is_zero() and -a == a * -1
 
 
 def test_evaluation_and_substitution():

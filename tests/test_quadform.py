@@ -10,7 +10,6 @@ from symmetroid.linalg import mat_mul, random_unimodular, transpose
 from symmetroid.localfields import REAL, is_square_at
 from symmetroid.quadform import (QuadricForm, _diagonal_isotropic_qp,
                                  _smooth_point_enumerate, classify,
-                                 diagonalize_symmetric, has_smooth_point,
                                  has_smooth_point_fq, has_smooth_point_qp,
                                  has_smooth_point_real, parse_quadric_line,
                                  quadric_to_line, ruling_disc)
@@ -93,9 +92,7 @@ def test_smooth_point_paper_values():
     assert has_smooth_point_real(SUMSQ) is False
     for p in (2, 3, 5, 7):
         assert has_smooth_point_fq(QuadricForm.from_string("x0*x1"), p)
-    assert has_smooth_point(Q0_310, "Q3") is False
-    assert has_smooth_point(SUMSQ, "R") is False
-    assert has_smooth_point(SUMSQ, "Q2") is False
+    assert has_smooth_point_qp(SUMSQ, 2) is False
     with pytest.raises(ValueError):
         has_smooth_point_real(QuadricForm([0] * 15))
 
