@@ -143,12 +143,13 @@ def main(argv=None):
         # in our contract, so remap
         raise SystemExit(EXIT_ERROR if exc.code not in (0, None)
                          else exc.code)
+    inputs = {}
     try:
-        inputs, result, status, line = _dispatch(args)
+        result, status, line = _dispatch(args, inputs)
     except BrokenPipeError:
         raise
-    except Exception as exc:  # engine errors -> exit 1 with context
-        inputs, result, status, line = {}, str(exc), "error", "error: %s" % exc
+    except Exception as exc:  # engine errors -> exit 1 with the inputs
+        result, status, line = str(exc), "error", "error: %s" % exc
     report = {"schema": SCHEMA_VERSION, "subcommand": args.subcommand,
               "status": status, "inputs": inputs, "result": result}
     text = json.dumps(report, indent=2 if args.pretty else None,
@@ -162,43 +163,46 @@ def main(argv=None):
     return _EXIT[status]
 
 
-def _dispatch(args):
-    """Run the subcommand of ``args``: its report's (inputs, result,
-    status) and the summary line."""
+def _dispatch(args, inputs):
+    """Run the subcommand of ``args``: its report's (result, status) and
+    the summary line.  The report's inputs go into the dict ``inputs``
+    before the engine runs, so that an error report has them too."""
     name = args.subcommand
     if name == "density-bound":
+        inputs["cutoff"] = args.cutoff
         rep = density.product_lower_bound(args.cutoff)
-        return ({"cutoff": args.cutoff}, rep.as_json(), "ok",
+        return (rep.as_json(), "ok",
                 "density lower bound: %.6f (cutoff %d)"
                 % (float(rep.final_bound), args.cutoff))
 
     if name == "monte-carlo":
+        inputs.update(height=args.height, cutoff=args.cutoff,
+                      samples=args.samples, seed=args.seed)
         rep = density.monte_carlo_density(args.height, args.cutoff,
                                           args.samples, seed=args.seed)
-        return ({"height": args.height, "cutoff": args.cutoff,
-                 "samples": args.samples, "seed": args.seed},
-                rep.as_json(), "ok",
+        return (rep.as_json(), "ok",
                 "empty report (0 samples)" if rep.estimate is None else
                 "pass fraction %.4f vs product %.4f"
                 % (float(rep.estimate), float(rep.reference_product)))
 
     if name == "census":
+        inputs["p"] = args.p
         count = density.census_bp(args.p, progress=sys.stderr,
                                   workers=args.workers)
         formula = density.pointless_quadric_count(args.p)
-        return ({"p": args.p},
-                {"census": count, "formula": formula,
+        return ({"census": count, "formula": formula,
                  "agree": count == formula},
                 "ok" if count == formula else "error",
                 "census #B_%d = %d (formula %d)" % (args.p, count, formula))
 
     P, source = load_pencil(args.pencil)
-    inputs = {"pencil": source, "lines": P.to_lines()}
+    inputs.update(pencil=source, lines=P.to_lines())
 
     if name == "classify":
         field = args.field
         if field not in ("Q", "R"):
             field = int(field)
+        inputs["field"] = str(field)
         if args.t:
             t = _parse_point(args.t)
             Q = P.member(t)
@@ -211,12 +215,11 @@ def _dispatch(args):
                 {"quadric": Q.to_string(),
                  "classification": classify(Q, field).as_json()}
                 for Q in P.quadrics]}
-        return ({**inputs, "field": str(field)}, result, "ok",
-                "classified over %s" % field)
+        return result, "ok", "classified over %s" % field
 
     if name == "alpha-symbol":
         sym = alpha_symbol(P, seed=args.seed)
-        return (inputs, sym.as_json(), "ok",
+        return (sym.as_json(), "ok",
                 "alpha symbol computed; basis change: %s"
                 % ("none" if sym.basis_change is None else "yes"))
 
@@ -233,13 +236,14 @@ def _dispatch(args):
             d = y.as_json()
             d["invariant"] = str(inv)
             result["points"].append(d)
-        return (inputs, result, "ok", "lifts: %d%s" % (
+        return (result, "ok", "lifts: %d%s" % (
             len(points),
             "; invariants " + ", ".join(p["invariant"]
                                         for p in result["points"])
             if points else " (discriminant not a square at the place)"))
 
     if name == "certify-wa":
+        inputs.update(strategy=args.strategy, prime=args.prime)
         if args.strategy == "finite":
             if not args.prime:
                 raise ValueError("--strategy finite needs --prime")
@@ -251,22 +255,23 @@ def _dispatch(args):
             reg = regularity_certificate(P, args.reg_prime)
         cert = certify_wa_failure(P, strategy, regularity=reg,
                                   seed=args.seed)
-        return ({**inputs, "strategy": args.strategy, "prime": args.prime},
-                cert.as_json(), "ok",
+        return (cert.as_json(), "ok",
                 "weak approximation obstructed at %s (invariants 0 and 1/2)"
                 % ("the real place" if cert.place == "inf" else
                    "p=%s" % cert.place))
 
     if name == "regularity":
+        inputs["prime"] = args.prime
         cert = regularity_certificate(P, args.prime,
                                       d_max_diag=args.dmax,
                                       d_max_bi=(args.dmax_bi, args.dmax_bi))
         status = "ok" if cert.certified else "inconclusive"
-        return ({**inputs, "prime": args.prime}, cert.as_json(), status,
+        return (cert.as_json(), status,
                 "regularity at p=%d: %s" % (
                     args.prime, "certified" if cert.certified else status))
 
     if name == "v3-test":
+        inputs.update(dmax=args.dmax, saturate_at_2=not args.no_saturate)
         ideal = rank_le2_minor_ideal(P)
         cert = empty_all_primes(ideal,
                                 saturate_at_2=not args.no_saturate,
@@ -279,23 +284,21 @@ def _dispatch(args):
                        % (cert.witness["point"], cert.witness["prime"]))
         else:
             verdict = "inconclusive"
-        return ({**inputs, "dmax": args.dmax,
-                 "saturate_at_2": not args.no_saturate},
-                cert.as_json(), "ok" if ok else "inconclusive",
+        return (cert.as_json(), "ok" if ok else "inconclusive",
                 "V3 avoidance: %s" % verdict)
 
     if name == "sp-scan":
         if args.prime:
-            ps = [args.prime]
+            ps = inputs["primes"] = [args.prime]
         elif args.cutoff:
-            ps = density.primes_below(args.cutoff + 1)
+            ps = inputs["primes"] = density.primes_below(args.cutoff + 1)
             if ps:
                 density._check_prime(ps[-1])
         else:
             raise ValueError("sp-scan needs --prime or --cutoff")
         result = {str(p): density.sp_member(P, p).as_json() for p in ps}
         members = [p for p, r in result.items() if r["member"]]
-        return ({**inputs, "primes": ps}, result, "ok",
+        return (result, "ok",
                 "S_p membership: %s" % (
                     "member at " + ", ".join(members) if members
                     else "none of the scanned primes"))
@@ -308,7 +311,7 @@ def _dispatch(args):
                   "v": [int(x) for x in xp["v"]],
                   "w": [int(x) for x in xp["w"]],
                   "degenerate": xp["degenerate"]}
-        return (inputs, result, "ok",
+        return (result, "ok",
                 "X-point pair v=%s w=%s" % (result["v"], result["w"]))
 
     raise ValueError("unknown subcommand %r" % name)

@@ -14,6 +14,11 @@ Spec Z.  Saturation with respect to 2 is implemented by stripping the
 degree.  Certificates are only ever issued on positive evidence; running
 out of degree budget reports "inconclusive", never a verdict.
 
+The subset determinants stop at the first prime they prove uncleared:
+from the second one on, the small primes q of their gcd are ranked mod q,
+smallest first, and a rank loss puts q in the lattice index and so in
+every later determinant: q is the prime the full gcd would name first.
+
 A degree whose index evidence names a prime q that the rank mod q
 cannot clear ends the ladder early when the generators have a common zero
 x in P^{n-1}(F_q): every Macaulay row g*m vanishes at x, so at every
@@ -55,7 +60,7 @@ class HomIdealPresentation:
     ``bidegrees`` labels the generators.  Each generator is a pair of term
     arrays: the exponents, an (N, nvars) integer array (int64 from
     ``from_polys``), and the coefficients, integers, or Python ints in an
-    object array when one does not fit in int64.  Only term arrays built
+    object array where int64 might not hold one.  Only term arrays built
     mod p, such as ``singular_locus_ideal``'s, are presented over F_p.
     The checks record each generator's multidegree."""
     nvars: int
@@ -388,6 +393,10 @@ def empty_over_fpbar(ideal, d_max, p=None):
 
 
 _SCREEN_PRIMES = (1000003, 999983, 1000033)
+# once two subset determinants are in, the primes below this bound that
+# divide their gcd are ranked at once, smallest first: a block rank mod a
+# prime below 100 costs less than one more pivot search and determinant
+_EARLY_PRIME_BOUND = 100
 # at most this many rows and columns get an exact Smith normal form
 _SNF_LIMIT = (40, 16)
 
@@ -403,7 +412,8 @@ def empty_all_primes(ideal, saturate_at_2=True, d_max=12):
     shortcut: the lattice index divides the determinant of any maximal
     nonsingular row subset, so the gcd of several such determinants (odd
     parts, after 2-stripping) bounds the bad primes, each of which is then
-    cleared by a full-rank check mod that prime.
+    cleared by a full-rank check mod that prime; a small prime that fails
+    it ends the degree once two determinants are in.
     """
     if ideal.mod is not None:
         raise ValueError("empty_all_primes needs generators over Z")
@@ -527,6 +537,12 @@ def _lattice_is_full_after_stripping(block, ncols, saturate_at_2):
     subset determinant whose (2-stripped) odd part is cleared prime by
     prime certifies trivial stripped divisors.  Exact Smith form is used
     only on small matrices, where its coefficient growth is harmless.
+
+    From the second determinant on, the primes q < ``_EARLY_PRIME_BOUND``
+    (from 3 under ``saturate_at_2``) of their gcd g are ranked mod q,
+    ascending, each once.  A rank loss raises _PrimeNotCleared(q) at once:
+    q is in the index, so in the final gcd, whose smaller primes all
+    divide g and were ranked full, so q is the first it would fail on.
     """
     pivots, rank = fp_pivot_rows(block, ncols, _SCREEN_PRIMES[0])
     if rank < ncols and fp_pivot_rows(block, ncols,
@@ -542,13 +558,14 @@ def _lattice_is_full_after_stripping(block, ncols, saturate_at_2):
                  "bad_primes": []}, "smith")
     # the index divides det(subset) for every maximal nonsingular row
     # subset; shuffling the row order makes the screening prime pick
-    # different subsets, and the gcd of their (stripped) odd parts drops
-    # to 1 almost immediately in practice.  Attempt 0 keeps the block's
-    # order and the first screening prime: that is the screen above.
+    # different subsets, and on a full lattice their (stripped) gcd drops
+    # to 1 within a few.  Attempt 0 keeps the block's order and the first
+    # screening prime: that is the screen above.
     rng = random.Random(0xD1E5)
     dets = []
     g = 0
     order = list(range(len(block)))
+    ranked = set()      # primes at which the block has full rank
     for attempt in range(8):
         if attempt:
             rng.shuffle(order)
@@ -564,6 +581,12 @@ def _lattice_is_full_after_stripping(block, ncols, saturate_at_2):
         g = gcd(g, _strip2(D) if saturate_at_2 else abs(D))
         if g == 1:
             break
+        for q in range(2 + saturate_at_2, _EARLY_PRIME_BOUND):
+            if len(dets) < 2 or g % q or q in ranked or not is_prime(q):
+                continue
+            if fp_rank_sparse_dense(block, ncols, q) < ncols:
+                raise _PrimeNotCleared(q)
+            ranked.add(q)
     if not dets:
         return None
     rank2 = None
@@ -585,7 +608,7 @@ def _lattice_is_full_after_stripping(block, ncols, saturate_at_2):
     for q in factors:
         if saturate_at_2 and q == 2:
             continue
-        if fp_rank_sparse_dense(block, ncols, q) != ncols:
+        if q not in ranked and fp_rank_sparse_dense(block, ncols, q) != ncols:
             raise _PrimeNotCleared(q)
         cleared.append(q)
     summary["index_evidence_gcd"] = g

@@ -14,15 +14,18 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
+from math import comb, factorial
 
 import numpy as np
 
-from .linalg import (_fp_dtype, det_bareiss, is_prime, kernel_rational,
-                     laplace_minors, mat_mul, mat_vec, primitive_vector,
+from .linalg import (_fp_dtype, _laplace_tables, det_bareiss, is_prime,
+                     kernel_rational, mat_mul, mat_vec, primitive_vector,
                      random_unimodular, rank_rational, transpose)
 from .nullstellensatz import (HomIdealPresentation, Inconclusive,
-                              empty_bihomogeneous, empty_over_fpbar)
+                              _product_table, empty_bihomogeneous,
+                              empty_over_fpbar)
 from .polys import MultiPoly, monomials_of_degree, poly_matrix_det
 from .quadform import QuadricForm, parse_quadric_line, quadric_to_line
 from .roots import poly_eval_scaled, poly_interpolate
@@ -290,20 +293,70 @@ def _parallel(a, b):
 # ideals attached to the pencil
 
 
+@lru_cache(maxsize=None)
+def _up_table(j):
+    """up[k * M + a, b] = 1 where z_k times the a-th of the M monomials of
+    degree j - 1 in z0..z4 is the b-th of degree j (``monomials_of_degree``
+    order, read from ``_product_table``), else 0.  Read-only: built once
+    per j and shared."""
+    table = _product_table(5, 1, j - 1).ravel()
+    up = np.zeros((len(table), comb(j + 4, 4)), dtype=np.int64)
+    up[np.arange(len(table)), table] = 1
+    up.flags.writeable = False
+    return up
+
+
+def _linear_minors(lin, k_max, p=None):
+    """Coefficient tables of the minors of L(z), a 5x5 matrix of linear
+    forms in z0..z4, lin[i, j, v] the coefficient of z_v in L(z)[i][j]:
+    minors[R][a] is det L(z)[R, S] over the monomials of degree |R|
+    (``monomials_of_degree`` order), S the a-th column set of its size in
+    ``combinations`` order, for each row set R of at most k_max rows.
+
+    Expansion along the first row R[0] (column sets and signs from
+    ``linalg._laplace_tables``) multiplies linear forms by coefficient
+    vectors, one degree up through ``_up_table``.  Mod p every product is
+    reduced, so each sum, of at most 25 residues, is exact in
+    ``_fp_dtype(p)``.  Over Z each coefficient and partial sum of a k x k
+    minor is at most k! (5 c)^k, c = max |lin|: int64 while that is below
+    2^63, else Python ints in object arrays."""
+    lin = np.array(lin, dtype=object)
+    if p:
+        lin, dtype = lin % p, _fp_dtype(p)
+    else:
+        top = int(abs(lin).max())
+        dtype = (np.int64 if factorial(k_max) * (5 * top) ** k_max < 1 << 63
+                 else object)
+    lin = lin.astype(dtype)
+    minors = {(): np.ones((1, 1), dtype=dtype)}
+    for j in range(1, k_max + 1):
+        _, take, rest = _laplace_tables(5, j)
+        for R in combinations(range(5), j):
+            signed = np.concatenate([lin[R[0]], -lin[R[0]]])[take]
+            term = signed[..., None] * minors[R[1:]][rest][..., None, :]
+            term = term % p if p else term
+            minor = term.sum(axis=1).reshape(len(take), -1) @ _up_table(j)
+            minors[R] = minor % p if p else minor
+    return minors
+
+
 def rank_le2_minor_ideal(P):
     """The 3x3 minors of B(t) restricted to the pencil, over Z.
 
     Their common zero locus inside the parameter space is the set of
     members whose Gram matrix has rank at most 2.  Minors are symmetric in
     (rows, cols), so only the 55 distinct ones are listed: rows I and
-    columns J >= I, in ``combinations`` order.
+    columns J >= I, in ``combinations`` order, zero minors left out, read
+    from the coefficient tables of ``_linear_minors`` (terms in
+    ``monomials_of_degree`` order).
     """
-    mat = P.gram_matrix_poly()
-    gens = []
-    for I in combinations(range(5), 3):
-        gens += [m for J, m in laplace_minors(mat, I).items()
-                 if J >= I and not m.is_zero()]
-    return HomIdealPresentation.from_polys(5, gens)
+    minors = _linear_minors(
+        np.array(P.grams, dtype=object).transpose(1, 2, 0), 3)
+    exps = np.array(monomials_of_degree(5, 3), dtype=np.int64)
+    sets = list(combinations(range(5), 3))
+    gens = [(exps[c != 0], c[c != 0]) for I in sets
+            for J, c in zip(sets, minors[I]) if J >= I and c.any()]
+    return HomIdealPresentation(5, gens)
 
 
 def diagonal_avoidance_ideal(P):
@@ -325,10 +378,8 @@ def singular_locus_ideal(P, p):
     blocks (Laplace; Muir, "A Treatise on the Theory of Determinants"):
     det = sum over k-sets R of rows, 0-based, of
     (-1)^(sum R + k(k-1)/2) det L(y)[R, S] det L(x)[R^c, T].  The minors
-    of L(z) are formed once, as coefficient vectors over the monomials of
-    z, each from the minors one row smaller by Laplace expansion along its
-    first row, a linear form times a coefficient vector through a table of
-    monomial products; they serve both x and y.  Each term is the outer
+    of L(z) are formed once, mod p, as the coefficient tables of
+    ``_linear_minors``; they serve both x and y.  Each term is the outer
     product of an x-vector and a y-vector, x-major, and the minor has
     bidegree (5 - k, k).  The nonzero cells of each such table, and of
     each B_i, index a table of exponents: the generators' term arrays.
@@ -342,42 +393,14 @@ def singular_locus_ideal(P, p):
         return np.hstack([np.repeat(x, len(y), axis=0),
                           np.tile(y, (len(x), 1))])
 
-    gens = []
-    for B in P.grams:
-        flat = np.array([c % p for row in B for c in row],
-                        dtype=_fp_dtype(p))
-        gens.append((pairs(1, 1)[flat != 0], flat[flat != 0]))
+    # minors[R][at[S]]: det L(z)[R, S], lin[i, j, k] = B_i[j][k]; the
+    # 1 x 1 ones on row i, x-major, are the coefficients of x^t B_i y
+    minors = _linear_minors(P.grams, 5, p)
+    gens = [(pairs(1, 1)[c != 0], c[c != 0])
+            for c in (minors[(i,)].ravel() for i in range(5))]
     bidegrees = [(1, 1)] * len(gens)
-    dtype = _fp_dtype(p)
-    # lin[i, j, k]: the coefficient of z_k in L(z)[i][j]
-    lin = np.array([[[c % p for c in row] for row in B] for B in P.grams],
-                   dtype=dtype)
     sets = [list(combinations(range(5), j)) for j in range(6)]
     at = {S: i for j in range(6) for i, S in enumerate(sets[j])}
-    # minors[R][at[S]]: det L(z)[R, S] over the monomials mons[|R|], as
-    # residues in _fp_dtype(p), where a product of two residues and a sum
-    # of 25 residues stay exact
-    minors = {(): np.ones((1, 1), dtype=dtype)}
-    for j in range(1, 6):
-        index = {e: i for i, e in enumerate(mons[j])}
-        # up[k, a, b] = 1 where z_k times the monomial mons[j-1][a] is
-        # mons[j][b]
-        up = np.zeros((5, len(mons[j - 1]), len(mons[j])), dtype=dtype)
-        for a, e in enumerate(mons[j - 1]):
-            for k in range(5):
-                up[k, a, index[e[:k] + (e[k] + 1,) + e[k + 1:]]] = 1
-        up = up.reshape(-1, len(mons[j]))
-        # det L[R, S] expands along its first row R[0]: the q-th term is
-        # (-1)^q L[R[0]][S[q]] det L[R[1:], S without S[q]]
-        cols = np.array(sets[j])
-        rest = np.array([[at[S[:q] + S[q + 1:]] for q in range(j)]
-                         for S in sets[j]])
-        sign = np.array([(-1) ** q for q in range(j)])[:, None, None]
-        for R in sets[j]:
-            term = (lin[R[0]][cols][..., None]
-                    * minors[R[1:]][rest][..., None, :] % p)
-            minors[R] = ((term * sign).sum(axis=1).reshape(len(cols), -1)
-                         @ up % p)
     # block[k][at[T], :, at[S], :]: the minor on (S, T), |S| = k, x-major
     block = []
     for k in range(6):

@@ -467,6 +467,20 @@ def polys_of(ideal):
             for e, c in ideal.generators]
 
 
+def rank_le2_minors_by_laplace(P):
+    """The 3x3 minors of B(t) of the pencil P as ``MultiPoly``: rows I,
+    columns J >= I in ``combinations`` order, zero minors left out, each
+    expanded by ``laplace_minors`` over the polynomial entries of
+    ``Pencil.gram_matrix_poly``."""
+    from symmetroid.linalg import laplace_minors
+    mat = P.gram_matrix_poly()
+    gens = []
+    for I in combinations(range(5), 3):
+        gens += [m for J, m in laplace_minors(mat, I).items()
+                 if J >= I and not m.is_zero()]
+    return gens
+
+
 def reduce_mod(f, p):
     """The ``MultiPoly`` f with its coefficients reduced into [0, p), the
     terms that vanish mod p dropped."""

@@ -172,6 +172,22 @@ def test_error_exit_codes(tmp_path):
     assert code == EXIT_ERROR
 
 
+def test_error_reports_carry_their_inputs(tmp_path):
+    # the inputs are recorded before the engine runs, so a failed run's
+    # report says which options and which pencil failed
+    code, rep = run_cli(["density-bound", "--cutoff", "50"], tmp_path)
+    assert code == EXIT_ERROR
+    assert rep["inputs"] == {"cutoff": 50}
+    assert rep["result"] == "cutoff must be at least 100"
+    code, rep = run_cli(["evaluate", "thm_example", "--t", "0,0,1,0,0",
+                         "--place", "inf"], tmp_path)
+    assert code == EXIT_ERROR
+    P, _ = load_pencil("thm_example")
+    assert rep["inputs"] == {"pencil": "builtin:thm_example",
+                             "lines": P.to_lines()}
+    assert rep["result"] == "t* is not on the discriminant quintic H"
+
+
 def test_malformed_pencil_files(tmp_path):
     four = tmp_path / "four.pencil"
     four.write_text("x0^2\nx1^2\nx2^2\nx3^2\n")

@@ -80,6 +80,48 @@ def test_factoring_budget_ends_in_inconclusive():
     assert time.perf_counter() - t0 < 60
 
 
+def test_small_prime_of_unfactored_evidence_is_named():
+    # 3 N with N the semiprime above, past the rho budget: the gcd of the
+    # first two subset determinants at degree 3 is 3 N, the block loses
+    # rank mod 3 and the ladder stops on the common zero (0:0:0:0:1)
+    # mod 3 before N has to be factored (factoring 3 N would give up)
+    from symmetroid.linalg import is_prime
+    q2 = (1 << 60) + 1
+    while not is_prime(q2):
+        q2 += 2
+    N = ((1 << 61) - 1) * q2
+    res = empty_all_primes(_ideal(["t0", "t1", "t2", "t3",
+                                   "%d*t4" % (3 * N)]), d_max=4)
+    assert isinstance(res, Inconclusive)
+    assert res.witness == {"prime": 3, "point": [0, 0, 0, 0, 1]}
+    assert res.reason == ("the prime 3 is not cleared at degree 3 and the "
+                          "generators vanish at (0, 0, 0, 0, 1) mod 3, so "
+                          "no degree clears it")
+
+
+def test_determinant_loop_stops_at_a_proven_uncleared_prime(
+        q3_pencil, thm_pencil, monkeypatch):
+    # prop_q3 at degree 3: 3 divides the gcd of the first two subset
+    # determinants and the block loses rank mod 3, so the six others are
+    # not taken; thm_example still takes its three
+    from symmetroid import nullstellensatz
+    real = nullstellensatz.det_exact_crt
+    calls = []
+
+    def spy(M):
+        calls.append(len(M))
+        return real(M)
+    monkeypatch.setattr(nullstellensatz, "det_exact_crt", spy)
+    rows, ncols = _degree_rows(rank_le2_minor_ideal(q3_pencil), 3)
+    with pytest.raises(nullstellensatz._PrimeNotCleared) as exc:
+        nullstellensatz._lattice_is_full_after_stripping(rows, ncols, True)
+    assert exc.value.args == (3,) and calls == [35, 35]
+    calls.clear()
+    cert = empty_all_primes(rank_le2_minor_ideal(thm_pencil), d_max=12)
+    assert calls == [35] * 3
+    assert cert.divisor_summary["subset_determinant_count"] == 3
+
+
 def test_coefficients_past_int64_stay_exact():
     # N * t4 with N in [2^63, 2^64): as a float, 2^63 + 1 rounds to 2^63,
     # whose index the 2-saturation forgives; the exact N has odd prime

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from oracles import (cofactor_det, det_poly, polys_of, reduce_mod,
@@ -180,6 +181,51 @@ def test_minor_ideal_shape(thm_pencil):
     ideal = rank_le2_minor_ideal(thm_pencil)
     # the presentation's homogeneity check records each degree
     assert ideal.degrees == [(3,)] * 55
+
+
+def _random_pencil(rng, size):
+    while True:
+        try:
+            return Pencil([QuadricForm([rng.randint(-size, size)
+                                        for _ in range(15)])
+                           for _ in range(5)])
+        except ValueError:      # dependent quadrics: draw again
+            pass
+
+
+def test_minor_ideal_matches_polynomial_laplace_minors(
+        thm_pencil, q3_pencil, cor_pencil):
+    # the minors read from coefficient tables are the MultiPoly Laplace
+    # minors, generator for generator, on the bundled pencils, seeded
+    # random ones and one whose entries take the object-array path
+    # (6 (5 c)^3 >= 2^63 from c = max |B_i| = 230,822 on)
+    from oracles import rank_le2_minors_by_laplace
+    rng = random.Random(29)
+    pencils = [thm_pencil, q3_pencil, cor_pencil]
+    pencils += [_random_pencil(rng, size) for size in (1, 3, 9, 9, 40)]
+    big = _random_pencil(rng, 10 ** 12)
+    for P in pencils + [big]:
+        ideal = rank_le2_minor_ideal(P)
+        assert polys_of(ideal) == rank_le2_minors_by_laplace(P)
+        assert {c.dtype for _, c in ideal.generators} == {
+            np.dtype(object if P is big else np.int64)}
+
+
+def test_linear_minors_are_exact_up_to_the_int64_bound():
+    # 3! (5 c)^3 < 2^63 for c = max |lin| up to 230,821: the tables are
+    # int64 there and Python ints one past it.  With entries +-c the
+    # int64 minors agree with the expansion mod a prime past 2^64, which
+    # runs on Python ints
+    from symmetroid.pencil import _linear_minors
+    rng = np.random.default_rng(3)
+    p = (1 << 89) - 1
+    for c, dtype in ((230821, np.int64), (230822, object)):
+        lin = rng.choice([-c, c], size=(5, 5, 5)).astype(object)
+        over_z, mod_p = _linear_minors(lin, 3), _linear_minors(lin, 3, p)
+        for R, m in over_z.items():
+            assert m.dtype == dtype and mod_p[R].dtype == object
+            assert (m.astype(object) % p == mod_p[R]).all()
+        assert np.abs(over_z[(0, 1, 2)].astype(object)).max() > 1 << 56
 
 
 def _partial(f, j):
