@@ -22,11 +22,12 @@ from fractions import Fraction
 from math import isqrt
 
 from .linalg import det_bareiss, primitive_vector, random_unimodular
-from .localfields import (INV_HALF, INV_ZERO, REAL, normalize_place,
+from .localfields import (INV_HALF, INV_ZERO, REAL, is_square_at,
+                          normalize_place, padic_val_unit,
                           quaternion_invariant, square_class)
 from .pencil import regularity_certificate
 from .quadform import (COEFF_ORDER, QuadricForm, classify, has_smooth_point_qp,
-                       has_smooth_point_real, ruling_disc)
+                       has_smooth_point_real, principal_minors, ruling_disc)
 from .roots import (RatInterval, horner_sign, isolate_real_roots,
                     refine_root, sturm_chain)
 
@@ -119,23 +120,27 @@ def _lift_padic(P, t_star, p, N):
     if p == REAL:
         raise ValueError("p-adic lift needs a finite place")
     pN = p ** N
-    t = [int(x) % pN for x in t_star]
+    t = [x % pN for x in _integral(t_star)]
     if all(x % p == 0 for x in t):
         raise ValueError("coordinates must include a unit")
     B = P.gram_at(t)
     if det_bareiss(B) % pN != 0:
         raise ValueError("t* is not on H to the working precision")
     val, unit, _ = _certified_minor(B, p, N)
-    if val % 2 == 1:
-        sq_is_square = False
-    elif p == 2:
-        sq_is_square = unit % 8 == 1
-    else:
-        sq_is_square = pow(unit % p, (p - 1) // 2, p) == 1
-    if not sq_is_square:
+    if not is_square_at(p ** val * unit, p):
         return []
     return [LocalYPoint(place=p, kind="padic", padic=(tuple(t), N), rank=4,
                         ruling=r) for r in ("first", "second")]
+
+
+def _integral(coords):
+    """The coordinates as ints; any that is not an integer is refused."""
+    t = [int(x) for x in coords]
+    bad = [str(x) for x, y in zip(coords, t) if x != y]
+    if bad:
+        raise ValueError("p-adic coordinates must be integers, not %s"
+                         % ", ".join(bad))
+    return t
 
 
 def _certified_minor(B, p, N):
@@ -146,23 +151,12 @@ def _certified_minor(B, p, N):
     of the minor and, with it, the nondegenerate part of the member."""
     pN = p ** N
     guard = 3 if p == 2 else 1
-    best = None
-    for i in range(5):
-        sub = [[B[r][c] for c in range(5) if c != i]
-               for r in range(5) if r != i]
-        m = det_bareiss(sub) % pN
-        if m == 0:
-            continue
-        val = 0
-        mm = m
-        while mm % p == 0:
-            mm //= p
-            val += 1
-        if best is None or val < best[0]:
-            best = (val, mm, i)
-    if best is None:
+    found = [padic_val_unit(m, p)[:2] + (i,) for i, m in
+             enumerate(m % pN for m in principal_minors(B)) if m]
+    if not found:
         raise PrecisionError("all principal 4x4 minors vanish mod p^N; "
                              "cannot certify rank 4 (raise the precision)")
+    best = min(found, key=lambda f: f[0])
     val = best[0]
     if N <= 2 * val + guard:
         raise PrecisionError(
@@ -184,7 +178,7 @@ def _padic_invariant(P, coords, p, N):
     N > 2v + guard gives that m.  (The full representative is generically
     nonsingular, and every rank-5 form over Q_p is isotropic, so it
     cannot stand in for the member.)"""
-    t = [int(c) for c in coords]
+    t = _integral(coords)
     _, _, i = _certified_minor(P.gram_at(t), p, N)
     Q = P.member(t)
     part = QuadricForm([0 if i in ij else c
@@ -225,19 +219,19 @@ def evaluate_invariant(P, y):
 
 
 def _conic_invariant(P, t, v):
-    """Invariant via the conic <M1, M2/M1, M3/M2> evaluated at t: the
-    conic <d1, d2, d3> is isotropic exactly where (-d1 d3, -d2 d3) splits.
+    """Invariant via the conic <M1, M2/M1, M3/M2> at t, the minors taken
+    as the leading 1x1, 2x2 and 3x3 determinants of B(t): the conic
+    <d1, d2, d3> is isotropic exactly where (-d1 d3, -d2 d3) splits.
 
     Returns None when a minor vanishes at t (cross-check unavailable).
+    Scaling t by c > 0 scales the pair by c^2, so t is made primitive.
     """
-    minors = [P.leading_minor_poly(k) for k in (1, 2, 3)]
-    vals = [Fraction(m.evaluate([Fraction(x) for x in t])) for m in minors]
-    if any(val == 0 for val in vals):
+    B = P.gram_at(primitive_vector(t))
+    m1, m2, m3 = (det_bareiss([row[:k] for row in B[:k]]) for k in (1, 2, 3))
+    if 0 in (m1, m2, m3):
         return None
-    d1 = vals[0]
-    d2 = vals[1] / vals[0]
-    d3 = vals[2] / vals[1]
-    return quaternion_invariant(-d1 * d3, -d2 * d3, v)
+    d3 = Fraction(m3, m2)
+    return quaternion_invariant(-m1 * d3, -Fraction(m2, m1) * d3, v)
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,9 @@ field they meet:
 - ``laplace_minors``, the generalized Laplace expansion, gives all
   minors on a set of rows, one gather, multiply and sum per level.  It
   uses only *, + and - on numpy arrays: numpy batches of residue
-  matrices (the S_p scans) as they are, and integers or ``MultiPoly``
-  entries (leading minors of B(t), the rank <= 2 ideal) as object
-  arrays, so their arithmetic stays exact.
+  matrices (the S_p scans) as they are, and lists of integers or of
+  ``MultiPoly`` (``polys.poly_matrix_det``, which the tests use as an
+  oracle) as object arrays, so their arithmetic stays exact.
 - ``nullspace``, Gauss-Jordan over a field given by its add, mul, neg
   and inv: Q (``_RATIONALS``, behind ``kernel_rational``) or a ``GF``
   table field (the char-2 vertex in ``quadform``).
@@ -292,105 +292,51 @@ def smith_divisors(M):
     """The diagonal of the Smith normal form of the integer matrix M, an
     array or a list of rows: min(m, n) nonnegative entries, d1 | d2 | ...
 
-    Pivoting picks the entry of minimal nonzero absolute value, which keeps
-    coefficient growth tolerable at the sizes this package meets.
+    One loop on the trailing block S[k:, k:].  Its pivot p is an entry of
+    least nonzero |value|, moved to (k, k).  Floor division by p reduces
+    its row and column, leaving remainders smaller than |p|; while one is
+    left, the loop repeats on a smaller pivot.  Once both are clear, a row
+    holding an entry that p does not divide is added to row k, whose next
+    reduction leaves such a remainder.  Otherwise p divides the whole
+    block, and d_k = |p|.  So the least nonzero |value| in the block, a
+    positive integer, falls at least every second pass until d_k is
+    recorded, and the loop ends.  The diagonal is unique, so it does not
+    depend on the choice of pivots.
     """
     S = np.array(M, dtype=object).tolist()    # rows of Python ints
     m = len(S)
     n = len(S[0]) if m else 0
-
-    def swap_cols(i, j):
-        for row in S:
-            row[i], row[j] = row[j], row[i]
-
-    def addmul_row(dst, src, f):
-        S[dst] = [a + f * b for a, b in zip(S[dst], S[src])]
-
-    def addmul_col(dst, src, f):
-        for row in S:
-            row[dst] += f * row[src]
-
-    def clear_pivot(k):
-        """Euclidean clearing of row and column k (pivot already at k,k).
-
-        One reduction pass leaves only remainders below the pivot; the
-        smallest surviving remainder is then swapped into the pivot spot
-        and the pass repeats.  The pivot magnitude strictly decreases per
-        round, so the loop is short."""
-        while True:
-            for i in range(k + 1, m):
-                if S[i][k]:
-                    q = S[i][k] // S[k][k]
-                    if q:
-                        addmul_row(i, k, -q)
-            for j in range(k + 1, n):
-                if S[k][j]:
-                    q = S[k][j] // S[k][k]
-                    if q:
-                        addmul_col(j, k, -q)
-            best = None
-            for i in range(k + 1, m):
-                if S[i][k] and (best is None or abs(S[i][k]) < best[0]):
-                    best = (abs(S[i][k]), "row", i)
-            for j in range(k + 1, n):
-                if S[k][j] and (best is None or abs(S[k][j]) < best[0]):
-                    best = (abs(S[k][j]), "col", j)
-            if best is None:
-                return
-            if best[1] == "row":
-                S[k], S[best[2]] = S[best[2]], S[k]
-            else:
-                swap_cols(k, best[2])
-
-    # phase 1: diagonalise (no divisibility enforcement yet)
+    out = []
     k = 0
     while k < min(m, n):
-        best = None
-        for i in range(k, m):
-            row = S[i]
-            for j in range(k, n):
-                v = row[j]
-                if v:
-                    a = abs(v)
-                    if best is None or a < best[0]:
-                        best = (a, i, j)
-                        if a == 1:
-                            break
-            if best is not None and best[0] == 1:
-                break
-        if best is None:
+        block = [(abs(v), i, j) for i in range(k, m)
+                 for j, v in enumerate(S[i][k:], k) if v]
+        if not block:
             break
-        _, bi, bj = best
-        S[k], S[bi] = S[bi], S[k]
-        if bj != k:
-            swap_cols(k, bj)
-        clear_pivot(k)
-        k += 1
-    rank = k
-    # phase 2: enforce the divisibility chain on 2x2 diagonal blocks; the
-    # entries involved never exceed the pair being fixed, so no blowup
-    for i in range(rank):
-        for j in range(i + 1, rank):
-            if S[j][j] % S[i][i] == 0:
-                continue
-            addmul_col(i, j, 1)      # column i picks up S[j][j] in row j
-            # euclid on the 2x2 block {i,j} x {i,j}
-            while S[j][i]:
-                q = S[i][i] // S[j][i]
-                addmul_row(i, j, -q)
-                S[i], S[j] = S[j], S[i]
-            # row i now holds the gcd at (i,i) with (i,j) possibly dirty
-            while S[i][j]:
-                q = S[i][j] // S[i][i]
-                addmul_col(j, i, -q)
-                if S[i][j]:
-                    swap_cols(j, i)
-            while S[j][i]:
-                q = S[j][i] // S[i][i]
-                addmul_row(j, i, -q)
-                if S[j][i]:
-                    S[i], S[j] = S[j], S[i]
-    return [abs(S[k][k]) for k in range(min(m, n))]
+        _, i, j = min(block)
+        S[k], S[i] = S[i], S[k]
+        for row in S:
+            row[k], row[j] = row[j], row[k]
+        p = S[k][k]
+        for i in range(k + 1, m):
+            q = S[i][k] // p
+            if q:
+                S[i] = [a - q * b for a, b in zip(S[i], S[k])]
+        for j in range(k + 1, n):
+            q = S[k][j] // p
+            if q:
+                for row in S:
+                    row[j] -= q * row[k]
+        if any(S[i][k] for i in range(k + 1, m)) or any(S[k][k + 1:]):
+            continue
+        bad = next((i for i in range(k + 1, m)
+                    if any(v % p for v in S[i][k + 1:])), None)
+        if bad is None:
+            out.append(abs(p))
+            k += 1
+        else:
+            S[k] = [a + b for a, b in zip(S[k], S[bad])]
+    return out + [0] * (min(m, n) - k)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,11 @@ the product column, so the derived rows lead the later rung's triangular
 head (cf. the reuse of lower-degree reductions in F4: Faugere, "A new
 efficient algorithm for computing Groebner bases (F4)", JPAA 139, 1999).
 On the bidegree-(4, 3) block of the regularity proof that head covers
-2405 of 2450 columns, against 1510 from the block's own rows.
+2405 of 2450 columns, against 1510 from the block's own rows.  The seed
+is a small-kernel optimisation: ``fp_rank_sparse_dense`` hands back a
+basis only for a kernel of at most ``_PANEL`` columns, so mod 2, where
+the (4, 2), (3, 3) and (4, 3) rungs have kernels of 325 to 526 columns,
+the ladder runs unseeded.
 """
 
 from __future__ import annotations

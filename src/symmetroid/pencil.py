@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb, factorial
@@ -26,7 +25,7 @@ from .linalg import (_fp_dtype, _laplace_tables, det_bareiss, is_prime,
 from .nullstellensatz import (HomIdealPresentation, Inconclusive,
                               _product_table, empty_bihomogeneous,
                               empty_over_fpbar)
-from .polys import MultiPoly, monomials_of_degree, poly_matrix_det
+from .polys import MultiPoly, monomials_of_degree
 from .quadform import QuadricForm, parse_quadric_line, quadric_to_line
 from .roots import poly_eval_scaled, poly_interpolate
 
@@ -45,7 +44,6 @@ class Pencil:
             raise ValueError("the five quadrics are linearly dependent")
         self.quadrics = quadrics
         self.grams = [Q.gram() for Q in quadrics]
-        self._minor_cache = {}
 
     # -- universal Gram -------------------------------------------------
 
@@ -56,23 +54,17 @@ class Pencil:
         Tt = transpose(T)
         return [mat_mul(mat_mul(Tt, B), T) for B in self.grams]
 
-    def gram_matrix_poly(self, basis_change=None):
-        """B(t) as a 5x5 matrix of linear forms in t0..t4 over Z."""
-        grams = self._grams(basis_change)
-        units = [tuple(int(k == m) for m in range(5)) for k in range(5)]
-        return [[MultiPoly(5, {e: B[i][j] for e, B in zip(units, grams)})
-                 for j in range(5)] for i in range(5)]
+    def leading_minors(self, k_max, basis_change=None):
+        """The leading principal minors M1..M_k_max of B(t) over Z, after
+        the optional x-basis change T (every B_i replaced by T^t B_i T).
 
-    def leading_minor_poly(self, k, basis_change=None):
-        """Leading principal k x k minor of B(t) (after optional x-basis
-        change T, which replaces every B_i by T^t B_i T), cached."""
-        key = (k, None if basis_change is None
-               else tuple(tuple(r) for r in basis_change))
-        if key not in self._minor_cache:
-            mat = self.gram_matrix_poly(basis_change)
-            self._minor_cache[key] = poly_matrix_det(
-                [row[:k] for row in mat[:k]])
-        return self._minor_cache[key]
+        One ``_linear_minors`` expansion of the Gram stack; M_k is the first
+        column set of rows 0..k-1."""
+        lin = np.array(self._grams(basis_change), dtype=object)
+        tables = _linear_minors(lin.transpose(1, 2, 0), k_max)
+        return [MultiPoly(5, dict(zip(monomials_of_degree(5, k),
+                                      tables[tuple(range(k))][0].tolist())))
+                for k in range(1, k_max + 1)]
 
     def line_minors(self, u, w, basis_change=None):
         """The leading principal minors M1..M4 and det B = M5 restricted to
@@ -155,16 +147,6 @@ class AlphaSymbol:
     def second(self):
         return (self.minors[2], self.minors[1] * self.minors[0])
 
-    def evaluate(self, t):
-        """Concrete quaternion pair (two Fractions) at a rational H-point
-        with all minors nonzero there."""
-        vals = [Fraction(m.evaluate([Fraction(x) for x in t]))
-                for m in self.minors]
-        if any(v == 0 for v in vals[:3]):
-            raise ValueError("a minor vanishes at the evaluation point")
-        m1, m2, m3, _ = vals
-        return (m2 / m1 ** 2, m3 / (m2 * m1))
-
     def as_json(self):
         return {
             "minors": [m.to_string(T_NAMES) for m in self.minors],
@@ -194,7 +176,7 @@ def alpha_symbol(P, seed=0, max_tries=100):
     rng = random.Random(seed)
     basis_change = None
     for attempt in range(max_tries):
-        minors = [P.leading_minor_poly(k, basis_change) for k in (1, 2, 3, 4)]
+        minors = P.leading_minors(4, basis_change)
         if all(not m.is_zero() for m in minors):
             witness = _sample_h_point_with_minors(P, basis_change)
             if witness is not None:

@@ -74,12 +74,6 @@ class QuadricForm:
     def to_string(self):
         return self.to_poly().to_string(X_NAMES)
 
-    def evaluate(self, x):
-        total = 0
-        for (i, j), c in zip(COEFF_ORDER, self.coeffs):
-            total += c * x[i] * x[j]
-        return total
-
     def is_zero(self):
         return all(c == 0 for c in self.coeffs)
 
@@ -379,6 +373,13 @@ def _diagonal_isotropic_qp(d, p):
     return True  # rank 5: every 5-variable form over Q_p is isotropic
 
 
+def principal_minors(B):
+    """The five principal 4x4 minors of the 5x5 matrix B, the i-th
+    deleting row and column i."""
+    return [det_bareiss([[B[r][c] for c in range(5) if c != i]
+                         for r in range(5) if r != i]) for i in range(5)]
+
+
 def ruling_disc(Q):
     """Discriminant (mod squares) of the base quadric surface of a rank-4
     cone: the first nonzero principal 4x4 minor of the Gram matrix."""
@@ -386,14 +387,8 @@ def ruling_disc(Q):
     if cls.rank != 4:
         raise ValueError("ruling discriminant needs a rank-4 form "
                          "(got rank %d)" % cls.rank)
-    B = Q.gram()
-    for i in range(5):
-        sub = [[B[r][c] for c in range(5) if c != i]
-               for r in range(5) if r != i]
-        m = det_bareiss(sub)
-        if m != 0:
-            return m
-    raise AssertionError("rank-4 form with all principal 4x4 minors zero")
+    # a symmetric matrix of rank 4 has a nonzero principal 4x4 minor
+    return next(m for m in principal_minors(Q.gram()) if m)
 
 
 # ---------------------------------------------------------------------------

@@ -408,9 +408,27 @@ def b_of_p_counting(p):
 # constructors and queries that only the tests use
 
 
+def gram_matrix_poly(P, basis_change=None):
+    """B(t) of the pencil P as a 5x5 matrix of ``MultiPoly`` linear forms
+    in t0..t4 over Z, entry by entry from the Gram matrices, each
+    replaced by T^t B_i T (object-array products) after the x-basis
+    change T."""
+    from symmetroid.polys import MultiPoly
+    grams = P.grams
+    if basis_change is not None:
+        T = np.array(basis_change, dtype=object)
+        grams = [(T.T @ np.array(B, dtype=object) @ T).tolist()
+                 for B in grams]
+    units = [tuple(int(k == m) for m in range(5)) for k in range(5)]
+    return [[MultiPoly(5, {e: B[i][j] for e, B in zip(units, grams)})
+             for j in range(5)] for i in range(5)]
+
+
 def det_poly(P):
-    """det B(t) of the pencil P: the quintic cutting out H."""
-    return P.leading_minor_poly(5)
+    """det B(t) of the pencil P, the quintic cutting out H, by
+    ``poly_matrix_det`` on ``gram_matrix_poly``."""
+    from symmetroid.polys import poly_matrix_det
+    return poly_matrix_det(gram_matrix_poly(P))
 
 
 def quadric_from_gram(B):
@@ -471,9 +489,9 @@ def rank_le2_minors_by_laplace(P):
     """The 3x3 minors of B(t) of the pencil P as ``MultiPoly``: rows I,
     columns J >= I in ``combinations`` order, zero minors left out, each
     expanded by ``laplace_minors`` over the polynomial entries of
-    ``Pencil.gram_matrix_poly``."""
+    ``gram_matrix_poly``."""
     from symmetroid.linalg import laplace_minors
-    mat = P.gram_matrix_poly()
+    mat = gram_matrix_poly(P)
     gens = []
     for I in combinations(range(5), 3):
         gens += [m for J, m in laplace_minors(mat, I).items()

@@ -84,7 +84,7 @@ def test_path_agreement_200_points():
     while checked < 200:
         P = _random_pencil_with_square_disc_member(rng)
         t = (1, 0, 0, 0, 0)
-        minors = [P.leading_minor_poly(k) for k in (1, 2, 3)]
+        minors = P.leading_minors(3)
         if any(m.evaluate(list(t)) == 0 for m in minors):
             continue
         for v in places:
@@ -93,6 +93,8 @@ def test_path_agreement_200_points():
             inv = evaluate_invariant(P, pts[0])
             other = _conic_invariant(P, list(t), v)
             assert other is None or other == inv
+            assert _conic_invariant(P, [Fraction(x, 3) for x in t],
+                                    v) == other
             checked += 1
             if checked >= 200:
                 break
@@ -213,6 +215,24 @@ def test_padic_points_evaluate_on_their_nondegenerate_part(q3_pencil):
     y.padic = ((1, 0, 0, 81, 0), 5)
     with pytest.raises(PrecisionError):
         evaluate_invariant(q3_pencil, y)
+
+
+def test_padic_coordinates_must_be_integers(q3_pencil):
+    # 3/2 and 1.9 used to be truncated to the point (1, 0, 0, 81, 0), and
+    # 1/2 to one with no unit coordinate
+    for t in ((Fraction(3, 2), 0, 0, 81, 0), (1.9, 0, 0, 81, 0),
+              (Fraction(1, 2), 0, 0, 81, 0)):
+        with pytest.raises(ValueError, match="must be integers, not %s"
+                           % t[0]):
+            lift_to_y(q3_pencil, t, 3, padic_precision=6)
+    y = lift_to_y(q3_pencil, (1, 0, 0, 81, 0), 3, padic_precision=6)[0]
+    y.padic = ((1, 0, 0, Fraction(163, 2), 0), 6)
+    with pytest.raises(ValueError, match="not 163/2"):
+        evaluate_invariant(q3_pencil, y)
+    # integral values of other types are still taken as the integers
+    assert lift_to_y(q3_pencil, (1.0, 0, 0, Fraction(81), 0), 3,
+                     padic_precision=6) == lift_to_y(
+        q3_pencil, (1, 0, 0, 81, 0), 3, padic_precision=6)
 
 
 def test_padic_lift_nonsquare():

@@ -1046,6 +1046,15 @@ def test_smith_divisors_and_crt_determinants_match_sympy():
         assert smith_divisors(M) == want, M
         if m == n:
             assert det_exact_crt(M) == int(sympy.Matrix(M).det()), M
+    # sparse blocks of the largest size the all-primes path hands over
+    # (``_SNF_LIMIT``, 40 x 16)
+    gen = np.random.default_rng(30)
+    for density in (0.1, 0.2, 0.4):
+        M = gen.integers(-6, 7, size=(40, 16)) * (
+            gen.random((40, 16)) < density)
+        want = [abs(int(x)) for x in invariant_factors(
+            sympy.Matrix(M.tolist()), domain=sympy.ZZ)]
+        assert smith_divisors(M) == want + [0] * (16 - len(want))
 
 
 def test_random_unimodular_is_unimodular():

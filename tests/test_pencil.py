@@ -4,8 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import (cofactor_det, det_poly, polys_of, reduce_mod,
-                     restrict_to_line)
+from oracles import (cofactor_det, det_poly, gram_matrix_poly, polys_of,
+                     reduce_mod, restrict_to_line)
 from symmetroid.linalg import det_bareiss, mat_vec, random_unimodular
 from symmetroid.pencil import (Pencil, alpha_symbol, parse_pencil_text,
                                rank_le2_minor_ideal, singular_locus_ideal,
@@ -19,7 +19,7 @@ DIAG = [QuadricForm.from_string("x%d^2" % i) for i in range(5)]
 
 
 def test_universal_gram_examples(thm_pencil):
-    m1 = thm_pencil.leading_minor_poly(1)
+    m1, = thm_pencil.leading_minors(1)
     assert m1 == parse_poly("2*t1 + 2*t2 + 8*t3 + 2*t4", T_NAMES)
     Pd = Pencil(DIAG)
     det = det_poly(Pd)
@@ -59,7 +59,7 @@ def test_alpha_symbol_needs_basis_change():
     qs = ["x0*x1 + x2*x3", "x0*x2 + x3*x4", "x0*x3 + x1*x4",
           "x0*x4 + x1*x2", "x1*x3 + x2*x4"]
     P = Pencil([QuadricForm.from_string(s) for s in qs])
-    assert P.leading_minor_poly(1).is_zero()
+    assert P.leading_minors(1)[0].is_zero()
     sym = alpha_symbol(P, seed=0)
     assert sym.basis_change is not None
     assert all(not m.is_zero() for m in sym.minors)
@@ -86,7 +86,7 @@ def test_line_minors_match_substituted_minors(name, request):
     rng = random.Random(name)
     changes = [None] + [random_unimodular(5, rng, size=1) for _ in range(2)]
     for T in changes:
-        minors = [P.leading_minor_poly(k, T) for k in range(1, 6)]
+        minors = P.leading_minors(5, T)
         for lo, hi in ((-3, 3), (0, 10006)):
             for _ in range(3):
                 u = [rng.randint(lo, hi) for _ in range(5)]
@@ -99,7 +99,7 @@ def test_gram_schmidt_minor_identity(thm_pencil):
     # at rational points with all minors nonzero, LDL diagonalisation gives
     # the diagonal (M1, M2/M1, M3/M2, M4/M3)
     rng = random.Random(14)
-    minors = [thm_pencil.leading_minor_poly(k) for k in (1, 2, 3, 4)]
+    minors = thm_pencil.leading_minors(4)
     done = 0
     while done < 50:
         t = [rng.randint(-9, 9) for _ in range(5)]
@@ -119,7 +119,7 @@ def test_cramer_kernel_vector_on_H(thm_pencil):
     # at H-points over F_p
     p = 211
     rng = random.Random(20)
-    mat = thm_pencil.gram_matrix_poly()
+    mat = gram_matrix_poly(thm_pencil)
     # 4x4 minors deleting row 4 and column j
     minors = []
     for j in range(5):
@@ -175,6 +175,28 @@ def test_pencil_file_parsing(thm_pencil):
         parse_pencil_text("x0^2\nx1^2\nx2^2\nx3^2")  # four lines
     with pytest.raises(ValueError):
         parse_pencil_text("\n".join(["x0^2"] * 5))  # dependent
+
+
+def test_leading_minors_match_polynomial_determinants(
+        thm_pencil, q3_pencil, cor_pencil):
+    # the coefficient tables against the MultiPoly Laplace determinant of
+    # each leading block of T^t B(t) T, on the bundled pencils and on
+    # seeded random ones, of height 3 (int64 tables) and 10^6 (Python
+    # ints in object arrays), without and with a basis change
+    rng = random.Random(30)
+    pencils = [thm_pencil, q3_pencil, cor_pencil]
+    pencils += [_random_pencil(rng, size) for size in (3, 3, 10 ** 6)]
+    for P in pencils:
+        changes = [None] + [random_unimodular(5, rng, size=1)
+                            for _ in range(2)]
+        for T in changes:
+            mat = gram_matrix_poly(P, T)
+            want = [poly_matrix_det([row[:k] for row in mat[:k]])
+                    for k in range(1, 6)]
+            got = P.leading_minors(5, T)
+            assert got == want
+            assert all(type(e[0]) is int and type(c) is int
+                       for m in got for e, c in m.terms.items())
 
 
 def test_minor_ideal_shape(thm_pencil):

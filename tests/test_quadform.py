@@ -8,7 +8,8 @@ from oracles import diagonal_isotropic_bruteforce, quadric_from_gram
 from symmetroid.gf import GF, projective_points
 from symmetroid.linalg import mat_mul, random_unimodular, transpose
 from symmetroid.localfields import REAL, is_square_at
-from symmetroid.quadform import (QuadricForm, _diagonal_isotropic_qp,
+from symmetroid.quadform import (COEFF_ORDER, QuadricForm,
+                                 _diagonal_isotropic_qp,
                                  _smooth_point_enumerate, classify,
                                  has_smooth_point_fq, has_smooth_point_qp,
                                  has_smooth_point_real, parse_quadric_line,
@@ -37,7 +38,9 @@ def test_gram_identity():
             x = [rng.randint(-4, 4) for _ in range(5)]
             bxx = sum(B[i][j] * x[i] * x[j]
                       for i in range(5) for j in range(5))
-            assert bxx == 2 * Q.evaluate(x)
+            qx = sum(c * x[i] * x[j]
+                     for (i, j), c in zip(COEFF_ORDER, Q.coeffs))
+            assert bxx == 2 * qx
 
 
 def test_classify_paper_values():
