@@ -33,7 +33,7 @@ from math import comb, factorial, perm
 
 import numpy as np
 
-from .gf import GF
+from .gf import GF, _block_starts, projective_points
 from .linalg import (_limit, _reduce, fp_rank, is_prime, laplace_minors,
                      nullspace)
 from .quadform import COEFF_ORDER, QuadricForm, has_smooth_point_fq
@@ -214,28 +214,6 @@ def _check_prime(p):
                          "scans accept" % (p, _MAX_PRIME))
 
 
-def _block_starts(p, n):
-    """Table positions where the points of P^(n-1)(F_p) with first nonzero
-    coordinate 0, 1, ..., n - 1 begin, followed by their number."""
-    return np.cumsum([0] + [p ** (n - 1 - lead) for lead in range(n)])
-
-
-def _projective_points(p, n=5, start=0, stop=None, idx=None):
-    """The points of P^(n-1)(F_p) at positions start..stop of the table
-    order (all of them by default), or at the positions ``idx``, as int64
-    rows whose first nonzero coordinate is 1.  Table order: by the
-    position of that 1, then by the coordinates after it read as base-p
-    digits, the first one lowest."""
-    starts = _block_starts(p, n)
-    if idx is None:
-        idx = np.arange(start, starts[-1] if stop is None else stop)
-    lead = np.searchsorted(starts, idx, side="right")[:, None] - 1
-    digit = np.arange(n) - lead - 1         # coordinate c is digit c-lead-1
-    r = (idx - starts[lead[:, 0]])[:, None]
-    return np.where(digit >= 0, r // p ** np.maximum(digit, 0) % p,
-                    digit == -1)
-
-
 def _table_index(t, p):
     """Positions in the table order of P^4(F_p) of the rows of t, each
     with first nonzero coordinate 1."""
@@ -323,7 +301,7 @@ def _plane_dets(G, p):
     line x0 = 0 and the point e2 take the top-degree coefficients."""
     if p < 7:
         return lambda s, e: _det_mod_p(_plane_matrices(
-            G, _projective_points(p, 3, s, e), p), p).reshape(len(G), -1)
+            G, projective_points(p, 3, s, e), p), p).reshape(len(G), -1)
     i, j = np.array(_QUINTIC).T
     X = np.stack([np.ones_like(i), i, j], axis=1)
     D = _det_mod_p(_plane_matrices(G, X, p), p).reshape(len(G), -1)
@@ -406,7 +384,7 @@ def _rank_le2_members(A, p):
             if not z.size:
                 continue
             f = z // (e - s)
-            X = _projective_points(p, 3, idx=s + z % (e - s))
+            X = projective_points(p, 3, idx=s + z % (e - s))
             lead = np.argmax(X != 0, axis=1)
             M = np.einsum("zirc,zc->riz", Gf[f, :, :, :3], X) % p
             f += f0
@@ -430,8 +408,8 @@ def _rank_le2_members(A, p):
                 seen.add((fr, basis.tobytes()))
                 total = _block_starts(p, len(basis))[-1]
                 for c0 in range(0, total, _PAIRS):
-                    c = _projective_points(p, len(basis), c0,
-                                           min(total, c0 + _PAIRS))
+                    c = projective_points(p, len(basis), c0,
+                                          min(total, c0 + _PAIRS))
                     hold(np.full(len(c), fr), _normalize(c @ basis % p, p),
                          np.full(len(c), l))
     if pending:
@@ -452,7 +430,7 @@ def _bad_members(A, p):
     if not out:
         return out
     if p == 2:
-        T = _projective_points(2)
+        T = projective_points(2)
         bad = _no_smooth_point_mask((T @ A % 2).reshape(-1, 15), 2)
         bad = bad.reshape(len(A), len(T))
         for f in np.flatnonzero(bad.any(axis=1)):
@@ -493,7 +471,7 @@ def _cached_eval(p):
     W @ c gives the quadric c's n values, then the n values of each of its
     five partials."""
     if p not in _EVAL_CACHE:
-        pts = _projective_points(p)
+        pts = projective_points(p)
         W = np.zeros((6, len(pts), 15), dtype=np.float32)
         for m, (i, j) in enumerate(COEFF_ORDER):
             W[0, :, m] = pts[:, i] * pts[:, j] % p

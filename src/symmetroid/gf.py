@@ -2,7 +2,9 @@
 
 Elements are ints in [0, q) encoding polynomial coefficients base p.  Only
 desk-scale fields are needed (enumeration over P^4(F_q) for q <= 9), so
-full multiplication tables are precomputed.
+full multiplication tables are precomputed.  The point table of
+P^(n-1)(F_q), ``projective_points``, is shared by the smooth-point
+enumeration, the S_p scans and the all-primes test's common-zero screen.
 """
 
 from __future__ import annotations
@@ -138,17 +140,23 @@ def _factor_prime_power(q):
     raise ValueError("%d is not a tabulated prime power" % q)
 
 
-def projective_points(gf, n=5):
-    """Representatives of P^{n-1}(F_q): first nonzero coordinate is 1."""
-    q = gf.q
-    pts = []
-    for lead in range(n):
-        free = n - lead - 1
-        for code in range(q ** free):
-            x = [0] * lead + [1]
-            c = code
-            for _ in range(free):
-                x.append(c % q)
-                c //= q
-            pts.append(tuple(x))
-    return pts
+def _block_starts(q, n):
+    """Table positions where the points of P^(n-1)(F_q) with first nonzero
+    coordinate 0, 1, ..., n - 1 begin, followed by their number."""
+    return np.cumsum([0] + [q ** (n - 1 - lead) for lead in range(n)])
+
+
+def projective_points(q, n=5, start=0, stop=None, idx=None):
+    """The points of P^(n-1)(F_q) at positions start..stop of the table
+    order (all of them by default), or at the positions ``idx``, as int64
+    rows whose first nonzero coordinate is 1 (elements encoded as in
+    ``GF``).  Table order: by the position of that 1, then by the
+    coordinates after it read as base-q digits, the first one lowest."""
+    starts = _block_starts(q, n)
+    if idx is None:
+        idx = np.arange(start, starts[-1] if stop is None else stop)
+    lead = np.searchsorted(starts, idx, side="right")[:, None] - 1
+    digit = np.arange(n) - lead - 1         # coordinate c is digit c-lead-1
+    r = (idx - starts[lead[:, 0]])[:, None]
+    return np.where(digit >= 0, r // q ** np.maximum(digit, 0) % q,
+                    digit == -1)

@@ -52,24 +52,24 @@ from math import comb, gcd, prod
 
 import numpy as np
 
+from .gf import projective_points
 from .linalg import (SparseRows, _int_dtype, det_exact_crt, fp_pivot_rows,
-                     fp_rank_sparse_dense, is_prime, smith_divisors)
+                     fp_rank_sparse_dense, is_prime)
 from .polys import monomial_ranks, monomials_of_degree
 
 
 @dataclass
 class HomIdealPresentation:
-    """A homogeneous ideal in ``nvars`` variables over Z (``mod`` None) or
-    F_mod, bigraded in the first ``nx`` and last ``ny`` variables when
-    ``bidegrees`` labels the generators.  Each generator is a pair of term
-    arrays: the exponents, an (N, nvars) integer array (int64 from
-    ``from_polys``), and the coefficients, integers, or Python ints in an
-    object array where int64 might not hold one.  Only term arrays built
-    mod p, such as ``singular_locus_ideal``'s, are presented over F_p.
-    The checks record each generator's multidegree."""
+    """A homogeneous ideal over Z in ``nvars`` variables, bigraded in the
+    first ``nx`` and last ``ny`` variables when ``bidegrees`` labels the
+    generators.  Each generator is a pair of term arrays: the exponents, an
+    (N, nvars) integer array (int64 from ``from_polys``), and the
+    coefficients, integers, or Python ints in an object array where int64
+    might not hold one.  A test over F_p reduces them where it builds its
+    Macaulay rows (``_full_span_mod``).  The checks record each
+    generator's multidegree."""
     nvars: int
     generators: list                    # (exponents, coefficients) pairs
-    mod: int | None = None
     bidegrees: list | None = None       # per-generator (a, b) when bigraded
     nx: int = 5                         # bigraded: first block size
     ny: int = 5
@@ -102,9 +102,7 @@ class HomIdealPresentation:
 
     @classmethod
     def from_polys(cls, nvars, polys, bidegrees=None, nx=5, ny=5):
-        """The presentation over Z of ``MultiPoly`` generators.  A check
-        over F_p reduces the coefficients where it builds its Macaulay
-        rows (``_full_span_mod``)."""
+        """The presentation of ``MultiPoly`` generators."""
         generators = []
         for g in polys:
             coeffs = list(g.terms.values())
@@ -112,7 +110,7 @@ class HomIdealPresentation:
             generators.append((
                 np.array(list(g.terms), dtype=np.int64).reshape(-1, g.nvars),
                 np.array(coeffs, dtype=np.int64 if fits else object)))
-        return cls(nvars, generators, None, bidegrees, nx, ny)
+        return cls(nvars, generators, bidegrees, nx, ny)
 
 
 @dataclass
@@ -137,9 +135,7 @@ class EmptinessCertificate:
             return False
         if p == 2 and self.saturated_at_2:
             # stripped 2-parts say nothing about p = 2: it is covered only
-            # when there was no 2-part to strip
-            if "two_valuations" in summary:
-                return not any(summary["two_valuations"])
+            # when the block has full rank mod 2
             return summary.get("rank_mod_2") == self.details.get("columns")
         return True
 
@@ -328,13 +324,12 @@ def _full_span_mod(ideal, p, sizes, ladder, exhausted):
     the Macaulay rows mod p have full column rank, else ``exhausted``.
 
     The variables fall into blocks of ``sizes``, and ``ideal.degrees``
-    are the generators' multidegrees in them.  The coefficients are
-    reduced mod p once, the terms that vanish dropped and then the
-    generators left with none; ``ladder`` gets the multidegrees of the
-    rest.  The residues are kept in the narrowest type that holds them
-    (``_int_dtype``: int8 for p < 128), which the Macaulay rows inherit.
-    An ideal over F_q, q != p, raises ValueError: its residues say nothing
-    mod p.
+    are the generators' multidegrees in them.  This is the one place where
+    the prime enters: the coefficients over Z are reduced mod p once, the
+    terms that vanish dropped and then the generators left with none;
+    ``ladder`` gets the multidegrees of the rest.  The residues are kept in
+    the narrowest type that holds them (``_int_dtype``: int8 for p < 128),
+    which the Macaulay rows inherit.
 
     A rung with fewer rows than columns (``_row_count``) is skipped before
     its rows are built.  Each rung that falls short keeps the
@@ -344,9 +339,6 @@ def _full_span_mod(ideal, p, sizes, ladder, exhausted):
     certificate, and its count of Macaulay rows, are those of the block
     alone.  A rung's rows and seed are dropped before the next rung is
     built."""
-    if ideal.mod not in (None, p):
-        raise ValueError("the ideal is presented over F_%d, not F_%d"
-                         % (ideal.mod, p))
     kept = []
     for (e, c), deg in zip(ideal.generators, ideal.degrees):
         c = c % p
@@ -378,12 +370,8 @@ def _full_span_mod(ideal, p, sizes, ladder, exhausted):
     return exhausted
 
 
-def empty_over_fpbar(ideal, d_max, p=None):
+def empty_over_fpbar(ideal, d_max, p):
     """Certify V(I) = 0 in P^{n-1} over an algebraic closure of F_p."""
-    if p is None:
-        p = ideal.mod
-    if p is None:
-        raise ValueError("ideal must be presented over F_p (or pass p)")
     if not is_prime(p):
         raise ValueError("p must be prime")
     return _full_span_mod(
@@ -401,8 +389,6 @@ _SCREEN_PRIMES = (1000003, 999983, 1000033)
 # divide their gcd are ranked at once, smallest first: a block rank mod a
 # prime below 100 costs less than one more pivot search and determinant
 _EARLY_PRIME_BOUND = 100
-# at most this many rows and columns get an exact Smith normal form
-_SNF_LIMIT = (40, 16)
 
 
 def empty_all_primes(ideal, saturate_at_2=True, d_max=12):
@@ -411,16 +397,13 @@ def empty_all_primes(ideal, saturate_at_2=True, d_max=12):
 
     Per degree d the row lattice L_d of the Macaulay matrix is analysed:
     full rank plus trivial elementary divisors (after stripping 2-parts
-    when ``saturate_at_2``) certifies every fiber at once.  Small lattices
-    get an exact Smith normal form; larger ones use the sanctioned
-    shortcut: the lattice index divides the determinant of any maximal
-    nonsingular row subset, so the gcd of several such determinants (odd
-    parts, after 2-stripping) bounds the bad primes, each of which is then
-    cleared by a full-rank check mod that prime; a small prime that fails
-    it ends the degree once two determinants are in.
+    when ``saturate_at_2``) certifies every fiber at once.  The lattice
+    index divides the determinant of any maximal nonsingular row subset,
+    so the gcd of several such determinants (odd parts, after
+    2-stripping) bounds the bad primes, each of which is then cleared by a
+    full-rank check mod that prime; a small prime that fails it ends the
+    degree once two determinants are in.
     """
-    if ideal.mod is not None:
-        raise ValueError("empty_all_primes needs generators over Z")
     nvars = ideal.nvars
     kept = [(t, deg) for t, deg in zip(ideal.generators, ideal.degrees)
             if len(t[1])]
@@ -491,22 +474,14 @@ def _common_zero_mod(terms, nvars, q):
     tuple of residues, or None; None also when there are more than
     ``_POINT_CAP`` points.
 
-    Points have their first nonzero coordinate 1 and come leading 1 first
-    (position 0 first), then in lexicographic order of the tail.  Each
+    Points come in the table order of ``gf.projective_points``.  Each
     generator is evaluated only where all the earlier ones vanish, at
     those points at once (``_GATHER_CELLS`` term values at a time): the
     values of its terms there are one gather from the table of powers per
     variable, multiplied across the variables mod q."""
     if q > _POINT_CAP or (q ** nvars - 1) // (q - 1) > _POINT_CAP:
         return None
-    pts = []
-    for lead in range(nvars):
-        k = nvars - 1 - lead
-        block = np.zeros((q ** k, nvars), dtype=np.int64)
-        block[:, lead] = 1
-        block[:, lead + 1:] = np.indices((q,) * k).reshape(k, q ** k).T
-        pts.append(block)
-    pts = np.concatenate(pts)
+    pts = projective_points(q, nvars)
     # powers[e, r] = r^e mod q
     powers = np.ones((max(int(e.max()) for e, _ in terms) + 1, q),
                      dtype=np.int64)
@@ -539,8 +514,7 @@ def _lattice_is_full_after_stripping(block, ncols, saturate_at_2):
     The lattice index [Z^N : L] divides the determinant of every maximal
     nonsingular row subset, so full rank modulo a screening prime plus a
     subset determinant whose (2-stripped) odd part is cleared prime by
-    prime certifies trivial stripped divisors.  Exact Smith form is used
-    only on small matrices, where its coefficient growth is harmless.
+    prime certifies trivial stripped divisors.
 
     From the second determinant on, the primes q < ``_EARLY_PRIME_BOUND``
     (from 3 under ``saturate_at_2``) of their gcd g are ranked mod q,
@@ -552,14 +526,6 @@ def _lattice_is_full_after_stripping(block, ncols, saturate_at_2):
     if rank < ncols and fp_pivot_rows(block, ncols,
                                       _SCREEN_PRIMES[1])[1] < ncols:
         return None
-    if len(block) <= _SNF_LIMIT[0] and ncols <= _SNF_LIMIT[1]:
-        divisors = smith_divisors(block.toarray(ncols))
-        stripped = [_strip2(x) for x in divisors] if saturate_at_2 else divisors
-        if len(stripped) < ncols or any(x != 1 for x in stripped):
-            return None
-        return ({"divisors_all_one_after_stripping": True,
-                 "two_valuations": [_val2(x) for x in divisors],
-                 "bad_primes": []}, "smith")
     # the index divides det(subset) for every maximal nonsingular row
     # subset; shuffling the row order makes the screening prime pick
     # different subsets, and on a full lattice their (stripped) gcd drops
@@ -640,18 +606,13 @@ def _factorize(n):
     None when rho runs out of its step budget on a composite cofactor."""
     n = abs(n)
     out = set()
-    for f in (2, 3, 5, 7, 11, 13):
-        if n % f == 0:
-            out.add(f)
-            while n % f == 0:
-                n //= f
-    f = 17
+    f = 2
     while f * f <= n and f < 100000:
         if n % f == 0:
             out.add(f)
             while n % f == 0:
                 n //= f
-        f += 2
+        f += 1 if f == 2 else 2
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
@@ -709,7 +670,7 @@ def _pollard_rho(n):
 # bihomogeneous test in P^4 x P^4
 
 
-def empty_bihomogeneous(ideal, d_max=(4, 4), p=None):
+def empty_bihomogeneous(ideal, d_max, p):
     """Certify emptiness in P^{nx-1} x P^{ny-1} over F_pbar.
 
     A full bidegree-(a,b) span puts (x)^a (y)^b inside the ideal, which
@@ -718,14 +679,10 @@ def empty_bihomogeneous(ideal, d_max=(4, 4), p=None):
     are scanned cheapest first; since the ideals met here are symmetric
     under swapping the factors, only a >= b is tried.
     """
-    if p is None:
-        p = ideal.mod
-    if p is None or not is_prime(p):
+    if not is_prime(p):
         raise ValueError("bihomogeneous test needs a prime modulus")
     if ideal.bidegrees is None:
         raise ValueError("bihomogeneous test needs bidegrees")
-    if not isinstance(d_max, tuple):
-        d_max = (d_max, d_max)
     nx, ny = ideal.nx, ideal.ny
     ladder = sorted(
         ((a, b) for a in range(1, d_max[0] + 1)

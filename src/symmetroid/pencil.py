@@ -19,7 +19,7 @@ from math import comb, factorial
 
 import numpy as np
 
-from .linalg import (_fp_dtype, _laplace_tables, det_bareiss, is_prime,
+from .linalg import (_laplace_tables, det_bareiss, is_prime,
                      kernel_rational, mat_mul, mat_vec, primitive_vector,
                      random_unimodular, rank_rational, transpose)
 from .nullstellensatz import (HomIdealPresentation, Inconclusive,
@@ -288,27 +288,23 @@ def _up_table(j):
     return up
 
 
-def _linear_minors(lin, k_max, p=None):
-    """Coefficient tables of the minors of L(z), a 5x5 matrix of linear
-    forms in z0..z4, lin[i, j, v] the coefficient of z_v in L(z)[i][j]:
-    minors[R][a] is det L(z)[R, S] over the monomials of degree |R|
-    (``monomials_of_degree`` order), S the a-th column set of its size in
-    ``combinations`` order, for each row set R of at most k_max rows.
+def _linear_minors(lin, k_max):
+    """Coefficient tables over Z of the minors of L(z), a 5x5 matrix of
+    linear forms in z0..z4, lin[i, j, v] the coefficient of z_v in
+    L(z)[i][j]: minors[R][a] is det L(z)[R, S] over the monomials of degree
+    |R| (``monomials_of_degree`` order), S the a-th column set of its size
+    in ``combinations`` order, for each row set R of at most k_max rows.
 
     Expansion along the first row R[0] (column sets and signs from
     ``linalg._laplace_tables``) multiplies linear forms by coefficient
-    vectors, one degree up through ``_up_table``.  Mod p every product is
-    reduced, so each sum, of at most 25 residues, is exact in
-    ``_fp_dtype(p)``.  Over Z each coefficient and partial sum of a k x k
-    minor is at most k! (5 c)^k, c = max |lin|: int64 while that is below
-    2^63, else Python ints in object arrays."""
+    vectors, one degree up through ``_up_table``.  Each coefficient and
+    partial sum of a k x k minor is at most k! (5 c)^k, c = max |lin|:
+    int64 while that is below 2^63 at k = k_max, else Python ints in
+    object arrays."""
     lin = np.array(lin, dtype=object)
-    if p:
-        lin, dtype = lin % p, _fp_dtype(p)
-    else:
-        top = int(abs(lin).max())
-        dtype = (np.int64 if factorial(k_max) * (5 * top) ** k_max < 1 << 63
-                 else object)
+    top = int(abs(lin).max())
+    dtype = (np.int64 if factorial(k_max) * (5 * top) ** k_max < 1 << 63
+             else object)
     lin = lin.astype(dtype)
     minors = {(): np.ones((1, 1), dtype=dtype)}
     for j in range(1, k_max + 1):
@@ -316,9 +312,7 @@ def _linear_minors(lin, k_max, p=None):
         for R in combinations(range(5), j):
             signed = np.concatenate([lin[R[0]], -lin[R[0]]])[take]
             term = signed[..., None] * minors[R[1:]][rest][..., None, :]
-            term = term % p if p else term
-            minor = term.sum(axis=1).reshape(len(take), -1) @ _up_table(j)
-            minors[R] = minor % p if p else minor
+            minors[R] = term.sum(axis=1).reshape(len(take), -1) @ _up_table(j)
     return minors
 
 
@@ -348,11 +342,12 @@ def diagonal_avoidance_ideal(P):
         5, [Q.to_poly() for Q in P.quadrics])
 
 
-def singular_locus_ideal(P, p):
-    """Bihomogeneous ideal of the singular locus of the (1,1)-divisor
-    intersection in P^4 x P^4 over F_p: the five bilinear forms x^t B_i y
-    plus all 5x5 minors of their 5x10 Jacobian, in ``combinations`` order
-    of the columns, zero minors left out.
+def singular_locus_ideal(P):
+    """Bihomogeneous ideal over Z of the singular locus of the
+    (1,1)-divisor intersection in P^4 x P^4: the five bilinear forms
+    x^t B_i y plus all 5x5 minors of their 5x10 Jacobian, in
+    ``combinations`` order of the columns, zero minors left out.  One
+    ideal serves every prime: ``empty_bihomogeneous`` reduces it mod p.
 
     The B_i are symmetric, so the Jacobian (columns d/dx_j, then d/dy_j)
     is J = [L(y) | L(x)] with L(z)[i][j] = (B_i z)_j.  A minor on the
@@ -360,11 +355,14 @@ def singular_locus_ideal(P, p):
     blocks (Laplace; Muir, "A Treatise on the Theory of Determinants"):
     det = sum over k-sets R of rows, 0-based, of
     (-1)^(sum R + k(k-1)/2) det L(y)[R, S] det L(x)[R^c, T].  The minors
-    of L(z) are formed once, mod p, as the coefficient tables of
+    of L(z) are formed once, over Z, as the coefficient tables of
     ``_linear_minors``; they serve both x and y.  Each term is the outer
     product of an x-vector and a y-vector, x-major, and the minor has
-    bidegree (5 - k, k).  The nonzero cells of each such table, and of
-    each B_i, index a table of exponents: the generators' term arrays.
+    bidegree (5 - k, k).  A cell of it sums C(5, k) products of a k-minor
+    and a (5 - k)-minor coefficient, so it stays within 5! (5 c)^5, the
+    bound by which ``_linear_minors`` picks int64 or Python ints at k = 5.
+    The nonzero cells of each such table, and of each B_i, index a table
+    of exponents: the generators' term arrays.
     """
     mons = [monomials_of_degree(5, j) for j in range(6)]
 
@@ -377,7 +375,7 @@ def singular_locus_ideal(P, p):
 
     # minors[R][at[S]]: det L(z)[R, S], lin[i, j, k] = B_i[j][k]; the
     # 1 x 1 ones on row i, x-major, are the coefficients of x^t B_i y
-    minors = _linear_minors(P.grams, 5, p)
+    minors = _linear_minors(P.grams, 5)
     gens = [(pairs(1, 1)[c != 0], c[c != 0])
             for c in (minors[(i,)].ravel() for i in range(5))]
     bidegrees = [(1, 1)] * len(gens)
@@ -391,7 +389,7 @@ def singular_locus_ideal(P, p):
             Rc = tuple(i for i in range(5) if i not in R)
             term = np.multiply.outer(minors[Rc], minors[R])
             acc = (acc - term if (sum(R) + k * (k - 1) // 2) % 2
-                   else acc + term) % p
+                   else acc + term)
         block.append(acc)
     keys = [pairs(5 - k, k) for k in range(6)]
     for cols in combinations(range(10), 5):
@@ -403,7 +401,7 @@ def singular_locus_ideal(P, p):
         if nz.size:
             gens.append((keys[k][nz], flat[nz]))
             bidegrees.append((5 - k, k))
-    return HomIdealPresentation(10, gens, p, bidegrees, 5, 5)
+    return HomIdealPresentation(10, gens, bidegrees, 5, 5)
 
 
 @dataclass
@@ -446,7 +444,7 @@ def regularity_certificate(P, p, d_max_diag=8, d_max_bi=(4, 4)):
                                          "skipped: diagonal check failed",
                                          d_max_bi),
                                      pencil_lines=P.to_lines())
-    smooth = empty_bihomogeneous(singular_locus_ideal(P, p), d_max_bi, p)
+    smooth = empty_bihomogeneous(singular_locus_ideal(P), d_max_bi, p)
     return RegularityCertificate(prime=p, diagonal_avoidance=diag,
                                  smoothness=smooth, pencil_lines=P.to_lines())
 

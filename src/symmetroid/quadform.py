@@ -321,7 +321,7 @@ def has_smooth_point_fq(Q, q):
 
 def _smooth_point_enumerate(Q, gf):
     B = Q.gram()
-    for x in projective_points(gf):
+    for x in map(tuple, projective_points(gf.q).tolist()):
         if _eval_gf(Q, x, gf) != 0:
             continue
         # gradient: (B x)_i, with char-2 diagonal loss handled by tables

@@ -143,7 +143,7 @@ def albert_lemma_counterexamples(q):
         return add[u, w]
 
     smooth_exists = np.zeros(n, dtype=bool)
-    for x in projective_points(gf):
+    for x in projective_points(q).tolist():
         x0, x1, x2, x3, _ = x
         sq = [gf.mul(t, t) for t in x]
         val = vmul(a, sq[0])
@@ -384,12 +384,13 @@ def first_common_zero_bruteforce(gens, nvars, q):
     """The first common zero mod q of the MultiPoly generators in
     P^{nvars-1}(F_q), or None, by evaluating every generator at every
     point with ``MultiPoly.evaluate``.  Points are normalised with first
-    nonzero coordinate 1 and listed by the position of that 1, then in
-    lexicographic order of the coordinates after it."""
+    nonzero coordinate 1 and listed by the position of that 1, then with
+    the coordinates after it read as base-q digits, the first one lowest
+    (the table order of ``gf.projective_points``)."""
     from itertools import product
     for lead in range(nvars):
         for tail in product(range(q), repeat=nvars - 1 - lead):
-            point = (0,) * lead + (1,) + tail
+            point = (0,) * lead + (1,) + tail[::-1]
             if all(g.evaluate(point) % q == 0 for g in gens):
                 return point
     return None

@@ -135,7 +135,8 @@ def test_no_smooth_point_mask_matches_enumeration(monkeypatch):
         assert want[-len(planted):] == ([True] * len(_POINTLESS[p])
                                         + [False] * len(_POINTED[p])), p
         if p == 3:          # the late one: no smooth point among the first 16
-            assert projective_points(gf).index(first[-1]) >= 16
+            assert projective_points(p).tolist().index(
+                list(first[-1])) >= 16
 
 
 def test_sp_member_cases(thm_pencil):
@@ -174,7 +175,7 @@ def test_prime_window_refused_before_allocation(thm_pencil, monkeypatch):
     def allocates(*args, **kwargs):
         raise AssertionError("allocated before refusing")
 
-    monkeypatch.setattr(density, "_projective_points", allocates)
+    monkeypatch.setattr(density, "projective_points", allocates)
     monkeypatch.setattr(density, "_gram_stack", allocates)
     assert density._MAX_PRIME < 1009
     with pytest.raises(ValueError, match="largest prime"):
@@ -186,11 +187,10 @@ def test_prime_window_refused_before_allocation(thm_pencil, monkeypatch):
 def _plane_kernel_dims(P, p):
     """dim ker M(x) mod p for every x in P(<e0, e1, e2>)(F_p), by brute
     force on the pencil's Gram matrices."""
-    from symmetroid.density import _projective_points
-    from symmetroid.gf import GF
+    from symmetroid.gf import GF, projective_points
     from symmetroid.linalg import nullspace
     dims = []
-    for x in _projective_points(p, 3).tolist():
+    for x in projective_points(p, 3).tolist():
         M = [[sum(B[r][c] * x[c] for c in range(3)) % p for B in P.grams]
              for r in range(5)]
         dims.append(len(nullspace(M, GF(p))))
@@ -222,9 +222,9 @@ def _stacked_ranks(B, p):
 def _member_grams(F, p):
     """Gram matrices of the members of the frame F (5 x 15 integers) at
     every point of P^4(F_p), in table order."""
-    from symmetroid.density import _projective_points
+    from symmetroid.gf import projective_points
     grams = np.array([QuadricForm(row).gram() for row in F.tolist()])
-    return np.tensordot(_projective_points(p), grams, 1)
+    return np.tensordot(projective_points(p), grams, 1)
 
 
 def _brute_rank_le2(F, p):
@@ -238,8 +238,8 @@ def test_rank_le2_screen_matches_fp_rank():
     # every member whose Gram matrix has F_p-rank <= 2, found by brute force
     # over P^4(F_p), is exactly what the plane-kernel finder returns, in
     # table order
-    from symmetroid.density import (_projective_points, _rank_le2_members,
-                                    _table_index)
+    from symmetroid.density import _rank_le2_members, _table_index
+    from symmetroid.gf import projective_points
     from symmetroid.linalg import fp_rank
     rng = np.random.default_rng(11)
     frames = [rng.integers(-10, 11, size=(5, 15)) for _ in range(6)]
@@ -259,7 +259,7 @@ def test_rank_le2_screen_matches_fp_rank():
     cases += [(frames[1], 11), (frames[2], 13)]
     for F, p in cases:
         P = Pencil([QuadricForm(row) for row in F.tolist()])
-        points = _projective_points(p).tolist()
+        points = projective_points(p).tolist()
         brute = _brute_rank_le2(F, p)
         if p <= 5:
             # the stacked elimination against one fp_rank per member
@@ -309,7 +309,8 @@ def test_quintic_values_match_direct_determinants(monkeypatch):
     # grid's end; at p = 181 one frame's values pass _PAIRS
     from symmetroid import density
     from symmetroid.density import (_det_mod_p, _gram_stack, _plane_dets,
-                                    _plane_matrices, _projective_points)
+                                    _plane_matrices)
+    from symmetroid.gf import projective_points
     from symmetroid.linalg import det_bareiss
     rng = np.random.default_rng(18)
     for p in (7, 11, 31, 181):
@@ -319,11 +320,11 @@ def test_quintic_values_match_direct_determinants(monkeypatch):
         G = _gram_stack(np.mod(F, p), p)
         n = p * p + p + 1
         direct = _det_mod_p(_plane_matrices(
-            G, _projective_points(p, 3), p), p).reshape(3, n)
+            G, projective_points(p, 3), p), p).reshape(3, n)
         assert direct[0].any() and not direct[2].any()
         if p <= 11:
             grams = [[QuadricForm(q).gram() for q in f] for f in F.tolist()]
-            for x, col in zip(_projective_points(p, 3).tolist(), direct.T):
+            for x, col in zip(projective_points(p, 3).tolist(), direct.T):
                 assert [det_bareiss([[sum(B[r][c] * x[c] for c in range(3))
                                       for B in f] for r in range(5)]) % p
                         for f in grams] == col.tolist()
@@ -383,7 +384,8 @@ def test_rank_le2_test_reads_the_block_off_the_lead():
     # <e0, e1, e2> only at e2 and at e1 + e2; x0^2 + x1^2 + x3^2 and
     # x0^2 + x2^2 + x3^2 have rank 3, kernels meeting it only at e2 and at
     # e1, rank 2 off index 0 and a zero minor on the prefilter's block
-    from symmetroid.density import _PREFILTER, _projective_points
+    from symmetroid.density import _PREFILTER
+    from symmetroid.gf import projective_points
     from symmetroid.linalg import det_bareiss, fp_rank
     from symmetroid.quadform import COEFF_ORDER
     planted = [({(0, 1): 1, (0, 4): 1, (1, 3): 1, (3, 4): 1}, 2, [0, 0, 1]),
@@ -399,7 +401,7 @@ def test_rank_le2_test_reads_the_block_off_the_lead():
         for F, (_, rank, x) in zip(frames, planted):
             B = np.array(QuadricForm(F[0].tolist()).gram())      # B(e0)
             assert fp_rank(B, p) == rank
-            plane = _projective_points(p, 3)
+            plane = projective_points(p, 3)
             assert plane[~(B[:, :3] @ plane.T % p).any(axis=0)
                          ].tolist() == [x]
             if rank == 3:

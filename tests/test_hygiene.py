@@ -14,10 +14,13 @@ TESTS = Path(__file__).resolve().parent
 
 # (module, qualified name) of the definitions that only tests reference:
 # ``holds_at`` is public API, since a certificate answers for one prime at
-# a time; the benchmark's tracer wraps the other two by name, so they go
-# once it no longer does
+# a time; the benchmark's tracer wraps the polys two by name, so they go
+# once it no longer does; it wraps ``smith_divisors`` by name too, which
+# stays as the exact route a small lattice's certificate can be
+# rechecked by
 TEST_ONLY = {("nullstellensatz", "EmptinessCertificate.holds_at"),
-             ("polys", "poly_matrix_det"), ("polys", "MultiPoly.evaluate")}
+             ("polys", "poly_matrix_det"), ("polys", "MultiPoly.evaluate"),
+             ("linalg", "smith_divisors")}
 
 
 def _unused_imports(tree, allowed=()):

@@ -1046,8 +1046,8 @@ def test_smith_divisors_and_crt_determinants_match_sympy():
         assert smith_divisors(M) == want, M
         if m == n:
             assert det_exact_crt(M) == int(sympy.Matrix(M).det()), M
-    # sparse blocks of the largest size the all-primes path hands over
-    # (``_SNF_LIMIT``, 40 x 16)
+    # sparse 40 x 16 blocks, the largest small lattices a Smith form
+    # once certified
     gen = np.random.default_rng(30)
     for density in (0.1, 0.2, 0.4):
         M = gen.integers(-6, 7, size=(40, 16)) * (

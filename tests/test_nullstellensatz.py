@@ -50,7 +50,9 @@ def test_saturation_strips_only_two_content():
     cert = empty_all_primes(Isat, saturate_at_2=True, d_max=3)
     assert cert and cert.degree == 1
     # ... but only away from 2: the ideal is zero mod 2
-    assert cert.divisor_summary["two_valuations"] == [1] * 5
+    assert cert.method == "minor-gcd"
+    assert cert.divisor_summary["determinant_two_valuations"] == [5]
+    assert cert.divisor_summary["rank_mod_2"] == 0
     assert cert.holds_at(2) is False and cert.holds_at(3)
     # without saturation the prime 2 stays uncovered
     cert_no = empty_all_primes(Isat, saturate_at_2=False, d_max=3)
@@ -72,9 +74,8 @@ def test_factoring_budget_ends_in_inconclusive():
     I = _ideal(["t0", "t1", "t2", "t3", "%d*t4" % (q1 * q2)])
     res = empty_all_primes(I, d_max=3)
     assert isinstance(res, Inconclusive)
-    # degree 3 is the first taken by the subset-determinant route, whose
-    # gcd is N: the reason must say factoring gave up, not that the
-    # lattice is not full
+    # at every degree the gcd of the subset determinants is N: the reason
+    # must say factoring gave up, not that the lattice is not full
     assert res.reason == ("factoring the index evidence ran out of its "
                           "Pollard-rho budget at degree 3")
     assert time.perf_counter() - t0 < 60
@@ -82,7 +83,7 @@ def test_factoring_budget_ends_in_inconclusive():
 
 def test_small_prime_of_unfactored_evidence_is_named():
     # 3 N with N the semiprime above, past the rho budget: the gcd of the
-    # first two subset determinants at degree 3 is 3 N, the block loses
+    # first two subset determinants at degree 1 is 3 N, the block loses
     # rank mod 3 and the ladder stops on the common zero (0:0:0:0:1)
     # mod 3 before N has to be factored (factoring 3 N would give up)
     from symmetroid.linalg import is_prime
@@ -94,7 +95,7 @@ def test_small_prime_of_unfactored_evidence_is_named():
                                    "%d*t4" % (3 * N)]), d_max=4)
     assert isinstance(res, Inconclusive)
     assert res.witness == {"prime": 3, "point": [0, 0, 0, 0, 1]}
-    assert res.reason == ("the prime 3 is not cleared at degree 3 and the "
+    assert res.reason == ("the prime 3 is not cleared at degree 1 and the "
                           "generators vanish at (0, 0, 0, 0, 1) mod 3, so "
                           "no degree clears it")
 
@@ -124,17 +125,21 @@ def test_determinant_loop_stops_at_a_proven_uncleared_prime(
 
 def test_coefficients_past_int64_stay_exact():
     # N * t4 with N in [2^63, 2^64): as a float, 2^63 + 1 rounds to 2^63,
-    # whose index the 2-saturation forgives; the exact N has odd prime
-    # factors, so only 2^63 itself may be certified
+    # whose index the 2-saturation forgives; the exact N has the odd prime
+    # factor 3, so only 2^63 itself may be certified, and the others end at
+    # degree 1 on the common zero (0:0:0:0:1) mod 3
     for N in (2 ** 63 + 1, -(2 ** 63 + 1), 2 ** 64 - 1):
         res = empty_all_primes(_ideal(["t0", "t1", "t2", "t3",
                                        "%d*t4" % N]), d_max=3)
         assert isinstance(res, Inconclusive), N
-        assert res.reason == "lattice not full (after stripping) at degree 3"
+        assert res.witness == {"prime": 3, "point": [0, 0, 0, 0, 1]}, N
+        assert "not cleared at degree 1" in res.reason, N
     cert = empty_all_primes(_ideal(["t0", "t1", "t2", "t3",
                                     "%d*t4" % 2 ** 63]), d_max=3)
-    assert cert.degree == 1 and cert.method == "smith"
-    assert cert.divisor_summary["two_valuations"] == [0, 0, 0, 0, 63]
+    assert cert.degree == 1 and cert.method == "minor-gcd"
+    assert cert.divisor_summary["determinant_two_valuations"] == [63]
+    assert cert.divisor_summary["rank_mod_2"] == 4
+    assert cert.holds_at(3) and not cert.holds_at(2)
 
 
 def _same_rows(got, want, ncols):
@@ -192,7 +197,7 @@ def test_bidegree_blocks_match_exponent_sums(q3_pencil):
     from oracles import macaulay_rows_by_exponent_sums
 
     from symmetroid.nullstellensatz import _macaulay_rows, _monomial_count
-    ideal = singular_locus_ideal(q3_pencil, 7)
+    ideal = singular_locus_ideal(q3_pencil)
     for a in range(1, 5):
         for b in range(1, 5):
             args = (ideal.generators, ideal.bidegrees, (5, 5), (a, b))
@@ -364,7 +369,7 @@ def test_soundness_against_search():
             continue
         for q in (p, q2):
             gf = GF(q)
-            for x in projective_points(gf):
+            for x in projective_points(q).tolist():
                 vals = [  # evaluate the integer quadrics via gf arithmetic
                     _eval_gf_poly(Q, x, gf) for Q in P.quadrics]
                 assert any(v != 0 for v in vals), (q, x)
@@ -415,9 +420,9 @@ def test_bihomogeneous_trivial_cases(thm_pencil):
     cert = empty_bihomogeneous(I, (2, 2), 5)
     assert cert
     # the five bilinear forms alone cut out a nonempty threefold
-    full = singular_locus_ideal(thm_pencil, 5)
+    full = singular_locus_ideal(thm_pencil)
     forms_only = HomIdealPresentation(
-        10, full.generators[:5], 5, full.bidegrees[:5], 5, 5)
+        10, full.generators[:5], full.bidegrees[:5], 5, 5)
     out = empty_bihomogeneous(forms_only, (2, 2), 5)
     assert isinstance(out, Inconclusive)
 
@@ -459,23 +464,6 @@ def test_bidegree_labels_are_checked():
         present(4, gens + [parse_poly("x0 + x1^2", NAMES4)])
     with pytest.raises(ValueError, match="wrong ring"):
         present(5, gens)
-
-
-def test_an_ideal_over_another_prime_is_refused():
-    # term arrays of residues mod 5: over F_5 the three forms vanish at
-    # (1:1:1); read again mod 7 they would be certified empty at degree 1
-    Z = _ideal(["t0 + 4*t1", "t1 + 4*t2", "t0 + 4*t2"], 3)
-    I = HomIdealPresentation(3, Z.generators, 5)
-    assert isinstance(empty_over_fpbar(I, 3), Inconclusive)
-    with pytest.raises(ValueError, match="over F_5, not F_7"):
-        empty_over_fpbar(I, 3, 7)
-    with pytest.raises(ValueError, match="needs generators over Z"):
-        empty_all_primes(I)
-    Zxy = HomIdealPresentation.from_polys(
-        10, [variable(10, i) for i in range(5)])
-    Ixy = HomIdealPresentation(10, Zxy.generators, 5, [(1, 0)] * 5, 5, 5)
-    with pytest.raises(ValueError, match="over F_5, not F_7"):
-        empty_bihomogeneous(Ixy, (2, 2), 7)
 
 
 def test_regularity_diagonal_failure_detected():

@@ -11,7 +11,8 @@ from symmetroid.pencil import (Pencil, alpha_symbol, parse_pencil_text,
                                rank_le2_minor_ideal, singular_locus_ideal,
                                x_point_from_singular_member)
 from symmetroid.polys import MultiPoly, parse_poly, poly_matrix_det
-from symmetroid.quadform import QuadricForm, diagonalize_symmetric
+from symmetroid.quadform import (COEFF_ORDER, QuadricForm,
+                                 diagonalize_symmetric)
 
 T_NAMES = ["t%d" % i for i in range(5)]
 
@@ -235,19 +236,28 @@ def test_minor_ideal_matches_polynomial_laplace_minors(
 
 def test_linear_minors_are_exact_up_to_the_int64_bound():
     # 3! (5 c)^3 < 2^63 for c = max |lin| up to 230,821: the tables are
-    # int64 there and Python ints one past it.  With entries +-c the
-    # int64 minors agree with the expansion mod a prime past 2^64, which
-    # runs on Python ints
+    # int64 there and Python ints one past it.  With entries +-c both
+    # agree with the cofactor expansion of the MultiPoly linear forms
+    from itertools import combinations
+
     from symmetroid.pencil import _linear_minors
+    from symmetroid.polys import monomials_of_degree
     rng = np.random.default_rng(3)
-    p = (1 << 89) - 1
+    units = [tuple(int(v == w) for w in range(5)) for v in range(5)]
     for c, dtype in ((230821, np.int64), (230822, object)):
         lin = rng.choice([-c, c], size=(5, 5, 5)).astype(object)
-        over_z, mod_p = _linear_minors(lin, 3), _linear_minors(lin, 3, p)
-        for R, m in over_z.items():
-            assert m.dtype == dtype and mod_p[R].dtype == object
-            assert (m.astype(object) % p == mod_p[R]).all()
-        assert np.abs(over_z[(0, 1, 2)].astype(object)).max() > 1 << 56
+        forms = [[MultiPoly(5, dict(zip(units, lin[i, j].tolist())))
+                  for j in range(5)] for i in range(5)]
+        tables = _linear_minors(lin, 3)
+        for R, m in tables.items():
+            assert m.dtype == dtype
+            if not R:
+                continue
+            mons = monomials_of_degree(5, len(R))
+            for S, row in zip(combinations(range(5), len(R)), m.tolist()):
+                want = cofactor_det([[forms[i][j] for j in S] for i in R])
+                assert row == [want.terms.get(e, 0) for e in mons], (R, S)
+        assert np.abs(tables[(0, 1, 2)].astype(object)).max() > 1 << 56
 
 
 def _partial(f, j):
@@ -271,22 +281,33 @@ def vandermonde_pencil():
         for i in range(5)])
 
 
+@pytest.fixture
+def wide_pencil(thm_pencil):
+    # thm_example with 1000 x0*x4 added to Q0: the Gram entry past 300
+    # puts 5! (5 c)^5 past 2^63, so the minors take Python ints
+    coeffs = list(thm_pencil.quadrics[0].coeffs)
+    coeffs[COEFF_ORDER.index((0, 4))] += 1000
+    return Pencil([QuadricForm(coeffs)] + thm_pencil.quadrics[1:])
+
+
 @pytest.mark.parametrize("name,p", [("thm_pencil", 7), ("q3_pencil", 7),
                                     ("cor_pencil", 11),
-                                    ("vandermonde_pencil", 7)])
+                                    ("vandermonde_pencil", 7),
+                                    ("wide_pencil", 7)])
 def test_singular_locus_minors_match_cofactor_expansion(name, p, request):
-    # the block Laplace expansion gives the same generators, in the same
-    # order and bidegrees, as one cofactor expansion per minor of the
-    # Jacobian of the five bilinear forms, zero minors left out
+    # the block Laplace expansion gives the same generators over Z, in the
+    # same order and bidegrees, as one cofactor expansion per minor of the
+    # Jacobian of the five bilinear forms, zero minors left out; at the
+    # prime p of the regularity proof none of them vanishes
     from itertools import combinations
-    ideal = singular_locus_ideal(request.getfixturevalue(name), p)
+    P = request.getfixturevalue(name)
+    ideal = singular_locus_ideal(P)
     gens = polys_of(ideal)
     forms = gens[:5]
     jac = [[_partial(f, j) for j in range(10)] for f in forms]
     want, bidegrees = [], []
     for cols in combinations(range(10), 5):
-        m = reduce_mod(cofactor_det([[row[c] for c in cols] for row in jac]),
-                       p)
+        m = cofactor_det([[row[c] for c in cols] for row in jac])
         if not m.is_zero():
             want.append(m)
             k = sum(1 for c in cols if c < 5)
@@ -294,6 +315,12 @@ def test_singular_locus_minors_match_cofactor_expansion(name, p, request):
     assert len(want) == (32 if name == "vandermonde_pencil" else 252)
     assert gens[5:] == want
     assert ideal.bidegrees == [(1, 1)] * 5 + bidegrees
+    assert not any(reduce_mod(m, p).is_zero() for m in want)
+    # Python ints past 300: vandermonde_pencil's 2 * 5^4 and wide_pencil
+    big = max(abs(x) for B in P.grams for row in B for x in row) > 300
+    assert big == (name in ("vandermonde_pencil", "wide_pencil"))
+    assert {c.dtype for _, c in ideal.generators} == {
+        np.dtype(object if big else np.int64)}
 
 
 def _regularity_json(p):

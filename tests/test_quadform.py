@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import diagonal_isotropic_bruteforce, quadric_from_gram
-from symmetroid.gf import GF, projective_points
+from symmetroid.gf import GF
 from symmetroid.linalg import mat_mul, random_unimodular, transpose
 from symmetroid.localfields import REAL, is_square_at
 from symmetroid.quadform import (COEFF_ORDER, QuadricForm,
@@ -102,16 +102,29 @@ def test_smooth_point_paper_values():
 
 def test_smooth_point_fq_vs_enumeration():
     # spec invariant: classification equals exhaustive search; 1000 forms
-    # per field over q in {2,3,4,5,7}
+    # per field over q in {3, 5, 7}.  For even q ``has_smooth_point_fq``
+    # is that enumeration, so at q = 2 it is checked against the sieve's
+    # float32 scan instead.  The q = 4 leg has no second engine: it only
+    # checks that a smooth F_2-point stays one over F_4
+    from symmetroid.density import _no_smooth_point_mask
     rng = random.Random(13)
     for q in (2, 3, 4, 5, 7):
         gf = GF(q)
+        forms = []
         for _ in range(1000):
             Q = QuadricForm([rng.randrange(q) for _ in range(15)])
-            if all(c % gf.p == 0 for c in Q.coeffs):
-                continue
-            assert has_smooth_point_fq(Q, q) == \
-                (_smooth_point_enumerate(Q, gf) is not None), (q, Q.coeffs)
+            if any(c % gf.p for c in Q.coeffs):
+                forms.append(Q)
+        got = [has_smooth_point_fq(Q, q) for Q in forms]
+        if q == 2:
+            C = np.array([Q.coeffs for Q in forms], dtype=np.int64)
+            assert got == (~_no_smooth_point_mask(C, 2)).tolist()
+        elif q == 4:
+            assert all(has_smooth_point_fq(Q, 2) <= smooth
+                       for Q, smooth in zip(forms, got))
+        else:
+            assert got == [_smooth_point_enumerate(Q, gf) is not None
+                           for Q in forms], q
 
 
 def test_classify_f9_vs_enumeration():
