@@ -283,8 +283,8 @@ def vandermonde_pencil():
 
 @pytest.fixture
 def wide_pencil(thm_pencil):
-    # thm_example with 1000 x0*x4 added to Q0: the Gram entry past 300
-    # puts 5! (5 c)^5 past 2^63, so the minors take Python ints
+    # thm_example with 1000 x0*x4 added to Q0: 5! (5 c)^5 < 2^63 holds up
+    # to c = 476, so past that Gram entry the minors take Python ints
     coeffs = list(thm_pencil.quadrics[0].coeffs)
     coeffs[COEFF_ORDER.index((0, 4))] += 1000
     return Pencil([QuadricForm(coeffs)] + thm_pencil.quadrics[1:])
@@ -316,8 +316,8 @@ def test_singular_locus_minors_match_cofactor_expansion(name, p, request):
     assert gens[5:] == want
     assert ideal.bidegrees == [(1, 1)] * 5 + bidegrees
     assert not any(reduce_mod(m, p).is_zero() for m in want)
-    # Python ints past 300: vandermonde_pencil's 2 * 5^4 and wide_pencil
-    big = max(abs(x) for B in P.grams for row in B for x in row) > 300
+    # Python ints past 476: vandermonde_pencil's 2 * 5^4 and wide_pencil
+    big = max(abs(x) for B in P.grams for row in B for x in row) > 476
     assert big == (name in ("vandermonde_pencil", "wide_pencil"))
     assert {c.dtype for _, c in ideal.generators} == {
         np.dtype(object if big else np.int64)}
