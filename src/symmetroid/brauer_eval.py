@@ -241,22 +241,21 @@ def _conic_invariant(P, t, v):
 def find_real_point_with_invariant(P, target, seed=0, line_budget=200):
     """A point of Y(R) with the requested invariant (0 or 1/2).
 
-    Distinguished members of the pencil are tried first (exact rational
-    points).  Then seeded rational lines in the parameter space are
-    scanned: the restricted discriminant quintic has odd degree, so real
-    roots abound; each isolated root is certified by interval-Horner
-    enclosures of the leading principal minors (nonvanishing pins both the
-    rank and, via Jacobi's sign rule, the signature).  Exhausting the
-    budget raises LookupError: a search failure is never a nonexistence
-    claim.
+    The coordinate members of the pencil (``Pencil.coordinate_members``)
+    are tried first (exact rational points).  Then seeded rational lines
+    in the parameter space are scanned: the restricted discriminant
+    quintic has odd degree, so real roots abound; each isolated root is
+    certified by interval-Horner enclosures of the leading principal
+    minors (nonvanishing pins both the rank and, via Jacobi's sign rule,
+    the signature).  Exhausting the budget raises LookupError: a search
+    failure is never a nonexistence claim.
     """
     target = Fraction(target)
     if target not in (INV_ZERO, INV_HALF):
         raise ValueError("target invariant must be 0 or 1/2")
-    for t, Q in _distinguished_members(P):
-        npos, nneg, _ = classify(Q, "R").signature
+    for t, _, (npos, nneg), disc in P.coordinate_members:
         rank = npos + nneg
-        if rank < 3 or rank == 4 and ruling_disc(Q) < 0:
+        if rank < 3 or rank == 4 and disc < 0:
             continue  # no real point of Y above this member
         # 1/2 exactly when the member is definite on its nondegenerate part
         inv = INV_HALF if rank in (npos, nneg) else INV_ZERO
@@ -376,27 +375,14 @@ class WACertificate:
         return inv0 == INV_ZERO and inv1 == INV_HALF
 
 
-def _distinguished_members(P):
-    """(t, member) for each coordinate point t = e_0..e_4 of the parameter
-    space that lies on H, in that order."""
-    for i in range(5):
-        t = [0] * 5
-        t[i] = 1
-        if P.det_at(t) == 0:
-            yield t, P.member(t)
-
-
 def _rational_y_point(P):
-    """A rational point of Y among the distinguished members, if any:
-    a rank-3 singular member, or a rank-4 one with square discriminant."""
-    for t, Q in _distinguished_members(P):
-        rank = classify(Q, "Q").rank
-        if rank == 3:
+    """A rational point of Y among the coordinate members, if any: a
+    rank-3 singular member, or a rank-4 one with square discriminant."""
+    for t, _, (npos, nneg), disc in P.coordinate_members:
+        if npos + nneg == 3:
             return t, 3, None
-        if rank == 4:
-            disc = ruling_disc(Q)
-            if disc > 0 and isqrt(disc) ** 2 == disc:
-                return t, 4, disc
+        if disc is not None and disc > 0 and isqrt(disc) ** 2 == disc:
+            return t, 4, disc
     return None
 
 
@@ -431,7 +417,7 @@ def certify_wa_failure(P, strategy, regularity=None, seed=0):
     else:
         place = normalize_place(strategy)
         point_zero = point_half = None
-        for t, _ in _distinguished_members(P):
+        for t, *_ in P.coordinate_members:
             lifts = lift_to_y(P, t, place)
             if not lifts:
                 continue

@@ -478,9 +478,14 @@ _BATCH_BLOCKED = 512  # rows reduced against the stored basis per pass of the
                       # and the width of the chunks their part on the pivot
                       # columns comes in: 512 x 512 floats, 1 MB in float32,
                       # next to the basis's rank * (ncols - rank) floats
-_BLOCKED_MIN = 256    # blocks with fewer rows or columns keep the plain loop
-                      # (dense mod 7, one core: 128^2 10 ms plain against
-                      # 16 ms blocked, 256^2 56 ms against 34 ms)
+_BLOCKED_MIN = 64     # blocks with fewer rows or columns keep the plain loop
+                      # (Macaulay ladders, one core of a 2-core Xeon: the
+                      # diagonal-avoidance rungs 75x70, 175x126 and 350x210
+                      # of prop_q3 mod 7 take 10.0 ms at a cutoff of 256,
+                      # 3.0 ms at 64; the twelve such ladders of the three
+                      # pencils at p = 7, 3, 11, 5 take 167, 109, 73, 70
+                      # and 69 ms at 256, 128, 64, 32 and 16, and the
+                      # 35-column blocks of the V3 lattice stay plain)
 _MANTISSA = {np.dtype(np.float32): 24, np.dtype(np.float64): 53}
 
 
@@ -937,7 +942,10 @@ def fp_rank_sparse_dense(rows, ncols, p, seed=None, basis=False):
     (module docstring), exact there, from the head of ``seed``, rows
     known to lie in the row space of ``rows`` mod p, and the block.
     Other blocks take the rank that ``fp_pivot_rows`` finds, and ignore
-    ``seed``.
+    ``seed``.  The cutoff was measured on Macaulay ladders, whose
+    triangular heads make the blocked path pay from blocks of about 70
+    columns on; the 35-column blocks of the V3 lattice stay on the plain
+    loop.
 
     With ``basis``, returns (rank, B): B is the right-reduced basis of the
     row space (``_right_reduced``) when the blocked path ran and the rank

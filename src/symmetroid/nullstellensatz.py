@@ -46,6 +46,7 @@ the ladder runs unseeded.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb, gcd, prod
@@ -81,24 +82,40 @@ class HomIdealPresentation:
             raise ValueError("one bidegree per generator")
         if bigraded and self.nx + self.ny != self.nvars:
             raise ValueError("nx + ny must be nvars")
-        self.degrees = []
-        for i, (e, c) in enumerate(self.generators):
-            if e.shape != (len(c), self.nvars):
-                raise ValueError("generator in wrong ring")
-            total = e.sum(axis=1)
-            if not bigraded:
-                if (total != total[:1]).any():
-                    raise ValueError("generators must be homogeneous")
-                self.degrees.append((int(total[0]) if len(c) else -1,))
-                continue
+        # all generators in one pass: the first one in the wrong ring
+        # bounds the ones whose terms are checked, and the first failure
+        # in generator order is raised
+        gens = self.generators
+        wrong = next((i for i, (e, c) in enumerate(gens)
+                      if e.shape != (len(c), self.nvars)), len(gens))
+        length = np.array([len(c) for _, c in gens[:wrong]], dtype=np.int64)
+        e = np.concatenate([e for e, _ in gens[:wrong]]
+                           or [np.zeros((0, self.nvars), dtype=np.int64)])
+        total = e.sum(axis=1, dtype=np.int64)
+        owner = np.repeat(np.arange(wrong), length)
+        if not bigraded:
+            # a generator's degree is that of its first term, -1 if none
+            first = np.full(wrong, -1, dtype=np.int64)
+            first[length > 0] = total[(np.cumsum(length) - length)[length > 0]]
+            bad = total != first[owner]
+        else:
+            a, b = np.array(self.bidegrees[:wrong],
+                            dtype=np.int64).reshape(-1, 2).T
             # each term of bidegree (a, b) has degree a + b, a of it in the
             # first block; this also checks homogeneity
-            a, b = self.bidegrees[i]
-            if ((total != a + b).any()
-                    or (e[:, :self.nx].sum(axis=1) != a).any()):
-                raise ValueError("generator %d is not of bidegree (%d, %d)"
-                                 % (i, a, b))
-            self.degrees.append((a, b))
+            bad = ((total != (a + b)[owner])
+                   | (e[:, :self.nx].sum(axis=1, dtype=np.int64)
+                      != a[owner]))
+        i = int(owner[bad.argmax()]) if bad.any() else wrong
+        if i < len(gens):
+            if i == wrong:
+                raise ValueError("generator in wrong ring")
+            if not bigraded:
+                raise ValueError("generators must be homogeneous")
+            raise ValueError("generator %d is not of bidegree (%d, %d)"
+                             % ((i,) + tuple(self.bidegrees[i])))
+        self.degrees = ([(int(d),) for d in first] if not bigraded
+                        else [tuple(ab) for ab in self.bidegrees])
 
     @classmethod
     def from_polys(cls, nvars, polys, bidegrees=None, nx=5, ny=5):
@@ -205,9 +222,29 @@ def _monomial_count(deg, sizes):
 def _row_count(degrees, sizes, top):
     """The number of Macaulay rows of multidegree ``top`` that
     ``_macaulay_rows`` builds for generators of multidegrees ``degrees``:
-    one per multiplier of multidegree top - deg g."""
-    return sum(_monomial_count([d - a for a, d in zip(deg, top)], sizes)
-               for deg in degrees)
+    one per multiplier of multidegree top - deg g, counted once per
+    distinct multidegree."""
+    return sum(n * _monomial_count([d - a for a, d in zip(deg, top)], sizes)
+               for deg, n in Counter(degrees).items())
+
+
+def _ranked_terms(terms, sizes):
+    """The term arrays ``terms`` (as in ``HomIdealPresentation``) with the
+    exponents replaced by their ranks: (ranks, coefficients) per
+    generator, ranks[b] the position of each term's exponents in block b
+    of ``sizes`` among the monomials of its degree there
+    (``monomial_ranks``, all generators at once).  Each block's ranks take
+    the narrowest type that holds them (``_int_dtype``), and every
+    Macaulay row that ``_macaulay_rows`` builds reads them."""
+    cut = np.cumsum((0,) + tuple(sizes))
+    e = np.concatenate([e for e, _ in terms])
+    split = np.cumsum([len(c) for _, c in terms])[:-1]
+    blocks = []
+    for lo, hi in zip(cut, cut[1:]):
+        r = monomial_ranks(e[:, lo:hi])
+        blocks.append(np.split(r.astype(_int_dtype(int(r.max(initial=0)))),
+                               split))
+    return [(r, c) for r, (_, c) in zip(zip(*blocks), terms)]
 
 
 def _product_columns(ranks, deg, top, sizes):
@@ -230,41 +267,33 @@ def _macaulay_rows(terms, degrees, sizes, top):
 
     The variables fall into blocks of ``sizes`` (one block: the usual
     grading; two: the bigrading); generator g has the multidegree
-    ``degrees[g]`` and the term arrays ``terms[g]`` (exponents and
-    coefficients, as in ``HomIdealPresentation``).  Generator by
-    generator, there is one row for each multiplier m of multidegree
-    top - deg g, in the order of ``_product_columns``, with entries in the
-    generator's term order.  The columns are the monomials of multidegree
-    ``top`` in the same order.
+    ``degrees[g]`` and the ranked terms ``terms[g]`` (``_ranked_terms``).
+    Generator by generator, there is one row for each multiplier m of
+    multidegree top - deg g, in the order of ``_product_columns``, with
+    entries in the generator's term order.  The columns are the monomials
+    of multidegree ``top`` in the same order.
 
     Each generator's rows are written straight into arrays allocated
     once; ``indices`` take the narrowest type that holds every column
     (``_int_dtype``: int16 up to 2^15 columns), and ``data`` the widest
     type of the contributing generators' coefficients (int64 when there
-    are none), an object array when one of them is.  The exponents keep
-    the generators' type."""
-    used = [(e, c, deg) for (e, c), deg in zip(terms, degrees)
+    are none), an object array when one of them is."""
+    used = [(r, c, deg) for (r, c), deg in zip(terms, degrees)
             if all(0 <= a <= d for a, d in zip(deg, top))]
-    cut = np.cumsum((0,) + tuple(sizes))
-    e = np.concatenate([e for e, _, _ in used]
-                       or [np.zeros((0, cut[-1]), dtype=np.int64)])
-    # the rank of every term in each block, all generators at once
-    ranks = [monomial_ranks(e[:, lo:hi]) for lo, hi in zip(cut, cut[1:])]
     length = np.array([len(c) for _, c, _ in used], dtype=np.int64)
-    nrows = np.array([_row_count([deg], sizes, top) for _, _, deg in used],
-                     dtype=np.int64)
+    count = {deg: _monomial_count([d - a for a, d in zip(deg, top)], sizes)
+             for _, _, deg in used}
+    nrows = np.array([count[deg] for _, _, deg in used], dtype=np.int64)
     indptr = np.concatenate([[0], np.cumsum(np.repeat(length, nrows))])
     indices = np.empty(indptr[-1],
                        dtype=_int_dtype(_monomial_count(top, sizes) - 1))
     data = np.empty(indptr[-1], dtype=np.result_type(
         *[c.dtype for _, c, _ in used] or [np.int64]))
-    lo = at = 0
-    for (_, c, deg), n in zip(used, length):
-        cols = _product_columns([r[lo:lo + n] for r in ranks], deg, top,
-                                sizes)
+    at = 0
+    for r, c, deg in used:
+        cols = _product_columns(r, deg, top, sizes)
         indices[at:at + cols.size].reshape(cols.shape)[...] = cols
         data[at:at + cols.size].reshape(cols.shape)[...] = c
-        lo += n
         at += cols.size
     return SparseRows(indptr, indices, data)
 
@@ -329,7 +358,8 @@ def _full_span_mod(ideal, p, sizes, ladder, exhausted):
     terms that vanish dropped and then the generators left with none;
     ``ladder`` gets the multidegrees of the rest.  The residues are kept in
     the narrowest type that holds them (``_int_dtype``: int8 for p < 128),
-    which the Macaulay rows inherit.
+    which the Macaulay rows inherit, and the terms are ranked once
+    (``_ranked_terms``) for every rung.
 
     A rung with fewer rows than columns (``_row_count``) is skipped before
     its rows are built.  Each rung that falls short keeps the
@@ -350,6 +380,8 @@ def _full_span_mod(ideal, p, sizes, ladder, exhausted):
         return Inconclusive("all generators vanish mod %d" % p,
                             exhausted.degree_cap)
     terms, degrees = zip(*kept)
+    terms = _ranked_terms(terms, sizes)
+    del kept
     failed = []
     for top in ladder(degrees):
         ncols = _monomial_count(top, sizes)
@@ -410,17 +442,19 @@ def empty_all_primes(ideal, saturate_at_2=True, d_max=12):
     if not kept:
         return Inconclusive("zero ideal", d_max)
     terms, degrees = zip(*kept)
+    ranked = _ranked_terms(terms, (nvars,))
     last_reason = "no certificate found"
     screened = set()
+    gave_up = set()     # cofactors Pollard rho could not split
     for d in range(max(degrees)[0], d_max + 1):
         ncols = _monomial_count((d,), (nvars,))
         if _row_count(degrees, (nvars,), (d,)) < ncols:
             last_reason = "not enough rows at degree %d" % d
             continue
-        block = _macaulay_rows(terms, degrees, (nvars,), (d,))
+        block = _macaulay_rows(ranked, degrees, (nvars,), (d,))
         try:
             result = _lattice_is_full_after_stripping(
-                block, ncols, saturate_at_2)
+                block, ncols, saturate_at_2, gave_up)
         except _FactoringGaveUp:
             last_reason = ("factoring the index evidence ran out of its "
                            "Pollard-rho budget at degree %d" % d)
@@ -505,11 +539,12 @@ def _common_zero_mod(terms, nvars, q):
     return tuple(int(x) for x in pts[0])
 
 
-def _lattice_is_full_after_stripping(block, ncols, saturate_at_2):
+def _lattice_is_full_after_stripping(block, ncols, saturate_at_2, gave_up):
     """None when the row lattice is provably/possibly not full; otherwise a
     (divisor_summary, method) pair constituting the certificate.  Raises
-    _FactoringGaveUp when the evidence gcd cannot be factored, and
-    _PrimeNotCleared when a prime of it cannot be cleared.
+    _FactoringGaveUp when the evidence gcd cannot be factored (``gave_up``
+    as in ``_factorize``), and _PrimeNotCleared when a prime of it cannot
+    be cleared.
 
     The lattice index [Z^N : L] divides the determinant of every maximal
     nonsingular row subset, so full rank modulo a screening prime plus a
@@ -571,7 +606,7 @@ def _lattice_is_full_after_stripping(block, ncols, saturate_at_2):
     if g == 1:
         summary["index_evidence_gcd"] = 1
         return (summary, "minor-gcd")
-    factors = _factorize(g)
+    factors = _factorize(g, gave_up)
     if factors is None:
         raise _FactoringGaveUp
     cleared = []
@@ -600,10 +635,13 @@ def _strip2(x):
 _RHO_STEPS = 1 << 20
 
 
-def _factorize(n):
+def _factorize(n, gave_up):
     """Prime factors of |n|: trial division, then Brent-Pollard rho.
 
-    None when rho runs out of its step budget on a composite cofactor."""
+    None when rho runs out of its step budget on a composite cofactor.
+    Such a cofactor joins the set ``gave_up``, and one already in it is
+    not tried again: ``_pollard_rho`` is seeded by its argument, so it
+    would give up on it again the same way."""
     n = abs(n)
     out = set()
     f = 2
@@ -621,8 +659,9 @@ def _factorize(n):
         if is_prime(m):
             out.add(m)
             continue
-        d = _pollard_rho(m)
+        d = None if m in gave_up else _pollard_rho(m)
         if d is None:
+            gave_up.add(m)
             return None
         stack.append(d)
         stack.append(m // d)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from math import comb, factorial
 
@@ -26,7 +26,8 @@ from .nullstellensatz import (HomIdealPresentation, Inconclusive,
                               _product_table, empty_bihomogeneous,
                               empty_over_fpbar)
 from .polys import MultiPoly, monomials_of_degree
-from .quadform import QuadricForm, parse_quadric_line, quadric_to_line
+from .quadform import (QuadricForm, classify, parse_quadric_line,
+                       quadric_to_line, ruling_disc)
 from .roots import poly_eval_scaled, poly_interpolate
 
 T_NAMES = tuple("t%d" % i for i in range(5))
@@ -72,19 +73,36 @@ class Pencil:
         (trimmed), after the optional x-basis change T.
 
         The k x k minor of B(u) + s*B(w) has degree <= k in s, so its
-        fraction-free determinants at s = 0..k fix it; ``poly_interpolate``
-        recovers the coefficients exactly.  No polynomial in t is formed."""
+        values at s = 0..k fix it; ``poly_interpolate`` recovers the
+        coefficients exactly.  At each node s = 0..5 one elimination
+        (``_leading_minors_at``) gives M1..M5 at once.  No polynomial in t
+        is formed."""
         grams = self._grams(basis_change)
         Bu, Bw = (_combine(grams, t) for t in (u, w))
-        out = []
-        for k in range(1, 6):
-            values = [det_bareiss([[Bu[i][j] + s * Bw[i][j]
-                                    for j in range(k)] for i in range(k)])
-                      for s in range(k + 1)]
-            out.append(poly_interpolate(values))
-        return out
+        nodes = [_leading_minors_at([[a + s * b for a, b in zip(ru, rw)]
+                                     for ru, rw in zip(Bu, Bw)])
+                 for s in range(6)]
+        return [poly_interpolate([m[k] for m in nodes[:k + 2]])
+                for k in range(5)]
 
     # -- members ---------------------------------------------------------
+
+    @cached_property
+    def coordinate_members(self):
+        """(t, Q, (npos, nneg), disc) for each coordinate point t = e_i of
+        the parameter space on H, in order: the member Q = Q_i has
+        det B_i = 0, (npos, nneg) is its real signature and disc its ruling
+        discriminant (``ruling_disc``) at rank 4, else None.  Built on
+        first use and kept: the quadrics do not change."""
+        out = []
+        for i, (Q, B) in enumerate(zip(self.quadrics, self.grams)):
+            if det_bareiss(B):
+                continue
+            npos, nneg, _ = classify(Q, "R").signature
+            disc = ruling_disc(Q) if npos + nneg == 4 else None
+            out.append((tuple(int(i == j) for j in range(5)), Q,
+                        (npos, nneg), disc))
+        return tuple(out)
 
     def member(self, t):
         """The quadric at parameter t (rational tuple, cleared to ints)."""
@@ -119,6 +137,32 @@ def _combine(grams, t):
     t = list(t)
     return [[sum(ti * B[i][j] for ti, B in zip(t, grams))
              for j in range(5)] for i in range(5)]
+
+
+def _leading_minors_at(A):
+    """The leading principal minors M1..M5 of the 5x5 integer matrix A.
+
+    Fraction-free elimination without row exchanges has them as its
+    pivots: after step k, entry (i, j) below and right of the pivot is the
+    minor on rows 0..k, i and columns 0..k, j, and the division by the
+    previous pivot is exact (Bareiss, Math. Comp. 22, 1968).  After a
+    zero pivot the later minors are ``det_bareiss`` of the leading
+    blocks."""
+    a = [row[:] for row in A]
+    out = []
+    prev = 1
+    for k in range(5):
+        pivot = a[k][k]
+        out.append(pivot)
+        if not pivot:
+            return out + [det_bareiss([row[:m] for row in A[:m]])
+                          for m in range(k + 2, 6)]
+        for i in range(k + 1, 5):
+            ai, aik = a[i], a[i][k]
+            for j in range(k + 1, 5):
+                ai[j] = (ai[j] * pivot - aik * a[k][j]) // prev
+        prev = pivot
+    return out
 
 
 # ---------------------------------------------------------------------------

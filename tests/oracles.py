@@ -254,11 +254,12 @@ def smith_diagonal_by_minors(M):
 
 def macaulay_rows_by_exponent_sums(terms, degrees, sizes, top):
     """The Macaulay rows of ``nullstellensatz._macaulay_rows`` (same
-    arguments and row, entry and column order), built directly: every
-    multiplier's exponent vector is added to every term of its generator,
-    and the sums are ranked by ``monomial_ranks`` block by block, the
-    first block the most significant digit.  Generators are taken one at
-    a time and the pieces concatenated."""
+    arguments, but the terms with their exponents, as in
+    ``HomIdealPresentation``, and the same row, entry and column order),
+    built directly: every multiplier's exponent vector is added to every
+    term of its generator, and the sums are ranked by ``monomial_ranks``
+    block by block, the first block the most significant digit.
+    Generators are taken one at a time and the pieces concatenated."""
     from itertools import product
     from math import comb
 
@@ -423,6 +424,26 @@ def gram_matrix_poly(P, basis_change=None):
     units = [tuple(int(k == m) for m in range(5)) for k in range(5)]
     return [[MultiPoly(5, {e: B[i][j] for e, B in zip(units, grams)})
              for j in range(5)] for i in range(5)]
+
+
+def line_minors_by_determinants(P, u, w, basis_change=None):
+    """``Pencil.line_minors`` by 20 separate determinants: for k = 1..5,
+    ``det_bareiss`` of the leading k x k block of T^t B(u + s*w) T at
+    s = 0..k, interpolated by ``poly_interpolate``."""
+    from symmetroid.linalg import det_bareiss
+    from symmetroid.roots import poly_interpolate
+    grams = [np.array(B, dtype=object) for B in P.grams]
+    if basis_change is not None:
+        T = np.array(basis_change, dtype=object)
+        grams = [T.T @ B @ T for B in grams]
+    out = []
+    for k in range(1, 6):
+        values = []
+        for s in range(k + 1):
+            A = sum((ui + s * wi) * B for ui, wi, B in zip(u, w, grams))
+            values.append(det_bareiss(A[:k, :k].tolist()))
+        out.append(poly_interpolate(values))
+    return out
 
 
 def det_poly(P):

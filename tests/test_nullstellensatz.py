@@ -59,20 +59,34 @@ def test_saturation_strips_only_two_content():
     assert isinstance(cert_no, Inconclusive) or not cert_no.holds_at(2)
 
 
-def test_factoring_budget_ends_in_inconclusive():
+def test_factoring_budget_ends_in_inconclusive(monkeypatch):
     # a product of two ~61-bit primes is beyond the rho step budget; the
-    # degree ladder must give up instead of factoring forever
+    # degree ladder must give up instead of factoring forever, and spend
+    # that budget once: rho is seeded by its argument, so a cofactor it
+    # gave up on at one degree is not tried again at the next
+    from symmetroid import nullstellensatz
     from symmetroid.linalg import is_prime
     from symmetroid.nullstellensatz import _factorize
+    rho = []
+    real = nullstellensatz._pollard_rho
+
+    def spy(n):
+        rho.append(n)
+        return real(n)
+    monkeypatch.setattr(nullstellensatz, "_pollard_rho", spy)
     q1 = (1 << 61) - 1
     q2 = (1 << 60) + 1
     while not is_prime(q2):
         q2 += 2
     t0 = time.perf_counter()
-    assert _factorize(q1 * q2) is None
-    assert _factorize(3 * 1000003 * 1000033) == [3, 1000003, 1000033]
+    gave_up = set()
+    assert _factorize(q1 * q2, gave_up) is None and gave_up == {q1 * q2}
+    assert _factorize(5 * q1 * q2, gave_up) is None and rho == [q1 * q2]
+    assert _factorize(3 * 1000003 * 1000033, set()) == [3, 1000003, 1000033]
     I = _ideal(["t0", "t1", "t2", "t3", "%d*t4" % (q1 * q2)])
+    rho.clear()
     res = empty_all_primes(I, d_max=3)
+    assert rho == [q1 * q2]
     assert isinstance(res, Inconclusive)
     # at every degree the gcd of the subset determinants is N: the reason
     # must say factoring gave up, not that the lattice is not full
@@ -115,7 +129,8 @@ def test_determinant_loop_stops_at_a_proven_uncleared_prime(
     monkeypatch.setattr(nullstellensatz, "det_exact_crt", spy)
     rows, ncols = _degree_rows(rank_le2_minor_ideal(q3_pencil), 3)
     with pytest.raises(nullstellensatz._PrimeNotCleared) as exc:
-        nullstellensatz._lattice_is_full_after_stripping(rows, ncols, True)
+        nullstellensatz._lattice_is_full_after_stripping(rows, ncols, True,
+                                                         set())
     assert exc.value.args == (3,) and calls == [35, 35]
     calls.clear()
     cert = empty_all_primes(rank_le2_minor_ideal(thm_pencil), d_max=12)
@@ -155,9 +170,10 @@ def _same_rows(got, want, ncols):
 def _degree_rows(ideal, d):
     """The degree-d Macaulay rows of the ideal's generators and their
     column count, the number of degree-d monomials."""
-    from symmetroid.nullstellensatz import _macaulay_rows
-    return (_macaulay_rows(ideal.generators, ideal.degrees, (ideal.nvars,),
-                           (d,)),
+    from symmetroid.nullstellensatz import _macaulay_rows, _ranked_terms
+    sizes = (ideal.nvars,)
+    return (_macaulay_rows(_ranked_terms(ideal.generators, sizes),
+                           ideal.degrees, sizes, (d,)),
             len(monomials_of_degree(ideal.nvars, d)))
 
 
@@ -169,7 +185,7 @@ def test_degree_blocks_match_exponent_sums():
     # multipliers
     from oracles import macaulay_rows_by_exponent_sums
 
-    from symmetroid.nullstellensatz import _macaulay_rows
+    from symmetroid.nullstellensatz import _macaulay_rows, _ranked_terms
     rng = random.Random(23)
     big = 2 ** 64 + 3
     for nvars in range(3, 7):
@@ -183,9 +199,11 @@ def test_degree_blocks_match_exponent_sums():
                                       (1,) + (0,) * (nvars - 2) + (1,): -5}))
         ideal = HomIdealPresentation.from_polys(nvars, gens)
         for d in range(1, 5):
-            args = (ideal.generators, ideal.degrees, (nvars,), (d,))
-            rows = _macaulay_rows(*args)
-            _same_rows(rows, macaulay_rows_by_exponent_sums(*args),
+            args = (ideal.degrees, (nvars,), (d,))
+            rows = _macaulay_rows(_ranked_terms(ideal.generators, (nvars,)),
+                                  *args)
+            _same_rows(rows,
+                       macaulay_rows_by_exponent_sums(ideal.generators, *args),
                        len(monomials_of_degree(nvars, d)))
             assert rows.data.dtype == (object if d >= 2 else np.int64)
             assert (big in rows.data.tolist()) == (d >= 2)
@@ -196,13 +214,15 @@ def test_bidegree_blocks_match_exponent_sums(q3_pencil):
     # an x-table and a y-table
     from oracles import macaulay_rows_by_exponent_sums
 
-    from symmetroid.nullstellensatz import _macaulay_rows, _monomial_count
+    from symmetroid.nullstellensatz import (_macaulay_rows, _monomial_count,
+                                            _ranked_terms)
     ideal = singular_locus_ideal(q3_pencil)
+    ranked = _ranked_terms(ideal.generators, (5, 5))
     for a in range(1, 5):
         for b in range(1, 5):
-            args = (ideal.generators, ideal.bidegrees, (5, 5), (a, b))
-            _same_rows(_macaulay_rows(*args),
-                       macaulay_rows_by_exponent_sums(*args),
+            args = (ideal.bidegrees, (5, 5), (a, b))
+            _same_rows(_macaulay_rows(ranked, *args),
+                       macaulay_rows_by_exponent_sums(ideal.generators, *args),
                        _monomial_count((a, b), (5, 5)))
 
 
@@ -223,7 +243,8 @@ def test_v3_certificate_on_fixture(thm_pencil):
     # monotonicity: the span stays full one degree higher
     from symmetroid.nullstellensatz import _lattice_is_full_after_stripping
     rows, ncols = _degree_rows(rank_le2_minor_ideal(thm_pencil), 4)
-    assert _lattice_is_full_after_stripping(rows, ncols, True) is not None
+    assert _lattice_is_full_after_stripping(rows, ncols, True,
+                                            set()) is not None
 
 
 def test_v3_verdict_of_prop_q3_pinned(q3_pencil):
@@ -464,6 +485,21 @@ def test_bidegree_labels_are_checked():
         present(4, gens + [parse_poly("x0 + x1^2", NAMES4)])
     with pytest.raises(ValueError, match="wrong ring"):
         present(5, gens)
+    # the first generator that fails decides the error
+    x0 = (np.array([[1, 0, 0, 0]]), np.array([1]))
+    inhom = (np.array([[1, 0, 0, 0], [0, 2, 0, 0]]), np.array([1, 1]))
+    wrong = (np.zeros((1, 5), dtype=np.int64), np.array([1]))
+    with pytest.raises(ValueError, match="must be homogeneous"):
+        HomIdealPresentation(4, [x0, inhom, wrong])
+    with pytest.raises(ValueError, match="wrong ring"):
+        HomIdealPresentation(4, [x0, wrong, inhom])
+    with pytest.raises(ValueError,
+                       match=r"generator 1 is not of bidegree \(0, 1\)"):
+        HomIdealPresentation(4, [x0, x0, inhom, wrong],
+                             [(1, 0), (0, 1), (1, 0), (1, 0)], 2, 2)
+    with pytest.raises(ValueError, match="wrong ring"):
+        HomIdealPresentation(4, [x0, wrong, x0], [(1, 0), (1, 0), (0, 1)],
+                             2, 2)
 
 
 def test_regularity_diagonal_failure_detected():
@@ -524,7 +560,7 @@ def _reference_ladder(I, p):
     """The first rung of the ideal's ladder whose Macaulay block alone has
     full rank mod p by ``fp_pivot_rows``, as (multidegree, columns, rows),
     or None."""
-    from symmetroid.nullstellensatz import _macaulay_rows
+    from symmetroid.nullstellensatz import _macaulay_rows, _ranked_terms
     if I.bidegrees is None:
         sizes = (I.nvars,)
         ladder = [(d,) for d in range(max(I.degrees)[0], 7)]
@@ -534,8 +570,9 @@ def _reference_ladder(I, p):
                          for b in range(1, min(a, 3) + 1)),
                         key=lambda ab: comb(I.nx + ab[0] - 1, ab[0])
                         * comb(I.ny + ab[1] - 1, ab[1]))
+    ranked = _ranked_terms(I.generators, sizes)
     for top in ladder:
-        rows = _macaulay_rows(I.generators, I.degrees, sizes, top)
+        rows = _macaulay_rows(ranked, I.degrees, sizes, top)
         ncols = prod(comb(d + s - 1, s - 1) for d, s in zip(top, sizes))
         if len(rows) >= ncols and fp_pivot_rows(rows, ncols, p)[1] == ncols:
             return top, ncols, len(rows)
@@ -581,8 +618,9 @@ def test_seeded_ladder_matches_blockwise_ranks(monkeypatch):
 
 
 def _dense_block(I, sizes, top, p):
-    from symmetroid.nullstellensatz import _macaulay_rows
-    rows = _macaulay_rows(I.generators, I.degrees, sizes, top)
+    from symmetroid.nullstellensatz import _macaulay_rows, _ranked_terms
+    rows = _macaulay_rows(_ranked_terms(I.generators, sizes), I.degrees,
+                          sizes, top)
     ncols = prod(comb(d + s - 1, s - 1) for d, s in zip(top, sizes))
     return rows.toarray(ncols).astype(np.int64) % p
 

@@ -4,15 +4,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import (cofactor_det, det_poly, gram_matrix_poly, polys_of,
-                     reduce_mod, restrict_to_line)
+from oracles import (cofactor_det, det_poly, gram_matrix_poly,
+                     line_minors_by_determinants, polys_of, reduce_mod,
+                     restrict_to_line)
 from symmetroid.linalg import det_bareiss, mat_vec, random_unimodular
 from symmetroid.pencil import (Pencil, alpha_symbol, parse_pencil_text,
                                rank_le2_minor_ideal, singular_locus_ideal,
                                x_point_from_singular_member)
 from symmetroid.polys import MultiPoly, parse_poly, poly_matrix_det
-from symmetroid.quadform import (COEFF_ORDER, QuadricForm,
-                                 diagonalize_symmetric)
+from symmetroid.quadform import (COEFF_ORDER, QuadricForm, classify,
+                                 diagonalize_symmetric, ruling_disc)
 
 T_NAMES = ["t%d" % i for i in range(5)]
 
@@ -94,6 +95,91 @@ def test_line_minors_match_substituted_minors(name, request):
                 w = [rng.randint(lo, hi) for _ in range(5)]
                 assert P.line_minors(u, w, T) == \
                     [restrict_to_line(m, u, w) for m in minors]
+
+
+def test_line_minors_match_twenty_determinants(
+        thm_pencil, q3_pencil, cor_pencil, monkeypatch):
+    # one elimination per node against det_bareiss of every leading block
+    # at every node, with and without a basis change; on pencils where M1
+    # or M2 vanishes identically, and on lines through a zero of M1 at a
+    # node, a zero pivot sends the later minors of that node to the
+    # leading blocks' determinants, which the spy counts
+    from symmetroid import pencil
+    fallback = []
+    real = pencil.det_bareiss
+
+    def spy(M):
+        fallback.append(len(M))
+        return real(M)
+    monkeypatch.setattr(pencil, "det_bareiss", spy)
+    no_m1 = Pencil([QuadricForm.from_string(q) for q in (
+        "x0*x1 + x2*x3", "x0*x2 + x3*x4", "x0*x3 + x1*x4", "x0*x4 + x1*x2",
+        "x1*x3 + x2*x4")])
+    # no x1^2 and no x0*x1: M2 = B00 B11 - B01^2 vanishes, M1 does not
+    no_m2 = Pencil([QuadricForm.from_string(q) for q in (
+        "x0^2 + x1*x2", "x0*x2 + x3^2", "x4^2 + x1*x3", "x2^2 + x1*x4",
+        "x0*x3 + x2*x4")])
+    rng = random.Random(31)
+    for P in (thm_pencil, q3_pencil, cor_pencil, no_m1, no_m2):
+        for T in [None] + [random_unimodular(5, rng, size=1)
+                           for _ in range(2)]:
+            lines = [([rng.randint(-3, 3) for _ in range(5)],
+                      [rng.randint(-3, 3) for _ in range(5)])
+                     for _ in range(4)]
+            # M1(t) = B(t)[0][0] after T is a linear form in t: a t in its
+            # kernel, put at the node s0, makes the first pivot vanish there
+            m1 = [B[0][0] for B in P._grams(T)]
+            if any(m1):
+                k = next(i for i in range(5) if m1[i])
+                t = [0] * 5
+                t[k], t[(k + 1) % 5] = m1[(k + 1) % 5], -m1[k]
+                w = [rng.randint(-3, 3) for _ in range(5)]
+                s0 = rng.randrange(6)
+                lines.append(([a - s0 * b for a, b in zip(t, w)], w))
+            for i, (u, w) in enumerate(lines):
+                fallback.clear()
+                got = P.line_minors(u, w, T)
+                assert got == line_minors_by_determinants(P, u, w, T)
+                if T is None and P in (no_m1, no_m2) or i == 4:
+                    assert fallback
+    assert no_m1.leading_minors(1)[0].is_zero()
+    assert no_m2.leading_minors(2)[1].is_zero()
+    assert not no_m2.leading_minors(1)[0].is_zero()
+
+
+def test_coordinate_members_built_once_per_pencil(
+        thm_pencil, q3_pencil, cor_pencil, monkeypatch):
+    # the cached members equal a fresh computation from det B_i, the
+    # member at e_i, its real classification and ruling discriminant;
+    # each new Pencil classifies its members once, however often they are
+    # read, and does not see another pencil's members
+    from symmetroid import pencil
+    calls = []
+    real = pencil.classify
+
+    def spy(Q, field):
+        calls.append(field)
+        return real(Q, field)
+    monkeypatch.setattr(pencil, "classify", spy)
+    for P in (thm_pencil, q3_pencil, cor_pencil):
+        want = []
+        for i in range(5):
+            t = tuple(int(i == j) for j in range(5))
+            if P.det_at(t):
+                continue
+            Q = P.member(t)
+            npos, nneg, _ = classify(Q, "R").signature
+            disc = ruling_disc(Q) if npos + nneg == 4 else None
+            want.append((t, Q, (npos, nneg), disc))
+        fresh = [Pencil(P.quadrics) for _ in range(2)]
+        calls.clear()
+        for Pc in fresh:
+            for _ in range(3):
+                assert list(Pc.coordinate_members) == want
+        assert calls == ["R"] * 2 * len(want)
+    # every coordinate member of the diagonal pencil is a rank-1 cone
+    assert [m[2:] for m in Pencil(DIAG).coordinate_members] == \
+        [((1, 0), None)] * 5
 
 
 def test_gram_schmidt_minor_identity(thm_pencil):
