@@ -28,6 +28,7 @@ from __future__ import annotations
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import comb, factorial, perm
 
@@ -459,31 +460,28 @@ def _full_rank(A, p):
     return full
 
 
-_EVAL_CACHE = {}
 _EVAL_CELLS = 1 << 18    # float32 cells of one GEMM slice of the smooth-point
                          # scan (1 MB), reduced in place before the next
 
 
+@lru_cache(maxsize=None)
 def _cached_eval(p):
     """Evaluation tables over F_p for quadrics given by 15 coefficients,
     one for the first 16 points of P^4(F_p) and one for the rest.  The
     table of a block of n points is a (6n, 15) float32 matrix W such that
     W @ c gives the quadric c's n values, then the n values of each of its
     five partials."""
-    if p not in _EVAL_CACHE:
-        pts = projective_points(p)
-        W = np.zeros((6, len(pts), 15), dtype=np.float32)
-        for m, (i, j) in enumerate(COEFF_ORDER):
-            W[0, :, m] = pts[:, i] * pts[:, j] % p
-            if i != j:
-                W[i + 1, :, m] = pts[:, j]
-                W[j + 1, :, m] = pts[:, i]
-            elif p != 2:
-                W[i + 1, :, m] = 2 * pts[:, i] % p
-            # char 2: the square terms drop out of every partial
-        _EVAL_CACHE[p] = [W[:, :16].reshape(-1, 15),
-                          W[:, 16:].reshape(-1, 15)]
-    return _EVAL_CACHE[p]
+    pts = projective_points(p)
+    W = np.zeros((6, len(pts), 15), dtype=np.float32)
+    for m, (i, j) in enumerate(COEFF_ORDER):
+        W[0, :, m] = pts[:, i] * pts[:, j] % p
+        if i != j:
+            W[i + 1, :, m] = pts[:, j]
+            W[j + 1, :, m] = pts[:, i]
+        elif p != 2:
+            W[i + 1, :, m] = 2 * pts[:, i] % p
+        # char 2: the square terms drop out of every partial
+    return W[:, :16].reshape(-1, 15), W[:, 16:].reshape(-1, 15)
 
 
 def _no_smooth_point_mask(C, p):

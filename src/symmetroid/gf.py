@@ -1,10 +1,10 @@
 """Small finite fields F_q (q = p^r) with table-based arithmetic.
 
 Elements are ints in [0, q) encoding polynomial coefficients base p.  Only
-desk-scale fields are needed (enumeration over P^4(F_q) for q <= 9), so
+desk-scale fields are needed (F_4, F_8 and F_9 besides the primes), so
 full multiplication tables are precomputed.  The point table of
-P^(n-1)(F_q), ``projective_points``, is shared by the smooth-point
-enumeration, the S_p scans and the all-primes test's common-zero screen.
+P^(n-1)(F_q), ``projective_points``, is shared by the S_p scans, the
+census and the all-primes test's common-zero screen.
 """
 
 from __future__ import annotations
@@ -94,9 +94,6 @@ class GF:
         if self.r == 1:
             return (-a) % self.p
         return int(self._neg[a])
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
 
     def inv(self, a):
         if a == 0:

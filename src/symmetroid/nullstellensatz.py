@@ -475,10 +475,9 @@ def empty_all_primes(ideal, saturate_at_2=True, d_max=12):
         if result is None:
             last_reason = "lattice not full (after stripping) at degree %d" % d
             continue
-        summary, method = result
         return EmptinessCertificate(
             degree=d, scope="all_primes", saturated_at_2=saturate_at_2,
-            divisor_summary=summary, method=method,
+            divisor_summary=result, method="minor-gcd",
             details={"columns": ncols, "rows": len(block)})
     return Inconclusive(last_reason, d_max)
 
@@ -540,8 +539,8 @@ def _common_zero_mod(terms, nvars, q):
 
 
 def _lattice_is_full_after_stripping(block, ncols, saturate_at_2, gave_up):
-    """None when the row lattice is provably/possibly not full; otherwise a
-    (divisor_summary, method) pair constituting the certificate.  Raises
+    """None when the row lattice is provably/possibly not full; otherwise
+    the divisor summary of its minor-gcd certificate.  Raises
     _FactoringGaveUp when the evidence gcd cannot be factored (``gave_up``
     as in ``_factorize``), and _PrimeNotCleared when a prime of it cannot
     be cleared.
@@ -578,10 +577,9 @@ def _lattice_is_full_after_stripping(block, ncols, saturate_at_2, gave_up):
                                          _SCREEN_PRIMES[attempt % 3])
         if rank < ncols:
             continue
+        # nonsingular mod the screening prime, so D != 0
         D = det_exact_crt(block.take([order[i] for i in pivots])
                           .toarray(ncols))
-        if not D:
-            continue
         dets.append(D)
         g = gcd(g, _strip2(D) if saturate_at_2 else abs(D))
         if g == 1:
@@ -605,7 +603,7 @@ def _lattice_is_full_after_stripping(block, ncols, saturate_at_2, gave_up):
     }
     if g == 1:
         summary["index_evidence_gcd"] = 1
-        return (summary, "minor-gcd")
+        return summary
     factors = _factorize(g, gave_up)
     if factors is None:
         raise _FactoringGaveUp
@@ -618,7 +616,7 @@ def _lattice_is_full_after_stripping(block, ncols, saturate_at_2, gave_up):
         cleared.append(q)
     summary["index_evidence_gcd"] = g
     summary["cleared_primes"] = cleared
-    return (summary, "minor-gcd")
+    return summary
 
 
 def _val2(x):

@@ -8,7 +8,9 @@ and B always has even diagonal.
 Classification is exact: congruence diagonalisation over Q (or F_p, p odd),
 signatures over R, split/nonsplit tags over F_p, and smooth-point existence
 on the projective quadric over R, F_q and Q_p.  Characteristic 2 avoids the
-bilinear rank (it misrepresents quadrics there) and works by enumeration.
+bilinear rank (it misrepresents quadrics there): the vertex comes from the
+polar kernel and the values of Q on it, and the smooth-point question from
+the rank and, at rank 2, an Arf invariant.  Nothing searches for points.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .gf import GF, projective_points
+from .gf import GF
 from .linalg import (_RATIONALS, det_bareiss, is_prime, nullspace,
                      primitive_vector)
 from .localfields import hilbert_symbol, is_square_at
@@ -231,37 +233,17 @@ def _char2_rank(Q, gf):
     """Rank and vertex of a quadric in char 2 (rank = 5 - dim vertex).
 
     The vertex is the subspace where both the polar form and Q vanish; the
-    polar is the Gram matrix mod 2 (its diagonal dies).  Q restricted to
-    the polar kernel is Frobenius-semilinear, so its zero set is a
-    subspace, found here by direct enumeration of the (small) kernel.
+    polar is the Gram matrix mod 2 (its diagonal dies).  The polar kernel
+    K has a basis b_1..b_k over F_2, so each Q(b_i) lies in F_2, and as the
+    polar vanishes on K, Q(sum a_i b_i) = (sum a_i Q(b_i))^2 there.  The
+    vertex is therefore the image under the b_i of the kernel of the row
+    (Q(b_1), ..., Q(b_k)): of dimension k, or k - 1 when some Q(b_i) = 1.
     """
-    q = gf.q
-    B = Q.gram()
-    # kernel of the polar form over F_q by elimination with table arithmetic
-    basis = nullspace([[x % gf.p for x in row] for row in B], gf)
-    # enumerate the kernel, collect vertex vectors
-    vertex = []
-    k = len(basis)
-    seen_nonzero_Q = False
-    for code in range(q ** k):
-        coeffs = []
-        c = code
-        for _ in range(k):
-            coeffs.append(c % q)
-            c //= q
-        x = [0] * 5
-        for co, vec in zip(coeffs, basis):
-            for i in range(5):
-                x[i] = gf.add(x[i], gf.mul(co, vec[i]))
-        val = _eval_gf(Q, x, gf)
-        if val == 0:
-            vertex.append(x)
-        else:
-            seen_nonzero_Q = True
-    # vertex is a subspace; its F_q-dimension
-    dim_vertex = k - 1 if seen_nonzero_Q else k
-    basis_vertex = _gf_row_basis(vertex, gf)
-    return 5 - dim_vertex, basis_vertex
+    polar = nullspace([[x % 2 for x in row] for row in Q.gram()], gf)
+    values = [_eval_gf(Q, b, gf) for b in polar]
+    vertex = [[sum(a * b[m] for a, b in zip(coords, polar)) % 2
+               for m in range(5)] for coords in nullspace([values], gf)]
+    return 5 - len(vertex), vertex
 
 
 def _eval_gf(Q, x, gf):
@@ -269,22 +251,6 @@ def _eval_gf(Q, x, gf):
     for (i, j), c in zip(COEFF_ORDER, Q.coeffs):
         total = gf.add(total, gf.mul(c % gf.p, gf.mul(x[i], x[j])))
     return total
-
-
-def _gf_row_basis(vectors, gf):
-    basis = []
-    echelon = []
-    for v in vectors:
-        w = v[:]
-        for e in echelon:
-            lead = next(i for i, x in enumerate(e) if x != 0)
-            if w[lead] != 0:
-                f = gf.mul(w[lead], gf.inv(e[lead]))
-                w = [gf.sub(a, gf.mul(f, b)) for a, b in zip(w, e)]
-        if any(w):
-            echelon.append(w)
-            basis.append(v)
-    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -300,38 +266,30 @@ def has_smooth_point_real(Q):
 
 
 def has_smooth_point_fq(Q, q):
-    """Smooth F_q-point existence.
+    """Smooth F_q-point existence, read off ``classify(Q, q)``.
 
-    Even q: direct enumeration with the Jacobian criterion.  Odd q: a form
-    of rank >= 3 always has one; rank 1 (double plane) never; rank 2 exactly
-    when split.  Enumeration cross-checks this in the test suite.
+    A smooth point is a zero of Q off the vertex, so the form that Q
+    induces on V / vertex, of dimension rank, decides.  Rank 1 (double
+    plane) never has one; rank >= 3 always does (Chevalley-Warning).
+    Rank 2, odd q: exactly when split.  Rank 2, even q = 2^r: the polar
+    form has rank 2, so some c_ij (i < j) is odd, and the plane <e_i, e_j>,
+    a complement of the vertex, carries c_ii x^2 + xy + c_jj y^2.  That
+    form has no zero exactly when Tr(c_ii c_jj) = 1, i.e. when c_ii, c_jj
+    and r are all odd.
     """
-    gf = GF(q)
-    if gf.p == 2 or q <= 9 and gf.r > 1:
-        return _smooth_point_enumerate(Q, gf) is not None
     cls = classify(Q, q)
     if cls.rank == 0:
         raise ValueError("form vanishes identically over F_%d" % q)
     if cls.rank == 1:
         return False
-    if cls.rank == 2:
+    if cls.rank >= 3:
+        return True
+    if q % 2:
         return bool(cls.split)
-    return True
-
-
-def _smooth_point_enumerate(Q, gf):
-    B = Q.gram()
-    for x in map(tuple, projective_points(gf.q).tolist()):
-        if _eval_gf(Q, x, gf) != 0:
-            continue
-        # gradient: (B x)_i, with char-2 diagonal loss handled by tables
-        for i in range(5):
-            g = 0
-            for j in range(5):
-                g = gf.add(g, gf.mul(B[i][j] % gf.p, x[j]))
-            if g != 0:
-                return x
-    return None
+    c = dict(zip(COEFF_ORDER, Q.coeffs))
+    i, j = next(ij for ij in COEFF_ORDER if ij[0] < ij[1] and c[ij] % 2)
+    r = q.bit_length() - 1
+    return not (c[i, i] % 2 and c[j, j] % 2 and r % 2)
 
 
 def has_smooth_point_qp(Q, p):

@@ -171,6 +171,67 @@ def albert_lemma_counterexamples(q):
     return n, int(bad.sum())
 
 
+def first_smooth_point_bruteforce(Q, q):
+    """The first smooth F_q-point of the quadric Q = 0 in P^4, or None, by
+    walking P^4(F_q) point by point in the table order of
+    ``gf.projective_points`` (as in ``first_common_zero_bruteforce``).  A
+    point is smooth where Q vanishes and some partial derivative does not,
+    both summed term by term in ``GF`` arithmetic (the partial of c x_i^2
+    is 2 c x_i, which dies in char 2)."""
+    from itertools import product
+
+    from symmetroid.gf import GF
+    from symmetroid.quadform import COEFF_ORDER
+
+    gf = GF(q)
+    terms = [(i, j, c % gf.p) for (i, j), c in zip(COEFF_ORDER, Q.coeffs)]
+    points = ((0,) * lead + (1,) + tail[::-1] for lead in range(5)
+              for tail in product(range(q), repeat=4 - lead))
+    for x in points:
+        value = 0
+        for i, j, c in terms:
+            value = gf.add(value, gf.mul(c, gf.mul(x[i], x[j])))
+        if value:
+            continue
+        grad = [0] * 5
+        for i, j, c in terms:
+            if i == j:
+                grad[i] = gf.add(grad[i], gf.mul(2 * c % gf.p, x[i]))
+            else:
+                grad[i] = gf.add(grad[i], gf.mul(c, x[j]))
+                grad[j] = gf.add(grad[j], gf.mul(c, x[i]))
+        if any(grad):
+            return x
+    return None
+
+
+def vertex_mask_bruteforce(C, q):
+    """For each row of C (quadric coefficients in ``COEFF_ORDER``), the
+    mask over all q^5 vectors x of F_q^5 of those on the vertex: Q(x) = 0
+    and every partial derivative of Q is 0 at x.  Vector number
+    sum_m x_m q^m, elements encoded as in ``GF``; Q and its partials are
+    summed term by term through the addition and multiplication tables."""
+    from symmetroid.gf import GF
+    from symmetroid.quadform import COEFF_ORDER
+
+    gf = GF(q)
+    add = np.array([[gf.add(a, b) for b in range(q)] for a in range(q)])
+    mul = np.array([[gf.mul(a, b) for b in range(q)] for a in range(q)])
+    X = np.arange(q ** 5)[:, None] // q ** np.arange(5) % q
+    C = np.asarray(C, dtype=np.int64) % gf.p
+    value = np.zeros((len(C), len(X)), dtype=np.int64)
+    grad = np.zeros((5,) + value.shape, dtype=np.int64)
+    for m, (i, j) in enumerate(COEFF_ORDER):
+        c = C[:, m:m + 1]
+        value = add[value, mul[c, mul[X[:, i], X[:, j]]]]
+        if i == j:
+            grad[i] = add[grad[i], mul[2 * c % gf.p, X[:, i]]]
+        else:
+            grad[i] = add[grad[i], mul[c, X[:, j]]]
+            grad[j] = add[grad[j], mul[c, X[:, i]]]
+    return (value == 0) & (grad == 0).all(axis=0)
+
+
 def pivot_rows_by_dicts(rows, p):
     """Indices of the rows, {column: coeff} dicts over Z, that are
     independent mod p of the rows before them (the row rank profile).

@@ -36,6 +36,9 @@ def test_reports_match_golden_files(tmp_path):
                           "--prime", "3"]),
              ("thm_example", ["certify-wa", "--strategy", "real"]),
              ("cor_easy", ["certify-wa", "--strategy", "real"])]
+    # characteristic 2: rank and vertex of each generator over F_8
+    runs += [(pencil, ["classify", "--field", "8"])
+             for pencil in ("thm_example", "prop_q3", "cor_easy")]
     for pencil, args in runs:
         name = "%s.%s.json" % (pencil, args[0])
         main(args + [pencil, "--out", str(tmp_path / name)])

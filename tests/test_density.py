@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import b_of_p_counting
+from oracles import b_of_p_counting, first_smooth_point_bruteforce
 from symmetroid.density import (b_of_p, certify_p2b_decreasing, census_bp,
                                 gaussian_count, monte_carlo_density,
                                 pointless_quadric_count, primes_below,
@@ -117,19 +117,17 @@ _POINTED = {2: ["x0*x1 + x2^2", "x2*x3", "x1^2 + x1*x4 + x4^2 + x2^2",
 
 def test_no_smooth_point_mask_matches_enumeration(monkeypatch):
     from symmetroid import density
-    from symmetroid.gf import GF, projective_points
-    from symmetroid.quadform import _smooth_point_enumerate
+    from symmetroid.gf import projective_points
     # a few rows per slice: both point tables run in several slices
     monkeypatch.setattr(density, "_EVAL_CELLS", 200)
     for p in (2, 3):
-        gf = GF(p)
         rng = np.random.default_rng(p)
         C = rng.integers(0, p, size=(80, 15))
         C[40:] *= rng.random((40, 15)) < 0.25       # sparse ones too
         planted = _POINTLESS[p] + _POINTED[p]
         C = np.vstack([C] + [np.mod(QuadricForm.from_string(s).coeffs, p)
                              for s in planted])
-        first = [_smooth_point_enumerate(QuadricForm(c), gf) for c in C]
+        first = [first_smooth_point_bruteforce(QuadricForm(c), p) for c in C]
         want = [x is None for x in first]
         assert density._no_smooth_point_mask(C, p).tolist() == want, p
         assert want[-len(planted):] == ([True] * len(_POINTLESS[p])

@@ -4,13 +4,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import diagonal_isotropic_bruteforce, quadric_from_gram
+from oracles import (diagonal_isotropic_bruteforce,
+                     first_smooth_point_bruteforce, quadric_from_gram,
+                     vertex_mask_bruteforce)
 from symmetroid.gf import GF
 from symmetroid.linalg import mat_mul, random_unimodular, transpose
 from symmetroid.localfields import REAL, is_square_at
 from symmetroid.quadform import (COEFF_ORDER, QuadricForm,
-                                 _diagonal_isotropic_qp,
-                                 _smooth_point_enumerate, classify,
+                                 _diagonal_isotropic_qp, classify,
                                  has_smooth_point_fq, has_smooth_point_qp,
                                  has_smooth_point_real, parse_quadric_line,
                                  quadric_to_line, ruling_disc)
@@ -98,17 +99,23 @@ def test_smooth_point_paper_values():
     assert has_smooth_point_qp(SUMSQ, 2) is False
     with pytest.raises(ValueError):
         has_smooth_point_real(QuadricForm([0] * 15))
+    # over F_q too, a form that reduces to 0 defines no quadric
+    for q in (2, 4, 8, 9):
+        with pytest.raises(ValueError):
+            has_smooth_point_fq(QuadricForm([0] * 15), q)
+    for q, s in ((4, "2*x0*x1 + 4*x3^2"), (9, "3*x0^2 - 6*x2*x4")):
+        with pytest.raises(ValueError):
+            has_smooth_point_fq(QuadricForm.from_string(s), q)
 
 
 def test_smooth_point_fq_vs_enumeration():
     # spec invariant: classification equals exhaustive search; 1000 forms
-    # per field over q in {3, 5, 7}.  For even q ``has_smooth_point_fq``
-    # is that enumeration, so at q = 2 it is checked against the sieve's
-    # float32 scan instead.  The q = 4 leg has no second engine: it only
-    # checks that a smooth F_2-point stays one over F_4
+    # per field over q in {2, 3, 4, 5, 7, 8, 9}, each checked against the
+    # point-by-point walk over P^4(F_q), and at q = 2 also against the
+    # sieve's float32 scan
     from symmetroid.density import _no_smooth_point_mask
     rng = random.Random(13)
-    for q in (2, 3, 4, 5, 7):
+    for q in (2, 3, 4, 5, 7, 8, 9):
         gf = GF(q)
         forms = []
         for _ in range(1000):
@@ -116,22 +123,17 @@ def test_smooth_point_fq_vs_enumeration():
             if any(c % gf.p for c in Q.coeffs):
                 forms.append(Q)
         got = [has_smooth_point_fq(Q, q) for Q in forms]
+        assert got == [first_smooth_point_bruteforce(Q, q) is not None
+                       for Q in forms], q
         if q == 2:
             C = np.array([Q.coeffs for Q in forms], dtype=np.int64)
             assert got == (~_no_smooth_point_mask(C, 2)).tolist()
-        elif q == 4:
-            assert all(has_smooth_point_fq(Q, 2) <= smooth
-                       for Q, smooth in zip(forms, got))
-        else:
-            assert got == [_smooth_point_enumerate(Q, gf) is not None
-                           for Q in forms], q
 
 
 def test_classify_f9_vs_enumeration():
     # F_9 is the one odd prime power that reaches the table-arithmetic
     # diagonalisation; exhaustive search over P^4(F_9) is the reference
     rng = random.Random(29)
-    gf = GF(9)
     ranks = set()
     for k in range(50):
         B = [[0] * 5 for _ in range(5)]
@@ -146,7 +148,7 @@ def test_classify_f9_vs_enumeration():
         if cls.rank == 0:
             continue
         ranks.add(min(cls.rank, 3))
-        smooth = _smooth_point_enumerate(Q, gf) is not None
+        smooth = first_smooth_point_bruteforce(Q, 9) is not None
         if cls.rank >= 3:
             assert smooth, Q.coeffs
         elif cls.rank == 2:
@@ -219,10 +221,73 @@ def test_char2_rank_and_f4():
     # conjugate planes
     Q = QuadricForm.from_string("x0^2 + x0*x1 + x1^2")
     assert not has_smooth_point_fq(Q, 2)
-    # ... but split over F_4 (the roots live there)
+    # ... split over F_4 (the roots live there), but not over F_8, which
+    # does not contain F_4
     assert has_smooth_point_fq(Q, 4)
+    assert not has_smooth_point_fq(Q, 8)
     cls = classify(Q, 2)
     assert cls.rank == 2
+
+
+def _assert_kernel_spans_vertex(kernel, vertex, q):
+    # the kernel vectors lie on the brute-force vertex, are independent
+    # (their F_2 entries span 2^k vectors) and number its dimension
+    span = {0}
+    for v in kernel:
+        code = sum(x << m for m, x in enumerate(v))
+        span |= {s ^ code for s in span}
+    assert len(span) == 2 ** len(kernel)
+    assert all(vertex[sum(x * q ** m for m, x in enumerate(v))]
+               for v in kernel)
+    assert vertex.sum() == q ** len(kernel)
+
+
+def test_char2_classification_over_f2_all_forms():
+    # every nonzero form over F_2: smooth points as the sieve's float32
+    # scan finds them, and a kernel that spans the brute-force vertex
+    from symmetroid.density import _no_smooth_point_mask
+    C = np.arange(1, 2 ** 15)[:, None] >> np.arange(15) & 1
+    forms = [QuadricForm(c) for c in C.tolist()]
+    assert ([has_smooth_point_fq(Q, 2) for Q in forms]
+            == (~_no_smooth_point_mask(C, 2)).tolist())
+    for Q, vertex in zip(forms, vertex_mask_bruteforce(C, 2)):
+        _assert_kernel_spans_vertex(classify(Q, 2).kernel, vertex, 2)
+
+
+def test_char2_classification_over_f4_f8():
+    # seeded sparse forms of every rank over F_4 and F_8, against the
+    # point-by-point walk and the brute-force vertex
+    rng = random.Random(34)
+    for q, n in ((4, 200), (8, 40)):
+        ranks = set()
+        for k in range(n):
+            # every fifth form is diagonal: a square mod 2, of rank 1
+            support = rng.sample((0, 5, 9, 12, 14) if k % 5 == 0
+                                 else range(15), rng.randint(1, 5))
+            Q = QuadricForm([rng.choice((1, 3, -1)) if m in support
+                             else rng.choice((0, 2)) for m in range(15)])
+            cls = classify(Q, q)
+            ranks.add(cls.rank)
+            assert has_smooth_point_fq(Q, q) == (
+                first_smooth_point_bruteforce(Q, q) is not None), Q
+            _assert_kernel_spans_vertex(
+                cls.kernel, vertex_mask_bruteforce([Q.coeffs], q)[0], q)
+        assert ranks == {1, 2, 3, 4, 5}, q
+
+
+def test_char2_classify_evaluates_q_on_the_polar_basis_only(monkeypatch):
+    # the vertex comes from Q at the (at most 5) polar kernel vectors, not
+    # from Q at every vector of the kernel
+    from symmetroid import quadform
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+    real = quadform._eval_gf
+    monkeypatch.setattr(quadform, "_eval_gf", spy)
+    assert classify(QuadricForm.from_string("x0^2"), 8).rank == 1
+    assert len(calls) <= 5
 
 
 def test_text_format_roundtrip():
